@@ -31,9 +31,7 @@ from .model import (
     cubic_field,
     drift_terms,
     ito_drift,
-    nonlocal_cubic,
     precession,
-    stratonovich_drift,
     theta_R,
 )
 from .noise import (

@@ -300,20 +300,19 @@ def parse_config(path: str) -> RunConfig:
     sec = _Section(parser, "params", _SECTION_KEYS["params"])
     betas = {k: sec.get_float(k, required=True)
              for k in ("beta1", "beta2", "beta3", "beta4", "beta5")}
-    for name in ("beta2", "beta3", "beta4", "beta5"):
-        if betas[name] <= 0:
-            raise ConfigError(f"params.{name}: must be positive, got {betas[name]}")
-    params = ModelParams(**betas)
+    try:
+        params = ModelParams(**betas)
+    except ValueError as exc:
+        raise ConfigError(f"params.{exc}") from exc
 
     # truncation
     sec = _Section(parser, "truncation", _SECTION_KEYS["truncation"])
     mode = sec.get_str("mode", default="off")
-    if mode not in ("off", "on"):
-        raise ConfigError(f"truncation.mode: must be 'off' or 'on', got {mode!r}")
     radius = sec.get_float("radius")
-    if mode == "on" and (radius is None or radius <= 0):
-        raise ConfigError("truncation.radius: required and positive when mode is 'on'")
-    trunc = TruncationConfig(mode, radius if mode == "on" else None)
+    try:
+        trunc = TruncationConfig(mode, radius if mode == "on" else None)
+    except ValueError as exc:
+        raise ConfigError(f"truncation.{exc}") from exc
 
     # solver
     if not parser.has_section("solver"):
@@ -443,6 +442,8 @@ def parse_config(path: str) -> RunConfig:
     )
     if experiment.ensemble_m < 1:
         raise ConfigError("experiment.ensemble_m: must be >= 1")
+    if experiment.workers < 1:
+        raise ConfigError("experiment.workers: must be >= 1")
 
     return RunConfig(
         grid=grid,

@@ -164,13 +164,6 @@ def states_from_trajectory(traj: TrajectoryRecord) -> list[SolverState]:
     ]
 
 
-def _phi_reads(grid: Grid, phi_index: tuple[int, ...], component: int):
-    """Coefficient pick plus eigenvalue for the basis test function."""
-    lam = float(eigenvalue_array(grid)[phi_index])
-    pick = (component,) + tuple(phi_index)
-    return pick, lam
-
-
 def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
                        noise: NoiseModel, phi_index: tuple[int, ...],
                        component: int = 0, form: str = "weak") -> float:
@@ -198,7 +191,8 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
     dt = traj.config.dt
     cfg = traj.config
     phi_index = tuple(int(i) for i in phi_index)
-    pick, lam_phi = _phi_reads(grid, phi_index, component)
+    pick = (component,) + phi_index
+    lam_phi = float(eigenvalue_array(grid)[phi_index])
 
     # gradient of the test mode on the padded grid, for the quadrature pairings
     phi_coeffs = np.zeros((3, *grid.modes))
@@ -313,13 +307,7 @@ def refinement_gap(u0_builder: Callable[[Grid], SpectralField],
     records = []
     for n in (n_coarse, n_fine):
         grid = box.with_modes((n,) * box.dim)
-        cfg = SolverConfig(
-            dt=config.dt, t_end=config.t_end, scheme=config.scheme,
-            blowup_K=config.blowup_K, record_every=config.record_every,
-            seed=config.seed, truncation=config.truncation,
-            substeps=config.substeps,
-            snapshot_every=config.record_every,
-        )
+        cfg = replace(config, snapshot_every=config.record_every)
         records.append(
             run_trajectory(u0_builder(grid), params, noise_builder(grid), cfg,
                            path=path)

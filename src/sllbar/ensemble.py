@@ -13,6 +13,7 @@ excluded to keep runs reproducible.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -141,7 +142,8 @@ def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     """M independent trajectories with path-keyed increments.
 
     Any worker count yields the same statistics bitwise; records are
-    aggregated in path order. Early-stopped paths are kept and reported
+    aggregated in path order. The pool holds at most
+    ``min(workers, M, os.cpu_count())`` processes. Early-stopped paths are kept and reported
     through ``stop_reasons`` / ``blowup_count``; their recorded series must
     share the common sample grid, so a path that stops early raises unless
     every path stops at the same time.
@@ -150,6 +152,7 @@ def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
         raise ValueError("M must be >= 1")
     observables = tuple(observables)
     jobs = [(u0, params, noise, config, p, observables) for p in range(M)]
+    workers = min(workers, M, os.cpu_count() or 1)
     if workers <= 1:
         records = [_run_one(job) for job in jobs]
     else:

@@ -429,18 +429,6 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float((a.coeffs * b.coeffs).sum())
 
 
-def h1_semi_inner(a: SpectralField, b: SpectralField) -> float:
-    """Gradient inner product ``(grad a, grad b)`` as a spectral sum."""
-    _check_same_grid(a.grid, b.grid)
-    lam = eigenvalue_array(a.grid)
-    return float((lam * (a.coeffs * b.coeffs).sum(axis=0)).sum())
-
-
-def quad_inner(grid: Grid, a_vals: np.ndarray, b_vals: np.ndarray) -> float:
-    """Pointwise product summed with the midpoint quadrature weight."""
-    return float((a_vals * b_vals).sum() * quad_weight(grid))
-
-
 def mode_values(grid: Grid, index: tuple[int, ...]) -> np.ndarray:
     """Scalar eigenfunction e_k on the padded grid, L^2-normalized."""
     index = tuple(int(i) for i in index)

@@ -10,6 +10,10 @@ Two schemes are provided:
   and diffusion, no Ito correction), intended as a cross-check on mildly
   stiff grids.
 
+The nonlinear drift terms and the diffusion fields G_j are assembled in one
+place, :func:`_explicit_parts`, which both schemes call;
+:func:`sllbar.model.drift_terms` is a term-by-term view of the same arrays.
+
 A trajectory stops at ``t_end``, on the first step whose H^1 norm exceeds
 ``blowup_K`` (the discrete stopping time), or on a nonfinite state.
 """
@@ -17,7 +21,7 @@ A trajectory stops at ``t_end``, on the first step whose H^1 norm exceeds
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .grid import (
     sobolev_norm,
     synthesize,
 )
-from .model import ModelParams, TruncationConfig, theta_R
+from .model import ModelParams, TruncationConfig, truncation_scale
 from .noise import (
     NoiseModel,
     WienerIncrement,
@@ -50,7 +54,6 @@ DENOMINATOR_FLOOR = 1e-8
 STOP_COMPLETED = "completed"
 STOP_BLOWUP = "blowup_K"
 STOP_NONFINITE = "nonfinite"
-STOP_DENOMINATOR = "denominator"  # schema value; surfaced pre-run as an error
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,20 @@ class TrajectoryRecord:
         return float(self.times[-1])
 
 
-def linear_factor(lam: float, dt: float, params: ModelParams) -> float:
-    """Implicit per-mode divisor ``1 + dt (b1 lam + b2 lam^2)``."""
+def linear_factor(lam, dt: float, params: ModelParams):
+    """Implicit per-mode divisor ``1 + dt (b1 lam + b2 lam^2)``.
+
+    ``lam`` is one eigenvalue or an array of them; the result has its shape.
+    Raises when any divisor is at or below ``DENOMINATOR_FLOOR``.
+    """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     factor = 1.0 + dt * (params.beta1 * lam + params.beta2 * lam * lam)
-    if factor <= DENOMINATOR_FLOOR:
+    low = np.min(factor)
+    if low <= DENOMINATOR_FLOOR:
+        bad = float(np.ravel(lam)[np.argmin(factor)])
         raise ConfigurationError(
-            f"denominator: implicit factor {factor:.3e} at lambda={lam:.6g} "
+            f"denominator: implicit factor {low:.3e} at lambda={bad:.6g} "
             f"(reduce dt or adjust beta1)"
         )
     return factor
@@ -129,13 +138,7 @@ def linear_factor(lam: float, dt: float, params: ModelParams) -> float:
 
 @lru_cache(maxsize=None)
 def _divisor_array(grid: Grid, dt: float, params: ModelParams) -> np.ndarray:
-    lam = eigenvalue_array(grid)
-    div = 1.0 + dt * (params.beta1 * lam + params.beta2 * lam * lam)
-    if div.min() <= DENOMINATOR_FLOOR:
-        bad = float(lam.ravel()[int(np.argmin(div))])
-        raise ConfigurationError(
-            f"denominator: implicit factor {div.min():.3e} at lambda={bad:.6g}"
-        )
+    div = linear_factor(eigenvalue_array(grid), dt, params)
     div.setflags(write=False)
     return div
 
@@ -143,33 +146,31 @@ def _divisor_array(grid: Grid, dt: float, params: ModelParams) -> np.ndarray:
 def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
                     noise: NoiseModel, trunc: TruncationConfig,
                     include_correction: bool):
-    """Explicitly treated drift and the diffusion fields, sharing transforms.
+    """Explicitly treated drift terms and the diffusion fields, sharing transforms.
 
-    Returns ``(drift_coeffs, [G_j coeffs])`` where the drift holds the
-    penalty, precession and nonlocal terms plus (optionally) the Ito
-    correction; the linear part is not included.
+    This is the only assembly of the nonlinear drift. Returns
+    ``(terms, [G_j coeffs])`` where ``terms`` maps, in summation order,
+    ``penalty`` (b3 Pi((1 - |u|^2) u), as b3 (u - Pi(|u|^2 u))),
+    ``precession`` (-b4 Pi(u x Lap u)), ``nonlocal``
+    (b5 theta_R(|grad u|) Lap Pi(|u|^2 u)) and, when ``include_correction``
+    is set and J > 0, ``ito_correction`` to coefficient arrays. The linear
+    part is not included.
     """
     lam = eigenvalue_array(grid)
     vals = synthesize(grid, coeffs)
     mag2 = (vals * vals).sum(axis=0)
     cubic = analyze(grid, vals * mag2)
     lap_vals = synthesize(grid, -lam * coeffs)
-    prec = analyze(grid, cross3(vals, lap_vals))
-
-    scale5 = params.beta5
-    if trunc.mode == "on":
-        grad = float(np.sqrt((lam * (coeffs * coeffs).sum(axis=0)).sum()))
-        scale5 = params.beta5 * theta_R(grad, trunc.radius)
-
-    drift = (
-        params.beta3 * (coeffs - cubic)
-        - params.beta4 * prec
-        + scale5 * (-lam) * cubic
-    )
+    theta = truncation_scale(SpectralField(grid, coeffs), trunc)
+    terms = {
+        "penalty": params.beta3 * (coeffs - cubic),
+        "precession": -params.beta4 * analyze(grid, cross3(vals, lap_vals)),
+        "nonlocal": (params.beta5 * theta) * (-lam) * cubic,
+    }
     Gs = [_diffusion_coeffs(grid, vals, noise, j) for j in range(noise.J)]
     if include_correction and noise.J > 0:
-        drift = drift + _correction_coeffs(grid, vals, noise)
-    return drift, Gs
+        terms["ito_correction"] = _correction_coeffs(grid, vals, noise)
+    return terms, Gs
 
 
 def imex_em_step(state: SolverState, params: ModelParams, noise: NoiseModel,
@@ -178,21 +179,12 @@ def imex_em_step(state: SolverState, params: ModelParams, noise: NoiseModel,
     """One semi-implicit Euler-Maruyama step on the Ito form."""
     grid = state.u.grid
     div = _divisor_array(grid, dt, params)
-    drift, Gs = _explicit_parts(state.u.coeffs, grid, params, noise, trunc,
+    terms, Gs = _explicit_parts(state.u.coeffs, grid, params, noise, trunc,
                                 include_correction=True)
-    acc = state.u.coeffs + dt * drift
+    acc = state.u.coeffs + dt * reduce(np.add, terms.values())
     for j, G in enumerate(Gs):
         acc = acc + G * increments.values[j]
     return SolverState(state.t + dt, SpectralField(grid, acc / div), state.step + 1)
-
-
-def _strat_rhs(coeffs: np.ndarray, grid: Grid, params: ModelParams,
-               noise: NoiseModel, trunc: TruncationConfig):
-    lam = eigenvalue_array(grid)
-    drift, Gs = _explicit_parts(coeffs, grid, params, noise, trunc,
-                                include_correction=False)
-    drift = drift + (-params.beta1 * lam - params.beta2 * lam * lam) * coeffs
-    return drift, Gs
 
 
 def heun_strat_step(state: SolverState, params: ModelParams, noise: NoiseModel,
@@ -200,12 +192,18 @@ def heun_strat_step(state: SolverState, params: ModelParams, noise: NoiseModel,
                     dt: float) -> SolverState:
     """One explicit Stratonovich Heun step (predictor-corrector)."""
     grid = state.u.grid
+    lam = eigenvalue_array(grid)
+    linear = -params.beta1 * lam - params.beta2 * lam * lam
     c0 = state.u.coeffs
-    a0, G0 = _strat_rhs(c0, grid, params, noise, trunc)
+    terms0, G0 = _explicit_parts(c0, grid, params, noise, trunc,
+                                 include_correction=False)
+    a0 = reduce(np.add, terms0.values()) + linear * c0
     pred = c0 + dt * a0
     for j, G in enumerate(G0):
         pred = pred + G * increments.values[j]
-    a1, G1 = _strat_rhs(pred, grid, params, noise, trunc)
+    terms1, G1 = _explicit_parts(pred, grid, params, noise, trunc,
+                                 include_correction=False)
+    a1 = reduce(np.add, terms1.values()) + linear * pred
     out = c0 + 0.5 * dt * (a0 + a1)
     for j in range(noise.J):
         out = out + 0.5 * (G0[j] + G1[j]) * increments.values[j]

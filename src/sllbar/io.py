@@ -121,6 +121,8 @@ def read_snapshot(path, pad_factor: float = 2.0) -> SpectralField:
         data = np.frombuffer(fh.read(count * 8), dtype="<f8")
         if data.size != count:
             raise SnapshotFormatError(f"{path}: truncated coefficient block")
+        if fh.read(1):
+            raise SnapshotFormatError(f"{path}: trailing bytes after coefficient block")
     grid = Grid(dim, lengths, modes, pad_factor)
     coeffs = data.astype(np.float64).reshape((3, *modes))
     return SpectralField(grid, coeffs)

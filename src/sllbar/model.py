@@ -6,8 +6,12 @@ The evolved equation for the magnetization u(t, x) in R^3 is
            + b5 Lap(|u|^2 u) ] dt  +  sum_j G_j(u) o dW_j
 
 with transport diffusion G_j(u) = -u x h_j + h_j - Lap h_j. This module
-assembles the projected drift nonlinearities; the Stratonovich-to-Ito
-correction lives in :mod:`sllbar.noise`.
+holds the coefficients, the truncation cutoff theta_R and the single-term
+references :func:`cubic_field` and :func:`precession` that the identity
+checks use. The drift itself is assembled once, in
+:func:`sllbar.integrator._explicit_parts`; :func:`drift_terms` adds the two
+linear terms to those arrays and exposes each term by name. The
+Stratonovich-to-Ito correction lives in :mod:`sllbar.noise`.
 
 All pointwise products are evaluated on the padded collocation grid and
 projected back to the retained modes, so every nonlinear term is the exact
@@ -46,8 +50,9 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("beta2", "beta3", "beta4", "beta5"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name}: must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +68,10 @@ class TruncationConfig:
 
     def __post_init__(self):
         if self.mode not in ("off", "on"):
-            raise ValueError("truncation mode must be 'off' or 'on'")
+            raise ValueError(f"mode: must be 'off' or 'on', got {self.mode!r}")
         if self.mode == "on":
             if self.radius is None or self.radius <= 0:
-                raise ValueError("truncation mode 'on' requires radius > 0")
+                raise ValueError("radius: required and positive when mode is 'on'")
 
     @classmethod
     def off(cls) -> "TruncationConfig":
@@ -122,19 +127,6 @@ def precession(u: SpectralField) -> SpectralField:
     return to_spectral(PhysField(u.grid, cross3(vals, lap_vals)))
 
 
-def nonlocal_cubic(u: SpectralField, trunc: TruncationConfig) -> SpectralField:
-    """Nonlocal damping term ``theta_R(|grad u|) Pi Lap(|u|^2 u)``.
-
-    The Laplacian acts diagonally per mode, so applying it after the
-    projected cubic equals projecting ``Lap(|u|^2 u)``.
-    """
-    out = apply_laplacian(cubic_field(u))
-    scale = truncation_scale(u, trunc)
-    if scale != 1.0:
-        out = SpectralField(u.grid, out.coeffs * scale)
-    return out
-
-
 def drift_terms(u: SpectralField, params: ModelParams, noise,
                 trunc: TruncationConfig) -> dict[str, SpectralField]:
     """Every Ito-form drift contribution, individually retrievable.
@@ -143,25 +135,21 @@ def drift_terms(u: SpectralField, params: ModelParams, noise,
     (b3 Pi((1 - |u|^2) u), assembled as b3 (Pi u - Pi(|u|^2 u))),
     ``precession`` (-b4 Pi(u x Lap u)), ``nonlocal`` (+b5 theta_R(.) Pi
     Lap(|u|^2 u)) and, when the noise family is nonempty, ``ito_correction``.
+    The nonlinear terms are the arrays the time steppers use. Pass
+    ``NoiseModel.empty(grid)`` for the noise-free (Stratonovich) drift.
     """
-    from .noise import ito_correction
+    from .integrator import _explicit_parts
 
     grid = u.grid
     lam = eigenvalue_array(grid)
-    cubic = cubic_field(u)
-    terms = {
-        "laplacian": SpectralField(grid, params.beta1 * (-lam) * u.coeffs),
-        "biharmonic": SpectralField(grid, -params.beta2 * lam * lam * u.coeffs),
-        "penalty": SpectralField(grid, params.beta3 * (u.coeffs - cubic.coeffs)),
-        "precession": -params.beta4 * precession(u),
-        "nonlocal": SpectralField(
-            grid,
-            (params.beta5 * truncation_scale(u, trunc)) * (-lam) * cubic.coeffs,
-        ),
+    nonlinear, _ = _explicit_parts(u.coeffs, grid, params, noise, trunc,
+                                   include_correction=True)
+    arrays = {
+        "laplacian": params.beta1 * (-lam) * u.coeffs,
+        "biharmonic": -params.beta2 * lam * lam * u.coeffs,
+        **nonlinear,
     }
-    if noise is not None and noise.J > 0:
-        terms["ito_correction"] = ito_correction(u, noise)
-    return terms
+    return {name: SpectralField(grid, c) for name, c in arrays.items()}
 
 
 def ito_drift(u: SpectralField, params: ModelParams, noise,
@@ -169,14 +157,5 @@ def ito_drift(u: SpectralField, params: ModelParams, noise,
     """Full Ito-form drift, including the Stratonovich correction."""
     total = np.zeros_like(u.coeffs)
     for term in drift_terms(u, params, noise, trunc).values():
-        total += term.coeffs
-    return SpectralField(u.grid, total)
-
-
-def stratonovich_drift(u: SpectralField, params: ModelParams,
-                       trunc: TruncationConfig) -> SpectralField:
-    """Drift of the Stratonovich form: all b-terms, no Ito correction."""
-    total = np.zeros_like(u.coeffs)
-    for term in drift_terms(u, params, None, trunc).values():
         total += term.coeffs
     return SpectralField(u.grid, total)

@@ -29,6 +29,7 @@ from .grid import (
     apply_laplacian,
     cross3,
     eigenmode_field,
+    quad_weight,
     sobolev_norm,
     synthesize,
     zero_field,
@@ -53,8 +54,7 @@ def coefficient_from_physical(grid: Grid, values: np.ndarray):
             f"{(3, *grid.padded)}"
         )
     field = SpectralField(grid, analyze(grid, values))
-    w = float(np.prod([L / M for L, M in zip(grid.lengths, grid.padded)]))
-    total_sq = float((values * values).sum()) * w
+    total_sq = float((values * values).sum()) * quad_weight(grid)
     kept_sq = float((field.coeffs * field.coeffs).sum())
     if total_sq == 0.0:
         return field, 0.0
@@ -136,25 +136,28 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
     else:
         raise ValueError(f"unknown noise family {family!r}")
 
-    lap = [apply_laplacian(hj) for hj in fields]
-    C_h = float(sum(sobolev_norm(hj, 3) ** 2 for hj in fields))
     return NoiseModel(
         grid,
         fields,
-        lap,
-        C_h,
+        [apply_laplacian(hj) for hj in fields],
+        _c_h(fields),
         c_h_bound=spec.get("c_h_bound"),
         tail_estimate=float(spec.get("tail_estimate", 0.0)),
         descriptor=dict(spec),
     )
 
 
+def _c_h(fields: list[SpectralField]) -> float:
+    """``C_h = sum_j |h_j|_{H^3}^2`` of a noise family."""
+    return float(sum(sobolev_norm(hj, 3) ** 2 for hj in fields))
+
+
 def check_noise_condition(noise: NoiseModel) -> float:
     """Recompute ``sum_j |h_j|_{H^3}^2``; warn if a configured bound is exceeded.
 
-    Matches the build-time C_h exactly (same spectral formula).
+    Matches the build-time C_h exactly (same helper).
     """
-    total = float(sum(sobolev_norm(hj, 3) ** 2 for hj in noise.h))
+    total = _c_h(noise.h)
     if noise.c_h_bound is not None and total > noise.c_h_bound:
         warnings.warn(
             f"noise condition sum {total:.6g} exceeds configured bound "

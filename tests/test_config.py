@@ -70,6 +70,12 @@ class TestRejections:
         with pytest.raises(ConfigError, match="beta2"):
             parse_config(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, tmp_path, workers):
+        bad = MINIMAL + f"\n[experiment]\nworkers = {workers}\n"
+        with pytest.raises(ConfigError, match="experiment.workers"):
+            parse_config(write(tmp_path, bad))
+
     def test_unknown_key(self, tmp_path):
         bad = MINIMAL + "\n[experiment]\nwalkers = 3\n"
         with pytest.raises(ConfigError, match="walkers"):

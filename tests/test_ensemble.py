@@ -124,6 +124,39 @@ class TestRunEnsemble:
             run_ensemble(u0, bad, NoiseModel.empty(G8),
                          SolverConfig(dt=0.1, t_end=1.0), 2)
 
+    @pytest.mark.parametrize("workers,M,cpus,expected", [
+        (100000, 3, 8, 3),
+        (100000, 16, 4, 4),
+        (2, 16, 4, 2),
+    ])
+    def test_pool_size_capped(self, monkeypatch, workers, M, cpus, expected):
+        import sllbar.ensemble as ens
+
+        sizes = []
+
+        class FakePool:
+            """Records the requested size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(ens, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(ens.os, "cpu_count", lambda: cpus)
+        cfg = SolverConfig(dt=0.05, t_end=0.1)
+        stats = run_ensemble(constant_field(G8, (0.1, 0.0, 0.0)), full_params(),
+                             NoiseModel.empty(G8), cfg, M, workers=workers)
+        assert sizes == [expected]
+        assert stats.M == M
+
     def test_blowup_paths_counted(self):
         # immediate threshold crossing: every path stops at t=0 uniformly
         u0 = eigenmode_field(G8, (1,), (1.0, 0.0, 0.0))

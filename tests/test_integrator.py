@@ -61,6 +61,18 @@ class TestLinearFactor:
         with pytest.raises(ConfigurationError, match="denominator"):
             linear_factor(1.0, 0.2, p)
 
+    def test_array_matches_scalar(self):
+        p = ModelParams(-3.0, 2.0, 1.0, 1.0, 1.0)
+        lam = np.array([[0.0, 1.0], [4.0, 9.0]])
+        out = linear_factor(lam, 0.05, p)
+        assert out.shape == lam.shape
+        assert [linear_factor(x, 0.05, p) for x in lam.ravel()] == list(out.ravel())
+
+    def test_array_guard_names_worst_mode(self):
+        p = ModelParams(-10.0, 0.001, 1.0, 1.0, 1.0)
+        with pytest.raises(ConfigurationError, match="lambda=4"):
+            linear_factor(np.array([0.0, 1.0, 4.0]), 0.2, p)
+
 
 class TestImexStep:
     def test_single_mode_decay(self):

@@ -95,6 +95,13 @@ class TestSnapshot:
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.snap"
+        write_snapshot(zero_field(G8), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(SnapshotFormatError, match="trailing"):
+            read_snapshot(path)
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "trunc.snap"
         write_snapshot(zero_field(G8), path)

@@ -7,27 +7,29 @@ import pytest
 
 from sllbar.grid import (
     Grid,
+    apply_laplacian,
     collocation_points,
     constant_field,
     eigenmode_field,
+    eigenvalue_array,
     l2_inner,
     random_field,
     sobolev_norm,
     to_physical,
     zero_field,
 )
+from sllbar.integrator import SolverState, imex_em_step, linear_factor
 from sllbar.model import (
     ModelParams,
     TruncationConfig,
     cubic_field,
     drift_terms,
     ito_drift,
-    nonlocal_cubic,
     precession,
-    stratonovich_drift,
     theta_R,
+    truncation_scale,
 )
-from sllbar.noise import NoiseModel, build_noise_modes
+from sllbar.noise import NoiseModel, WienerIncrement, build_noise_modes, ito_correction
 
 RNG = np.random.default_rng(7)
 G8 = Grid(1, (np.pi,), (8,))
@@ -145,23 +147,29 @@ class TestPrecession:
             assert abs(val) < bound
 
 
+def nonlocal_term(u, trunc):
+    """The ``nonlocal`` drift entry with b5 = 1 and no noise."""
+    params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
+    return drift_terms(u, params, NoiseModel.empty(u.grid), trunc)["nonlocal"]
+
+
 class TestNonlocalCubic:
     def test_constant_gives_zero(self):
         u = constant_field(G8, (0.7, -0.1, 0.4))
-        assert np.abs(nonlocal_cubic(u, TruncationConfig.off()).coeffs).max() < 1e-13
+        assert np.abs(nonlocal_term(u, TruncationConfig.off()).coeffs).max() < 1e-13
 
     def test_truncation_beyond_2r_kills_term(self):
         u = random_field(G8, RNG)
         grad = sobolev_norm(u, 1, seminorm=True)
         trunc = TruncationConfig.on(grad / 3.0)  # grad > 2R
-        assert np.abs(nonlocal_cubic(u, trunc).coeffs).max() == 0.0
+        assert np.abs(nonlocal_term(u, trunc).coeffs).max() == 0.0
 
     def test_truncation_below_r_is_identity(self):
         u = random_field(G8, RNG)
         grad = sobolev_norm(u, 1, seminorm=True)
         trunc = TruncationConfig.on(2.0 * grad)  # grad < R
-        a = nonlocal_cubic(u, trunc).coeffs
-        b = nonlocal_cubic(u, TruncationConfig.off()).coeffs
+        a = nonlocal_term(u, trunc).coeffs
+        b = nonlocal_term(u, TruncationConfig.off()).coeffs
         assert np.array_equal(a, b)
 
     def test_truncation_config_validation(self):
@@ -220,6 +228,87 @@ class TestDriftAssembly:
     def test_stratonovich_drops_correction(self):
         u = random_field(G8, RNG)
         p = self.params()
-        strat = stratonovich_drift(u, p, TruncationConfig.off())
+        noise = build_noise_modes(
+            {"family": "eigenmode", "modes": [
+                {"sigma": 0.3, "index": (1,), "direction": (0.0, 0.0, 1.0)},
+            ]},
+            G8,
+        )
+        terms = drift_terms(u, p, noise, TruncationConfig.off())
+        strat = sum(t.coeffs for name, t in terms.items() if name != "ito_correction")
         ito_nonoise = ito_drift(u, p, NoiseModel.empty(G8), TruncationConfig.off())
-        assert np.abs(strat.coeffs - ito_nonoise.coeffs).max() < 1e-14
+        assert np.abs(strat - ito_nonoise.coeffs).max() < 1e-14
+
+
+PARITY_GRIDS = [
+    Grid(1, (np.pi,), (9,)),
+    Grid(2, (np.pi, 2.0), (6, 5)),
+    Grid(3, (1.0, 1.5, 2.0), (4, 3, 4)),
+]
+
+
+def parity_noise(grid):
+    return build_noise_modes(
+        {"family": "eigenmode", "modes": [
+            {"sigma": 0.3, "index": (1,) * grid.dim, "direction": (0.0, 0.0, 1.0)},
+            {"sigma": 0.2, "index": (0,) * (grid.dim - 1) + (2,),
+             "direction": (1.0, 1.0, 0.0)},
+        ]},
+        grid,
+    )
+
+
+def parity_truncation(u, mode):
+    if mode == "off":
+        return TruncationConfig.off()
+    trunc = TruncationConfig.on(sobolev_norm(u, 1, seminorm=True) / 1.5)
+    assert 0.0 < truncation_scale(u, trunc) < 1.0
+    return trunc
+
+
+def rel_gap(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestDriftParity:
+    """The drift the steppers assemble against the single-term references."""
+
+    P = ModelParams(beta1=0.8, beta2=1.1, beta3=0.9, beta4=1.3, beta5=0.7)
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=["d1", "d2", "d3"])
+    def test_terms_match_references(self, grid, mode):
+        p = self.P
+        u = random_field(grid, RNG)
+        noise = parity_noise(grid)
+        trunc = parity_truncation(u, mode)
+        theta = truncation_scale(u, trunc)
+        cubic = cubic_field(u).coeffs
+        expected = {
+            "laplacian": p.beta1 * apply_laplacian(u).coeffs,
+            "biharmonic": -p.beta2 * apply_laplacian(u, 2).coeffs,
+            "penalty": p.beta3 * (u.coeffs - cubic),
+            "precession": -p.beta4 * precession(u).coeffs,
+            "nonlocal": p.beta5 * theta * apply_laplacian(cubic_field(u)).coeffs,
+            "ito_correction": ito_correction(u, noise).coeffs,
+        }
+        terms = drift_terms(u, p, noise, trunc)
+        assert set(terms) == set(expected)
+        for name, ref in expected.items():
+            assert rel_gap(terms[name].coeffs, ref) < 1e-13, name
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=["d1", "d2", "d3"])
+    def test_imex_step_sums_nonlinear_terms(self, grid, mode):
+        p, dt = self.P, 1e-3
+        u = random_field(grid, RNG)
+        noise = parity_noise(grid)
+        trunc = parity_truncation(u, mode)
+        terms = drift_terms(u, p, noise, trunc)
+        nonlinear = sum(terms[k].coeffs for k in
+                        ("penalty", "precession", "nonlocal", "ito_correction"))
+        expected = (u.coeffs + dt * nonlinear) / linear_factor(
+            eigenvalue_array(grid), dt, p)
+        step = imex_em_step(SolverState(0.0, u, 0), p, noise, trunc,
+                            WienerIncrement(0, np.zeros(noise.J)), dt)
+        assert rel_gap(step.u.coeffs, expected) < 1e-13

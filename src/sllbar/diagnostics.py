@@ -46,7 +46,8 @@ from .model import (
     precession,
     truncation_scale,
 )
-from .noise import NoiseModel, coupled_increments, ito_correction, _diffusion_coeffs
+from .noise import (NoiseModel, coupled_increments, _correction_coeffs,
+                    _diffusion_coeffs)
 
 
 @dataclass
@@ -237,7 +238,7 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
             pair += params.beta5 * theta * (-lam_phi) * float(cubic_coeffs[pick])
 
         if noise.J > 0:
-            pair += float(ito_correction(u, noise).coeffs[pick])
+            pair += float(_correction_coeffs(grid, vals, noise)[pick])
             inc = coupled_increments(cfg.seed, traj.path, m, noise.J, dt,
                                      cfg.substeps)
             for j in range(noise.J):

@@ -18,6 +18,13 @@ Conventions
 * collocation nodes are the midpoints ``x_j = (j + 1/2) L_i / M_i`` of the
   padded grid ``M_i = ceil(pad_factor * N_i)``; with ``pad_factor = 2``
   pointwise cubic products are alias-free on all retained modes
+
+Transforms
+----------
+There is one transform: cached per-axis orthonormal DCT-II / DST-II matrices
+(:func:`_axis_matrices`) applied one axis at a time. A synthesis or analysis
+costs O(M^(d+1)) for ``M`` padded nodes per axis, and the matrices of one
+axis take ``3 M N`` doubles.
 """
 
 from __future__ import annotations
@@ -182,29 +189,6 @@ def neumann_eigenpairs(grid: Grid) -> Basis:
 
 
 @lru_cache(maxsize=None)
-def _transform_scale(grid: Grid) -> float:
-    # analysis scale relating ortho-normalized DCT output to basis coefficients
-    return float(
-        np.prod([math.sqrt(L / M) for L, M in zip(grid.lengths, grid.padded)])
-    )
-
-
-def _spatial_axes(grid: Grid) -> tuple[int, ...]:
-    return tuple(range(1, grid.dim + 1))
-
-
-# Below this padded size per axis, transforms go through cached orthonormal
-# DCT/DST matrices; the FFT library's per-call overhead dominates for small
-# grids. Both paths compute the same orthonormal transform.
-_MATRIX_PATH_MAX = 64
-
-
-@lru_cache(maxsize=None)
-def _use_matrix_path(grid: Grid) -> bool:
-    return max(grid.padded) <= _MATRIX_PATH_MAX
-
-
-@lru_cache(maxsize=None)
 def _axis_matrices(grid: Grid) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per-axis (analysis, synthesis, derivative-synthesis) matrices.
 
@@ -258,15 +242,10 @@ def quad_weight(grid: Grid) -> float:
 
 def synthesize(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Raw coefficients ``(3, *modes)`` -> values ``(3, *padded)``."""
-    if _use_matrix_path(grid):
-        arr = coeffs
-        for ax, (_, syn, _) in enumerate(_axis_matrices(grid)):
-            arr = _apply_axis_matrix(arr, syn, ax)
-        return np.ascontiguousarray(arr)
-    padded = np.zeros((3, *grid.padded))
-    padded[(slice(None),) + tuple(slice(0, N) for N in grid.modes)] = coeffs
-    padded /= _transform_scale(grid)
-    return sfft.idctn(padded, type=2, norm="ortho", axes=_spatial_axes(grid))
+    arr = coeffs
+    for ax, (_, syn, _) in enumerate(_axis_matrices(grid)):
+        arr = _apply_axis_matrix(arr, syn, ax)
+    return np.ascontiguousarray(arr)
 
 
 def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -275,16 +254,10 @@ def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
     The truncation composes the analysis with the Galerkin projection onto
     the retained-mode span.
     """
-    if _use_matrix_path(grid):
-        arr = values
-        for ax, (ana, _, _) in enumerate(_axis_matrices(grid)):
-            arr = _apply_axis_matrix(arr, ana, ax)
-        return np.ascontiguousarray(arr)
-    full = sfft.dctn(values, type=2, norm="ortho", axes=_spatial_axes(grid))
-    full *= _transform_scale(grid)
-    return np.ascontiguousarray(
-        full[(slice(None),) + tuple(slice(0, N) for N in grid.modes)]
-    )
+    arr = values
+    for ax, (ana, _, _) in enumerate(_axis_matrices(grid)):
+        arr = _apply_axis_matrix(arr, ana, ax)
+    return np.ascontiguousarray(arr)
 
 
 def to_physical(field: SpectralField) -> PhysField:
@@ -340,38 +313,16 @@ def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
     """Exact per-axis derivatives evaluated on the padded grid.
 
     Differentiating the cosine series gives a sine series per axis; each
-    component is synthesized with a DST along the derivative axis and DCTs
-    along the rest.
+    component is synthesized with the DST-II derivative matrix along the
+    derivative axis and the DCT-II synthesis matrices along the rest.
     """
-    if _use_matrix_path(grid):
-        mats = _axis_matrices(grid)
-        out = []
-        for ax in range(grid.dim):
-            arr = coeffs
-            for j, (_, syn, deriv) in enumerate(mats):
-                arr = _apply_axis_matrix(arr, deriv if j == ax else syn, j)
-            out.append(np.ascontiguousarray(arr))
-        return out
-    padded = np.zeros((3, *grid.padded))
-    padded[(slice(None),) + tuple(slice(0, N) for N in grid.modes)] = coeffs
-    scale = _transform_scale(grid)
+    mats = _axis_matrices(grid)
     out = []
     for ax in range(grid.dim):
-        M = grid.padded[ax]
-        L = grid.lengths[ax]
-        b = np.zeros_like(padded)
-        bm = np.moveaxis(b, 1 + ax, -1)
-        cm = np.moveaxis(padded, 1 + ax, -1)
-        k = np.arange(1, M)
-        # sine coefficient of frequency k sits at slot k-1
-        bm[..., : M - 1] = cm[..., 1:] * (-(np.pi * k / L))
-        arr = b
-        for j in range(grid.dim):
-            if j == ax:
-                arr = sfft.idst(arr, type=2, norm="ortho", axis=1 + j)
-            else:
-                arr = sfft.idct(arr, type=2, norm="ortho", axis=1 + j)
-        out.append(arr / scale)
+        arr = coeffs
+        for j, (_, syn, deriv) in enumerate(mats):
+            arr = _apply_axis_matrix(arr, deriv if j == ax else syn, j)
+        out.append(np.ascontiguousarray(arr))
     return out
 
 

@@ -73,6 +73,11 @@ class SolverConfig:
             raise ConfigurationError("dt must be positive")
         if self.t_end <= 0 or self.dt >= self.t_end:
             raise ConfigurationError("t_end must exceed dt")
+        n_steps = round(self.t_end / self.dt)
+        if abs(self.t_end / self.dt - n_steps) > 1e-9 * n_steps:
+            raise ConfigurationError(
+                f"t_end {self.t_end} is not a whole number of dt {self.dt} steps"
+            )
         if self.scheme not in ("imex_em_ito", "heun_strat"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.blowup_K <= 0:

@@ -76,6 +76,11 @@ class TestRejections:
         with pytest.raises(ConfigError, match="experiment.workers"):
             parse_config(write(tmp_path, bad))
 
+    def test_t_end_not_whole_steps(self, tmp_path):
+        bad = MINIMAL.replace("dt = 0.01", "dt = 0.3")
+        with pytest.raises(ConfigError, match="solver: t_end"):
+            parse_config(write(tmp_path, bad))
+
     def test_unknown_key(self, tmp_path):
         bad = MINIMAL + "\n[experiment]\nwalkers = 3\n"
         with pytest.raises(ConfigError, match="walkers"):

@@ -272,3 +272,15 @@ class TestRunTrajectory:
             SolverConfig(dt=0.01, t_end=1.0, scheme="rk4")
         with pytest.raises(ConfigurationError):
             SolverConfig(dt=0.01, t_end=1.0, record_every=0)
+
+    def test_t_end_not_whole_steps_rejected(self):
+        # round(1.0 / 0.3) = 3 steps would silently stop at t = 0.9
+        with pytest.raises(ConfigurationError, match="whole number"):
+            SolverConfig(dt=0.3, t_end=1.0)
+
+    @pytest.mark.parametrize("dt,t_end", [
+        (0.01, 0.05), (0.01, 1.0), (0.1, 0.3), (0.01 / 2**3, 0.05),
+    ])
+    def test_t_end_float_rounding_accepted(self, dt, t_end):
+        # t_end / dt is off an integer only by float rounding here
+        assert SolverConfig(dt=dt, t_end=t_end).t_end == t_end

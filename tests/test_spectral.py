@@ -25,6 +25,7 @@ from sllbar.grid import (
     random_field,
     sobolev_norm,
     spectral_gradient,
+    synthesize,
     to_physical,
     to_spectral,
     transform,
@@ -97,8 +98,8 @@ class TestTransforms:
         back = to_spectral(to_physical(u))
         assert np.abs(back.coeffs - u.coeffs).max() < 1e-12
 
-    def test_round_trip_large_grid_fft_path(self):
-        # padded size 160 exceeds the matrix-path threshold
+    def test_round_trip_large_grid(self):
+        # N=80 (160 padded nodes): larger than any grid a shipped config runs
         grid = Grid(1, (np.pi,), (80,))
         u = random_field(grid, RNG)
         back = to_spectral(to_physical(u))
@@ -120,6 +121,48 @@ class TestTransforms:
         grid = Grid(1, (np.pi,), (4,))
         with pytest.raises(ValueError):
             PhysField(grid, np.zeros((3, 4)))  # not the padded size
+
+
+def cosine_series(grid, coeffs, deriv_axis=None):
+    """Evaluate ``sum_k c_k phi_k`` on the collocation nodes with plain numpy.
+
+    Each axis contributes ``c(k) cos(pi k x / L)``, or its derivative
+    ``-(pi k / L) c(k) sin(pi k x / L)`` on ``deriv_axis``; the axes are
+    combined as separable outer products.
+    """
+    mats = []
+    for ax, (N, L, x) in enumerate(zip(grid.modes, grid.lengths,
+                                       collocation_points(grid))):
+        k = np.arange(N)
+        c = np.where(k == 0, math.sqrt(1 / L), math.sqrt(2 / L))
+        arg = np.pi * np.outer(x, k) / L
+        if ax == deriv_axis:
+            mats.append(-(np.pi * k / L) * c * np.sin(arg))
+        else:
+            mats.append(c * np.cos(arg))
+    modes, nodes = "abc"[: grid.dim], "pqr"[: grid.dim]
+    spec = ",".join(["z" + modes] + [n + m for n, m in zip(nodes, modes)])
+    return np.einsum(f"{spec}->z{nodes}", coeffs, *mats)
+
+
+class TestReferenceSeries:
+    """The transform matrices against the directly summed cosine series."""
+
+    GRIDS = [Grid(1, (np.pi,), (80,)), Grid(2, (np.pi, 2.0), (33, 40))]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["d1_N80", "d2_N33x40"])
+    def test_synthesize(self, grid):
+        u = random_field(grid, np.random.default_rng(7))
+        ref = cosine_series(grid, u.coeffs)
+        got = synthesize(grid, u.coeffs)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["d1_N80", "d2_N33x40"])
+    def test_gradient(self, grid):
+        u = random_field(grid, np.random.default_rng(8))
+        for ax, got in enumerate(gradient_values(grid, u.coeffs)):
+            ref = cosine_series(grid, u.coeffs, deriv_axis=ax)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestProjection:

@@ -32,6 +32,7 @@ from .diagnostics import (
     strong_convergence_gaps,
 )
 from .ensemble import (
+    EnsembleStats,
     h2_time_average,
     invariant_average,
     moment_estimates,
@@ -93,13 +94,22 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _stop_events(records_or_stats) -> list[dict]:
-    reasons = records_or_stats.stop_reasons
-    times = records_or_stats.stop_times
+def _stop_events(reasons, times) -> list[dict]:
     return [
         {"path": p, "stop_reason": r, "stop_time": t}
         for p, (r, t) in enumerate(zip(reasons, times))
     ]
+
+
+def _run_paths(cfg: RunConfig) -> EnsembleStats:
+    """The configured ensemble; a study that loses paths is a blow-up abort."""
+    exp = cfg.experiment
+    try:
+        return run_ensemble(cfg.build_initial(), cfg.params, cfg.build_noise(),
+                            cfg.solver, exp.ensemble_m,
+                            observables=exp.observables, workers=exp.workers)
+    except RuntimeError as exc:
+        raise BlowupAbort(str(exc)) from exc
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
@@ -109,10 +119,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     write_trajectory_csv(record, out / "trajectory.csv")
     write_snapshot(record.final, out / "final_state.snap")
     report = report_skeleton(cfg.echo())
-    report["stop_events"] = [{
-        "path": 0, "stop_reason": record.stop_reason,
-        "stop_time": record.stop_time,
-    }]
+    report["stop_events"] = _stop_events([record.stop_reason], [record.stop_time])
     report["final_norms"] = {k: float(v[-1]) for k, v in record.norms.items()}
     write_report_json(report, out / "report.json")
     _say(quiet, f"simulate: {record.stop_reason} at t={record.stop_time:g}, "
@@ -121,21 +128,15 @@ def _cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def _cmd_ensemble(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    noise = cfg.build_noise()
-    u0 = cfg.build_initial()
     exp = cfg.experiment
-    try:
-        stats = run_ensemble(u0, cfg.params, noise, cfg.solver, exp.ensemble_m,
-                             observables=exp.observables, workers=exp.workers)
-    except RuntimeError as exc:
-        raise BlowupAbort(str(exc)) from exc
+    stats = _run_paths(cfg)
     write_ensemble_csv(stats, out / "ensemble_norms.csv")
     if stats.obs:
         write_observables_csv(stats, out / "observables.csv")
     report = report_skeleton(cfg.echo())
     report["paths"] = stats.M
     report["blowup_count"] = stats.blowup_count
-    report["stop_events"] = _stop_events(stats)
+    report["stop_events"] = _stop_events(stats.stop_reasons, stats.stop_times)
     report["moments"] = {
         f"p={p:g}": {k: {"estimate": v[0], "se": v[1]}
                      for k, v in moment_estimates(stats, p).items()}
@@ -154,14 +155,8 @@ def _cmd_ensemble(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def _cmd_invariant(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    noise = cfg.build_noise()
-    u0 = cfg.build_initial()
     exp = cfg.experiment
-    try:
-        stats = run_ensemble(u0, cfg.params, noise, cfg.solver, exp.ensemble_m,
-                             observables=exp.observables, workers=exp.workers)
-    except RuntimeError as exc:
-        raise BlowupAbort(str(exc)) from exc
+    stats = _run_paths(cfg)
     if stats.blowup_count:
         raise BlowupAbort(
             f"{stats.blowup_count} of {stats.M} paths stopped early; "
@@ -202,7 +197,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, quiet: bool) -> int:
     try:
         diffs = strong_convergence_gaps(
             u0, cfg.params, noise, cfg.solver, halvings=halvings,
-            paths=max(1, exp.ensemble_m),
+            paths=exp.ensemble_m,
         )
     except RuntimeError as exc:
         raise BlowupAbort(str(exc)) from exc
@@ -210,7 +205,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, quiet: bool) -> int:
         "dts": [cfg.solver.dt / 2**k for k in range(halvings)],
         "mean_l2_gap_to_next_level": diffs,
         "base_dt": cfg.solver.dt / (2**halvings),
-        "paths": max(1, exp.ensemble_m),
+        "paths": exp.ensemble_m,
     }
 
     # Galerkin refinement gaps with frozen noise keys

@@ -1,17 +1,20 @@
 """Run configuration: parsing, validation and echoing.
 
 Configs are INI-style key-value text (see ``demos/configs/annotated.cfg``
-for a complete annotated example). Every key is validated against a
-whitelist, every default is materialized, and the fully resolved config is
-echoed into each JSON report so a run can be reproduced bitwise from its
-outputs.
+for a complete annotated example). The dataclasses are the schema:
+``Grid``, ``ModelParams``, ``TruncationConfig``, ``SolverConfig``,
+``ExperimentConfig`` and ``Observable`` own every default and every value
+check, and the parser hands each of them only the keys a file sets. Keys
+are checked against a whitelist, and ``RunConfig.echo`` writes the fully
+resolved dataclasses into each JSON report, so a run can be reproduced
+bitwise from its outputs.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -58,6 +61,14 @@ class ExperimentConfig:
     refine_levels: tuple[int, ...] = ()
     observables: tuple[Observable, ...] = ()
 
+    def __post_init__(self):
+        if self.ensemble_m < 1:
+            raise ValueError("ensemble_m: must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers: must be >= 1")
+        if any(len(w) != 2 or w[0] >= w[1] for w in self.windows or ()):
+            raise ValueError("windows: each window must be t0:t1 with t0 < t1")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -78,51 +89,23 @@ class RunConfig:
         return build_initial(self.initial_spec, grid or self.grid)
 
     def echo(self) -> dict:
-        """Fully materialized configuration (no hidden defaults)."""
-        g, s, e = self.grid, self.solver, self.experiment
-        return {
-            "grid": {
-                "dim": g.dim,
-                "lengths": list(g.lengths),
-                "modes": list(g.modes),
-                "pad_factor": g.pad_factor,
-            },
-            "params": {
-                "beta1": self.params.beta1,
-                "beta2": self.params.beta2,
-                "beta3": self.params.beta3,
-                "beta4": self.params.beta4,
-                "beta5": self.params.beta5,
-            },
-            "truncation": {
-                "mode": s.truncation.mode,
-                "radius": s.truncation.radius,
-            },
-            "solver": {
-                "dt": s.dt,
-                "t_end": s.t_end,
-                "scheme": s.scheme,
-                "blowup_K": None if math.isinf(s.blowup_K) else s.blowup_K,
-                "record_every": s.record_every,
-                "seed": s.seed,
-                "substeps": s.substeps,
-                "snapshot_every": s.snapshot_every,
-            },
-            "noise": _jsonable(self.noise_spec),
-            "initial": _jsonable(self.initial_spec),
-            # workers is an execution detail: any level gives identical
-            # outputs, so it is deliberately not part of the echo
-            "experiment": {
-                "ensemble_m": e.ensemble_m,
-                "burn_in": e.burn_in,
-                "windows": [list(w) for w in e.windows] if e.windows else None,
-                "tightness_r": list(e.tightness_r),
-                "moment_powers": list(e.moment_powers),
-                "dt_halvings": e.dt_halvings,
-                "refine_levels": list(e.refine_levels),
-                "observables": [_observable_echo(o) for o in e.observables],
-            },
-        }
+        """Every field of the resolved config, one section per config
+        section, with three deliberate exceptions noted below."""
+        echo = _jsonable(asdict(self))
+        echo["noise"] = echo.pop("noise_spec")
+        echo["initial"] = echo.pop("initial_spec")
+        solver, experiment = echo["solver"], echo["experiment"]
+        echo["truncation"] = solver.pop("truncation")
+        # JSON has no infinity: no blow-up threshold is echoed as null
+        if math.isinf(self.solver.blowup_K):
+            solver["blowup_K"] = None
+        # workers is an execution detail: any level gives identical
+        # outputs, so it is deliberately not part of the echo
+        del experiment["workers"]
+        # an observable's mode is echoed under its config key
+        for obs in experiment["observables"]:
+            obs["index"] = obs.pop("mode_index")
+        return echo
 
 
 def _jsonable(value):
@@ -139,17 +122,6 @@ def _jsonable(value):
     return value
 
 
-def _observable_echo(o: Observable) -> dict:
-    return {
-        "kind": o.kind,
-        "index": list(o.mode_index),
-        "component": o.component,
-        "scale": o.scale,
-        "space": o.space,
-        "cap": o.cap,
-    }
-
-
 def build_initial(spec: dict, grid: Grid) -> SpectralField:
     """Initial datum from a descriptor: constant vector, eigenmode sum,
     or a coefficient snapshot file."""
@@ -163,9 +135,12 @@ def build_initial(spec: dict, grid: Grid) -> SpectralField:
             u = u + eigenmode_field(grid, index, mode["amplitude"])
         return u
     if kind == "snapshot":
-        from .io import read_snapshot
+        from .io import SnapshotFormatError, read_snapshot
 
-        u = read_snapshot(spec["path"], pad_factor=grid.pad_factor)
+        try:
+            u = read_snapshot(spec["path"], pad_factor=grid.pad_factor)
+        except SnapshotFormatError as exc:
+            raise ConfigError(f"initial.path: {exc}") from exc
         if u.grid.lengths != grid.lengths or u.grid.dim != grid.dim:
             raise ConfigError("initial.path: snapshot box does not match grid")
         if u.grid.modes != grid.modes:
@@ -176,6 +151,28 @@ def build_initial(spec: dict, grid: Grid) -> SpectralField:
             raise ConfigError("initial.path: snapshot has more modes than grid")
         return u
     raise ConfigError(f"initial.type: unknown type {kind!r}")
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw.split(","))
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.split(","))
+
+
+def _windows(raw: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(x) for x in part.split(":")) for part in raw.split(","))
+
+
+# what a converter's ValueError says about the raw text
+_BAD_VALUE = {
+    float: "not a number:",
+    int: "not an integer:",
+    _floats: "not a number list:",
+    _ints: "not an integer list:",
+    _windows: "bad window list",
+}
 
 
 class _Section:
@@ -189,55 +186,22 @@ class _Section:
             if key not in allowed:
                 raise ConfigError(f"{name}.{key}: unknown key")
 
-    def has(self, key: str) -> bool:
-        return key in self.data
-
-    def _raw(self, key: str, default=None, required=False):
+    def get(self, key, convert=str.strip, default=None, required=False):
         if key not in self.data:
             if required:
                 raise ConfigError(f"{self.name}.{key}: missing required key")
             return default
-        return self.data[key]
-
-    def get_float(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, float):
-            return raw
+        raw = self.data[key]
         try:
-            return float(raw)
+            return convert(raw)
         except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not a number: {raw!r}") from None
+            raise ConfigError(f"{self.name}.{key}: {_BAD_VALUE[convert]} {raw!r}") from None
 
-    def get_int(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, int):
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not an integer: {raw!r}") from None
-
-    def get_str(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        return raw if raw is None else str(raw).strip()
-
-    def get_floats(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, tuple):
-            return raw
-        try:
-            return tuple(float(x) for x in str(raw).split(","))
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not a number list: {raw!r}") from None
-
-    def get_ints(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
-        if raw is None or isinstance(raw, tuple):
-            return raw
-        try:
-            return tuple(int(x) for x in str(raw).split(","))
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not an integer list: {raw!r}") from None
+    def given(self, **converters) -> dict:
+        """Converted values of the keys the file sets. Absent keys are left
+        out, so the dataclass receiving them supplies its own defaults."""
+        return {key: self.get(key, convert)
+                for key, convert in converters.items() if key in self.data}
 
 
 def _numbered_sections(parser: configparser.ConfigParser, prefix: str) -> list[str]:
@@ -280,17 +244,16 @@ def parse_config(path: str) -> RunConfig:
     sec = _Section(parser, "grid", _SECTION_KEYS["grid"])
     if not parser.has_section("grid"):
         raise ConfigError("grid: missing section")
-    dim = sec.get_int("dim", required=True)
-    lengths = sec.get_floats("lengths", required=True)
-    modes = sec.get_ints("modes", required=True)
-    pad = sec.get_float("pad_factor", default=2.0)
-    if dim in (1, 2, 3):
-        if len(lengths) == 1 and dim > 1:
+    dim = sec.get("dim", int, required=True)
+    lengths = sec.get("lengths", _floats, required=True)
+    modes = sec.get("modes", _ints, required=True)
+    if dim in (2, 3):
+        if len(lengths) == 1:
             lengths = lengths * dim
-        if len(modes) == 1 and dim > 1:
+        if len(modes) == 1:
             modes = modes * dim
     try:
-        grid = Grid(dim, lengths, modes, pad)
+        grid = Grid(dim, lengths, modes, **sec.given(pad_factor=float))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -298,50 +261,44 @@ def parse_config(path: str) -> RunConfig:
     if not parser.has_section("params"):
         raise ConfigError("params: missing section")
     sec = _Section(parser, "params", _SECTION_KEYS["params"])
-    betas = {k: sec.get_float(k, required=True)
-             for k in ("beta1", "beta2", "beta3", "beta4", "beta5")}
+    betas = {f.name: sec.get(f.name, float, required=True) for f in fields(ModelParams)}
     try:
         params = ModelParams(**betas)
     except ValueError as exc:
         raise ConfigError(f"params.{exc}") from exc
 
-    # truncation
+    # truncation; the radius is ignored while the cutoff is off
     sec = _Section(parser, "truncation", _SECTION_KEYS["truncation"])
-    mode = sec.get_str("mode", default="off")
-    radius = sec.get_float("radius")
     try:
-        trunc = TruncationConfig(mode, radius if mode == "on" else None)
+        trunc = TruncationConfig(**sec.given(mode=str.strip, radius=float))
     except ValueError as exc:
         raise ConfigError(f"truncation.{exc}") from exc
+    if trunc.mode == "off":
+        trunc = TruncationConfig.off()
 
     # solver
     if not parser.has_section("solver"):
         raise ConfigError("solver: missing section")
     sec = _Section(parser, "solver", _SECTION_KEYS["solver"])
-    blowup = sec.get_float("blowup_k")
+    optional = sec.given(scheme=str.strip, blowup_k=float, record_every=int,
+                         seed=int, substeps=int, snapshot_every=int)
+    if "blowup_k" in optional:
+        optional["blowup_K"] = optional.pop("blowup_k")
     try:
         solver = SolverConfig(
-            dt=sec.get_float("dt", required=True),
-            t_end=sec.get_float("t_end", required=True),
-            scheme=sec.get_str("scheme", default="imex_em_ito"),
-            blowup_K=math.inf if blowup is None else blowup,
-            record_every=sec.get_int("record_every", default=1),
-            seed=sec.get_int("seed", default=0),
+            dt=sec.get("dt", float, required=True),
+            t_end=sec.get("t_end", float, required=True),
             truncation=trunc,
-            substeps=sec.get_int("substeps", default=1),
-            snapshot_every=sec.get_int("snapshot_every"),
+            **optional,
         )
     except ConfigurationError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
     # noise
     sec = _Section(parser, "noise", _SECTION_KEYS["noise"])
-    family = sec.get_str("family", default="none")
-    noise_spec: dict = {"family": family}
-    if sec.has("c_h_bound"):
-        noise_spec["c_h_bound"] = sec.get_float("c_h_bound")
-    if sec.has("tail_estimate"):
-        noise_spec["tail_estimate"] = sec.get_float("tail_estimate")
+    family = sec.get("family", default="none")
+    noise_spec: dict = {"family": family,
+                        **sec.given(c_h_bound=float, tail_estimate=float)}
     mode_sections = _numbered_sections(parser, "noise.mode.")
     if family == "none":
         if mode_sections:
@@ -353,9 +310,9 @@ def parse_config(path: str) -> RunConfig:
         for name in mode_sections:
             msec = _Section(parser, name, _NOISE_MODE_KEYS)
             modes_list.append({
-                "sigma": msec.get_float("sigma", required=True),
-                "index": msec.get_ints("index", required=True),
-                "direction": msec.get_floats("direction", required=True),
+                "sigma": msec.get("sigma", float, required=True),
+                "index": msec.get("index", _ints, required=True),
+                "direction": msec.get("direction", _floats, required=True),
             })
         noise_spec["modes"] = modes_list
     else:
@@ -369,11 +326,11 @@ def parse_config(path: str) -> RunConfig:
     if not parser.has_section("initial"):
         raise ConfigError("initial: missing section")
     sec = _Section(parser, "initial", _SECTION_KEYS["initial"])
-    itype = sec.get_str("type", default="constant")
+    itype = sec.get("type", default="constant")
     initial_spec: dict = {"type": itype}
     init_mode_sections = _numbered_sections(parser, "initial.mode.")
     if itype == "constant":
-        vec = sec.get_floats("vector", required=True)
+        vec = sec.get("vector", _floats, required=True)
         if len(vec) != 3:
             raise ConfigError("initial.vector: need 3 components")
         initial_spec["vector"] = vec
@@ -383,16 +340,16 @@ def parse_config(path: str) -> RunConfig:
         entries = []
         for name in init_mode_sections:
             msec = _Section(parser, name, _INITIAL_MODE_KEYS)
-            amp = msec.get_floats("amplitude", required=True)
+            amp = msec.get("amplitude", _floats, required=True)
             if len(amp) != 3:
                 raise ConfigError(f"{name}.amplitude: need 3 components")
             entries.append({
-                "index": msec.get_ints("index", required=True),
+                "index": msec.get("index", _ints, required=True),
                 "amplitude": amp,
             })
         initial_spec["modes"] = entries
     elif itype == "snapshot":
-        initial_spec["path"] = sec.get_str("path", required=True)
+        initial_spec["path"] = sec.get("path", required=True)
     else:
         raise ConfigError(f"initial.type: unknown type {itype!r}")
     if itype != "snapshot":
@@ -403,47 +360,27 @@ def parse_config(path: str) -> RunConfig:
 
     # experiment
     sec = _Section(parser, "experiment", _SECTION_KEYS["experiment"])
-    windows = None
-    if sec.has("windows"):
-        raw = sec.get_str("windows")
-        try:
-            windows = tuple(
-                tuple(float(x) for x in part.split(":")) for part in raw.split(",")
-            )
-        except ValueError:
-            raise ConfigError(f"experiment.windows: bad window list {raw!r}") from None
-        if any(len(w) != 2 or w[0] >= w[1] for w in windows):
-            raise ConfigError("experiment.windows: each window must be t0:t1 with t0 < t1")
     observables = []
     for name in _numbered_sections(parser, "observable."):
         osec = _Section(parser, name, _OBSERVABLE_KEYS)
-        kind = osec.get_str("kind", required=True)
+        optional = osec.given(index=_ints, component=int, scale=float,
+                              space=str.strip, cap=float)
+        if "index" in optional:
+            optional["mode_index"] = optional.pop("index")
         try:
-            observables.append(Observable(
-                kind=kind,
-                mode_index=osec.get_ints("index", default=()),
-                component=osec.get_int("component", default=0),
-                scale=osec.get_float("scale", default=1.0),
-                space=osec.get_str("space", default="L2"),
-                cap=osec.get_float("cap", default=1.0),
-            ))
+            observables.append(
+                Observable(osec.get("kind", required=True), **optional))
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    experiment = ExperimentConfig(
-        ensemble_m=sec.get_int("ensemble_m", default=1),
-        burn_in=sec.get_float("burn_in", default=0.0),
-        windows=windows,
-        tightness_r=sec.get_floats("tightness_r", default=()),
-        moment_powers=sec.get_floats("moment_powers", default=(1.0,)),
-        workers=sec.get_int("workers", default=1),
-        dt_halvings=sec.get_int("dt_halvings", default=3),
-        refine_levels=sec.get_ints("refine_levels", default=()),
-        observables=tuple(observables),
-    )
-    if experiment.ensemble_m < 1:
-        raise ConfigError("experiment.ensemble_m: must be >= 1")
-    if experiment.workers < 1:
-        raise ConfigError("experiment.workers: must be >= 1")
+    try:
+        experiment = ExperimentConfig(
+            observables=tuple(observables),
+            **sec.given(ensemble_m=int, burn_in=float, windows=_windows,
+                        tightness_r=_floats, moment_powers=_floats, workers=int,
+                        dt_halvings=int, refine_levels=_ints),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"experiment.{exc}") from exc
 
     return RunConfig(
         grid=grid,

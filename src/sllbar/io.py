@@ -8,6 +8,7 @@ seed needed to reproduce the run bitwise.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -105,24 +106,35 @@ def write_snapshot(field: SpectralField, path) -> None:
         fh.write(np.ascontiguousarray(field.coeffs, dtype="<f8").tobytes())
 
 
+def _unpack(fh, fmt: str, path) -> tuple:
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise SnapshotFormatError(f"{path}: truncated header")
+    return struct.unpack(fmt, raw)
+
+
 def read_snapshot(path, pad_factor: float = 2.0) -> SpectralField:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-        version, dim = struct.unpack("<II", fh.read(8))
+        version, dim = _unpack(fh, "<II", path)
         if version != SNAPSHOT_VERSION:
             raise SnapshotFormatError(f"{path}: unsupported version {version}")
         if dim not in (1, 2, 3):
             raise SnapshotFormatError(f"{path}: bad dim {dim}")
-        modes = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        lengths = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        count = 3 * int(np.prod(modes))
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
-            raise SnapshotFormatError(f"{path}: truncated coefficient block")
-        if fh.read(1):
-            raise SnapshotFormatError(f"{path}: trailing bytes after coefficient block")
-    grid = Grid(dim, lengths, modes, pad_factor)
-    coeffs = data.astype(np.float64).reshape((3, *modes))
+        modes = _unpack(fh, f"<{dim}I", path)
+        lengths = _unpack(fh, f"<{dim}d", path)
+        block = fh.read()
+    size = 3 * 8 * math.prod(modes)
+    if len(block) < size:
+        raise SnapshotFormatError(f"{path}: truncated coefficient block")
+    if len(block) > size:
+        raise SnapshotFormatError(f"{path}: trailing bytes after coefficient block")
+    try:
+        grid = Grid(dim, lengths, modes, pad_factor)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: invalid grid: {exc}") from exc
+    coeffs = np.frombuffer(block, dtype="<f8").astype(np.float64).reshape((3, *modes))
     return SpectralField(grid, coeffs)

@@ -72,7 +72,6 @@ class NoiseModel:
     C_h: float
     c_h_bound: float | None = None
     tail_estimate: float = 0.0
-    descriptor: dict = field(default_factory=dict)
     h_phys: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
@@ -85,7 +84,7 @@ class NoiseModel:
 
     @classmethod
     def empty(cls, grid: Grid) -> "NoiseModel":
-        return cls(grid, [], [], 0.0, descriptor={"family": "none"})
+        return cls(grid, [], [], 0.0)
 
 
 def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
@@ -143,7 +142,6 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
         _c_h(fields),
         c_h_bound=spec.get("c_h_bound"),
         tail_estimate=float(spec.get("tail_estimate", 0.0)),
-        descriptor=dict(spec),
     )
 
 

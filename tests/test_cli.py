@@ -1,6 +1,7 @@
 """Subcommand dispatch, exit codes, output files, reproducibility."""
 
 import json
+import struct
 
 import pytest
 
@@ -124,6 +125,22 @@ class TestExitCodes:
                             "--output-dir", str(out), "--quiet"]) == 4
         assert run_command(["check", "--config", cfg_file, "--output-dir",
                             str(out), "--quiet", "--force"]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize("payload", [
+        b"SLLB\x01\x00\x00\x00\x01\x00",                         # 10-byte header
+        b"SLLB" + struct.pack("<III", 2, 1, 8) + b"\x00" * 200,  # version 2
+    ], ids=["short_header", "version_2"])
+    def test_corrupt_initial_snapshot(self, tmp_path, capsys, command, payload):
+        snap = tmp_path / "state.snap"
+        snap.write_bytes(payload)
+        text = BASE.replace("type = constant\nvector = 0.2, 0, 0",
+                            f"type = snapshot\npath = {snap}")
+        f = tmp_path / "run.cfg"
+        f.write_text(text)
+        assert run_command([command, "--config", str(f),
+                            "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "configuration error: initial.path:" in capsys.readouterr().err
 
     def test_invariant_blowup_fatal(self, tmp_path):
         text = BASE.replace("t_end = 0.5", "t_end = 0.5\nblowup_k = 0.05")

@@ -1,13 +1,17 @@
 """Config parsing: validation, defaults, echo round-trip."""
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sllbar.config import ConfigError, parse_config
-from sllbar.grid import sobolev_norm
+from sllbar.cli import run_command
+from sllbar.config import ConfigError, ExperimentConfig, parse_config
+from sllbar.ensemble import Observable
+from sllbar.grid import Grid, sobolev_norm
+from sllbar.integrator import SolverConfig
 
 MINIMAL = """
 [grid]
@@ -52,6 +56,16 @@ class TestMinimal:
         assert cfg.build_noise().J == 0
         u0 = cfg.build_initial()
         assert sobolev_norm(u0, 0) == pytest.approx(0.5 * math.sqrt(np.pi), rel=1e-13)
+
+    def test_defaults_come_from_dataclasses(self, tmp_path):
+        cfg = parse_config(write(tmp_path, MINIMAL))
+        assert cfg.grid == Grid(1, (np.pi,), (8,))
+        assert cfg.solver == SolverConfig(dt=0.01, t_end=1.0)
+        assert cfg.experiment == ExperimentConfig()
+
+    def test_observable_defaults_come_from_dataclass(self, tmp_path):
+        cfg = parse_config(write(tmp_path, MINIMAL + "\n[observable.1]\nkind = clip_norm\n"))
+        assert cfg.experiment.observables == (Observable("clip_norm"),)
 
     def test_annotated_example_parses(self):
         cfg = parse_config("demos/configs/annotated.cfg")
@@ -122,6 +136,75 @@ class TestRejections:
         bad = MINIMAL.replace("dt = 0.01", "dt = 2.0")
         with pytest.raises(ConfigError, match="solver"):
             parse_config(write(tmp_path, bad))
+
+
+class TestExperimentChecks:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"ensemble_m": 0}, "ensemble_m"),
+        ({"workers": 0}, "workers"),
+        ({"windows": ((0.5, 0.25),)}, "windows"),
+        ({"windows": ((0.1, 0.2, 0.3),)}, "windows"),
+    ])
+    def test_library_rejects(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            ExperimentConfig(**kwargs)
+
+    def test_config_message_keeps_section_prefix(self, tmp_path):
+        bad = MINIMAL + "\n[experiment]\nensemble_m = 0\n"
+        with pytest.raises(ConfigError, match="^experiment.ensemble_m: must be >= 1$"):
+            parse_config(write(tmp_path, bad))
+
+
+# windows, an observable mode index and a radius that mode = off ignores
+FULL = MINIMAL + """
+[truncation]
+mode = off
+radius = 5.0
+
+[experiment]
+windows = 0.25:0.5,0.5:1
+workers = 2
+
+[observable.1]
+kind = tanh_mode
+index = 3
+component = 2
+"""
+
+
+class TestEcho:
+    def test_report_round_trip(self, tmp_path):
+        path = write(tmp_path, FULL)
+        out = tmp_path / "out"
+        assert run_command(["check", "--config", path, "--output-dir", str(out),
+                            "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"] == parse_config(path).echo()
+
+    def test_deliberate_exceptions(self, tmp_path):
+        echo = parse_config(write(tmp_path, FULL)).echo()
+        assert echo["truncation"] == {"mode": "off", "radius": None}
+        assert echo["solver"]["blowup_K"] is None
+        assert "truncation" not in echo["solver"]
+        assert "workers" not in echo["experiment"]
+        assert echo["experiment"]["windows"] == [[0.25, 0.5], [0.5, 1.0]]
+        assert echo["experiment"]["observables"] == [{
+            "kind": "tanh_mode", "index": [3], "component": 2,
+            "scale": 1.0, "space": "L2", "cap": 1.0,
+        }]
+
+    def test_sections_list_every_field(self, tmp_path):
+        echo = parse_config(write(tmp_path, MINIMAL)).echo()
+        assert set(echo) == {"grid", "params", "truncation", "solver", "noise",
+                             "initial", "experiment"}
+        assert set(echo["solver"]) == {
+            "dt", "t_end", "scheme", "blowup_K", "record_every", "seed",
+            "substeps", "snapshot_every",
+        }
+        assert set(echo["experiment"]) == {
+            "ensemble_m", "burn_in", "windows", "tightness_r", "moment_powers",
+            "dt_halvings", "refine_levels", "observables",
+        }
 
 
 class TestStructuredSpecs:

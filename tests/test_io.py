@@ -2,11 +2,15 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sllbar.grid import Grid, random_field, zero_field
+from sllbar.grid import Grid, SpectralField, random_field, zero_field
 from sllbar.integrator import SolverConfig, run_trajectory
 from sllbar.io import (
     SnapshotFormatError,
@@ -108,3 +112,48 @@ class TestSnapshot:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.snap"
+        path.write_bytes(b"SLLB\x01\x00\x00\x00\x01\x00")
+        with pytest.raises(SnapshotFormatError, match="truncated header"):
+            read_snapshot(path)
+
+    def test_zero_mode_count_rejected(self, tmp_path):
+        path = tmp_path / "empty.snap"
+        path.write_bytes(b"SLLB" + struct.pack("<III", 1, 1, 0) + struct.pack("<d", 1.0))
+        with pytest.raises(SnapshotFormatError, match="invalid grid"):
+            read_snapshot(path)
+
+
+@st.composite
+def spectral_fields(draw):
+    dim = draw(st.integers(1, 3))
+    modes = tuple(draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
+    lengths = tuple(draw(st.lists(
+        st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
+        min_size=dim, max_size=dim)))
+    count = 3 * int(np.prod(modes))
+    coeffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                           min_size=count, max_size=count))
+    grid = Grid(dim, lengths, modes)
+    return SpectralField(grid, np.array(coeffs).reshape((3, *modes)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spectral_fields())
+def test_snapshot_round_trip_and_prefixes(u):
+    """Writing then reading is bitwise exact, and every strict prefix of the
+    file is rejected as a format error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.snap"
+        write_snapshot(u, path)
+        v = read_snapshot(path)
+        assert v.grid == u.grid
+        assert v.coeffs.tobytes() == u.coeffs.tobytes()
+        raw = path.read_bytes()
+        cut = Path(tmp) / "cut.snap"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(SnapshotFormatError):
+                read_snapshot(cut)

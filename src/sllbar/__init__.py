@@ -4,10 +4,8 @@ equation with Stratonovich transport noise on Neumann boxes."""
 __version__ = "0.1.0"
 
 from .grid import (
-    Basis,
     Grid,
     GridMismatchError,
-    PhysField,
     SpectralField,
     apply_laplacian,
     constant_field,
@@ -15,14 +13,9 @@ from .grid import (
     embed,
     l2_inner,
     lp_norm,
-    neumann_eigenpairs,
     project,
     random_field,
     sobolev_norm,
-    spectral_gradient,
-    to_physical,
-    to_spectral,
-    transform,
     zero_field,
 )
 from .model import (

@@ -238,7 +238,7 @@ def _cmd_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     (out / "identities.csv").write_text("\n".join(lines) + "\n")
 
     # short noise-off run: energy-balance residual series as CSV
-    steps = max(2, min(50, int(round(cfg.solver.t_end / cfg.solver.dt))))
+    steps = max(2, min(50, cfg.solver.n_steps))
     balance_cfg = replace(cfg.solver, t_end=steps * cfg.solver.dt,
                           snapshot_every=1, record_every=max(1, steps // 10))
     traj = run_trajectory(cfg.build_initial(), cfg.params,

@@ -19,7 +19,14 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .ensemble import Observable
-from .grid import Grid, SpectralField, constant_field, eigenmode_field, zero_field
+from .grid import (
+    Grid,
+    SpectralField,
+    check_mode_index,
+    constant_field,
+    eigenmode_field,
+    zero_field,
+)
 from .integrator import ConfigurationError, SolverConfig
 from .model import ModelParams, TruncationConfig
 from .noise import NoiseModel, build_noise_modes
@@ -368,8 +375,10 @@ def parse_config(path: str) -> RunConfig:
         if "index" in optional:
             optional["mode_index"] = optional.pop("index")
         try:
-            observables.append(
-                Observable(osec.get("kind", required=True), **optional))
+            obs = Observable(osec.get("kind", required=True), **optional)
+            if obs.kind == "tanh_mode":
+                check_mode_index(grid, obs.mode_index)
+            observables.append(obs)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     try:

@@ -100,19 +100,19 @@ class EnsembleStats:
     stop_times: list[float]
     M: int
     seed: int
-    mean_norms: dict[str, np.ndarray] = dc_field(default_factory=dict)
-    var_norms: dict[str, np.ndarray] = dc_field(default_factory=dict)
+    mean_norms: dict[str, np.ndarray] = dc_field(init=False)
+    var_norms: dict[str, np.ndarray] = dc_field(init=False)
 
     def __post_init__(self):
-        if not self.mean_norms:
-            ddof = 1 if self.M > 1 else 0
-            for k, v in self.norms.items():
-                self.mean_norms[k] = v.mean(axis=0)
-                var = v.var(axis=0, ddof=ddof)
-                # identical paths (noise-off determinism) get an exact zero,
-                # not the rounding artifact of the two-pass variance
-                var[np.all(v == v[0], axis=0)] = 0.0
-                self.var_norms[k] = var
+        ddof = 1 if self.M > 1 else 0
+        self.mean_norms, self.var_norms = {}, {}
+        for k, v in self.norms.items():
+            self.mean_norms[k] = v.mean(axis=0)
+            var = v.var(axis=0, ddof=ddof)
+            # identical paths (noise-off determinism) get an exact zero,
+            # not the rounding artifact of the two-pass variance
+            var[np.all(v == v[0], axis=0)] = 0.0
+            self.var_norms[k] = var
 
     @property
     def spacing(self) -> float:
@@ -172,7 +172,7 @@ def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     }
     obs = {
         name: np.stack([r.obs[name] for r in records])
-        for name in (records[0].obs if records else {})
+        for name in records[0].obs
     }
     return EnsembleStats(
         times=times,

@@ -1,9 +1,12 @@
 """Neumann cosine-basis spectral core on rectangular boxes.
 
-Fields are R^3-valued. A field is held either as coefficients in the
-L^2-orthonormal eigenbasis of the Neumann Laplacian (:class:`SpectralField`)
-or as point values on a zero-padded midpoint collocation grid
-(:class:`PhysField`).
+Fields are R^3-valued and are held as coefficients in the L^2-orthonormal
+eigenbasis of the Neumann Laplacian (:class:`SpectralField`). Point values
+on the zero-padded midpoint collocation grid are plain ``(3, *padded)``
+arrays: :func:`synthesize` and :func:`gradient_values` produce them from
+coefficients, and :func:`analyze` projects them back onto the retained
+modes. The Galerkin projection Pi_n of a pointwise product is always
+``analyze`` of the product of synthesized values.
 
 Conventions
 -----------
@@ -89,21 +92,6 @@ class Grid:
         return Grid(self.dim, self.lengths, tuple(modes), self.pad_factor)
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Eigenpairs of the Neumann Laplacian restricted to the retained modes.
-
-    ``eigenvalues[k1, ..., kd]`` is ``lambda_k``; ``normalization`` holds the
-    per-mode amplitude ``prod_i c_i(k_i)``; ``sorted_flat`` lists flat mode
-    indices by increasing eigenvalue (ties broken by flat index, stable
-    across runs).
-    """
-
-    eigenvalues: np.ndarray
-    normalization: np.ndarray
-    sorted_flat: np.ndarray
-
-
 @dataclass
 class SpectralField:
     """R^3-valued field as coefficients in the retained cosine eigenbasis."""
@@ -136,56 +124,21 @@ class SpectralField:
         return SpectralField(self.grid, -self.coeffs)
 
 
-@dataclass
-class PhysField:
-    """R^3-valued field sampled on the padded midpoint collocation grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (3, *self.grid.padded)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape}, expected {expected}")
-
-
 def _check_same_grid(a: Grid, b: Grid):
     if a != b:
         raise GridMismatchError(f"grid mismatch: {a} vs {b}")
 
 
 @lru_cache(maxsize=None)
-def _axis_eigenvalues(grid: Grid) -> tuple[np.ndarray, ...]:
-    return tuple(
-        (np.pi * np.arange(N) / L) ** 2 for N, L in zip(grid.modes, grid.lengths)
-    )
-
-
-@lru_cache(maxsize=None)
 def eigenvalue_array(grid: Grid) -> np.ndarray:
     """Array of shape ``grid.modes`` holding lambda_k for each multi-index."""
-    per_axis = _axis_eigenvalues(grid)
     lam = np.zeros(grid.modes)
-    for ax, lam1d in enumerate(per_axis):
-        shape = [1] * grid.dim
-        shape[ax] = grid.modes[ax]
-        lam = lam + lam1d.reshape(shape)
-    lam.setflags(write=False)
-    return lam
-
-
-def neumann_eigenpairs(grid: Grid) -> Basis:
-    """All retained eigenpairs, with a run-stable sorted index map."""
-    lam = eigenvalue_array(grid)
-    norm = np.ones(grid.modes)
     for ax, (N, L) in enumerate(zip(grid.modes, grid.lengths)):
-        c = np.full(N, math.sqrt(2.0 / L))
-        c[0] = math.sqrt(1.0 / L)
         shape = [1] * grid.dim
         shape[ax] = N
-        norm = norm * c.reshape(shape)
-    order = np.argsort(lam.ravel(), kind="stable")
-    return Basis(eigenvalues=lam, normalization=norm, sorted_flat=order)
+        lam = lam + ((np.pi * np.arange(N) / L) ** 2).reshape(shape)
+    lam.setflags(write=False)
+    return lam
 
 
 @lru_cache(maxsize=None)
@@ -260,29 +213,6 @@ def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def to_physical(field: SpectralField) -> PhysField:
-    """Evaluate on the padded collocation grid (zero-padded synthesis)."""
-    return PhysField(field.grid, synthesize(field.grid, field.coeffs))
-
-
-def to_spectral(field: PhysField) -> SpectralField:
-    """Analyze padded-grid values; the result is projected to retained modes."""
-    return SpectralField(field.grid, analyze(field.grid, field.values))
-
-
-def transform(field, direction: str):
-    """Dispatch ``to_physical`` / ``to_spectral`` by name."""
-    if direction == "to_physical":
-        if not isinstance(field, SpectralField):
-            raise GridMismatchError("to_physical expects a SpectralField")
-        return to_physical(field)
-    if direction == "to_spectral":
-        if not isinstance(field, PhysField):
-            raise GridMismatchError("to_spectral expects a PhysField on the padded grid")
-        return to_spectral(field)
-    raise ValueError(f"unknown transform direction {direction!r}")
-
-
 def project(field: SpectralField, cutoff) -> SpectralField:
     """Zero every coefficient with any ``k_i >= cutoff_i``."""
     grid = field.grid
@@ -324,12 +254,6 @@ def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
             arr = _apply_axis_matrix(arr, deriv if j == ax else syn, j)
         out.append(np.ascontiguousarray(arr))
     return out
-
-
-def spectral_gradient(field: SpectralField) -> list[PhysField]:
-    return [
-        PhysField(field.grid, v) for v in gradient_values(field.grid, field.coeffs)
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -380,24 +304,6 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float((a.coeffs * b.coeffs).sum())
 
 
-def mode_values(grid: Grid, index: tuple[int, ...]) -> np.ndarray:
-    """Scalar eigenfunction e_k on the padded grid, L^2-normalized."""
-    index = tuple(int(i) for i in index)
-    if len(index) != grid.dim:
-        raise ValueError("index must have one entry per axis")
-    pts = collocation_points(grid)
-    vals = np.ones(grid.padded)
-    for ax, (k, L, x) in enumerate(zip(index, grid.lengths, pts)):
-        if k >= grid.modes[ax] or k < 0:
-            raise ValueError(f"mode index {k} outside retained range on axis {ax}")
-        c = math.sqrt(1.0 / L) if k == 0 else math.sqrt(2.0 / L)
-        axis_vals = c * np.cos(np.pi * k * x / L)
-        shape = [1] * grid.dim
-        shape[ax] = grid.padded[ax]
-        vals = vals * axis_vals.reshape(shape)
-    return vals
-
-
 def constant_field(grid: Grid, vector) -> SpectralField:
     """Spatially constant field with the given 3-vector value."""
     vector = np.asarray(vector, dtype=float)
@@ -408,15 +314,23 @@ def constant_field(grid: Grid, vector) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
-def eigenmode_field(grid: Grid, index: tuple[int, ...], vector) -> SpectralField:
-    """Field ``e_k(x) * v`` for a retained multi-index k and 3-vector v."""
+def check_mode_index(grid: Grid, index) -> tuple[int, ...]:
+    """``index`` as a tuple of ints; raises unless it is a retained multi-index."""
     index = tuple(int(i) for i in index)
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (3,):
-        raise ValueError("vector must have 3 components")
+    if len(index) != grid.dim:
+        raise ValueError(f"mode index {index} must have {grid.dim} entries")
     for ax, (k, N) in enumerate(zip(index, grid.modes)):
         if k < 0 or k >= N:
             raise ValueError(f"mode index {k} outside retained range on axis {ax}")
+    return index
+
+
+def eigenmode_field(grid: Grid, index: tuple[int, ...], vector) -> SpectralField:
+    """Field ``e_k(x) * v`` for a retained multi-index k and 3-vector v."""
+    index = check_mode_index(grid, index)
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape != (3,):
+        raise ValueError("vector must have 3 components")
     coeffs = np.zeros((3, *grid.modes))
     coeffs[(slice(None),) + index] = vector
     return SpectralField(grid, coeffs)

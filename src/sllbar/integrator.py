@@ -73,8 +73,7 @@ class SolverConfig:
             raise ConfigurationError("dt must be positive")
         if self.t_end <= 0 or self.dt >= self.t_end:
             raise ConfigurationError("t_end must exceed dt")
-        n_steps = round(self.t_end / self.dt)
-        if abs(self.t_end / self.dt - n_steps) > 1e-9 * n_steps:
+        if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
             raise ConfigurationError(
                 f"t_end {self.t_end} is not a whole number of dt {self.dt} steps"
             )
@@ -88,6 +87,11 @@ class SolverConfig:
             raise ConfigurationError("substeps must be >= 1")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ConfigurationError("snapshot_every must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of dt steps from 0 to t_end."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -247,7 +251,7 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     else:
         stepper = heun_strat_step
 
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = config.n_steps
     dt = config.dt
 
     times: list[float] = []

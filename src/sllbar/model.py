@@ -26,15 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    PhysField,
     SpectralField,
+    analyze,
     apply_laplacian,
     cross3,
     eigenvalue_array,
     sobolev_norm,
     synthesize,
-    to_physical,
-    to_spectral,
 )
 
 
@@ -115,16 +113,16 @@ def truncation_scale(u: SpectralField, trunc: TruncationConfig) -> float:
 
 def cubic_field(u: SpectralField) -> SpectralField:
     """Projected cubic ``Pi(|u|^2 u)`` via padded pointwise evaluation."""
-    vals = to_physical(u).values
+    vals = synthesize(u.grid, u.coeffs)
     mag2 = (vals * vals).sum(axis=0)
-    return to_spectral(PhysField(u.grid, vals * mag2))
+    return SpectralField(u.grid, analyze(u.grid, vals * mag2))
 
 
 def precession(u: SpectralField) -> SpectralField:
     """Projected precession term ``Pi(u x Lap u)``."""
-    vals = to_physical(u).values
+    vals = synthesize(u.grid, u.coeffs)
     lap_vals = synthesize(u.grid, apply_laplacian(u).coeffs)
-    return to_spectral(PhysField(u.grid, cross3(vals, lap_vals)))
+    return SpectralField(u.grid, analyze(u.grid, cross3(vals, lap_vals)))
 
 
 def drift_terms(u: SpectralField, params: ModelParams, noise,

@@ -99,10 +99,10 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
         {"family": "explicit", "coefficients": [array (3, *modes), ...], ...}
 
     Eigenmode entries build ``h_j = sigma_j e_k(x) v_j`` with v_j normalized
-    to a unit vector. Explicit coefficient arrays are taken as given (already
-    spectral); physical-space input should be converted with
-    :func:`sllbar.grid.to_spectral` first, which reports projection loss by
-    construction (retained modes only).
+    to a unit vector; :func:`sllbar.grid.eigenmode_field` checks each index.
+    Explicit coefficient arrays are taken as given (already spectral);
+    convert physical-space input with :func:`coefficient_from_physical`
+    first, which also reports the mass the retained-mode projection drops.
     """
     family = spec.get("family", "none")
     fields: list[SpectralField] = []
@@ -111,19 +111,15 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
     elif family == "eigenmode":
         for m, mode in enumerate(spec.get("modes", [])):
             sigma = float(mode["sigma"])
-            index = tuple(int(i) for i in np.atleast_1d(mode["index"]))
-            if len(index) != grid.dim:
-                raise ValueError(f"noise mode {m}: index must have {grid.dim} entries")
-            for ax, (k, N) in enumerate(zip(index, grid.modes)):
-                if k < 0 or k >= N:
-                    raise ValueError(
-                        f"noise mode {m}: index {k} outside grid modes on axis {ax}"
-                    )
             direction = np.asarray(mode["direction"], dtype=float)
             nrm = float(np.linalg.norm(direction))
             if nrm == 0.0:
                 raise ValueError(f"noise mode {m}: direction must be nonzero")
-            fields.append(eigenmode_field(grid, index, sigma * direction / nrm))
+            try:
+                fields.append(eigenmode_field(grid, np.atleast_1d(mode["index"]),
+                                              sigma * direction / nrm))
+            except ValueError as exc:
+                raise ValueError(f"noise mode {m}: {exc}") from exc
     elif family == "explicit":
         for m, coeffs in enumerate(spec.get("coefficients", [])):
             arr = np.asarray(coeffs, dtype=float)

@@ -31,7 +31,7 @@ from sllbar.grid import (
     eigenmode_field,
     random_field,
     sobolev_norm,
-    to_physical,
+    synthesize,
 )
 from sllbar.integrator import SolverConfig, run_trajectory
 from sllbar.model import ModelParams, TruncationConfig
@@ -71,7 +71,7 @@ def test_01_logistic_oracle():
     rec = run_trajectory(constant_field(grid, (0.5, 0, 0)), params,
                          NoiseModel.empty(grid), cfg)
     elapsed = time.perf_counter() - start
-    vals = to_physical(rec.final).values
+    vals = synthesize(grid, rec.final.coeffs)
     mag2 = float((vals * vals).sum(axis=0).flat[0])
     r0 = 0.25
     exact = r0 * math.exp(2.0) / (1 - r0 + r0 * math.exp(2.0))

@@ -117,6 +117,13 @@ class TestExitCodes:
         assert run_command(["check", "--config", str(f),
                             "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
 
+    def test_observable_index_outside_grid(self, tmp_path, capsys):
+        f = tmp_path / "bad.cfg"
+        f.write_text(BASE + "\n[observable.2]\nkind = tanh_mode\nindex = 99\n")
+        assert run_command(["ensemble", "--config", str(f),
+                            "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "configuration error: observable.2:" in capsys.readouterr().err
+
     def test_nonempty_output_dir_io_error(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

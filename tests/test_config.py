@@ -118,6 +118,17 @@ class TestRejections:
         with pytest.raises(ConfigError, match="noise"):
             parse_config(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("index_line", [
+        "index = 99\n", "index = 0, 1\n", "index = -1\n", "",
+    ], ids=["out_of_range", "wrong_length", "negative", "missing"])
+    def test_tanh_mode_index_checked_against_grid(self, tmp_path, index_line):
+        bad = MINIMAL + (
+            "\n[observable.1]\nkind = clip_norm\n"
+            f"\n[observable.2]\nkind = tanh_mode\n{index_line}"
+        )
+        with pytest.raises(ConfigError, match=r"^observable\.2: mode index"):
+            parse_config(write(tmp_path, bad))
+
     def test_bad_vector_length(self, tmp_path):
         bad = MINIMAL.replace("vector = 0.5, 0, 0", "vector = 0.5, 0")
         with pytest.raises(ConfigError, match="vector"):

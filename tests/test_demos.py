@@ -1,5 +1,7 @@
-"""Smoke test: the quick demos run to completion against the current API."""
+"""Demos against the current API: the quick ones run, all of them import."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 # 04 and 05 take about 12 s each and exercise the same stepping paths.
 QUICK_DEMOS = [
@@ -23,3 +26,17 @@ def test_demo_runs(name, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_imports_resolve(name):
+    """Every name a demo imports from ``sllbar`` exists; the demo is parsed,
+    not run."""
+    tree = ast.parse((ROOT / "demos" / name).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module and node.module.split(".")[0] == "sllbar"]
+    assert imports, f"{name} imports nothing from sllbar"
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, f"{name}: {node.module} has no {missing}"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sllbar.diagnostics import (
     energy_balance_l2,
@@ -17,9 +19,11 @@ from sllbar.diagnostics import (
 )
 from sllbar.grid import (
     Grid,
+    analyze,
     constant_field,
     eigenmode_field,
     random_field,
+    synthesize,
     zero_field,
 )
 from sllbar.integrator import SolverConfig, SolverState, run_trajectory
@@ -81,6 +85,27 @@ class TestCubicIdentities:
             u = random_field(grid, RNG)
             assert abs(identity_cubic_gradient(u)[2]) < 1e-8
             assert abs(identity_cubic_ibp(u)[2]) < 1e-8
+
+
+@st.composite
+def random_fields(draw):
+    dim = draw(st.integers(1, 3))
+    modes = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    lengths = tuple(draw(st.lists(st.floats(0.5, 4.0), min_size=dim, max_size=dim)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_field(Grid(dim, lengths, modes), np.random.default_rng(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_fields())
+def test_exact_identities_on_random_fields(u):
+    """Transform round trip, the cross identity and both cubic identities
+    hold on random grids and fields, at the fixed-grid tests' tolerances."""
+    back = analyze(u.grid, synthesize(u.grid, u.coeffs))
+    assert np.abs(back - u.coeffs).max() <= 1e-12 * np.abs(u.coeffs).max()
+    assert abs(identity_cross(u)) < 1e-12
+    assert abs(identity_cubic_gradient(u)[2]) < 1e-8
+    assert abs(identity_cubic_ibp(u)[2]) < 1e-8
 
 
 class TestEnergyBalance:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sllbar.ensemble import (
+    EnsembleStats,
     Observable,
     h2_time_average,
     invariant_average,
@@ -86,6 +87,15 @@ class TestRunEnsemble:
         rec = run_trajectory(u0, full_params(), nm, self.config(), path=0)
         assert np.array_equal(stats.norms["l2"][0], rec.norms["l2"])
         assert np.all(stats.var_norms["l2"] == 0.0)
+
+    def test_summaries_always_computed(self):
+        args = (np.array([0.0, 1.0]), {"l2": np.array([[1.0, 2.0], [3.0, 6.0]])},
+                {}, ["completed"] * 2, [1.0, 1.0])
+        stats = EnsembleStats(*args, M=2, seed=0)
+        assert np.array_equal(stats.mean_norms["l2"], [2.0, 4.0])
+        assert np.array_equal(stats.var_norms["l2"], [2.0, 8.0])
+        with pytest.raises(TypeError):
+            EnsembleStats(*args, M=2, seed=0, mean_norms={})
 
     def test_noise_off_paths_identical(self):
         u0 = constant_field(G8, (0.3, 0.0, 0.0))

@@ -10,7 +10,7 @@ from sllbar.grid import (
     constant_field,
     eigenmode_field,
     random_field,
-    to_physical,
+    synthesize,
 )
 from sllbar.integrator import (
     ConfigurationError,
@@ -139,7 +139,7 @@ class TestRunTrajectory:
         cfg = SolverConfig(dt=1e-4, t_end=1.0, record_every=1000)
         rec = run_trajectory(constant_field(G4, (0.5, 0, 0)), p,
                              NoiseModel.empty(G4), cfg)
-        vals = to_physical(rec.final).values
+        vals = synthesize(G4, rec.final.coeffs)
         mag2 = float((vals * vals).sum(axis=0).flat[0])
         r0 = 0.25
         exact = r0 * math.e**2 / (1 - r0 + r0 * math.e**2)
@@ -284,3 +284,13 @@ class TestRunTrajectory:
     def test_t_end_float_rounding_accepted(self, dt, t_end):
         # t_end / dt is off an integer only by float rounding here
         assert SolverConfig(dt=dt, t_end=t_end).t_end == t_end
+
+    @pytest.mark.parametrize("dt,t_end,n", [
+        (0.01, 0.05, 5), (0.1, 0.3, 3), (0.01 / 2**3, 0.05, 40),
+    ])
+    def test_n_steps_is_the_run_length(self, dt, t_end, n):
+        cfg = SolverConfig(dt=dt, t_end=t_end)
+        assert cfg.n_steps == n
+        rec = run_trajectory(constant_field(G4, (0.5, 0, 0)), linear_params(),
+                             NoiseModel.empty(G4), cfg)
+        assert len(rec.times) == n + 1

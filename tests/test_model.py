@@ -15,7 +15,7 @@ from sllbar.grid import (
     l2_inner,
     random_field,
     sobolev_norm,
-    to_physical,
+    synthesize,
     zero_field,
 )
 from sllbar.integrator import SolverState, imex_em_step, linear_factor
@@ -86,7 +86,7 @@ class TestThetaR:
 class TestCubicField:
     def test_constant(self):
         u = constant_field(G8, (0.5, 0.0, 0.0))
-        out = to_physical(cubic_field(u)).values
+        out = synthesize(G8, cubic_field(u).coeffs)
         assert np.abs(out[0] - 0.125).max() < 1e-13
         assert np.abs(out[1:]).max() < 1e-14
 
@@ -128,7 +128,7 @@ class TestPrecession:
         u = eigenmode_field(G8, (1,), (COS_AMP, 0.0, 0.0)) + eigenmode_field(
             G8, (2,), (0.0, COS_AMP, 0.0)
         )
-        vals = to_physical(precession(u)).values
+        vals = synthesize(G8, precession(u).coeffs)
         x = collocation_points(G8)[0]
         assert np.abs(vals[2] - (-3.0 * np.cos(x) * np.cos(2 * x))).max() < 1e-12
         assert np.abs(vals[:2]).max() < 1e-13
@@ -196,9 +196,9 @@ class TestDriftAssembly:
         a = 0.4
         p = self.params()
         u = constant_field(G8, (a, 0.0, 0.0))
-        d = to_physical(
-            ito_drift(u, p, NoiseModel.empty(G8), TruncationConfig.off())
-        ).values
+        d = synthesize(
+            G8, ito_drift(u, p, NoiseModel.empty(G8), TruncationConfig.off()).coeffs
+        )
         assert np.abs(d[0] - p.beta3 * (1 - a**2) * a).max() < 1e-12
         assert np.abs(d[1:]).max() < 1e-13
 

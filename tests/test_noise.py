@@ -15,7 +15,6 @@ from sllbar.grid import (
     random_field,
     sobolev_norm,
     synthesize,
-    to_physical,
     zero_field,
 )
 from sllbar.noise import (
@@ -83,6 +82,14 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_noise_modes(
                 eigenmode_spec({"sigma": 1.0, "index": (8,), "direction": (0, 0, 1)}),
+                G8,
+            )
+
+    @pytest.mark.parametrize("index", [(8,), (-1,), (1, 2)])
+    def test_index_error_names_mode(self, index):
+        with pytest.raises(ValueError, match="^noise mode 0: mode index"):
+            build_noise_modes(
+                eigenmode_spec({"sigma": 1.0, "index": index, "direction": (0, 0, 1)}),
                 G8,
             )
 
@@ -194,7 +201,7 @@ class TestDiffusionApply:
         c = np.array([0.0, 0.0, 0.9])
         a = np.array([0.3, -0.2, 0.5])
         nm = constant_noise(G8, c)
-        G = to_physical(diffusion_apply(constant_field(G8, a), nm, 0)).values
+        G = synthesize(G8, diffusion_apply(constant_field(G8, a), nm, 0).coeffs)
         expected = -np.cross(a, c) + c
         for comp in range(3):
             assert np.abs(G[comp] - expected[comp]).max() < 1e-12
@@ -252,7 +259,7 @@ class TestItoCorrection:
         c = 1.2
         nm = constant_noise(G8, (0.0, 0.0, c))
         u = constant_field(G8, (1.0, 0.0, 0.0))
-        corr = to_physical(ito_correction(u, nm)).values
+        corr = synthesize(G8, ito_correction(u, nm).coeffs)
         assert np.abs(corr[0] - (-0.5 * c**2)).max() < 1e-12
         assert np.abs(corr[1:]).max() < 1e-12
 
@@ -281,7 +288,7 @@ class TestItoCorrection:
     def test_parallel_state_reduces_to_additive_part(self):
         """u parallel to h_j pointwise: the correction equals
         -1/2 sum Pi((h_j - Lap h_j) x h_j)."""
-        from sllbar.grid import PhysField, cross3, to_spectral
+        from sllbar.grid import analyze, cross3
 
         nm = build_noise_modes(
             eigenmode_spec({"sigma": 0.7, "index": (2,), "direction": (0, 1, 0)}),
@@ -290,11 +297,7 @@ class TestItoCorrection:
         u = 1.8 * nm.h[0]  # parallel pointwise
         got = ito_correction(u, nm).coeffs
         additive = nm.h[0].coeffs - nm.lap_h[0].coeffs
-        from sllbar.grid import synthesize
-
-        expected = -0.5 * to_spectral(
-            PhysField(G8, cross3(synthesize(G8, additive), nm.h_phys[0]))
-        ).coeffs
+        expected = -0.5 * analyze(G8, cross3(synthesize(G8, additive), nm.h_phys[0]))
         assert np.abs(got - expected).max() < 1e-12
 
 

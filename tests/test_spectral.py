@@ -8,7 +8,8 @@ import pytest
 from sllbar.grid import (
     Grid,
     GridMismatchError,
-    PhysField,
+    SpectralField,
+    analyze,
     apply_laplacian,
     collocation_points,
     constant_field,
@@ -18,17 +19,11 @@ from sllbar.grid import (
     gradient_values,
     l2_inner,
     lp_norm,
-    mode_values,
-    neumann_eigenpairs,
     project,
     quad_weight,
     random_field,
     sobolev_norm,
-    spectral_gradient,
     synthesize,
-    to_physical,
-    to_spectral,
-    transform,
     zero_field,
 )
 
@@ -45,8 +40,8 @@ def grids_for_dims():
 
 class TestEigenpairs:
     def test_1d_unit_pi_box(self):
-        basis = neumann_eigenpairs(Grid(1, (np.pi,), (4,)))
-        assert np.allclose(basis.eigenvalues, [0.0, 1.0, 4.0, 9.0])
+        lam = eigenvalue_array(Grid(1, (np.pi,), (4,)))
+        assert np.allclose(lam, [0.0, 1.0, 4.0, 9.0])
 
     def test_2d_mode_11(self):
         lam = eigenvalue_array(Grid(2, (np.pi, np.pi), (4, 4)))
@@ -56,24 +51,14 @@ class TestEigenpairs:
         lam = eigenvalue_array(Grid(1, (2 * np.pi,), (4,)))
         assert lam[2] == pytest.approx(1.0, abs=1e-14)
 
-    def test_sorted_map_stable(self):
-        g = Grid(2, (1.0, 1.0), (4, 4))
-        a = neumann_eigenpairs(g).sorted_flat
-        b = neumann_eigenpairs(g).sorted_flat
-        assert np.array_equal(a, b)
-        lam = eigenvalue_array(g).ravel()
-        assert np.all(np.diff(lam[a]) >= -1e-15)
-
     @pytest.mark.parametrize("grid", grids_for_dims())
     def test_orthonormality(self, grid):
-        """Discrete Gram matrix of the basis functions is the identity."""
+        """Discrete Gram matrix of the synthesized basis functions is the
+        identity: ``synthesize`` on unit coefficient vectors."""
         n_modes = int(np.prod(grid.modes))
-        w = quad_weight(grid)
-        flat = [
-            mode_values(grid, np.unravel_index(i, grid.modes)).ravel()
-            for i in range(n_modes)
-        ]
-        gram = np.array([[np.dot(a, b) * w for b in flat] for a in flat])
+        units = np.eye(n_modes).reshape(n_modes, *grid.modes)
+        flat = np.array([synthesize(grid, np.stack([e, e, e]))[0].ravel() for e in units])
+        gram = flat @ flat.T * quad_weight(grid)
         assert np.abs(gram - np.eye(n_modes)).max() < 1e-12
 
 
@@ -83,44 +68,28 @@ class TestTransforms:
         f = eigenmode_field(grid, (1,), (1.0, 0.0, 0.0))
         x = collocation_points(grid)[0]
         expected = math.sqrt(2 / np.pi) * np.cos(x)
-        assert np.abs(to_physical(f).values[0] - expected).max() < 1e-13
-        assert np.abs(to_physical(f).values[1:]).max() == 0.0
+        vals = synthesize(grid, f.coeffs)
+        assert np.abs(vals[0] - expected).max() < 1e-13
+        assert np.abs(vals[1:]).max() == 0.0
 
     def test_constant_field_everywhere(self):
         grid = Grid(2, (np.pi, 1.0), (4, 4))
-        c = to_physical(constant_field(grid, (2.0, -1.0, 0.5)))
+        c = synthesize(grid, constant_field(grid, (2.0, -1.0, 0.5)).coeffs)
         for comp, val in enumerate((2.0, -1.0, 0.5)):
-            assert np.abs(c.values[comp] - val).max() < 1e-13
+            assert np.abs(c[comp] - val).max() < 1e-13
 
     @pytest.mark.parametrize("grid", grids_for_dims())
     def test_round_trip(self, grid):
         u = random_field(grid, RNG)
-        back = to_spectral(to_physical(u))
+        back = SpectralField(grid, analyze(grid, synthesize(grid, u.coeffs)))
         assert np.abs(back.coeffs - u.coeffs).max() < 1e-12
 
     def test_round_trip_large_grid(self):
         # N=80 (160 padded nodes): larger than any grid a shipped config runs
         grid = Grid(1, (np.pi,), (80,))
         u = random_field(grid, RNG)
-        back = to_spectral(to_physical(u))
+        back = SpectralField(grid, analyze(grid, synthesize(grid, u.coeffs)))
         assert np.abs(back.coeffs - u.coeffs).max() < 1e-12
-
-    def test_transform_dispatch_and_mismatch(self):
-        grid = Grid(1, (np.pi,), (4,))
-        u = random_field(grid, RNG)
-        phys = transform(u, "to_physical")
-        assert isinstance(phys, PhysField)
-        back = transform(phys, "to_spectral")
-        assert np.abs(back.coeffs - u.coeffs).max() < 1e-12
-        with pytest.raises(GridMismatchError):
-            transform(u, "to_spectral")
-        with pytest.raises(ValueError):
-            transform(u, "sideways")
-
-    def test_phys_field_shape_must_be_padded(self):
-        grid = Grid(1, (np.pi,), (4,))
-        with pytest.raises(ValueError):
-            PhysField(grid, np.zeros((3, 4)))  # not the padded size
 
 
 def cosine_series(grid, coeffs, deriv_axis=None):
@@ -227,14 +196,14 @@ class TestGradient:
         amp = 1 / math.sqrt(2 / np.pi)
         u = eigenmode_field(grid, (1,), (amp, 0.0, 0.0))  # u_x = cos(x)
         x = collocation_points(grid)[0]
-        g = spectral_gradient(u)[0]
-        assert np.abs(g.values[0] - (-np.sin(x))).max() < 1e-13
+        g = gradient_values(u.grid, u.coeffs)[0]
+        assert np.abs(g[0] - (-np.sin(x))).max() < 1e-13
 
     def test_constant_zero_gradient(self):
         grid = Grid(3, (1.0, 1.0, 1.0), (3, 3, 3))
         c = constant_field(grid, (4.0, 5.0, 6.0))
-        for g in spectral_gradient(c):
-            assert np.abs(g.values).max() < 1e-13
+        for g in gradient_values(c.grid, c.coeffs):
+            assert np.abs(g).max() < 1e-13
 
     @pytest.mark.parametrize("grid", grids_for_dims())
     def test_parseval_gradient(self, grid):
@@ -313,10 +282,10 @@ class TestDealiasing:
         def unit_cos(k):
             return eigenmode_field(grid, (k,), (1 / math.sqrt(2 / np.pi), 0, 0))
 
-        fa = to_physical(unit_cos(2)).values
-        fb = to_physical(unit_cos(3)).values
-        fc = to_physical(unit_cos(6)).values
-        prod = to_spectral(PhysField(grid, fa * fb * fc))
+        fa = synthesize(grid, unit_cos(2).coeffs)
+        fb = synthesize(grid, unit_cos(3).coeffs)
+        fc = synthesize(grid, unit_cos(6).coeffs)
+        prod = SpectralField(grid, analyze(grid, fa * fb * fc))
         c = prod.coeffs[0] * math.sqrt(2 / np.pi)  # back to raw cosine amplitudes
         expected = np.zeros(8)
         expected[1] = 0.25  # |2-3+6| would be 5; combinations: 2+3-6=-1 -> cos(1x)
@@ -329,10 +298,10 @@ class TestDealiasing:
         grid = Grid(1, (np.pi,), (6,))
         fine = Grid(1, (np.pi,), (18,))  # holds the full cubic expansion
         ua, ub, uc = (random_field(grid, RNG) for _ in range(3))
-        pa, pb, pc = (to_physical(u).values for u in (ua, ub, uc))
-        got = to_spectral(PhysField(grid, pa * pb * pc)).coeffs
-        fa, fb, fc = (to_physical(embed(u, fine)).values for u in (ua, ub, uc))
-        ref = to_spectral(PhysField(fine, fa * fb * fc)).coeffs[:, :6]
+        pa, pb, pc = (synthesize(grid, u.coeffs) for u in (ua, ub, uc))
+        got = analyze(grid, pa * pb * pc)
+        fa, fb, fc = (synthesize(fine, embed(u, fine).coeffs) for u in (ua, ub, uc))
+        ref = analyze(fine, fa * fb * fc)[:, :6]
         assert np.abs(got - ref).max() < 1e-10
 
 
@@ -349,6 +318,11 @@ class TestFieldHelpers:
         assert sobolev_norm(v, 0) == pytest.approx(sobolev_norm(u, 0), rel=1e-14)
         with pytest.raises(GridMismatchError):
             embed(u, Grid(1, (2.0,), (11,)))
+
+    @pytest.mark.parametrize("index", [(4,), (-1,), (1, 0), ()])
+    def test_eigenmode_index_checked(self, index):
+        with pytest.raises(ValueError, match="mode index"):
+            eigenmode_field(Grid(1, (1.0,), (4,)), index, (1.0, 0.0, 0.0))
 
     def test_field_algebra(self):
         grid = Grid(1, (1.0,), (4,))

@@ -16,11 +16,7 @@ from sllbar import (
     constant_field,
     run_trajectory,
 )
-from sllbar.diagnostics import (
-    energy_balance_l2,
-    states_from_trajectory,
-    stopping_time,
-)
+from sllbar.diagnostics import energy_balance_l2
 
 grid = Grid(1, (np.pi,), (16,))
 params = ModelParams(beta1=0.5, beta2=1.0, beta3=1.0, beta4=1.0, beta5=1.0)
@@ -43,21 +39,21 @@ for i in range(len(rec.times)):
           f"{rec.norms['h1'][i]:.4f}    {rec.norms['grad_l2'][i]:.4f}")
 print("stop:", rec.stop_reason, "at t =", rec.stop_time)
 
-# The discrete stopping time: first recorded exceedance of a threshold K.
-print("tau^K for K=1.0:", stopping_time(rec, 1.0))
-print("tau^K for K=5.0:", stopping_time(rec, 5.0))
-
-# A low threshold turns the same run into an early stop; for the simulate
-# subcommand this is recorded data, not an error.
-tight = SolverConfig(dt=0.01, t_end=20.0, record_every=200, seed=11, blowup_K=1.0)
-rec_stop = run_trajectory(u0, params, noise, tight)
-print("with blowup_K=1:", rec_stop.stop_reason, "at t =", rec_stop.stop_time)
+# The discrete stopping time tau^K: the first step time with |u|_H1 > K.
+# The H^1 norm is checked after every step, not only at the recorded
+# samples, and the run stops there; for the simulate subcommand an early
+# stop is recorded data, not an error.
+for K in (1.0, 5.0):
+    stopped = run_trajectory(u0, params, noise,
+                             SolverConfig(dt=0.01, t_end=20.0, record_every=200,
+                                          seed=11, blowup_K=K))
+    print(f"blowup_K={K}:", stopped.stop_reason, "at t =", stopped.stop_time)
 
 # Noise off, the L2 energy identity closes to O(dt): halving dt halves the
 # largest defect.
 for dt in (1e-2, 5e-3):
     cfg = SolverConfig(dt=dt, t_end=1.0, snapshot_every=1)
     det = run_trajectory(u0, params, NoiseModel.empty(grid), cfg)
-    series = energy_balance_l2(states_from_trajectory(det), params, dt)
+    series = energy_balance_l2(det, params)
     print(f"dt={dt}: max |energy balance residual| = "
           f"{np.abs(series.values).max():.3e}")

@@ -13,7 +13,6 @@ from .grid import (
     embed,
     l2_inner,
     lp_norm,
-    project,
     random_field,
     sobolev_norm,
     zero_field,
@@ -23,7 +22,6 @@ from .model import (
     TruncationConfig,
     cubic_field,
     drift_terms,
-    ito_drift,
     precession,
     theta_R,
 )
@@ -35,14 +33,11 @@ from .noise import (
     check_noise_condition,
     coefficient_from_physical,
     coupled_increments,
-    diffusion_apply,
-    ito_correction,
     sample_increments,
 )
 from .integrator import (
     ConfigurationError,
     SolverConfig,
-    SolverState,
     TrajectoryRecord,
     heun_strat_step,
     imex_em_step,
@@ -56,8 +51,6 @@ from .diagnostics import (
     identity_cubic_gradient,
     identity_cubic_ibp,
     refinement_gap,
-    states_from_trajectory,
-    stopping_time,
     weak_form_residual,
 )
 from .ensemble import (

@@ -28,7 +28,6 @@ from .diagnostics import (
     identity_cubic_gradient,
     identity_cubic_ibp,
     refinement_gap,
-    states_from_trajectory,
     strong_convergence_gaps,
 )
 from .ensemble import (
@@ -243,8 +242,7 @@ def _cmd_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
                           snapshot_every=1, record_every=max(1, steps // 10))
     traj = run_trajectory(cfg.build_initial(), cfg.params,
                           NoiseModel.empty(cfg.grid), balance_cfg)
-    series = energy_balance_l2(states_from_trajectory(traj), cfg.params,
-                               balance_cfg.dt, balance_cfg.truncation)
+    series = energy_balance_l2(traj, cfg.params)
     write_residual_csv(series, out / "energy_residuals.csv",
                        name="energy_balance_residual")
 

@@ -13,7 +13,7 @@ These turn the structural facts the scheme relies on into numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,17 +35,10 @@ from .grid import (
 from .integrator import (
     STOP_COMPLETED,
     SolverConfig,
-    SolverState,
     TrajectoryRecord,
     run_trajectory,
 )
-from .model import (
-    ModelParams,
-    TruncationConfig,
-    cubic_field,
-    precession,
-    truncation_scale,
-)
+from .model import ModelParams, cubic_field, precession, truncation_scale
 from .noise import (NoiseModel, coupled_increments, _correction_coeffs,
                     _diffusion_coeffs)
 
@@ -115,30 +108,33 @@ def identity_cubic_ibp(u: SpectralField) -> tuple[float, float, float]:
     return lhs, rhs, residual
 
 
-def energy_balance_l2(states: Sequence[SolverState], params: ModelParams,
-                      dt: float,
-                      trunc: TruncationConfig = TruncationConfig.off(),
-                      ) -> ResidualSeries:
+def energy_balance_l2(traj: TrajectoryRecord,
+                      params: ModelParams) -> ResidualSeries:
     """Per-step defect of the deterministic L^2 energy identity.
 
     For a noise-off trajectory the forward difference of ``|u|^2 / 2``
     balances the dissipation terms; the b5 contribution is evaluated through
-    the integration-by-parts identity. The defect is O(dt) for the
-    semi-implicit scheme. States must be equally spaced in time.
+    the integration-by-parts identity, with theta_R from the record's own
+    truncation setting. Reads the record's coefficient snapshots, which
+    ``run_trajectory`` writes every ``snapshot_every`` steps. The defect is
+    O(dt) for the semi-implicit scheme.
     """
-    if len(states) < 2:
-        raise ValueError("need at least two states")
-    ts = np.asarray([s.t for s in states])
-    gaps = np.diff(ts)
-    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("states are not equally spaced")
-    spacing = float(gaps[0])
+    if traj.J > 0:
+        raise ValueError("energy balance holds for noise-off runs only (J = 0)")
+    if traj.snapshots is None:
+        raise ValueError("trajectory was run without snapshots")
+    if len(traj.snapshots) < 2:
+        raise ValueError("need at least two snapshots")
+    ts = np.asarray(traj.snapshot_steps) * traj.config.dt
+    spacing = float(ts[1] - ts[0])
+    states = [SpectralField(traj.grid, c) for c in traj.snapshots]
+    trunc = traj.config.truncation
 
     residuals = np.zeros(len(states) - 1)
-    half_l2_sq = [0.5 * sobolev_norm(s.u, 0) ** 2 for s in states]
-    sup_l2 = max(sobolev_norm(s.u, 0) for s in states)
+    half_l2_sq = [0.5 * sobolev_norm(u, 0) ** 2 for u in states]
+    sup_l2 = max(sobolev_norm(u, 0) for u in states)
     for m in range(len(states) - 1):
-        u = states[m].u
+        u = states[m]
         cross_sq, mixed_sq = _gradient_quadratics(u)
         theta = truncation_scale(u, trunc)
         ddt = (half_l2_sq[m + 1] - half_l2_sq[m]) / spacing
@@ -152,17 +148,6 @@ def energy_balance_l2(states: Sequence[SolverState], params: ModelParams,
         )
     normalization = max(1.0, sup_l2**2)
     return ResidualSeries(ts[:-1], residuals / normalization, normalization)
-
-
-def states_from_trajectory(traj: TrajectoryRecord) -> list[SolverState]:
-    """Rebuild SolverStates from a trajectory's coefficient snapshots."""
-    if traj.snapshots is None:
-        raise ValueError("trajectory was run without snapshots")
-    dt = traj.config.dt
-    return [
-        SolverState(step * dt, SpectralField(traj.grid, coeffs.copy()), int(step))
-        for step, coeffs in zip(traj.snapshot_steps, traj.snapshots)
-    ]
 
 
 def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
@@ -281,14 +266,6 @@ def strong_convergence_gaps(u0: SpectralField, params: ModelParams,
                 np.sqrt(((finals[k].coeffs - finals[k + 1].coeffs) ** 2).sum())
             )
     return list(gaps / paths)
-
-
-def stopping_time(traj: TrajectoryRecord, K: float) -> float | None:
-    """First recorded time with ``|u|_H1 > K`` (no interpolation)."""
-    exceed = np.nonzero(traj.norms["h1"] > K)[0]
-    if exceed.size == 0:
-        return None
-    return float(traj.times[exceed[0]])
 
 
 def refinement_gap(u0_builder: Callable[[Grid], SpectralField],

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import SpectralField, sobolev_norm
+from .grid import SpectralField, check_mode_index, sobolev_norm
 from .integrator import (
     STOP_COMPLETED,
     ConfigurationError,
@@ -78,9 +78,8 @@ class Observable:
 
     def __call__(self, u: SpectralField) -> float:
         if self.kind == "tanh_mode":
-            if len(self.mode_index) != u.grid.dim:
-                raise ValueError("mode_index does not match grid dimension")
-            c = float(u.coeffs[(self.component,) + self.mode_index])
+            index = check_mode_index(u.grid, self.mode_index)
+            c = float(u.coeffs[(self.component,) + index])
             return math.tanh(c / self.scale)
         if self.kind == "exp_neg_l2":
             n = sobolev_norm(u, 0)

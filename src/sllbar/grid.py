@@ -213,23 +213,6 @@ def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def project(field: SpectralField, cutoff) -> SpectralField:
-    """Zero every coefficient with any ``k_i >= cutoff_i``."""
-    grid = field.grid
-    if np.isscalar(cutoff):
-        cutoff = (int(cutoff),) * grid.dim
-    cutoff = tuple(int(c) for c in cutoff)
-    if len(cutoff) != grid.dim:
-        raise ValueError("cutoff must have one entry per axis")
-    for c, N in zip(cutoff, grid.modes):
-        if c < 0 or c > N:
-            raise ValueError(f"cutoff {c} outside stored modes (0..{N})")
-    out = np.zeros_like(field.coeffs)
-    keep = (slice(None),) + tuple(slice(0, c) for c in cutoff)
-    out[keep] = field.coeffs[keep]
-    return SpectralField(grid, out)
-
-
 def apply_laplacian(field: SpectralField, power: int = 1) -> SpectralField:
     """Per-mode multiplication by ``(-lambda_k)^power``."""
     if power not in (1, 2):

@@ -10,9 +10,12 @@ Two schemes are provided:
   and diffusion, no Ito correction), intended as a cross-check on mildly
   stiff grids.
 
-The nonlinear drift terms and the diffusion fields G_j are assembled in one
-place, :func:`_explicit_parts`, which both schemes call;
-:func:`sllbar.model.drift_terms` is a term-by-term view of the same arrays.
+Both steps act on raw coefficient arrays ``(3, *modes)``:
+``step(coeffs, grid, params, noise, trunc, dW, dt) -> coeffs`` with ``dW``
+the array of J Wiener increments. The nonlinear drift terms and the
+diffusion fields G_j are assembled in one place, :func:`_explicit_parts`,
+which both schemes call; :func:`sllbar.model.drift_terms` is a term-by-term
+view of the same arrays.
 
 A trajectory stops at ``t_end``, on the first step whose H^1 norm exceeds
 ``blowup_K`` (the discrete stopping time), or on a nonfinite state.
@@ -38,7 +41,6 @@ from .grid import (
 from .model import ModelParams, TruncationConfig, truncation_scale
 from .noise import (
     NoiseModel,
-    WienerIncrement,
     _correction_coeffs,
     _diffusion_coeffs,
     coupled_increments,
@@ -92,13 +94,6 @@ class SolverConfig:
     def n_steps(self) -> int:
         """Number of dt steps from 0 to t_end."""
         return int(round(self.t_end / self.dt))
-
-
-@dataclass
-class SolverState:
-    t: float
-    u: SpectralField
-    step: int
 
 
 NORM_KEYS = ("l2", "l4", "h1", "h2", "h3", "grad_l2", "theta_arg")
@@ -182,41 +177,38 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     return terms, Gs
 
 
-def imex_em_step(state: SolverState, params: ModelParams, noise: NoiseModel,
-                 trunc: TruncationConfig, increments: WienerIncrement,
-                 dt: float) -> SolverState:
+def imex_em_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
+                 noise: NoiseModel, trunc: TruncationConfig, dW: np.ndarray,
+                 dt: float) -> np.ndarray:
     """One semi-implicit Euler-Maruyama step on the Ito form."""
-    grid = state.u.grid
     div = _divisor_array(grid, dt, params)
-    terms, Gs = _explicit_parts(state.u.coeffs, grid, params, noise, trunc,
+    terms, Gs = _explicit_parts(coeffs, grid, params, noise, trunc,
                                 include_correction=True)
-    acc = state.u.coeffs + dt * reduce(np.add, terms.values())
+    acc = coeffs + dt * reduce(np.add, terms.values())
     for j, G in enumerate(Gs):
-        acc = acc + G * increments.values[j]
-    return SolverState(state.t + dt, SpectralField(grid, acc / div), state.step + 1)
+        acc = acc + G * dW[j]
+    return acc / div
 
 
-def heun_strat_step(state: SolverState, params: ModelParams, noise: NoiseModel,
-                    trunc: TruncationConfig, increments: WienerIncrement,
-                    dt: float) -> SolverState:
+def heun_strat_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
+                    noise: NoiseModel, trunc: TruncationConfig, dW: np.ndarray,
+                    dt: float) -> np.ndarray:
     """One explicit Stratonovich Heun step (predictor-corrector)."""
-    grid = state.u.grid
     lam = eigenvalue_array(grid)
     linear = -params.beta1 * lam - params.beta2 * lam * lam
-    c0 = state.u.coeffs
-    terms0, G0 = _explicit_parts(c0, grid, params, noise, trunc,
+    terms0, G0 = _explicit_parts(coeffs, grid, params, noise, trunc,
                                  include_correction=False)
-    a0 = reduce(np.add, terms0.values()) + linear * c0
-    pred = c0 + dt * a0
+    a0 = reduce(np.add, terms0.values()) + linear * coeffs
+    pred = coeffs + dt * a0
     for j, G in enumerate(G0):
-        pred = pred + G * increments.values[j]
+        pred = pred + G * dW[j]
     terms1, G1 = _explicit_parts(pred, grid, params, noise, trunc,
                                  include_correction=False)
     a1 = reduce(np.add, terms1.values()) + linear * pred
-    out = c0 + 0.5 * dt * (a0 + a1)
+    out = coeffs + 0.5 * dt * (a0 + a1)
     for j in range(noise.J):
-        out = out + 0.5 * (G0[j] + G1[j]) * increments.values[j]
-    return SolverState(state.t + dt, SpectralField(grid, out), state.step + 1)
+        out = out + 0.5 * (G0[j] + G1[j]) * dW[j]
+    return out
 
 
 def _sample_norms(u: SpectralField) -> tuple[float, ...]:
@@ -260,25 +252,25 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     snap_steps: list[int] = []
     snaps: list[np.ndarray] = []
 
-    state = SolverState(0.0, u0.copy(), 0)
+    u = u0.copy()
     stop_reason = STOP_COMPLETED
     stop_time = n_steps * dt
 
-    def record(st: SolverState):
-        times.append(st.t)
-        norm_rows.append(_sample_norms(st.u))
+    def record(v: SpectralField, t: float):
+        times.append(t)
+        norm_rows.append(_sample_norms(v))
         if observables:
-            obs_rows.append([float(psi(st.u)) for psi in observables])
+            obs_rows.append([float(psi(v)) for psi in observables])
 
-    def snapshot(st: SolverState):
-        if config.snapshot_every is not None and st.step % config.snapshot_every == 0:
-            snap_steps.append(st.step)
-            snaps.append(st.u.coeffs.copy())
+    def snapshot(v: SpectralField, m: int):
+        if config.snapshot_every is not None and m % config.snapshot_every == 0:
+            snap_steps.append(m)
+            snaps.append(v.coeffs.copy())
 
-    record(state)
-    snapshot(state)
+    record(u, 0.0)
+    snapshot(u, 0)
 
-    if sobolev_norm(state.u, 1) > config.blowup_K:
+    if sobolev_norm(u, 1) > config.blowup_K:
         stop_reason = STOP_BLOWUP
         stop_time = 0.0
         n_steps = 0
@@ -286,28 +278,29 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     m = 0
     while m < n_steps:
         inc = coupled_increments(config.seed, path, m, noise.J, dt, config.substeps)
-        state = stepper(state, params, noise, config.truncation, inc, dt)
+        u = SpectralField(grid, stepper(u.coeffs, grid, params, noise,
+                                        config.truncation, inc.values, dt))
         m += 1
-        state.t = m * dt  # avoid accumulated rounding in recorded times
+        t = m * dt  # avoid accumulated rounding in recorded times
 
-        if not np.isfinite(state.u.coeffs).all():
+        if not np.isfinite(u.coeffs).all():
             stop_reason = STOP_NONFINITE
-            stop_time = state.t
-            record(state)
-            snapshot(state)
+            stop_time = t
+            record(u, t)
+            snapshot(u, m)
             break
 
         recorded = False
         if m % config.record_every == 0 or m == n_steps:
-            record(state)
+            record(u, t)
             recorded = True
-        snapshot(state)
+        snapshot(u, m)
 
-        if sobolev_norm(state.u, 1) > config.blowup_K:
+        if sobolev_norm(u, 1) > config.blowup_K:
             stop_reason = STOP_BLOWUP
-            stop_time = state.t
+            stop_time = t
             if not recorded:
-                record(state)
+                record(u, t)
             break
 
     norms_arr = np.asarray(norm_rows)
@@ -322,7 +315,7 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
         norms=norms,
         stop_reason=stop_reason,
         stop_time=float(stop_time),
-        final=state.u,
+        final=u,
         config=config,
         path=path,
         J=noise.J,

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .grid import (
     SpectralField,
     analyze,
@@ -149,11 +147,3 @@ def drift_terms(u: SpectralField, params: ModelParams, noise,
     }
     return {name: SpectralField(grid, c) for name, c in arrays.items()}
 
-
-def ito_drift(u: SpectralField, params: ModelParams, noise,
-              trunc: TruncationConfig) -> SpectralField:
-    """Full Ito-form drift, including the Stratonovich correction."""
-    total = np.zeros_like(u.coeffs)
-    for term in drift_terms(u, params, noise, trunc).values():
-        total += term.coeffs
-    return SpectralField(u.grid, total)

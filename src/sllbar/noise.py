@@ -32,7 +32,6 @@ from .grid import (
     quad_weight,
     sobolev_norm,
     synthesize,
-    zero_field,
 )
 
 
@@ -164,34 +163,20 @@ def check_noise_condition(noise: NoiseModel) -> float:
 
 def _diffusion_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
                       j: int) -> np.ndarray:
+    """Coefficients of ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)`` from u's values."""
     cross = cross3(u_vals, noise.h_phys[j])
     return noise.h[j].coeffs - noise.lap_h[j].coeffs - analyze(grid, cross)
 
 
-def diffusion_apply(u: SpectralField, noise: NoiseModel, j: int) -> SpectralField:
-    """Diffusion map ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)``."""
-    if j < 0 or j >= noise.J:
-        raise IndexError(f"noise mode {j} out of range (J={noise.J})")
-    u_vals = synthesize(u.grid, u.coeffs)
-    return SpectralField(u.grid, _diffusion_coeffs(u.grid, u_vals, noise, j))
-
-
 def _correction_coeffs(grid: Grid, u_vals: np.ndarray,
                        noise: NoiseModel) -> np.ndarray:
+    """Coefficients of the Ito correction ``-1/2 sum_j Pi(G_j(u) x h_j)``."""
     acc = np.zeros((3, *grid.modes))
     for j in range(noise.J):
         G = _diffusion_coeffs(grid, u_vals, noise, j)
         G_vals = synthesize(grid, G)
         acc += analyze(grid, cross3(G_vals, noise.h_phys[j]))
     return -0.5 * acc
-
-
-def ito_correction(u: SpectralField, noise: NoiseModel) -> SpectralField:
-    """Stratonovich-to-Ito correction drift ``-1/2 sum_j Pi(G_j(u) x h_j)``."""
-    if noise.J == 0:
-        return zero_field(u.grid)
-    u_vals = synthesize(u.grid, u.coeffs)
-    return SpectralField(u.grid, _correction_coeffs(u.grid, u_vals, noise))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Identity residuals, energy balance, weak forms, stopping, refinement."""
+"""Identity residuals, energy balance, weak forms, refinement."""
 
 import math
 
@@ -13,21 +13,22 @@ from sllbar.diagnostics import (
     identity_cubic_gradient,
     identity_cubic_ibp,
     refinement_gap,
-    states_from_trajectory,
-    stopping_time,
     weak_form_residual,
 )
 from sllbar.grid import (
     Grid,
+    SpectralField,
     analyze,
     constant_field,
     eigenmode_field,
+    lp_norm,
     random_field,
+    sobolev_norm,
     synthesize,
     zero_field,
 )
-from sllbar.integrator import SolverConfig, SolverState, run_trajectory
-from sllbar.model import ModelParams, TruncationConfig
+from sllbar.integrator import SolverConfig, run_trajectory
+from sllbar.model import ModelParams, TruncationConfig, theta_R
 from sllbar.noise import NoiseModel, build_noise_modes
 
 RNG = np.random.default_rng(2718)
@@ -112,26 +113,29 @@ class TestEnergyBalance:
     def params(self):
         return ModelParams(0.7, 1.0, 0.9, 1.1, 0.8)
 
-    def run_states(self, u0, params, dt, t_end, trunc=TruncationConfig.off()):
-        cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=1, truncation=trunc)
-        traj = run_trajectory(u0, params, NoiseModel.empty(u0.grid), cfg)
-        return states_from_trajectory(traj)
+    def run(self, u0, params, dt, t_end, trunc=TruncationConfig.off(),
+            noise=None, snapshot_every=1):
+        cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every,
+                           truncation=trunc)
+        noise = noise if noise is not None else NoiseModel.empty(u0.grid)
+        return run_trajectory(u0, params, noise, cfg)
 
     def test_zero_trajectory(self):
-        states = self.run_states(zero_field(G8), self.params(), 0.01, 0.1)
-        series = energy_balance_l2(states, self.params(), 0.01)
+        traj = self.run(zero_field(G8), self.params(), 0.01, 0.1)
+        series = energy_balance_l2(traj, self.params())
         assert np.abs(series.values).max() == 0.0
+        assert np.allclose(series.times, 0.01 * np.arange(10))
 
     def test_constant_logistic_residual_formula(self):
         """Constant-field run: the defect reduces to the scalar forward-Euler
         remainder dt * b3^2 (1-a^2)^2 a^2 V / 2 at each step."""
         p = ModelParams(0.0, TINY, 1.0, TINY, TINY)
         dt = 1e-3
-        states = self.run_states(constant_field(G8, (0.5, 0, 0)), p, dt, 0.05)
-        series = energy_balance_l2(states, p, dt)
+        traj = self.run(constant_field(G8, (0.5, 0, 0)), p, dt, 0.05)
+        series = energy_balance_l2(traj, p)
         V = G8.volume
-        for m, s in enumerate(states[:-1]):
-            a = float(s.u.coeffs[0, 0]) / math.sqrt(V)
+        for m, coeffs in enumerate(traj.snapshots[:-1]):
+            a = float(coeffs[0, 0]) / math.sqrt(V)
             expected = dt * (1.0 - a * a) ** 2 * a * a * V / 2.0
             assert series.values[m] * series.normalization == pytest.approx(
                 expected, rel=1e-8
@@ -142,33 +146,71 @@ class TestEnergyBalance:
         p = ModelParams(1.0, 1.0, TINY, TINY, TINY)
         maxima = []
         for dt in (1e-2, 5e-3):
-            states = self.run_states(u0, p, dt, 0.2)
-            maxima.append(np.abs(energy_balance_l2(states, p, dt).values).max())
+            traj = self.run(u0, p, dt, 0.2)
+            maxima.append(np.abs(energy_balance_l2(traj, p).values).max())
         assert maxima[0] / maxima[1] == pytest.approx(2.0, abs=0.3)
 
     def test_generic_run_o_dt_slope(self):
         """Smooth data on a mildly stiff grid: log-log slope 1 +- 0.2 over
         four dt levels (under-resolved stiff transients would flatten it)."""
-        from sllbar.grid import project
-
         grid = Grid(1, (2 * np.pi,), (8,))
-        u0 = project(0.4 * random_field(grid, np.random.default_rng(1), decay=1.0), 3)
+        u0 = 0.4 * random_field(grid, np.random.default_rng(1), decay=1.0)
+        u0.coeffs[:, 3:] = 0.0
         p = self.params()
         dts = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
         maxima = []
         for dt in dts:
-            cfg = SolverConfig(dt=dt, t_end=0.2, snapshot_every=1)
-            traj = run_trajectory(u0, p, NoiseModel.empty(grid), cfg)
-            states = states_from_trajectory(traj)
-            maxima.append(np.abs(energy_balance_l2(states, p, dt).values).max())
+            traj = self.run(u0, p, dt, 0.2)
+            maxima.append(np.abs(energy_balance_l2(traj, p).values).max())
         slope = np.polyfit(np.log(dts), np.log(maxima), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.2)
 
-    def test_unequal_spacing_rejected(self):
-        states = self.run_states(zero_field(G8), self.params(), 0.01, 0.1)
-        states[1] = SolverState(0.017, states[1].u, states[1].step)
-        with pytest.raises(ValueError):
-            energy_balance_l2(states, self.params(), 0.01)
+    def test_truncation_read_from_record(self):
+        """A truncation-on run is balanced with theta_R of that run; the
+        reference pairs b5 theta with (Lap(|u|^2 u), u) computed spectrally."""
+        p, dt = self.params(), 0.01
+        u0 = 0.6 * random_field(G8, np.random.default_rng(5))
+        R = sobolev_norm(u0, 1, seminorm=True) / 1.3
+        trunc = TruncationConfig.on(R)
+        traj = self.run(u0, p, dt, 0.1, trunc=trunc)
+        series = energy_balance_l2(traj, p)
+
+        states = [SpectralField(G8, c) for c in traj.snapshots]
+        thetas = [theta_R(sobolev_norm(u, 1, seminorm=True), R) for u in states]
+        assert 0.0 < thetas[0] < 1.0
+        normalization = max(1.0, max(sobolev_norm(u, 0) for u in states) ** 2)
+
+        def reference(theta_of):
+            out = []
+            for m, u in enumerate(states[:-1]):
+                ddt = 0.5 * (sobolev_norm(states[m + 1], 0) ** 2
+                             - sobolev_norm(u, 0) ** 2) / dt
+                out.append((
+                    ddt
+                    + p.beta1 * sobolev_norm(u, 1, seminorm=True) ** 2
+                    + p.beta2 * sobolev_norm(u, 2, seminorm=True) ** 2
+                    + p.beta3 * lp_norm(u, 4) ** 4
+                    - p.beta3 * sobolev_norm(u, 0) ** 2
+                    - p.beta5 * theta_of[m] * identity_cubic_ibp(u)[0]
+                ) / normalization)
+            return np.asarray(out)
+
+        expected = reference(thetas)
+        assert np.abs(series.values - expected).max() < 1e-9 * np.abs(expected).max()
+        untruncated = reference([1.0] * len(states))
+        assert np.abs(series.values - untruncated).max() > 1e-3 * np.abs(expected).max()
+
+    def test_noise_on_rejected(self):
+        traj = self.run(random_field(G8, RNG, amplitude=0.1), self.params(),
+                        0.01, 0.05, noise=small_noise(G8))
+        with pytest.raises(ValueError, match="noise-off"):
+            energy_balance_l2(traj, self.params())
+
+    def test_without_snapshots_rejected(self):
+        traj = self.run(zero_field(G8), self.params(), 0.01, 0.1,
+                        snapshot_every=None)
+        with pytest.raises(ValueError, match="snapshots"):
+            energy_balance_l2(traj, self.params())
 
 
 class TestWeakForm:
@@ -234,31 +276,6 @@ class TestWeakForm:
                               NoiseModel.empty(G8), cfg)
         with pytest.raises(ValueError):
             weak_form_residual(traj, self.params(), NoiseModel.empty(G8), (1,))
-
-
-class TestStoppingTime:
-    def fake_traj(self, times, h1):
-        from sllbar.integrator import NORM_KEYS, TrajectoryRecord
-
-        norms = {k: np.asarray(h1, dtype=float) for k in NORM_KEYS}
-        return TrajectoryRecord(
-            grid=G8, times=np.asarray(times, dtype=float), norms=norms,
-            stop_reason="completed", stop_time=float(times[-1]),
-            final=zero_field(G8), config=SolverConfig(dt=0.01, t_end=1.0),
-            path=0, J=0,
-        )
-
-    def test_never_exceeds(self):
-        traj = self.fake_traj([0.0, 0.1, 0.2], [0.5, 0.6, 0.7])
-        assert stopping_time(traj, 1.0) is None
-
-    def test_first_sample_exceeds(self):
-        traj = self.fake_traj([0.0, 0.1], [2.0, 0.1])
-        assert stopping_time(traj, 1.0) == 0.0
-
-    def test_crossing_between_samples(self):
-        traj = self.fake_traj([0.0, 0.1, 0.2, 0.3], [0.2, 0.9, 1.4, 2.0])
-        assert stopping_time(traj, 1.0) == pytest.approx(0.2)
 
 
 class TestRefinementGap:

@@ -66,6 +66,16 @@ class TestObservable:
         with pytest.raises(ValueError):
             Observable("exp_neg_l2", scale=0.0)
 
+    @pytest.mark.parametrize("index", [(-1,), (16,), (0, 1)],
+                             ids=["negative", "past_last", "wrong_length"])
+    def test_tanh_mode_index_checked_against_grid(self, index):
+        """A library caller gets the same check as a config file: -1 does not
+        wrap round to the last mode."""
+        grid = Grid(1, (np.pi,), (16,))
+        u = eigenmode_field(grid, (15,), (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="mode index"):
+            Observable("tanh_mode", mode_index=index)(u)
+
     def test_names_unique(self):
         a = Observable("tanh_mode", mode_index=(0,), component=1)
         b = Observable("tanh_mode", mode_index=(1,), component=1)

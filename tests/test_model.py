@@ -7,6 +7,7 @@ import pytest
 
 from sllbar.grid import (
     Grid,
+    analyze,
     apply_laplacian,
     collocation_points,
     constant_field,
@@ -18,18 +19,17 @@ from sllbar.grid import (
     synthesize,
     zero_field,
 )
-from sllbar.integrator import SolverState, imex_em_step, linear_factor
+from sllbar.integrator import imex_em_step, linear_factor
 from sllbar.model import (
     ModelParams,
     TruncationConfig,
     cubic_field,
     drift_terms,
-    ito_drift,
     precession,
     theta_R,
     truncation_scale,
 )
-from sllbar.noise import NoiseModel, WienerIncrement, build_noise_modes, ito_correction
+from sllbar.noise import NoiseModel, build_noise_modes
 
 RNG = np.random.default_rng(7)
 G8 = Grid(1, (np.pi,), (8,))
@@ -181,6 +181,12 @@ class TestNonlocalCubic:
             TruncationConfig("sideways", None)
 
 
+def full_drift(u, params, noise):
+    """The whole Ito-form drift: the sum of every named term."""
+    terms = drift_terms(u, params, noise, TruncationConfig.off())
+    return sum(t.coeffs for t in terms.values())
+
+
 class TestDriftAssembly:
     def params(self, **kw):
         base = dict(beta1=0.8, beta2=1.1, beta3=0.9, beta4=1.3, beta5=0.7)
@@ -189,41 +195,21 @@ class TestDriftAssembly:
 
     def test_zero_state_zero_drift(self):
         p = self.params()
-        d = ito_drift(zero_field(G8), p, NoiseModel.empty(G8), TruncationConfig.off())
-        assert np.abs(d.coeffs).max() == 0.0
+        d = full_drift(zero_field(G8), p, NoiseModel.empty(G8))
+        assert np.abs(d).max() == 0.0
 
     def test_constant_penalty_only(self):
         a = 0.4
         p = self.params()
         u = constant_field(G8, (a, 0.0, 0.0))
-        d = synthesize(
-            G8, ito_drift(u, p, NoiseModel.empty(G8), TruncationConfig.off()).coeffs
-        )
+        d = synthesize(G8, full_drift(u, p, NoiseModel.empty(G8)))
         assert np.abs(d[0] - p.beta3 * (1 - a**2) * a).max() < 1e-12
         assert np.abs(d[1:]).max() < 1e-13
 
     def test_constant_unit_vector_is_equilibrium(self):
         u = constant_field(G8, (0.0, 1.0, 0.0))
-        d = ito_drift(u, self.params(), NoiseModel.empty(G8), TruncationConfig.off())
-        assert np.abs(d.coeffs).max() < 1e-12
-
-    def test_terms_sum_to_drift(self):
-        u = random_field(G8, RNG)
-        noise = build_noise_modes(
-            {"family": "eigenmode", "modes": [
-                {"sigma": 0.3, "index": (1,), "direction": (0.0, 0.0, 1.0)},
-                {"sigma": 0.2, "index": (3,), "direction": (1.0, 0.0, 0.0)},
-            ]},
-            G8,
-        )
-        terms = drift_terms(u, self.params(), noise, TruncationConfig.off())
-        assert set(terms) == {
-            "laplacian", "biharmonic", "penalty", "precession", "nonlocal",
-            "ito_correction",
-        }
-        total = sum(t.coeffs for t in terms.values())
-        d = ito_drift(u, self.params(), noise, TruncationConfig.off())
-        assert np.abs(d.coeffs - total).max() < 1e-14
+        d = full_drift(u, self.params(), NoiseModel.empty(G8))
+        assert np.abs(d).max() < 1e-12
 
     def test_stratonovich_drops_correction(self):
         u = random_field(G8, RNG)
@@ -236,8 +222,8 @@ class TestDriftAssembly:
         )
         terms = drift_terms(u, p, noise, TruncationConfig.off())
         strat = sum(t.coeffs for name, t in terms.items() if name != "ito_correction")
-        ito_nonoise = ito_drift(u, p, NoiseModel.empty(G8), TruncationConfig.off())
-        assert np.abs(strat - ito_nonoise.coeffs).max() < 1e-14
+        ito_nonoise = full_drift(u, p, NoiseModel.empty(G8))
+        assert np.abs(strat - ito_nonoise).max() < 1e-14
 
 
 PARITY_GRIDS = [
@@ -266,6 +252,20 @@ def parity_truncation(u, mode):
     return trunc
 
 
+def correction_reference(u, noise):
+    """``-1/2 sum_j Pi(G_j(u) x h_j)`` with ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)``,
+    from np.cross on synthesized values."""
+    grid = u.grid
+    vals = synthesize(grid, u.coeffs)
+    total = np.zeros_like(u.coeffs)
+    for h in noise.h:
+        h_vals = synthesize(grid, h.coeffs)
+        G = (analyze(grid, -np.cross(vals, h_vals, axis=0)) + h.coeffs
+             - apply_laplacian(h).coeffs)
+        total += analyze(grid, np.cross(synthesize(grid, G), h_vals, axis=0))
+    return -0.5 * total
+
+
 def rel_gap(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
@@ -290,7 +290,7 @@ class TestDriftParity:
             "penalty": p.beta3 * (u.coeffs - cubic),
             "precession": -p.beta4 * precession(u).coeffs,
             "nonlocal": p.beta5 * theta * apply_laplacian(cubic_field(u)).coeffs,
-            "ito_correction": ito_correction(u, noise).coeffs,
+            "ito_correction": correction_reference(u, noise),
         }
         terms = drift_terms(u, p, noise, trunc)
         assert set(terms) == set(expected)
@@ -309,6 +309,5 @@ class TestDriftParity:
                         ("penalty", "precession", "nonlocal", "ito_correction"))
         expected = (u.coeffs + dt * nonlinear) / linear_factor(
             eigenvalue_array(grid), dt, p)
-        step = imex_em_step(SolverState(0.0, u, 0), p, noise, trunc,
-                            WienerIncrement(0, np.zeros(noise.J)), dt)
-        assert rel_gap(step.u.coeffs, expected) < 1e-13
+        step = imex_em_step(u.coeffs, grid, p, noise, trunc, np.zeros(noise.J), dt)
+        assert rel_gap(step, expected) < 1e-13

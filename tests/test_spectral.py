@@ -17,9 +17,7 @@ from sllbar.grid import (
     eigenvalue_array,
     embed,
     gradient_values,
-    l2_inner,
     lp_norm,
-    project,
     quad_weight,
     random_field,
     sobolev_norm,
@@ -134,39 +132,6 @@ class TestReferenceSeries:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-class TestProjection:
-    def test_cutoff_zeroes_high_modes(self):
-        grid = Grid(1, (np.pi,), (8,))
-        u = random_field(grid, RNG)
-        p = project(u, 4)
-        assert np.abs(p.coeffs[:, 4:]).max() == 0.0
-        assert np.array_equal(p.coeffs[:, :4], u.coeffs[:, :4])
-
-    def test_idempotent(self):
-        grid = Grid(2, (1.0, 1.0), (6, 6))
-        u = random_field(grid, RNG)
-        once = project(u, (3, 4))
-        twice = project(once, (3, 4))
-        assert np.array_equal(once.coeffs, twice.coeffs)
-
-    def test_norm_nonincreasing(self):
-        grid = Grid(1, (np.pi,), (8,))
-        u = random_field(grid, RNG)
-        assert sobolev_norm(project(u, 5), 0) <= sobolev_norm(u, 0) + 1e-15
-
-    def test_self_adjoint(self):
-        grid = Grid(1, (np.pi,), (8,))
-        u, v = random_field(grid, RNG), random_field(grid, RNG)
-        lhs = l2_inner(project(u, 5), v)
-        rhs = l2_inner(u, project(v, 5))
-        assert abs(lhs - rhs) < 1e-12
-
-    def test_cutoff_beyond_modes_rejected(self):
-        grid = Grid(1, (np.pi,), (8,))
-        with pytest.raises(ValueError):
-            project(random_field(grid, RNG), 9)
-
-
 class TestLaplacian:
     def test_single_mode(self):
         grid = Grid(1, (np.pi,), (4,))
@@ -181,13 +146,6 @@ class TestLaplacian:
         c = constant_field(grid, (1.0, 2.0, 3.0))
         assert np.abs(apply_laplacian(c).coeffs).max() == 0.0
         assert np.abs(apply_laplacian(c, 2).coeffs).max() == 0.0
-
-    def test_commutes_with_project(self):
-        grid = Grid(2, (1.0, 2.0), (6, 6))
-        u = random_field(grid, RNG)
-        a = apply_laplacian(project(u, (4, 3)))
-        b = project(apply_laplacian(u), (4, 3))
-        assert np.abs(a.coeffs - b.coeffs).max() < 1e-14
 
 
 class TestGradient:

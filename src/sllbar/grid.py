@@ -25,9 +25,12 @@ Conventions
 Transforms
 ----------
 There is one transform: cached per-axis orthonormal DCT-II / DST-II matrices
-(:func:`_axis_matrices`) applied one axis at a time. A synthesis or analysis
-costs O(M^(d+1)) for ``M`` padded nodes per axis, and the matrices of one
-axis take ``3 M N`` doubles.
+(:func:`_axis_matrices`) applied one axis at a time by :func:`_transform`.
+Each pass contracts the leading spatial axis in one GEMM and appends the
+result as the trailing axis, so after d passes the axes are back in order
+without any transposed copy. A synthesis or analysis costs O(M^(d+1)) for
+``M`` padded nodes per axis, and the matrices of one axis take ``3 M N``
+doubles.
 """
 
 from __future__ import annotations
@@ -142,12 +145,13 @@ def eigenvalue_array(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _axis_matrices(grid: Grid) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per-axis (analysis, synthesis, derivative-synthesis) matrices.
+def _axis_matrices(grid: Grid) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per-axis analysis, synthesis and derivative-synthesis matrices.
 
-    analysis: (N, M) values -> coefficients; synthesis: (M, N) its adjoint;
-    derivative: (M, N) coefficients -> axis derivative at the nodes. The
-    per-axis scale sqrt(L/M) is folded in.
+    Returns three tuples with one matrix per axis. analysis: (N, M) values
+    -> coefficients; synthesis: (M, N) its adjoint; derivative: (M, N)
+    coefficients -> axis derivative at the nodes. The per-axis scale
+    sqrt(L/M) is folded in.
     """
     out = []
     for N, M, L in zip(grid.modes, grid.padded, grid.lengths):
@@ -162,22 +166,38 @@ def _axis_matrices(grid: Grid) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray
         for m in (analysis, synthesis, deriv):
             m.setflags(write=False)
         out.append((analysis, synthesis, deriv))
-    return tuple(out)
+    return tuple(zip(*out))
 
 
-def _apply_axis_matrix(arr: np.ndarray, mat: np.ndarray, ax: int) -> np.ndarray:
-    if 1 + ax == arr.ndim - 1:
-        return arr @ mat.T
-    moved = np.moveaxis(arr, 1 + ax, -1)
-    return np.moveaxis(moved @ mat.T, -1, 1 + ax)
+def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Apply ``mats[i]`` along spatial axis i of a ``(3, ...)`` array.
+
+    The result is C-contiguous. At d=1 a plain product is kept: the cycling
+    pass would round differently there.
+    """
+    if arr.ndim == 2:
+        return arr @ mats[0].T
+    for mat in mats:
+        n, rest = arr.shape[1], arr.shape[2:]
+        arr = np.matmul(arr.reshape(3, n, -1).transpose(0, 2, 1), mat.T)
+        arr = arr.reshape(3, *rest, mat.shape[0])
+    return arr
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two ``(3, ...)`` arrays along the leading axis."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
+    """Cross product of two ``(3, ...)`` arrays of equal shape along axis 0."""
+    if a.shape != b.shape:
+        raise ValueError(f"cross3 shapes differ: {a.shape} vs {b.shape}")
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    out = np.empty(a.shape)
+    o0, o1, o2 = out
+    np.multiply(a1, b2, out=o0)
+    o0 -= a2 * b1
+    np.multiply(a2, b0, out=o1)
+    o1 -= a0 * b2
+    np.multiply(a0, b1, out=o2)
+    o2 -= a1 * b0
     return out
 
 
@@ -195,10 +215,7 @@ def quad_weight(grid: Grid) -> float:
 
 def synthesize(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Raw coefficients ``(3, *modes)`` -> values ``(3, *padded)``."""
-    arr = coeffs
-    for ax, (_, syn, _) in enumerate(_axis_matrices(grid)):
-        arr = _apply_axis_matrix(arr, syn, ax)
-    return np.ascontiguousarray(arr)
+    return _transform(coeffs, _axis_matrices(grid)[1])
 
 
 def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -207,10 +224,7 @@ def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
     The truncation composes the analysis with the Galerkin projection onto
     the retained-mode span.
     """
-    arr = values
-    for ax, (ana, _, _) in enumerate(_axis_matrices(grid)):
-        arr = _apply_axis_matrix(arr, ana, ax)
-    return np.ascontiguousarray(arr)
+    return _transform(values, _axis_matrices(grid)[0])
 
 
 def apply_laplacian(field: SpectralField, power: int = 1) -> SpectralField:
@@ -229,14 +243,9 @@ def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
     component is synthesized with the DST-II derivative matrix along the
     derivative axis and the DCT-II synthesis matrices along the rest.
     """
-    mats = _axis_matrices(grid)
-    out = []
-    for ax in range(grid.dim):
-        arr = coeffs
-        for j, (_, syn, deriv) in enumerate(mats):
-            arr = _apply_axis_matrix(arr, deriv if j == ax else syn, j)
-        out.append(np.ascontiguousarray(arr))
-    return out
+    _, syn, deriv = _axis_matrices(grid)
+    return [_transform(coeffs, syn[:ax] + (deriv[ax],) + syn[ax + 1:])
+            for ax in range(grid.dim)]
 
 
 @lru_cache(maxsize=None)

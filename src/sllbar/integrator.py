@@ -89,6 +89,8 @@ class SolverConfig:
             raise ConfigurationError("substeps must be >= 1")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ConfigurationError("snapshot_every must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed {self.seed} is outside [0, 2**64)")
 
     @property
     def n_steps(self) -> int:

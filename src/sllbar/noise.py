@@ -17,6 +17,7 @@ C_h so configured tail bounds can be checked.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -188,6 +189,7 @@ class WienerIncrement:
 
 
 _STREAM_WIENER = 0x5757  # stream tag keeping Wiener draws apart from other uses
+_PHILOX = threading.local()
 
 
 def sample_increments(seed: int, path: int, step: int, J: int,
@@ -197,17 +199,24 @@ def sample_increments(seed: int, path: int, step: int, J: int,
     The Philox counter is keyed on (path, step); mode j takes the j-th draw
     of that stream, so the value for a given (seed, path, j, step) never
     depends on J or on evaluation order, and parallel schedules cannot
-    change results.
+    change results. Each thread reuses one generator and resets its whole
+    state (key, counter and buffered bits) on every call, which gives the
+    same values as a freshly built ``Generator(Philox(key=seed,
+    counter=[0x5757, path, step, 0]))``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if J == 0:
         return WienerIncrement(step, np.zeros(0))
-    bg = np.random.Philox(
-        key=np.uint64(seed),
-        counter=[_STREAM_WIENER, int(path), int(step), 0],
-    )
-    values = np.random.Generator(bg).standard_normal(J) * math.sqrt(dt)
+    if not hasattr(_PHILOX, "gen"):
+        _PHILOX.gen = np.random.Generator(np.random.Philox(0))
+    _PHILOX.gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [_STREAM_WIENER, int(path), int(step), 0],
+                  "key": [int(seed), 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    values = _PHILOX.gen.standard_normal(J) * math.sqrt(dt)
     return WienerIncrement(step, values)
 
 

@@ -124,6 +124,12 @@ class TestExitCodes:
                             "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
         assert "configuration error: observable.2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    def test_seed_override_outside_uint64(self, cfg_file, tmp_path, capsys, seed):
+        assert run_command(["simulate", "--config", cfg_file, "--output-dir",
+                            str(tmp_path / "o"), "--seed", seed, "--quiet"]) == 2
+        assert "configuration error: seed" in capsys.readouterr().err
+
     def test_nonempty_output_dir_io_error(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

@@ -95,6 +95,16 @@ class TestRejections:
         with pytest.raises(ConfigError, match="solver: t_end"):
             parse_config(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    def test_seed_outside_uint64(self, tmp_path, seed):
+        bad = MINIMAL.replace("t_end = 1.0", f"t_end = 1.0\nseed = {seed}")
+        with pytest.raises(ConfigError, match="solver: seed"):
+            parse_config(write(tmp_path, bad))
+
+    def test_largest_seed_accepted(self, tmp_path):
+        ok = MINIMAL.replace("t_end = 1.0", f"t_end = 1.0\nseed = {2**64 - 1}")
+        assert parse_config(write(tmp_path, ok)).solver.seed == 2**64 - 1
+
     def test_unknown_key(self, tmp_path):
         bad = MINIMAL + "\n[experiment]\nwalkers = 3\n"
         with pytest.raises(ConfigError, match="walkers"):

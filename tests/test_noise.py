@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sllbar.grid import (
     Grid,
@@ -306,6 +308,12 @@ class TestItoCorrection:
         assert np.abs(got - expected).max() < 1e-12
 
 
+def fresh_increments(seed, path, step, J, dt):
+    """The increments of one (seed, path, step) from a newly built generator."""
+    bg = np.random.Philox(key=seed, counter=[0x5757, path, step, 0])
+    return np.random.Generator(bg).standard_normal(J) * math.sqrt(dt)
+
+
 class TestIncrements:
     def test_determinism(self):
         a = sample_increments(11, 2, 345, 5, 0.01)
@@ -358,9 +366,30 @@ class TestIncrements:
         )
         assert np.allclose(coarse.values, fine, rtol=0, atol=0)
 
+    def test_coupling_matches_fresh_generators(self):
+        seed, path, step, J, dt = 2**63 + 5, 3, 11, 5, 0.4
+        ref = np.zeros(J)
+        for i in range(4):
+            ref += fresh_increments(seed, path, 4 * step + i, J, dt / 4)
+        got = coupled_increments(seed, path, step, J, dt, substeps=4).values
+        assert got.tobytes() == ref.tobytes()
+
     def test_variance_preserved_under_coupling(self):
         vals = np.array([
             coupled_increments(9, 0, s, 1, 0.1, substeps=8).values[0]
             for s in range(20000)
         ])
         assert vals.var() == pytest.approx(0.1, rel=0.05)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**32),
+                          st.integers(0, 2**40), st.integers(0, 9),
+                          st.floats(1e-6, 10.0)),
+                min_size=1, max_size=12))
+def test_reused_generator_matches_fresh(calls):
+    """Interleaved calls, odd J included, match fresh generators bitwise, so
+    no key, counter or buffered bits carry over from one call to the next."""
+    for seed, path, step, J, dt in calls:
+        got = sample_increments(seed, path, step, J, dt).values
+        assert got.tobytes() == fresh_increments(seed, path, step, J, dt).tobytes()

@@ -13,6 +13,7 @@ from sllbar.grid import (
     apply_laplacian,
     collocation_points,
     constant_field,
+    cross3,
     eigenmode_field,
     eigenvalue_array,
     embed,
@@ -90,12 +91,11 @@ class TestTransforms:
         assert np.abs(back.coeffs - u.coeffs).max() < 1e-12
 
 
-def cosine_series(grid, coeffs, deriv_axis=None):
-    """Evaluate ``sum_k c_k phi_k`` on the collocation nodes with plain numpy.
+def series_matrices(grid, deriv_axis=None):
+    """Per-axis ``(M_i, N_i)`` node-by-mode tables of the cosine series.
 
     Each axis contributes ``c(k) cos(pi k x / L)``, or its derivative
-    ``-(pi k / L) c(k) sin(pi k x / L)`` on ``deriv_axis``; the axes are
-    combined as separable outer products.
+    ``-(pi k / L) c(k) sin(pi k x / L)`` on ``deriv_axis``.
     """
     mats = []
     for ax, (N, L, x) in enumerate(zip(grid.modes, grid.lengths,
@@ -107,29 +107,78 @@ def cosine_series(grid, coeffs, deriv_axis=None):
             mats.append(-(np.pi * k / L) * c * np.sin(arg))
         else:
             mats.append(c * np.cos(arg))
+    return mats
+
+
+def _series_spec(grid):
+    """einsum labels: coefficients, node values, and the per-axis tables."""
     modes, nodes = "abc"[: grid.dim], "pqr"[: grid.dim]
-    spec = ",".join(["z" + modes] + [n + m for n, m in zip(nodes, modes)])
-    return np.einsum(f"{spec}->z{nodes}", coeffs, *mats)
+    return "z" + modes, "z" + nodes, ",".join(n + m for n, m in zip(nodes, modes))
+
+
+def cosine_series(grid, coeffs, deriv_axis=None):
+    """Evaluate ``sum_k c_k phi_k`` on the collocation nodes with plain numpy,
+    combining the per-axis tables as separable outer products."""
+    zm, zn, tables = _series_spec(grid)
+    return np.einsum(f"{zm},{tables}->{zn}", coeffs,
+                     *series_matrices(grid, deriv_axis))
+
+
+def quadrature_adjoint(grid, values):
+    """``w * sum_x v(x) phi_k(x)`` for every retained k: the same einsum as
+    :func:`cosine_series`, contracted over the nodes instead of the modes."""
+    zm, zn, tables = _series_spec(grid)
+    return quad_weight(grid) * np.einsum(f"{zn},{tables}->{zm}", values,
+                                         *series_matrices(grid))
 
 
 class TestReferenceSeries:
-    """The transform matrices against the directly summed cosine series."""
+    """The transform matrices against the directly summed cosine series.
 
-    GRIDS = [Grid(1, (np.pi,), (80,)), Grid(2, (np.pi, 2.0), (33, 40))]
+    The d=3 grid has unequal N_i and, at pad_factor 1.5, padded sizes
+    (8, 5, 6) that are neither 2 N_i nor equal to each other, so an axis
+    mixed up by a transform pass changes the result.
+    """
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=["d1_N80", "d2_N33x40"])
+    GRIDS = [Grid(1, (np.pi,), (80,)), Grid(2, (np.pi, 2.0), (33, 40)),
+             Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4), pad_factor=1.5)]
+    IDS = ["d1_N80", "d2_N33x40", "d3_N5x3x4_pad1.5"]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     def test_synthesize(self, grid):
         u = random_field(grid, np.random.default_rng(7))
         ref = cosine_series(grid, u.coeffs)
         got = synthesize(grid, u.coeffs)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=["d1_N80", "d2_N33x40"])
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     def test_gradient(self, grid):
         u = random_field(grid, np.random.default_rng(8))
         for ax, got in enumerate(gradient_values(grid, u.coeffs)):
             ref = cosine_series(grid, u.coeffs, deriv_axis=ax)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_analyze(self, grid):
+        values = np.random.default_rng(9).standard_normal((3, *grid.padded))
+        ref = quadrature_adjoint(grid, values)
+        got = analyze(grid, values)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestCross3:
+    @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 4, 3)],
+                             ids=["d1", "d2", "d3"])
+    def test_matches_numpy_cross(self, shape):
+        rng = np.random.default_rng(10)
+        a, b = rng.standard_normal((2, 3, *shape))
+        assert np.array_equal(cross3(a, b), np.cross(a, b, axis=0))
+
+    @pytest.mark.parametrize("shape_b", [(3, 1), (3, 8, 1), (3,)],
+                             ids=["broadcastable", "extra_axis", "bare_vector"])
+    def test_mismatched_shapes_rejected(self, shape_b):
+        with pytest.raises(ValueError, match="cross3 shapes differ"):
+            cross3(np.ones((3, 8)), np.ones(shape_b))
 
 
 class TestLaplacian:

@@ -9,7 +9,8 @@ Subcommands::
     sllbar check     --config run.cfg --output-dir out/   identity suite + noise condition
 
 Exit codes: 0 success, 2 configuration error, 3 fatal blow-up inside a
-study, 4 I/O error. For ``simulate`` a blow-up stop is data, not an error.
+study (``BlowupAbort``), 4 I/O error. For ``simulate`` a blow-up stop is
+data, not an error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .ensemble import (
     tightness_statistic,
 )
 from .grid import random_field
-from .integrator import ConfigurationError, run_trajectory
+from .integrator import BlowupAbort, ConfigurationError, run_trajectory
 from .io import (
     report_skeleton,
     write_ensemble_csv,
@@ -50,10 +51,6 @@ from .io import (
     write_trajectory_csv,
 )
 from .noise import NoiseModel, check_noise_condition
-
-
-class BlowupAbort(RuntimeError):
-    """A study that needs the full horizon lost paths to early stops."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,14 +98,10 @@ def _stop_events(reasons, times) -> list[dict]:
 
 
 def _run_paths(cfg: RunConfig) -> EnsembleStats:
-    """The configured ensemble; a study that loses paths is a blow-up abort."""
     exp = cfg.experiment
-    try:
-        return run_ensemble(cfg.build_initial(), cfg.params, cfg.build_noise(),
-                            cfg.solver, exp.ensemble_m,
-                            observables=exp.observables, workers=exp.workers)
-    except RuntimeError as exc:
-        raise BlowupAbort(str(exc)) from exc
+    return run_ensemble(cfg.build_initial(), cfg.params, cfg.build_noise(),
+                        cfg.solver, exp.ensemble_m,
+                        observables=exp.observables, workers=exp.workers)
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
@@ -193,13 +186,8 @@ def _cmd_converge(cfg: RunConfig, out: Path, quiet: bool) -> int:
     halvings = exp.dt_halvings
     noise = cfg.build_noise()
     u0 = cfg.build_initial()
-    try:
-        diffs = strong_convergence_gaps(
-            u0, cfg.params, noise, cfg.solver, halvings=halvings,
-            paths=exp.ensemble_m,
-        )
-    except RuntimeError as exc:
-        raise BlowupAbort(str(exc)) from exc
+    diffs = strong_convergence_gaps(u0, cfg.params, noise, cfg.solver,
+                                    halvings=halvings, paths=exp.ensemble_m)
     report["dt_study"] = {
         "dts": [cfg.solver.dt / 2**k for k in range(halvings)],
         "mean_l2_gap_to_next_level": diffs,

@@ -75,6 +75,13 @@ class ExperimentConfig:
             raise ValueError("workers: must be >= 1")
         if any(len(w) != 2 or w[0] >= w[1] for w in self.windows or ()):
             raise ValueError("windows: each window must be t0:t1 with t0 < t1")
+        if self.dt_halvings < 0:
+            raise ValueError("dt_halvings: must be >= 0")
+        # 0 < first level < second level < ...
+        levels = tuple(self.refine_levels)
+        if any(a >= b for a, b in zip((0,) + levels, levels)):
+            raise ValueError(
+                "refine_levels: must be strictly increasing mode counts >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,15 @@ def build_initial(spec: dict, grid: Grid) -> SpectralField:
     raise ConfigError(f"initial.type: unknown type {kind!r}")
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split(","))
+    return tuple(_float(x) for x in raw.split(","))
 
 
 def _ints(raw: str) -> tuple[int, ...]:
@@ -169,14 +183,16 @@ def _ints(raw: str) -> tuple[int, ...]:
 
 
 def _windows(raw: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in part.split(":")) for part in raw.split(","))
+    return tuple(tuple(_float(x) for x in part.split(":")) for part in raw.split(","))
 
 
-# what a converter's ValueError says about the raw text
+# what a converter's ValueError says about the raw text; every number but
+# blowup_k (whose default is inf) must be finite
 _BAD_VALUE = {
     float: "not a number:",
+    _float: "not a finite number:",
     int: "not an integer:",
-    _floats: "not a number list:",
+    _floats: "not a finite number list:",
     _ints: "not an integer list:",
     _windows: "bad window list",
 }
@@ -259,8 +275,10 @@ def parse_config(path: str) -> RunConfig:
             lengths = lengths * dim
         if len(modes) == 1:
             modes = modes * dim
+    # convert before each try, whose handler would re-prefix a converter error
+    optional = sec.given(pad_factor=_float)
     try:
-        grid = Grid(dim, lengths, modes, **sec.given(pad_factor=float))
+        grid = Grid(dim, lengths, modes, **optional)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -268,7 +286,7 @@ def parse_config(path: str) -> RunConfig:
     if not parser.has_section("params"):
         raise ConfigError("params: missing section")
     sec = _Section(parser, "params", _SECTION_KEYS["params"])
-    betas = {f.name: sec.get(f.name, float, required=True) for f in fields(ModelParams)}
+    betas = {f.name: sec.get(f.name, _float, required=True) for f in fields(ModelParams)}
     try:
         params = ModelParams(**betas)
     except ValueError as exc:
@@ -276,8 +294,9 @@ def parse_config(path: str) -> RunConfig:
 
     # truncation; the radius is ignored while the cutoff is off
     sec = _Section(parser, "truncation", _SECTION_KEYS["truncation"])
+    optional = sec.given(mode=str.strip, radius=_float)
     try:
-        trunc = TruncationConfig(**sec.given(mode=str.strip, radius=float))
+        trunc = TruncationConfig(**optional)
     except ValueError as exc:
         raise ConfigError(f"truncation.{exc}") from exc
     if trunc.mode == "off":
@@ -293,8 +312,8 @@ def parse_config(path: str) -> RunConfig:
         optional["blowup_K"] = optional.pop("blowup_k")
     try:
         solver = SolverConfig(
-            dt=sec.get("dt", float, required=True),
-            t_end=sec.get("t_end", float, required=True),
+            dt=sec.get("dt", _float, required=True),
+            t_end=sec.get("t_end", _float, required=True),
             truncation=trunc,
             **optional,
         )
@@ -305,7 +324,7 @@ def parse_config(path: str) -> RunConfig:
     sec = _Section(parser, "noise", _SECTION_KEYS["noise"])
     family = sec.get("family", default="none")
     noise_spec: dict = {"family": family,
-                        **sec.given(c_h_bound=float, tail_estimate=float)}
+                        **sec.given(c_h_bound=_float, tail_estimate=_float)}
     mode_sections = _numbered_sections(parser, "noise.mode.")
     if family == "none":
         if mode_sections:
@@ -317,7 +336,7 @@ def parse_config(path: str) -> RunConfig:
         for name in mode_sections:
             msec = _Section(parser, name, _NOISE_MODE_KEYS)
             modes_list.append({
-                "sigma": msec.get("sigma", float, required=True),
+                "sigma": msec.get("sigma", _float, required=True),
                 "index": msec.get("index", _ints, required=True),
                 "direction": msec.get("direction", _floats, required=True),
             })
@@ -370,8 +389,8 @@ def parse_config(path: str) -> RunConfig:
     observables = []
     for name in _numbered_sections(parser, "observable."):
         osec = _Section(parser, name, _OBSERVABLE_KEYS)
-        optional = osec.given(index=_ints, component=int, scale=float,
-                              space=str.strip, cap=float)
+        optional = osec.given(index=_ints, component=int, scale=_float,
+                              space=str.strip, cap=_float)
         if "index" in optional:
             optional["mode_index"] = optional.pop("index")
         try:
@@ -381,15 +400,24 @@ def parse_config(path: str) -> RunConfig:
             observables.append(obs)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
+    optional = sec.given(ensemble_m=int, burn_in=_float, windows=_windows,
+                         tightness_r=_floats, moment_powers=_floats, workers=int,
+                         dt_halvings=int, refine_levels=_ints)
     try:
-        experiment = ExperimentConfig(
-            observables=tuple(observables),
-            **sec.given(ensemble_m=int, burn_in=float, windows=_windows,
-                        tightness_r=_floats, moment_powers=_floats, workers=int,
-                        dt_halvings=int, refine_levels=_ints),
-        )
+        experiment = ExperimentConfig(observables=tuple(observables), **optional)
     except ValueError as exc:
         raise ConfigError(f"experiment.{exc}") from exc
+    # converge builds both on every refine level; fail here, not after its dt study
+    if experiment.refine_levels:
+        coarse = grid.with_modes((experiment.refine_levels[0],) * dim)
+        try:
+            build_noise_modes(noise_spec, coarse)
+            if itype != "snapshot":
+                build_initial(initial_spec, coarse)
+        except ValueError as exc:
+            raise ConfigError(
+                f"experiment.refine_levels: level {coarse.modes[0]}: {exc}"
+            ) from exc
 
     return RunConfig(
         grid=grid,

@@ -34,6 +34,7 @@ from .grid import (
 )
 from .integrator import (
     STOP_COMPLETED,
+    BlowupAbort,
     SolverConfig,
     TrajectoryRecord,
     run_trajectory,
@@ -257,7 +258,7 @@ def strong_convergence_gaps(u0: SpectralField, params: ModelParams,
                           record_every=10**9, snapshot_every=None)
             rec = run_trajectory(u0, params, noise, cfg, path=path)
             if rec.stop_reason != STOP_COMPLETED:
-                raise RuntimeError(
+                raise BlowupAbort(
                     f"path {path} at dt={cfg.dt:g} stopped early: {rec.stop_reason}"
                 )
             finals.append(rec.final)
@@ -291,8 +292,8 @@ def refinement_gap(u0_builder: Callable[[Grid], SpectralField],
                            path=path)
         )
     coarse, fine = records
-    if len(coarse.snapshot_steps) != len(fine.snapshot_steps):
-        raise ValueError("runs stopped at different times; cannot compare")
+    if coarse.stop_time != fine.stop_time:
+        raise BlowupAbort("runs stopped at different times; cannot compare")
     fine_grid = fine.grid
     for cs, fs in zip(coarse.snapshots, fine.snapshots):
         cf = embed(SpectralField(coarse.grid, cs), fine_grid)

@@ -22,6 +22,7 @@ import numpy as np
 from .grid import SpectralField, check_mode_index, sobolev_norm
 from .integrator import (
     STOP_COMPLETED,
+    BlowupAbort,
     ConfigurationError,
     SolverConfig,
     TrajectoryRecord,
@@ -142,10 +143,10 @@ def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
 
     Any worker count yields the same statistics bitwise; records are
     aggregated in path order. The pool holds at most
-    ``min(workers, M, os.cpu_count())`` processes. Early-stopped paths are kept and reported
-    through ``stop_reasons`` / ``blowup_count``; their recorded series must
-    share the common sample grid, so a path that stops early raises unless
-    every path stops at the same time.
+    ``min(workers, M, os.cpu_count())`` processes. Early-stopped paths are
+    kept and reported through ``stop_reasons`` / ``blowup_count``; their
+    recorded series must share one sample grid, so :class:`BlowupAbort` is
+    raised unless every path stops at the same time.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -158,10 +159,9 @@ def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, jobs))
 
-    lengths = {len(r.times) for r in records}
-    if len(lengths) != 1:
+    if len({r.stop_time for r in records}) != 1:
         bad = [p for p, r in enumerate(records) if r.stop_reason != STOP_COMPLETED]
-        raise RuntimeError(
+        raise BlowupAbort(
             f"paths stopped on different sample grids (early stops at paths {bad})"
         )
     times = records[0].times

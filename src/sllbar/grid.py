@@ -123,9 +123,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
 
 def _check_same_grid(a: Grid, b: Grid):
     if a != b:

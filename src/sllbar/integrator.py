@@ -17,8 +17,12 @@ diffusion fields G_j are assembled in one place, :func:`_explicit_parts`,
 which both schemes call; :func:`sllbar.model.drift_terms` is a term-by-term
 view of the same arrays.
 
-A trajectory stops at ``t_end``, on the first step whose H^1 norm exceeds
-``blowup_K`` (the discrete stopping time), or on a nonfinite state.
+:func:`run_trajectory` decides the discrete stopping time tau in one loop.
+The H^1 norm is checked against ``blowup_K`` at every step from t = 0, the
+nonfinite check starts at step 1, and the run otherwise stops at ``t_end``.
+The stop sample u(tau) is always recorded, on or off the ``record_every``
+grid. A study that needs every path to reach ``t_end`` raises
+:class:`BlowupAbort` when one does not.
 """
 
 from __future__ import annotations
@@ -58,6 +62,10 @@ STOP_BLOWUP = "blowup_K"
 STOP_NONFINITE = "nonfinite"
 
 
+class BlowupAbort(RuntimeError):
+    """A study that needs the full horizon lost paths to early stops."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -71,18 +79,18 @@ class SolverConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        if self.t_end <= 0 or self.dt >= self.t_end:
-            raise ConfigurationError("t_end must exceed dt")
+        if not 0 < self.dt < np.inf:
+            raise ConfigurationError("dt must be positive and finite")
+        if not self.dt < self.t_end < np.inf:
+            raise ConfigurationError("t_end must be finite and exceed dt")
         if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
             raise ConfigurationError(
                 f"t_end {self.t_end} is not a whole number of dt {self.dt} steps"
             )
         if self.scheme not in ("imex_em_ito", "heun_strat"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if self.blowup_K <= 0:
-            raise ConfigurationError("blowup_K must be positive")
+        if not self.blowup_K > 0:  # NaN fails too; inf disables the stop
+            raise ConfigurationError("blowup_K must be positive or inf")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
         if self.substeps < 1:
@@ -117,10 +125,6 @@ class TrajectoryRecord:
     obs: dict[str, np.ndarray] = dc_field(default_factory=dict)
     snapshot_steps: np.ndarray | None = None
     snapshots: np.ndarray | None = None
-
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
 
 
 def linear_factor(lam, dt: float, params: ModelParams):
@@ -231,10 +235,13 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
                    observables=()) -> TrajectoryRecord:
     """Step from u0 to t_end (or an earlier stop), recording sampled norms.
 
-    Blow-up is monitored every step against the H^1 norm; the recorded stop
-    time is the first step time at which the threshold is exceeded.
-    Configuration problems (implicit denominator too small) surface before
-    any stepping. Identical inputs give bitwise-identical records.
+    This loop is the one place where the stopping step is decided. At each
+    step m, from 0, it sets the stop reason (nonfinite, from step 1; then
+    H^1 norm above ``blowup_K``; then ``m == n_steps``), records when m is
+    on the ``record_every`` grid or a stop was just set, snapshots on the
+    ``snapshot_every`` grid, and then stops or steps. Configuration problems
+    (implicit denominator too small) surface before any stepping. Identical
+    inputs give bitwise-identical records.
     """
     grid = u0.grid
     if noise.grid != grid:
@@ -255,73 +262,42 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     snaps: list[np.ndarray] = []
 
     u = u0.copy()
-    stop_reason = STOP_COMPLETED
-    stop_time = n_steps * dt
-
-    def record(v: SpectralField, t: float):
-        times.append(t)
-        norm_rows.append(_sample_norms(v))
-        if observables:
-            obs_rows.append([float(psi(v)) for psi in observables])
-
-    def snapshot(v: SpectralField, m: int):
+    stop_reason = None
+    m = 0
+    while True:
+        if m and not np.isfinite(u.coeffs).all():
+            stop_reason = STOP_NONFINITE
+        elif sobolev_norm(u, 1) > config.blowup_K:
+            stop_reason = STOP_BLOWUP
+        elif m == n_steps:
+            stop_reason = STOP_COMPLETED
+        if m % config.record_every == 0 or stop_reason:
+            times.append(m * dt)  # m * dt avoids accumulated rounding
+            norm_rows.append(_sample_norms(u))
+            obs_rows.append([float(psi(u)) for psi in observables])
         if config.snapshot_every is not None and m % config.snapshot_every == 0:
             snap_steps.append(m)
-            snaps.append(v.coeffs.copy())
-
-    record(u, 0.0)
-    snapshot(u, 0)
-
-    if sobolev_norm(u, 1) > config.blowup_K:
-        stop_reason = STOP_BLOWUP
-        stop_time = 0.0
-        n_steps = 0
-
-    m = 0
-    while m < n_steps:
+            snaps.append(u.coeffs.copy())
+        if stop_reason:
+            break
         inc = coupled_increments(config.seed, path, m, noise.J, dt, config.substeps)
         u = SpectralField(grid, stepper(u.coeffs, grid, params, noise,
                                         config.truncation, inc.values, dt))
         m += 1
-        t = m * dt  # avoid accumulated rounding in recorded times
-
-        if not np.isfinite(u.coeffs).all():
-            stop_reason = STOP_NONFINITE
-            stop_time = t
-            record(u, t)
-            snapshot(u, m)
-            break
-
-        recorded = False
-        if m % config.record_every == 0 or m == n_steps:
-            record(u, t)
-            recorded = True
-        snapshot(u, m)
-
-        if sobolev_norm(u, 1) > config.blowup_K:
-            stop_reason = STOP_BLOWUP
-            stop_time = t
-            if not recorded:
-                record(u, t)
-            break
 
     norms_arr = np.asarray(norm_rows)
-    norms = {key: norms_arr[:, i].copy() for i, key in enumerate(NORM_KEYS)}
-    obs = {}
-    if observables:
-        obs_arr = np.asarray(obs_rows)
-        obs = {psi.name: obs_arr[:, i].copy() for i, psi in enumerate(observables)}
+    obs_arr = np.asarray(obs_rows)
     return TrajectoryRecord(
         grid=grid,
         times=np.asarray(times),
-        norms=norms,
+        norms={key: norms_arr[:, i].copy() for i, key in enumerate(NORM_KEYS)},
         stop_reason=stop_reason,
-        stop_time=float(stop_time),
+        stop_time=float(m * dt),
         final=u,
         config=config,
         path=path,
         J=noise.J,
-        obs=obs,
+        obs={psi.name: obs_arr[:, i].copy() for i, psi in enumerate(observables)},
         snapshot_steps=np.asarray(snap_steps) if snaps else None,
         snapshots=np.asarray(snaps) if snaps else None,
     )

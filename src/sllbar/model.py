@@ -36,7 +36,7 @@ from .grid import (
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coefficients b1..b5; b1 may take either sign, b2..b5 must be positive."""
+    """Finite coefficients b1..b5; b1 may take either sign, b2..b5 are > 0."""
 
     beta1: float
     beta2: float
@@ -45,9 +45,11 @@ class ModelParams:
     beta5: float
 
     def __post_init__(self):
-        for name in ("beta2", "beta3", "beta4", "beta5"):
+        for name in ("beta1", "beta2", "beta3", "beta4", "beta5"):
             value = getattr(self, name)
-            if value <= 0:
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
+            if value <= 0 and name != "beta1":
                 raise ValueError(f"{name}: must be positive, got {value}")
 
 

@@ -225,3 +225,92 @@ class TestConverge:
         gaps = report["dt_study"]["mean_l2_gap_to_next_level"]
         assert len(gaps) == 2 and gaps[0] > gaps[1]
         assert "4->8" in report["refinement_gaps"]
+
+
+def run_text(tmp_path, command, text):
+    f = tmp_path / "run.cfg"
+    f.write_text(text)
+    out = tmp_path / "out"
+    return run_command([command, "--config", str(f), "--output-dir", str(out),
+                        "--quiet"]), out
+
+
+MODE_6 = "type = modes\n\n[initial.mode.1]\nindex = 6\namplitude = 0.1, 0, 0"
+
+
+class TestConvergeConfigChecks:
+    """A converge study that cannot run is a configuration error before any
+    stepping, not a traceback after the dt study."""
+
+    @pytest.mark.parametrize("old,new", [
+        ("refine_levels = 4, 8", "refine_levels = 16, 8"),
+        ("refine_levels = 4, 8", "refine_levels = 0, 16"),
+        ("refine_levels = 4, 8", "refine_levels = 8, 8"),
+        ("dt_halvings = 2", "dt_halvings = -1"),
+    ], ids=["decreasing", "zero", "repeated", "negative_halvings"])
+    def test_bad_study_exits_2(self, tmp_path, capsys, old, new):
+        code, out = run_text(tmp_path, "converge",
+                             BASE.replace("modes = 8", "modes = 16").replace(old, new))
+        assert code == 2
+        assert "configuration error: experiment." in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_initial_mode_outside_coarsest_level(self, tmp_path, capsys):
+        text = (BASE.replace("modes = 8", "modes = 16")
+                .replace("refine_levels = 4, 8", "refine_levels = 4, 16")
+                .replace("type = constant\nvector = 0.2, 0, 0", MODE_6))
+        code, out = run_text(tmp_path, "converge", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: experiment.refine_levels: level 4: mode index 6" in err
+
+    def test_noise_mode_outside_coarsest_level(self, tmp_path, capsys):
+        text = BASE.replace("refine_levels = 4, 8", "refine_levels = 2, 8")
+        assert run_text(tmp_path, "converge", text)[0] == 2
+        assert "experiment.refine_levels: level 2:" in capsys.readouterr().err
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("old,new,message", [
+        ("seed = 7", "seed = 7\nblowup_k = nan", "solver: blowup_K"),
+        ("beta2 = 1.0", "beta2 = nan", "params.beta2: not a finite number"),
+        ("t_end = 0.5", "t_end = inf", "solver.t_end: not a finite number"),
+        ("dt = 0.01", "dt = nan", "solver.dt: not a finite number"),
+    ], ids=["blowup_k_nan", "beta2_nan", "t_end_inf", "dt_nan"])
+    def test_simulate_exits_2(self, tmp_path, capsys, old, new, message):
+        assert run_text(tmp_path, "simulate", BASE.replace(old, new))[0] == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+    def test_blowup_k_inf_runs(self, tmp_path):
+        code, out = run_text(tmp_path, "simulate",
+                             BASE.replace("seed = 7", "seed = 7\nblowup_k = inf"))
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["stop_events"][0]["stop_reason"] == "completed"
+
+
+class TestAbortIsOnlyBlowup:
+    def test_broken_worker_pool_is_not_a_blowup(self, tmp_path, monkeypatch):
+        """A crashed pool propagates instead of exiting 3 as a blow-up."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        import sllbar.ensemble as ens
+
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                raise BrokenProcessPool("worker died")
+
+        monkeypatch.setattr(ens, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(ens.os, "cpu_count", lambda: 2)
+        text = BASE.replace("ensemble_m = 3", "ensemble_m = 3\nworkers = 2")
+        with pytest.raises(BrokenProcessPool):
+            run_text(tmp_path, "ensemble", text)

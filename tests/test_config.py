@@ -11,7 +11,8 @@ from sllbar.cli import run_command
 from sllbar.config import ConfigError, ExperimentConfig, parse_config
 from sllbar.ensemble import Observable
 from sllbar.grid import Grid, sobolev_norm
-from sllbar.integrator import SolverConfig
+from sllbar.integrator import ConfigurationError, SolverConfig
+from sllbar.model import ModelParams
 
 MINIMAL = """
 [grid]
@@ -165,6 +166,11 @@ class TestExperimentChecks:
         ({"workers": 0}, "workers"),
         ({"windows": ((0.5, 0.25),)}, "windows"),
         ({"windows": ((0.1, 0.2, 0.3),)}, "windows"),
+        ({"dt_halvings": -1}, "dt_halvings"),
+        ({"refine_levels": (16, 8)}, "refine_levels"),
+        ({"refine_levels": (8, 8)}, "refine_levels"),
+        ({"refine_levels": (0, 16)}, "refine_levels"),
+        ({"refine_levels": (-4,)}, "refine_levels"),
     ])
     def test_library_rejects(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
@@ -174,6 +180,102 @@ class TestExperimentChecks:
         bad = MINIMAL + "\n[experiment]\nensemble_m = 0\n"
         with pytest.raises(ConfigError, match="^experiment.ensemble_m: must be >= 1$"):
             parse_config(write(tmp_path, bad))
+
+
+    def test_study_accepted(self):
+        exp = ExperimentConfig(dt_halvings=0, refine_levels=(1, 2, 64))
+        assert exp.refine_levels == (1, 2, 64)
+
+
+STUDY = MINIMAL + """
+[experiment]
+refine_levels = 4, 8
+"""
+
+
+class TestRefineLevelsBuild:
+    """The noise and the initial data are built on the coarsest refine level
+    at parse time, so converge fails before stepping."""
+
+    def test_initial_mode_outside_coarsest(self, tmp_path):
+        text = STUDY.replace("type = constant\nvector = 0.5, 0, 0",
+                             "type = modes\n[initial.mode.1]\nindex = 6\n"
+                             "amplitude = 0.1, 0, 0")
+        with pytest.raises(ConfigError, match="^experiment.refine_levels: level 4: "
+                                              "mode index 6"):
+            parse_config(write(tmp_path, text))
+
+    def test_noise_mode_outside_coarsest(self, tmp_path):
+        text = STUDY + """
+[noise]
+family = eigenmode
+
+[noise.mode.1]
+sigma = 0.1
+index = 5
+direction = 1, 0, 0
+"""
+        with pytest.raises(ConfigError, match="^experiment.refine_levels: level 4:"):
+            parse_config(write(tmp_path, text))
+
+    def test_fitting_study_accepted(self, tmp_path):
+        text = STUDY.replace("type = constant\nvector = 0.5, 0, 0",
+                             "type = modes\n[initial.mode.1]\nindex = 3\n"
+                             "amplitude = 0.1, 0, 0")
+        assert parse_config(write(tmp_path, text)).experiment.refine_levels == (4, 8)
+
+
+class TestNonFinite:
+    """NaN is rejected everywhere; inf everywhere except blowup_k."""
+
+    CASES = [
+        ("beta1 = 1.0", "beta1 = -inf", "params.beta1"),
+        ("beta2 = 1.0", "beta2 = nan", "params.beta2"),
+        ("dt = 0.01", "dt = nan", "solver.dt"),
+        ("t_end = 1.0", "t_end = inf", "solver.t_end"),
+        ("lengths = 3.141592653589793", "lengths = inf", "grid.lengths"),
+        ("modes = 8", "modes = 8\npad_factor = nan", "grid.pad_factor"),
+        ("vector = 0.5, 0, 0", "vector = 0.5, nan, 0", "initial.vector"),
+        ("t_end = 1.0", "t_end = 1.0\n[truncation]\nmode = on\nradius = inf",
+         "truncation.radius"),
+        ("t_end = 1.0", "t_end = 1.0\n[experiment]\nburn_in = nan",
+         "experiment.burn_in"),
+        ("t_end = 1.0", "t_end = 1.0\n[experiment]\nwindows = 0:inf",
+         "experiment.windows"),
+        ("t_end = 1.0", "t_end = 1.0\n[experiment]\ntightness_r = 1, nan",
+         "experiment.tightness_r"),
+        ("t_end = 1.0", "t_end = 1.0\n[observable.1]\nkind = clip_norm\ncap = inf",
+         "observable.1.cap"),
+    ]
+
+    @pytest.mark.parametrize("old,new,where", CASES, ids=[c[2] for c in CASES])
+    def test_rejected(self, tmp_path, old, new, where):
+        with pytest.raises(ConfigError, match=f"^{where}: (not a finite number|bad window list)"):
+            parse_config(write(tmp_path, MINIMAL.replace(old, new)))
+
+    def test_blowup_k_nan_rejected(self, tmp_path):
+        bad = MINIMAL.replace("t_end = 1.0", "t_end = 1.0\nblowup_k = nan")
+        with pytest.raises(ConfigError, match="^solver: blowup_K must be positive"):
+            parse_config(write(tmp_path, bad))
+
+    def test_blowup_k_inf_accepted(self, tmp_path):
+        ok = MINIMAL.replace("t_end = 1.0", "t_end = 1.0\nblowup_k = inf")
+        assert parse_config(write(tmp_path, ok)).solver.blowup_K == math.inf
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": math.nan}, {"dt": math.inf}, {"t_end": math.nan},
+        {"t_end": math.inf}, {"blowup_K": math.nan},
+    ], ids=["dt_nan", "dt_inf", "t_end_nan", "t_end_inf", "blowup_K_nan"])
+    def test_solver_config_library(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            SolverConfig(**{"dt": 0.01, "t_end": 1.0, **kwargs})
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "beta5"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_model_params_library(self, name, value):
+        betas = {f"beta{i}": 1.0 for i in range(1, 6)}
+        with pytest.raises(ValueError, match=f"^{name}: must be finite"):
+            ModelParams(**{**betas, name: value})
 
 
 # windows, an observable mode index and a radius that mode = off ignores

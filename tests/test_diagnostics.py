@@ -13,6 +13,7 @@ from sllbar.diagnostics import (
     identity_cubic_gradient,
     identity_cubic_ibp,
     refinement_gap,
+    strong_convergence_gaps,
     weak_form_residual,
 )
 from sllbar.grid import (
@@ -27,7 +28,7 @@ from sllbar.grid import (
     synthesize,
     zero_field,
 )
-from sllbar.integrator import SolverConfig, run_trajectory
+from sllbar.integrator import BlowupAbort, SolverConfig, run_trajectory
 from sllbar.model import ModelParams, TruncationConfig, theta_R
 from sllbar.noise import NoiseModel, build_noise_modes
 
@@ -319,6 +320,24 @@ class TestRefinementGap:
             refinement_gap(lambda g: zero_field(g), p,
                            lambda g: NoiseModel.empty(g), cfg, box, 8, 8)
 
+    def test_fine_grid_blowup_aborts(self):
+        """A top-mode datum is rougher on the fine grid: with blowup_K between
+        the two H^1 norms only the fine run stops (at t = 0), and the pair
+        cannot be compared."""
+        p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
+        box = Grid(1, (np.pi,), (4,))
+
+        def top_mode(g):
+            return eigenmode_field(g, (g.modes[0] - 1,), (0.1, 0.0, 0.0))
+
+        h1 = [sobolev_norm(top_mode(box.with_modes((n,))), 1) for n in (4, 8)]
+        cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2,
+                           blowup_K=math.sqrt(h1[0] * h1[1]))
+        assert issubclass(BlowupAbort, RuntimeError)
+        with pytest.raises(BlowupAbort, match="different times"):
+            refinement_gap(top_mode, p, lambda g: NoiseModel.empty(g), cfg,
+                           box, 4, 8)
+
     def test_noise_not_representable_on_coarse(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
         box = Grid(1, (np.pi,), (8,))
@@ -331,3 +350,12 @@ class TestRefinementGap:
                 lambda g: zero_field(g), p,
                 lambda g: build_noise_modes(spec, g), cfg, box, 4, 8,
             )
+
+
+class TestStrongConvergenceGaps:
+    def test_early_stop_aborts(self):
+        u0 = eigenmode_field(G8, (2,), (1.0, 0.0, 0.0))
+        cfg = SolverConfig(dt=0.01, t_end=0.1, blowup_K=0.5)
+        with pytest.raises(BlowupAbort, match="stopped early: blowup_K"):
+            strong_convergence_gaps(u0, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0),
+                                    small_noise(G8), cfg, halvings=1, paths=1)

@@ -15,7 +15,7 @@ from sllbar.ensemble import (
     tightness_statistic,
 )
 from sllbar.grid import Grid, constant_field, eigenmode_field, zero_field
-from sllbar.integrator import SolverConfig
+from sllbar.integrator import BlowupAbort, SolverConfig
 from sllbar.model import ModelParams
 from sllbar.noise import NoiseModel, build_noise_modes
 
@@ -184,6 +184,15 @@ class TestRunEnsemble:
         stats = run_ensemble(u0, full_params(), small_noise(G8), cfg, 3)
         assert stats.blowup_count == 3
         assert stats.stop_reasons == ["blowup_K"] * 3
+
+    def test_paths_stopping_at_different_times_abort(self):
+        """Each path has two samples (t = 0 and its stop), but the stop
+        times differ, so the series share no sample grid."""
+        u0 = eigenmode_field(G8, (1,), (0.5, 0.0, 0.0))
+        p = ModelParams(-3.0, 0.1, TINY, TINY, TINY)  # beta1 < 0: growth
+        cfg = self.config(blowup_K=1.2, record_every=20)
+        with pytest.raises(BlowupAbort, match="different sample grids"):
+            run_ensemble(u0, p, small_noise(G8, sigma=0.5), cfg, 4)
 
 
 class TestMoments:

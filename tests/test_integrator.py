@@ -1,15 +1,18 @@
 """Time stepping: schemes, stopping, recording, determinism, convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sllbar.grid import (
     Grid,
+    SpectralField,
     constant_field,
     eigenmode_field,
     random_field,
+    sobolev_norm,
     synthesize,
 )
 from sllbar.integrator import (
@@ -21,7 +24,12 @@ from sllbar.integrator import (
     run_trajectory,
 )
 from sllbar.model import ModelParams, TruncationConfig
-from sllbar.noise import NoiseModel, build_noise_modes, sample_increments
+from sllbar.noise import (
+    NoiseModel,
+    build_noise_modes,
+    coupled_increments,
+    sample_increments,
+)
 
 RNG = np.random.default_rng(123)
 TINY = 1e-300  # effectively disables a nonlinear term while staying positive
@@ -290,3 +298,110 @@ class TestRunTrajectory:
         rec = run_trajectory(constant_field(G4, (0.5, 0, 0)), linear_params(),
                              NoiseModel.empty(G4), cfg)
         assert len(rec.times) == n + 1
+
+
+def reference_record(u0, params, noise, cfg, path=0):
+    """What run_trajectory must return, computed the long way round.
+
+    Steps the whole horizon first, then reads off tau (the first step that
+    is nonfinite, from step 1, or whose H^1 norm exceeds blowup_K; else
+    n_steps), the samples on the record grid plus tau, and the snapshots.
+    """
+    grid = u0.grid
+    step = imex_em_step if cfg.scheme == "imex_em_ito" else heun_strat_step
+    states = [u0.coeffs.copy()]
+    with np.errstate(all="ignore"):
+        for m in range(cfg.n_steps):
+            inc = coupled_increments(cfg.seed, path, m, noise.J, cfg.dt,
+                                     cfg.substeps)
+            states.append(step(states[-1], grid, params, noise,
+                               cfg.truncation, inc.values, cfg.dt))
+        fields = [SpectralField(grid, c) for c in states]
+        h1 = [sobolev_norm(u, 1) for u in fields]
+    nonfinite = [m > 0 and not np.isfinite(c).all() for m, c in enumerate(states)]
+    stops = [m for m in range(cfg.n_steps + 1)
+             if nonfinite[m] or h1[m] > cfg.blowup_K]
+    tau = stops[0] if stops else cfg.n_steps
+    if nonfinite[tau]:
+        reason = "nonfinite"
+    elif h1[tau] > cfg.blowup_K:
+        reason = "blowup_K"
+    else:
+        reason = "completed"
+    recorded = sorted(set(range(0, tau + 1, cfg.record_every)) | {tau})
+    every = cfg.snapshot_every
+    snapped = list(range(0, tau + 1, every)) if every else []
+    return dict(
+        tau=tau, reason=reason, recorded=recorded, snapped=snapped,
+        states=states, h1=h1,
+        norms={"l2": [sobolev_norm(fields[m], 0) for m in recorded],
+               "h1": [h1[m] for m in recorded],
+               "h2": [sobolev_norm(fields[m], 2) for m in recorded]},
+    )
+
+
+class TestStopRuleAgainstReference:
+    """run_trajectory's single loop against :func:`reference_record`."""
+
+    def check(self, u0, params, noise, cfg):
+        with np.errstate(all="ignore"):
+            rec = run_trajectory(u0, params, noise, cfg)
+        ref = reference_record(u0, params, noise, cfg)
+        assert rec.stop_reason == ref["reason"]
+        assert rec.stop_time == ref["tau"] * cfg.dt
+        assert np.array_equal(rec.times, [m * cfg.dt for m in ref["recorded"]])
+        for key, values in ref["norms"].items():
+            assert np.array_equal(rec.norms[key], values, equal_nan=True), key
+        assert np.array_equal(rec.final.coeffs, ref["states"][ref["tau"]],
+                              equal_nan=True)
+        if ref["snapped"]:
+            assert np.array_equal(rec.snapshot_steps, ref["snapped"])
+            assert np.array_equal(
+                rec.snapshots, [ref["states"][m] for m in ref["snapped"]],
+                equal_nan=True)
+        else:
+            assert rec.snapshot_steps is None and rec.snapshots is None
+        return rec, ref
+
+    def test_completed_record_every_not_dividing(self):
+        grid = Grid(1, (np.pi,), (8,))
+        u0 = eigenmode_field(grid, (1,), (0.3, 0.1, 0.0))
+        cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=3, seed=4,
+                           snapshot_every=4)
+        rec, ref = self.check(u0, ModelParams(0.5, 1.0, 1.0, 1.0, 1.0),
+                              small_noise(grid), cfg)
+        assert ref["recorded"] == [0, 3, 6, 9, 10]
+        assert rec.stop_reason == "completed"
+
+    def test_blowup_at_t0(self):
+        u0 = eigenmode_field(G4, (2,), (1.0, 0.0, 0.0))
+        cfg = SolverConfig(dt=0.01, t_end=0.1, blowup_K=0.5, record_every=3,
+                           snapshot_every=2)
+        rec, ref = self.check(u0, linear_params(), small_noise(G4), cfg)
+        assert (rec.stop_reason, ref["recorded"], ref["snapped"]) == (
+            "blowup_K", [0], [0])
+
+    def test_blowup_off_the_record_grid(self):
+        # beta1 < 0 grows the mode; place K so the first crossing is step 10
+        u0 = eigenmode_field(G4, (1,), (0.5, 0.0, 0.0))
+        p = ModelParams(-3.0, 0.1, TINY, TINY, TINY)
+        noise = small_noise(G4)
+        free = SolverConfig(dt=0.01, t_end=0.3, record_every=7, seed=2)
+        h1 = reference_record(u0, p, noise, free)["h1"]
+        assert h1[10] > max(h1[:10])
+        cfg = replace(free, blowup_K=(max(h1[:10]) + h1[10]) / 2,
+                      snapshot_every=4)
+        rec, ref = self.check(u0, p, noise, cfg)
+        assert (rec.stop_reason, ref["tau"]) == ("blowup_K", 10)
+        assert ref["recorded"] == [0, 7, 10]
+
+    def test_heun_nonfinite_stop_with_snapshots(self):
+        """Explicit Heun on a stiff grid overflows; the stop sample is the
+        first nonfinite state."""
+        grid = Grid(1, (np.pi,), (16,))
+        u0 = eigenmode_field(grid, (15,), (1.0, 0.0, 0.0))
+        cfg = SolverConfig(dt=0.01, t_end=1.0, scheme="heun_strat",
+                           record_every=5, snapshot_every=3)
+        rec, ref = self.check(u0, linear_params(), small_noise(grid), cfg)
+        assert rec.stop_reason == "nonfinite"
+        assert ref["tau"] < cfg.n_steps and ref["tau"] % 5  # off the record grid

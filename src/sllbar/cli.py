@@ -32,6 +32,7 @@ from .diagnostics import (
     strong_convergence_gaps,
 )
 from .ensemble import (
+    MIN_GROWTH_SAMPLES,
     EnsembleStats,
     h2_time_average,
     invariant_average,
@@ -104,6 +105,12 @@ def _run_paths(cfg: RunConfig) -> EnsembleStats:
                         observables=exp.observables, workers=exp.workers)
 
 
+def _write_ensemble_csvs(stats: EnsembleStats, out: Path) -> None:
+    write_ensemble_csv(stats, out / "ensemble_norms.csv")
+    if stats.obs:
+        write_observables_csv(stats, out / "observables.csv")
+
+
 def _cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     noise = cfg.build_noise()
     u0 = cfg.build_initial()
@@ -122,9 +129,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def _cmd_ensemble(cfg: RunConfig, out: Path, quiet: bool) -> int:
     exp = cfg.experiment
     stats = _run_paths(cfg)
-    write_ensemble_csv(stats, out / "ensemble_norms.csv")
-    if stats.obs:
-        write_observables_csv(stats, out / "observables.csv")
+    _write_ensemble_csvs(stats, out)
     report = report_skeleton(cfg.echo())
     report["paths"] = stats.M
     report["blowup_count"] = stats.blowup_count
@@ -134,7 +139,7 @@ def _cmd_ensemble(cfg: RunConfig, out: Path, quiet: bool) -> int:
                      for k, v in moment_estimates(stats, p).items()}
         for p in exp.moment_powers
     }
-    if len(stats.times) >= 20:
+    if len(stats.times) >= MIN_GROWTH_SAMPLES:
         growth = h2_time_average(stats)
         report["h2_growth"] = {
             "a": growth.a, "b": growth.b, "c": growth.c,
@@ -170,9 +175,7 @@ def _cmd_invariant(cfg: RunConfig, out: Path, quiet: bool) -> int:
                 for r in exp.tightness_r}
         for space in ("H1", "L2")
     }
-    if stats.obs:
-        write_observables_csv(stats, out / "observables.csv")
-    write_ensemble_csv(stats, out / "ensemble_norms.csv")
+    _write_ensemble_csvs(stats, out)
     write_report_json(report, out / "report.json")
     _say(quiet, f"invariant: M={stats.M}, outputs in {out}")
     return 0

@@ -378,11 +378,12 @@ def parse_config(path: str) -> RunConfig:
         initial_spec["path"] = sec.get("path", required=True)
     else:
         raise ConfigError(f"initial.type: unknown type {itype!r}")
-    if itype != "snapshot":
-        try:
-            build_initial(initial_spec, grid)
-        except ValueError as exc:
-            raise ConfigError(f"initial: {exc}") from exc
+    try:
+        build_initial(initial_spec, grid)
+    except ConfigError:
+        raise  # a snapshot error already names initial.path
+    except ValueError as exc:
+        raise ConfigError(f"initial: {exc}") from exc
 
     # experiment
     sec = _Section(parser, "experiment", _SECTION_KEYS["experiment"])
@@ -412,8 +413,7 @@ def parse_config(path: str) -> RunConfig:
         coarse = grid.with_modes((experiment.refine_levels[0],) * dim)
         try:
             build_noise_modes(noise_spec, coarse)
-            if itype != "snapshot":
-                build_initial(initial_spec, coarse)
+            build_initial(initial_spec, coarse)
         except ValueError as exc:
             raise ConfigError(
                 f"experiment.refine_levels: level {coarse.modes[0]}: {exc}"

@@ -89,34 +89,52 @@ class Observable:
         return min(n, self.cap)
 
 
+def _path_mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, variance (ddof 1) and standard error across paths (axis 0).
+
+    Where every path holds the same value the variance and SE are an exact
+    zero, not the rounding artifact of the two-pass variance.
+    """
+    M = x.shape[0]
+    var = np.where(np.all(x == x[0], axis=0), 0.0, x.var(axis=0, ddof=min(1, M - 1)))
+    return x.mean(axis=0), var, np.sqrt(var) / math.sqrt(M)
+
+
 @dataclass
 class EnsembleStats:
-    """Per-path recorded series plus cross-path summaries."""
+    """Per-path recorded series and every cross-path statistic of them.
+
+    ``weights[i]`` is the length of the record interval starting at sample i
+    in units of the first interval, taken from the integer sample steps: a
+    full ``record_every`` interval weighs exactly 1.0 and a short last one
+    its fraction. Every time integral or time average is a left-endpoint
+    sum with these weights.
+    """
 
     times: np.ndarray
+    sample_steps: np.ndarray
     norms: dict[str, np.ndarray]          # name -> (M, S)
     obs: dict[str, np.ndarray]            # name -> (M, S)
     stop_reasons: list[str]
     stop_times: list[float]
-    M: int
-    seed: int
     mean_norms: dict[str, np.ndarray] = dc_field(init=False)
     var_norms: dict[str, np.ndarray] = dc_field(init=False)
+    mean_obs: dict[str, np.ndarray] = dc_field(init=False)
+    se_obs: dict[str, np.ndarray] = dc_field(init=False)
+    weights: np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
-        ddof = 1 if self.M > 1 else 0
-        self.mean_norms, self.var_norms = {}, {}
+        self.mean_norms, self.var_norms, self.mean_obs, self.se_obs = {}, {}, {}, {}
         for k, v in self.norms.items():
-            self.mean_norms[k] = v.mean(axis=0)
-            var = v.var(axis=0, ddof=ddof)
-            # identical paths (noise-off determinism) get an exact zero,
-            # not the rounding artifact of the two-pass variance
-            var[np.all(v == v[0], axis=0)] = 0.0
-            self.var_norms[k] = var
+            self.mean_norms[k], self.var_norms[k], _ = _path_mean_se(v)
+        for k, v in self.obs.items():
+            self.mean_obs[k], _, self.se_obs[k] = _path_mean_se(v)
+        gaps = np.diff(self.sample_steps)
+        self.weights = gaps / gaps[:1]  # empty for a single sample
 
     @property
-    def spacing(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
+    def M(self) -> int:
+        return len(self.stop_reasons)
 
     @property
     def horizon(self) -> float:
@@ -125,6 +143,14 @@ class EnsembleStats:
     @property
     def blowup_count(self) -> int:
         return sum(1 for r in self.stop_reasons if r != STOP_COMPLETED)
+
+    def time_integral(self, x: np.ndarray, cumulative: bool = False) -> np.ndarray:
+        """Weighted left-endpoint integral of samples ``x`` (..., S) over time."""
+        if len(self.times) < 2:
+            raise ValueError("need at least two recorded samples")
+        wx = x[..., :-1] * self.weights
+        total = np.cumsum(wx, axis=-1) if cumulative else wx.sum(axis=-1)
+        return total * (self.times[1] - self.times[0])
 
 
 def _run_one(args) -> TrajectoryRecord:
@@ -164,7 +190,6 @@ def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
         raise BlowupAbort(
             f"paths stopped on different sample grids (early stops at paths {bad})"
         )
-    times = records[0].times
     norms = {
         key: np.stack([r.norms[key] for r in records])
         for key in records[0].norms
@@ -174,23 +199,18 @@ def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
         for name in records[0].obs
     }
     return EnsembleStats(
-        times=times,
+        times=records[0].times,
+        sample_steps=records[0].sample_steps,
         norms=norms,
         obs=obs,
         stop_reasons=[r.stop_reason for r in records],
         stop_times=[r.stop_time for r in records],
-        M=M,
-        seed=config.seed,
     )
 
 
-def _mc_mean_se(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(samples.mean())
-    if samples.size > 1 and not np.all(samples == samples.flat[0]):
-        se = float(samples.std(ddof=1) / math.sqrt(samples.size))
-    else:
-        se = 0.0
-    return mean, se
+def _scalar_mean_se(samples: np.ndarray) -> tuple[float, float]:
+    mean, _, se = _path_mean_se(samples)
+    return float(mean), float(se)
 
 
 def moment_estimates(stats: EnsembleStats, p: float) -> dict[str, tuple[float, float]]:
@@ -202,20 +222,16 @@ def moment_estimates(stats: EnsembleStats, p: float) -> dict[str, tuple[float, f
       * ``int_h2_p``   : E (int |u|_H2^2 dt)^p
       * ``int_h3_p``   : E (int |u|_H3^2 dt)^p
       * ``int_l4_p``   : E (int |u|_L4^4 dt)^p
-    Time integrals are left-endpoint sums over the recorded samples.
+    Time integrals are weighted left-endpoint sums over the recorded samples.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if len(stats.times) < 2:
-        raise ValueError("moments need at least two recorded samples")
-    dt = stats.spacing
     out = {}
-    out["sup_l2_2p"] = _mc_mean_se(stats.norms["l2"].max(axis=1) ** (2 * p))
-    out["sup_h1_2p"] = _mc_mean_se(stats.norms["h1"].max(axis=1) ** (2 * p))
+    out["sup_l2_2p"] = _scalar_mean_se(stats.norms["l2"].max(axis=1) ** (2 * p))
+    out["sup_h1_2p"] = _scalar_mean_se(stats.norms["h1"].max(axis=1) ** (2 * p))
     for key, norm, power in (("int_h2_p", "h2", 2), ("int_h3_p", "h3", 2),
                              ("int_l4_p", "l4", 4)):
-        integrals = (stats.norms[norm][:, :-1] ** power).sum(axis=1) * dt
-        out[key] = _mc_mean_se(integrals**p)
+        out[key] = _scalar_mean_se(stats.time_integral(stats.norms[norm] ** power) ** p)
     return out
 
 
@@ -229,6 +245,10 @@ class GrowthReport:
     curvature_ratio: float
 
 
+# fewest recorded samples the quadratic growth fit accepts
+MIN_GROWTH_SAMPLES = 20
+
+
 def h2_time_average(stats: EnsembleStats) -> GrowthReport:
     """Cumulative ``int_0^t E |u|_H2^2 ds`` and its quadratic fit.
 
@@ -236,11 +256,10 @@ def h2_time_average(stats: EnsembleStats) -> GrowthReport:
     ``|c| T / b``; values near zero are evidence of at-most-linear growth of
     the time-averaged H^2 moment.
     """
-    if len(stats.times) < 20:
-        raise ValueError("need at least 20 recorded samples")
-    dt = stats.spacing
-    mean_h2_sq = (stats.norms["h2"] ** 2).mean(axis=0)
-    series = np.concatenate([[0.0], np.cumsum(mean_h2_sq[:-1]) * dt])
+    if len(stats.times) < MIN_GROWTH_SAMPLES:
+        raise ValueError(f"need at least {MIN_GROWTH_SAMPLES} recorded samples")
+    mean_h2_sq, _, _ = _path_mean_se(stats.norms["h2"] ** 2)
+    series = np.concatenate([[0.0], stats.time_integral(mean_h2_sq, cumulative=True)])
     T = stats.horizon
     mask = stats.times >= T / 5.0
     coeffs = np.polyfit(stats.times[mask], series[mask], deg=2)
@@ -253,7 +272,8 @@ def tightness_statistic(stats: EnsembleStats, R: float, space: str = "H1") -> fl
     """Mean fraction of time the chosen norm exceeds R, averaged over paths.
 
     The Chebyshev-style statistic behind invariant-measure existence: small
-    values for some R mean time averages stay bounded in probability.
+    values for some R mean time averages stay bounded in probability. Each
+    sample counts for its record interval (left endpoint).
     """
     if R < 0:
         raise ValueError("R must be >= 0")
@@ -262,16 +282,13 @@ def tightness_statistic(stats: EnsembleStats, R: float, space: str = "H1") -> fl
     series = stats.norms["h1" if space == "H1" else "l2"]
     if series.shape[1] < 2:
         raise ValueError("need at least two recorded samples")
-    exceed = series[:, :-1] > R  # left-endpoint fraction
-    return float(exceed.mean())
+    exceed = series[:, :-1] > R  # left endpoint of each interval
+    return float((exceed * stats.weights).sum() / (stats.M * stats.weights.sum()))
 
 
 @dataclass
 class WindowReport:
     observable: str
-    transition_times: np.ndarray
-    transition_mean: np.ndarray
-    transition_se: np.ndarray
     windows: list[tuple[float, float]]
     window_means: list[float]
     window_ses: list[float]
@@ -281,11 +298,13 @@ def invariant_average(stats: EnsembleStats, observable: str | int,
                       burn_in: float,
                       windows: list[tuple[float, float]] | None = None,
                       ) -> WindowReport:
-    """Transition estimates and windowed ergodic averages of one observable.
+    """Windowed ergodic averages of one observable.
 
-    Returns (i) the cross-path mean of psi(u(t)) at every recorded time and
-    (ii) time averages over consecutive windows after burn-in (default:
-    dyadic windows [T/4, T/2] and [T/2, T]), each with standard errors.
+    Returns time averages over consecutive windows after burn-in (default:
+    dyadic windows [T/4, T/2] and [T/2, T]), each with its standard error
+    across paths. A sample in a window counts for its record interval (left
+    endpoint). The transition estimates, the cross-path mean of psi(u(t)) at
+    every recorded time, are ``stats.mean_obs`` and ``stats.se_obs``.
     """
     if not stats.obs:
         raise ValueError("ensemble was run without observables")
@@ -298,13 +317,8 @@ def invariant_average(stats: EnsembleStats, observable: str | int,
         raise ValueError("horizon must be at least twice the burn-in")
     if windows is None:
         windows = [(T / 4.0, T / 2.0), (T / 2.0, T)]
-    series = stats.obs[observable]  # (M, S)
-
-    trans_mean = series.mean(axis=0)
-    if stats.M > 1:
-        trans_se = series.std(axis=0, ddof=1) / math.sqrt(stats.M)
-    else:
-        trans_se = np.zeros_like(trans_mean)
+    left = stats.times[:-1]  # each interval's left endpoint
+    series = stats.obs[observable][:, :-1]  # (M, S - 1)
 
     means, ses = [], []
     for t0, t1 in windows:
@@ -312,18 +326,15 @@ def invariant_average(stats: EnsembleStats, observable: str | int,
             raise ValueError(f"window start {t0} precedes burn-in {burn_in}")
         if t1 > T + 1e-12:
             raise ValueError(f"window end {t1} exceeds horizon {T}")
-        mask = (stats.times >= t0) & (stats.times < t1)
+        mask = (left >= t0) & (left < t1)
         if mask.sum() == 0:
             raise ValueError(f"window ({t0}, {t1}) contains no samples")
-        per_path = series[:, mask].mean(axis=1)
-        m, se = _mc_mean_se(per_path)
+        w = stats.weights[mask]
+        m, se = _scalar_mean_se((series[:, mask] * w).sum(axis=1) / w.sum())
         means.append(m)
         ses.append(se)
     return WindowReport(
         observable=observable,
-        transition_times=stats.times,
-        transition_mean=trans_mean,
-        transition_se=trans_se,
         windows=list(windows),
         window_means=means,
         window_ses=ses,

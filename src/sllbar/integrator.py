@@ -115,6 +115,7 @@ class TrajectoryRecord:
 
     grid: Grid
     times: np.ndarray
+    sample_steps: np.ndarray  # integer step m of each sample; times = m * dt
     norms: dict[str, np.ndarray]
     stop_reason: str
     stop_time: float
@@ -255,7 +256,7 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     n_steps = config.n_steps
     dt = config.dt
 
-    times: list[float] = []
+    sample_steps: list[int] = []
     norm_rows: list[tuple[float, ...]] = []
     obs_rows: list[list[float]] = []
     snap_steps: list[int] = []
@@ -272,7 +273,7 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
         elif m == n_steps:
             stop_reason = STOP_COMPLETED
         if m % config.record_every == 0 or stop_reason:
-            times.append(m * dt)  # m * dt avoids accumulated rounding
+            sample_steps.append(m)
             norm_rows.append(_sample_norms(u))
             obs_rows.append([float(psi(u)) for psi in observables])
         if config.snapshot_every is not None and m % config.snapshot_every == 0:
@@ -287,9 +288,11 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
 
     norms_arr = np.asarray(norm_rows)
     obs_arr = np.asarray(obs_rows)
+    steps = np.asarray(sample_steps)
     return TrajectoryRecord(
         grid=grid,
-        times=np.asarray(times),
+        times=steps * dt,  # m * dt avoids accumulated rounding
+        sample_steps=steps,
         norms={key: norms_arr[:, i].copy() for i, key in enumerate(NORM_KEYS)},
         stop_reason=stop_reason,
         stop_time=float(m * dt),

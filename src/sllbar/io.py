@@ -32,52 +32,39 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_columns(path, times, columns: dict[str, np.ndarray]) -> None:
+    """CSV with a ``t`` column and one column per entry, in dict order."""
+    lines = [",".join(["t", *columns])]
+    for i, t in enumerate(times):
+        lines.append(",".join([_fmt(t)] + [_fmt(col[i]) for col in columns.values()]))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
     """One row per sample: t, l2, l4, h1, h2, h3, grad_l2, theta_arg."""
-    lines = ["t," + ",".join(NORM_KEYS)]
-    for i, t in enumerate(record.times):
-        row = [_fmt(t)] + [_fmt(record.norms[k][i]) for k in NORM_KEYS]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_columns(path, record.times, {k: record.norms[k] for k in NORM_KEYS})
 
 
 def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     """Cross-path mean and variance of each recorded norm per sample time."""
-    header = ["t"]
+    columns = {}
     for key in NORM_KEYS:
-        header += [f"mean_{key}", f"var_{key}"]
-    lines = [",".join(header)]
-    for i, t in enumerate(stats.times):
-        row = [_fmt(t)]
-        for key in NORM_KEYS:
-            row += [_fmt(stats.mean_norms[key][i]), _fmt(stats.var_norms[key][i])]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+        columns[f"mean_{key}"] = stats.mean_norms[key]
+        columns[f"var_{key}"] = stats.var_norms[key]
+    _write_columns(path, stats.times, columns)
 
 
 def write_observables_csv(stats: EnsembleStats, path) -> None:
-    names = list(stats.obs)
-    header = ["t"]
-    for name in names:
-        header += [f"mean_{name}", f"se_{name}"]
-    lines = [",".join(header)]
-    M = stats.M
-    for i, t in enumerate(stats.times):
-        row = [_fmt(t)]
-        for name in names:
-            col = stats.obs[name][:, i]
-            mean = col.mean()
-            se = col.std(ddof=1) / np.sqrt(M) if M > 1 else 0.0
-            row += [_fmt(mean), _fmt(se)]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Cross-path mean and standard error of each observable per sample time."""
+    columns = {}
+    for name in stats.obs:
+        columns[f"mean_{name}"] = stats.mean_obs[name]
+        columns[f"se_{name}"] = stats.se_obs[name]
+    _write_columns(path, stats.times, columns)
 
 
 def write_residual_csv(series: ResidualSeries, path, name: str = "residual") -> None:
-    lines = [f"t,{name}"]
-    for t, v in zip(series.times, series.values):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_columns(path, series.times, {name: series.values})
 
 
 def write_report_json(report: dict, path) -> None:

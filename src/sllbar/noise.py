@@ -135,31 +135,23 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
         grid,
         fields,
         [apply_laplacian(hj) for hj in fields],
-        _c_h(fields),
+        float(sum(sobolev_norm(hj, 3) ** 2 for hj in fields)),  # C_h
         c_h_bound=spec.get("c_h_bound"),
         tail_estimate=float(spec.get("tail_estimate", 0.0)),
     )
 
 
-def _c_h(fields: list[SpectralField]) -> float:
-    """``C_h = sum_j |h_j|_{H^3}^2`` of a noise family."""
-    return float(sum(sobolev_norm(hj, 3) ** 2 for hj in fields))
-
-
 def check_noise_condition(noise: NoiseModel) -> float:
-    """Recompute ``sum_j |h_j|_{H^3}^2``; warn if a configured bound is exceeded.
-
-    Matches the build-time C_h exactly (same helper).
-    """
-    total = _c_h(noise.h)
-    if noise.c_h_bound is not None and total > noise.c_h_bound:
+    """The build-time ``C_h = sum_j |h_j|_{H^3}^2``; warn if it exceeds a
+    configured bound."""
+    if noise.c_h_bound is not None and noise.C_h > noise.c_h_bound:
         warnings.warn(
-            f"noise condition sum {total:.6g} exceeds configured bound "
+            f"noise condition sum {noise.C_h:.6g} exceeds configured bound "
             f"{noise.c_h_bound:.6g}",
             NoiseTailWarning,
             stacklevel=2,
         )
-    return total
+    return noise.C_h
 
 
 def _diffusion_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,

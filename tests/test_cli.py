@@ -3,9 +3,12 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from sllbar.cli import run_command
+from sllbar.grid import Grid, eigenmode_field
+from sllbar.io import write_snapshot
 
 BASE = """
 [grid]
@@ -263,6 +266,28 @@ class TestConvergeConfigChecks:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error: experiment.refine_levels: level 4: mode index 6" in err
+
+    def test_snapshot_outside_coarsest_level(self, tmp_path, capsys):
+        """The snapshot datum is read at parse time on every refine level, so
+        a 16-mode snapshot fails before the output directory is made."""
+        snap = tmp_path / "state.snap"
+        write_snapshot(eigenmode_field(Grid(1, (np.pi,), (16,)), (12,), (0.1, 0, 0)),
+                       snap)
+        text = (BASE.replace("modes = 8", "modes = 16")
+                .replace("type = constant\nvector = 0.2, 0, 0",
+                         f"type = snapshot\npath = {snap}"))
+        code, out = run_text(tmp_path, "converge", text)
+        assert code == 2
+        assert not out.exists()  # so no report.json either
+        err = capsys.readouterr().err
+        assert ("configuration error: experiment.refine_levels: level 4: "
+                "initial.path: snapshot has more modes than grid") in err
+
+    def test_missing_snapshot_is_io_error(self, tmp_path, capsys):
+        text = BASE.replace("type = constant\nvector = 0.2, 0, 0",
+                            f"type = snapshot\npath = {tmp_path / 'absent.snap'}")
+        assert run_text(tmp_path, "converge", text)[0] == 4
+        assert "I/O error:" in capsys.readouterr().err
 
     def test_noise_mode_outside_coarsest_level(self, tmp_path, capsys):
         text = BASE.replace("refine_levels = 4, 8", "refine_levels = 2, 8")

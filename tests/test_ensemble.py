@@ -14,7 +14,7 @@ from sllbar.ensemble import (
     run_ensemble,
     tightness_statistic,
 )
-from sllbar.grid import Grid, constant_field, eigenmode_field, zero_field
+from sllbar.grid import Grid, constant_field, eigenmode_field, sobolev_norm, zero_field
 from sllbar.integrator import BlowupAbort, SolverConfig
 from sllbar.model import ModelParams
 from sllbar.noise import NoiseModel, build_noise_modes
@@ -99,13 +99,19 @@ class TestRunEnsemble:
         assert np.all(stats.var_norms["l2"] == 0.0)
 
     def test_summaries_always_computed(self):
-        args = (np.array([0.0, 1.0]), {"l2": np.array([[1.0, 2.0], [3.0, 6.0]])},
-                {}, ["completed"] * 2, [1.0, 1.0])
-        stats = EnsembleStats(*args, M=2, seed=0)
-        assert np.array_equal(stats.mean_norms["l2"], [2.0, 4.0])
-        assert np.array_equal(stats.var_norms["l2"], [2.0, 8.0])
+        args = (np.array([0.0, 0.3, 0.4]), np.array([0, 3, 4]),
+                {"l2": np.array([[1.0, 2.0, 5.0], [3.0, 6.0, 5.0]])},
+                {"psi": np.array([[0.5, 1.0, 0.1], [0.5, 3.0, 0.1]])},
+                ["completed"] * 2, [0.4, 0.4])
+        stats = EnsembleStats(*args)
+        assert stats.M == 2
+        assert np.array_equal(stats.mean_norms["l2"], [2.0, 4.0, 5.0])
+        assert np.array_equal(stats.var_norms["l2"], [2.0, 8.0, 0.0])
+        assert np.array_equal(stats.mean_obs["psi"], [0.5, 2.0, 0.1])
+        assert np.array_equal(stats.se_obs["psi"], [0.0, 1.0, 0.0])
+        assert np.array_equal(stats.weights, [1.0, 1.0 / 3.0])
         with pytest.raises(TypeError):
-            EnsembleStats(*args, M=2, seed=0, mean_norms={})
+            EnsembleStats(*args, mean_norms={})
 
     def test_noise_off_paths_identical(self):
         u0 = constant_field(G8, (0.3, 0.0, 0.0))
@@ -309,7 +315,8 @@ class TestInvariantAverage:
                              cfg, 2, observables=obs)
         rep = invariant_average(stats, 0, burn_in=0.25)
         assert rep.window_means == [1.0, 1.0]
-        assert np.all(rep.transition_mean == 1.0)
+        assert np.all(stats.mean_obs[obs[0].name] == 1.0)
+        assert np.all(stats.se_obs[obs[0].name] == 0.0)
 
     def test_fixed_point_run_constant_average(self):
         u0 = constant_field(G8, (0.0, 1.0, 0.0))  # |u| = 1 equilibrium
@@ -340,3 +347,47 @@ class TestInvariantAverage:
                              cfg, 1)
         with pytest.raises(ValueError):
             invariant_average(stats, 0, burn_in=0.2)
+
+
+class TestTimeWeights:
+    """Samples weigh their record interval; a stride that does not divide
+    the step count leaves a short last interval."""
+
+    @pytest.mark.parametrize("record_every", [3, 7])
+    def test_fixed_point_h2_integral_exact(self, record_every):
+        u0 = constant_field(G8, (1.0, 0.0, 0.0))  # |u| = 1 equilibrium
+        cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=record_every)
+        stats = run_ensemble(u0, full_params(), NoiseModel.empty(G8), cfg, 2)
+        assert stats.weights[-1] == (10 % record_every) / record_every
+        expected = 0.1 * sobolev_norm(u0, 2) ** 2
+        est, se = moment_estimates(stats, 1)["int_h2_p"]
+        assert est == pytest.approx(expected, rel=1e-12)
+        assert se == 0.0
+
+    def test_decaying_run_estimators_match_hand_sums(self):
+        # slow linear decay, so the short last interval carries weight
+        u0 = eigenmode_field(G8, (1,), (0.5, 0.0, 0.0))
+        p = ModelParams(0.1, 0.1, TINY, TINY, TINY)
+        obs = (Observable("exp_neg_l2", scale=0.5),)
+        cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=3)
+        stats = run_ensemble(u0, p, NoiseModel.empty(G8), cfg, 2, observables=obs)
+        assert list(stats.sample_steps[-3:]) == [96, 99, 100]
+        t = stats.times
+        gaps = np.diff(t)  # each sample's own interval; the last is dt
+
+        h2_sq = stats.norms["h2"][0] ** 2  # noise off: every path is equal
+        integral = sum(h2_sq[i] * gaps[i] for i in range(len(gaps)))
+        assert h2_time_average(stats).series[-1] == pytest.approx(integral, rel=1e-12)
+
+        h1 = stats.norms["h1"][0]
+        R = float(np.median(h1))
+        over = sum(gaps[i] for i in range(len(gaps)) if h1[i] > R)
+        assert tightness_statistic(stats, R, "H1") == pytest.approx(over / stats.horizon, rel=1e-12)
+
+        psi = stats.obs[obs[0].name][0]
+        inside = [i for i in range(len(gaps)) if 0.5 <= t[i] < 1.0]
+        mean = (sum(psi[i] * gaps[i] for i in inside)
+                / sum(gaps[i] for i in inside))
+        rep = invariant_average(stats, 0, burn_in=0.5, windows=[(0.5, 1.0)])
+        assert rep.window_means[0] == pytest.approx(mean, rel=1e-12)
+        assert rep.window_ses == [0.0]

@@ -349,6 +349,7 @@ class TestStopRuleAgainstReference:
         ref = reference_record(u0, params, noise, cfg)
         assert rec.stop_reason == ref["reason"]
         assert rec.stop_time == ref["tau"] * cfg.dt
+        assert np.array_equal(rec.sample_steps, ref["recorded"])
         assert np.array_equal(rec.times, [m * cfg.dt for m in ref["recorded"]])
         for key, values in ref["norms"].items():
             assert np.array_equal(rec.norms[key], values, equal_nan=True), key

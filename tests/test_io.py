@@ -10,17 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sllbar.grid import Grid, SpectralField, random_field, zero_field
-from sllbar.integrator import SolverConfig, run_trajectory
+from sllbar.ensemble import EnsembleStats, Observable, run_ensemble
+from sllbar.grid import Grid, SpectralField, constant_field, random_field, zero_field
+from sllbar.integrator import NORM_KEYS, SolverConfig, run_trajectory
 from sllbar.io import (
     SnapshotFormatError,
     read_snapshot,
+    write_ensemble_csv,
+    write_observables_csv,
     write_report_json,
     write_snapshot,
     write_trajectory_csv,
 )
 from sllbar.model import ModelParams
-from sllbar.noise import NoiseModel
+from sllbar.noise import NoiseModel, build_noise_modes
 
 G8 = Grid(1, (np.pi,), (8,))
 RNG = np.random.default_rng(55)
@@ -48,6 +51,58 @@ class TestTrajectoryCsv:
         write_trajectory_csv(rec, a)
         write_trajectory_csv(short_record(), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def read_columns(path) -> tuple[list[str], np.ndarray]:
+    lines = path.read_text().strip().split("\n")
+    return lines[0].split(","), np.array([[float(x) for x in line.split(",")]
+                                          for line in lines[1:]])
+
+
+class TestEnsembleCsvs:
+    OBS = (Observable("exp_neg_l2"), Observable("clip_norm", space="H1", cap=0.5))
+
+    @pytest.fixture(scope="class")
+    def stats(self):
+        noise = build_noise_modes({"family": "eigenmode", "modes": [
+            {"sigma": 0.2, "index": (1,), "direction": (1.0, 0.0, 0.0)}]}, G8)
+        cfg = SolverConfig(dt=0.01, t_end=0.07, record_every=2, seed=4)
+        return run_ensemble(constant_field(G8, (0.2, 0.0, 0.1)),
+                            ModelParams(1.0, 1.0, 1.0, 1.0, 1.0), noise, cfg, 3,
+                            observables=self.OBS)
+
+    def test_ensemble_columns_are_the_stats(self, stats, tmp_path):
+        write_ensemble_csv(stats, tmp_path / "e.csv")
+        header, values = read_columns(tmp_path / "e.csv")
+        assert header == ["t"] + [f"{s}_{k}" for k in NORM_KEYS for s in ("mean", "var")]
+        assert len(values) == len(stats.times) == 5  # steps 0, 2, 4, 6, 7
+        assert np.array_equal(values[:, 0], stats.times)
+        for i, key in enumerate(NORM_KEYS):
+            assert np.array_equal(values[:, 1 + 2 * i], stats.mean_norms[key])
+            assert np.array_equal(values[:, 2 + 2 * i], stats.var_norms[key])
+
+    def test_observable_columns_are_the_stats(self, stats, tmp_path):
+        write_observables_csv(stats, tmp_path / "o.csv")
+        header, values = read_columns(tmp_path / "o.csv")
+        names = [psi.name for psi in self.OBS]
+        assert header == ["t"] + [f"{s}_{n}" for n in names for s in ("mean", "se")]
+        assert len(values) == len(stats.times)
+        assert np.array_equal(values[:, 0], stats.times)
+        for i, name in enumerate(names):
+            assert np.array_equal(values[:, 1 + 2 * i], stats.mean_obs[name])
+            assert np.array_equal(values[:, 2 + 2 * i], stats.se_obs[name])
+        assert np.all(values[1:, 2] > 0.0)  # the noise spreads the paths
+
+    def test_se_exactly_zero_where_paths_agree(self, tmp_path):
+        # three copies of 0.1 average to 0.10000000000000002, so a plain
+        # two-pass standard deviation would leave about 1e-17
+        stats = EnsembleStats(np.array([0.0, 0.1]), np.array([0, 1]), {},
+                              {"psi": np.array([[0.1, 0.2], [0.1, 0.5], [0.1, 0.7]])},
+                              ["completed"] * 3, [0.1] * 3)
+        write_observables_csv(stats, tmp_path / "o.csv")
+        _, values = read_columns(tmp_path / "o.csv")
+        assert values[0, 2] == 0.0
+        assert values[1, 2] > 0.0
 
 
 class TestReportJson:

@@ -183,6 +183,13 @@ def _cmd_invariant(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def _cmd_converge(cfg: RunConfig, out: Path, quiet: bool) -> int:
     exp = cfg.experiment
+    levels = list(exp.refine_levels)
+    if levels:  # parse_config reads a snapshot on the grid only: check it here
+        try:
+            cfg.build_initial(cfg.grid.with_modes((levels[0],) * cfg.grid.dim))
+        except ConfigError as exc:
+            raise ConfigError(
+                f"experiment.refine_levels: level {levels[0]}: {exc}") from exc
     report = report_skeleton(cfg.echo())
 
     # dt-halving self-convergence with one shared Brownian path per MC path
@@ -200,7 +207,6 @@ def _cmd_converge(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
     # Galerkin refinement gaps with frozen noise keys
     gaps = {}
-    levels = list(exp.refine_levels)
     for nc, nf in zip(levels[:-1], levels[1:]):
         gaps[f"{nc}->{nf}"] = refinement_gap(
             cfg.build_initial, cfg.params, cfg.build_noise, cfg.solver,

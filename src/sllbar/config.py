@@ -408,12 +408,14 @@ def parse_config(path: str) -> RunConfig:
         experiment = ExperimentConfig(observables=tuple(observables), **optional)
     except ValueError as exc:
         raise ConfigError(f"experiment.{exc}") from exc
-    # converge builds both on every refine level; fail here, not after its dt study
+    # converge builds both on every refine level; fail here, not after its dt
+    # study. Only converge itself reads a snapshot there (see _cmd_converge).
     if experiment.refine_levels:
         coarse = grid.with_modes((experiment.refine_levels[0],) * dim)
         try:
             build_noise_modes(noise_spec, coarse)
-            build_initial(initial_spec, coarse)
+            if itype != "snapshot":
+                build_initial(initial_spec, coarse)
         except ValueError as exc:
             raise ConfigError(
                 f"experiment.refine_levels: level {coarse.modes[0]}: {exc}"

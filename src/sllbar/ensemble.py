@@ -190,14 +190,8 @@ def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
         raise BlowupAbort(
             f"paths stopped on different sample grids (early stops at paths {bad})"
         )
-    norms = {
-        key: np.stack([r.norms[key] for r in records])
-        for key in records[0].norms
-    }
-    obs = {
-        name: np.stack([r.obs[name] for r in records])
-        for name in records[0].obs
-    }
+    norms = {k: np.stack([r.norms[k] for r in records]) for k in records[0].norms}
+    obs = {k: np.stack([r.obs[k] for r in records]) for k in records[0].obs}
     return EnsembleStats(
         times=records[0].times,
         sample_steps=records[0].sample_steps,
@@ -333,9 +327,4 @@ def invariant_average(stats: EnsembleStats, observable: str | int,
         m, se = _scalar_mean_se((series[:, mask] * w).sum(axis=1) / w.sum())
         means.append(m)
         ses.append(se)
-    return WindowReport(
-        observable=observable,
-        windows=list(windows),
-        window_means=means,
-        window_ses=ses,
-    )
+    return WindowReport(observable, list(windows), means, ses)

@@ -267,21 +267,37 @@ class TestConvergeConfigChecks:
         err = capsys.readouterr().err
         assert "configuration error: experiment.refine_levels: level 4: mode index 6" in err
 
-    def test_snapshot_outside_coarsest_level(self, tmp_path, capsys):
-        """The snapshot datum is read at parse time on every refine level, so
-        a 16-mode snapshot fails before the output directory is made."""
+    @staticmethod
+    def grid_sized_snapshot(tmp_path):
+        """BASE on a 16-mode grid, started from a snapshot saved on that grid."""
         snap = tmp_path / "state.snap"
         write_snapshot(eigenmode_field(Grid(1, (np.pi,), (16,)), (12,), (0.1, 0, 0)),
                        snap)
-        text = (BASE.replace("modes = 8", "modes = 16")
+        return (BASE.replace("modes = 8", "modes = 16")
                 .replace("type = constant\nvector = 0.2, 0, 0",
                          f"type = snapshot\npath = {snap}"))
-        code, out = run_text(tmp_path, "converge", text)
+
+    def test_snapshot_outside_coarsest_level(self, tmp_path, capsys, monkeypatch):
+        """converge reads the snapshot on its coarsest level before the dt study."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("dt study started")
+
+        monkeypatch.setattr("sllbar.cli.strong_convergence_gaps", no_stepping)
+        code, out = run_text(tmp_path, "converge", self.grid_sized_snapshot(tmp_path))
         assert code == 2
-        assert not out.exists()  # so no report.json either
+        assert not (out / "report.json").exists()
         err = capsys.readouterr().err
         assert ("configuration error: experiment.refine_levels: level 4: "
                 "initial.path: snapshot has more modes than grid") in err
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_grid_sized_snapshot_runs_other_commands(self, tmp_path, command):
+        """Only converge builds on the refine levels, so a snapshot too fine
+        for the coarsest one still runs the rest."""
+        text = self.grid_sized_snapshot(tmp_path).replace("t_end = 0.5", "t_end = 0.05")
+        code, out = run_text(tmp_path, command, text)
+        assert code == 0
+        assert (out / "report.json").exists()
 
     def test_missing_snapshot_is_io_error(self, tmp_path, capsys):
         text = BASE.replace("type = constant\nvector = 0.2, 0, 0",

@@ -92,12 +92,15 @@ class Observable:
 def _path_mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, variance (ddof 1) and standard error across paths (axis 0).
 
-    Where every path holds the same value the variance and SE are an exact
-    zero, not the rounding artifact of the two-pass variance.
+    Where every path holds the same value the mean is that value and the
+    variance and SE are an exact zero, not the rounding artifacts of the
+    summed mean and the two-pass variance.
     """
     M = x.shape[0]
-    var = np.where(np.all(x == x[0], axis=0), 0.0, x.var(axis=0, ddof=min(1, M - 1)))
-    return x.mean(axis=0), var, np.sqrt(var) / math.sqrt(M)
+    agree = np.all(x == x[0], axis=0)
+    mean = np.where(agree, x[0], x.mean(axis=0))
+    var = np.where(agree, 0.0, x.var(axis=0, ddof=min(1, M - 1)))
+    return mean, var, np.sqrt(var) / math.sqrt(M)
 
 
 @dataclass

@@ -31,13 +31,24 @@ result as the trailing axis, so after d passes the axes are back in order
 without any transposed copy. A synthesis or analysis costs O(M^(d+1)) for
 ``M`` padded nodes per axis, and the matrices of one axis take ``3 M N``
 doubles.
+
+Memory
+------
+The time step allocates no padded-grid array. Every transform pass but the
+last writes into a buffer kept per thread and keyed by (pass index, shape),
+and the step writes its padded-grid values, products and |u|^2 into the
+:class:`Workspace` of its grid and thread (:func:`workspace`), which every
+later step on that grid reuses. :func:`synthesize` and :func:`cross3` write
+into ``out`` when it is given; without it they return fresh arrays, as do
+:func:`analyze` and :func:`gradient_values` always.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -82,8 +93,14 @@ class Grid:
             raise ValueError("pad_factor must be >= 1")
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         object.__setattr__(self, "modes", tuple(int(N) for N in self.modes))
+        # every step hashes its grid in a few dozen cache lookups
+        object.__setattr__(self, "_hash", hash(
+            (self.dim, self.lengths, self.modes, self.pad_factor)))
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def padded(self) -> tuple[int, ...]:
         return tuple(math.ceil(self.pad_factor * N) for N in self.modes)
 
@@ -166,36 +183,102 @@ def _axis_matrices(grid: Grid) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(zip(*out))
 
 
-def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
+class _ThreadBuffers(threading.local):
+    """Transform pass buffers and step workspaces, one set per thread."""
+
+    def __init__(self):
+        self.passes: dict[tuple, np.ndarray] = {}
+        self.workspaces: dict[Grid, Workspace] = {}
+
+
+_LOCAL = _ThreadBuffers()
+
+
+def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
+               out: np.ndarray | None = None) -> np.ndarray:
     """Apply ``mats[i]`` along spatial axis i of a ``(3, ...)`` array.
 
-    The result is C-contiguous. At d=1 a plain product is kept: the cycling
-    pass would round differently there.
+    The result is C-contiguous: ``out`` when it is given, a fresh array
+    otherwise. At d=2 and 3 every pass but the last writes into this
+    thread's buffer for its (pass index, shape); the index keeps consecutive
+    passes of equal shape (pad_factor 1) from reading the buffer they write.
+    At d=1 a plain product is kept: the cycling pass would round differently
+    there.
     """
     if arr.ndim == 2:
-        return arr @ mats[0].T
-    for mat in mats:
+        return arr @ mats[0].T if out is None else np.matmul(arr, mats[0].T, out)
+    bufs = _LOCAL.passes
+    last = len(mats) - 1
+    for i, mat in enumerate(mats):
         n, rest = arr.shape[1], arr.shape[2:]
-        arr = np.matmul(arr.reshape(3, n, -1).transpose(0, 2, 1), mat.T)
-        arr = arr.reshape(3, *rest, mat.shape[0])
-    return arr
+        lhs = arr.reshape(3, n, -1).transpose(0, 2, 1)
+        shape = (3, lhs.shape[1], mat.shape[0])
+        if i == last:
+            dest = None if out is None else out.reshape(shape)
+        else:
+            dest = bufs.get((i, shape))
+            if dest is None:
+                dest = bufs[(i, shape)] = np.empty(shape)
+        arr = np.matmul(lhs, mat.T, dest).reshape(3, *rest, mat.shape[0])
+    return arr if out is None else out
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two ``(3, ...)`` arrays of equal shape along axis 0."""
+def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cross product of two ``(3, ...)`` arrays of equal shape along axis 0.
+
+    Written into ``out`` when it is given, which must have that shape and
+    share no memory with ``a`` or ``b``; a fresh array otherwise.
+    """
     if a.shape != b.shape:
         raise ValueError(f"cross3 shapes differ: {a.shape} vs {b.shape}")
+    if out is None:
+        out = np.empty(a.shape)
+    elif out.shape != a.shape:
+        raise ValueError(f"cross3 out shape {out.shape}, expected {a.shape}")
+    else:
+        # arrays that each own their data are distinct allocations, so the
+        # slower may_share_memory calls run only when one of them is a view
+        owned = out.flags.owndata and a.flags.owndata and b.flags.owndata
+        if out is a or out is b or not owned and (
+                np.may_share_memory(out, a) or np.may_share_memory(out, b)):
+            raise ValueError("cross3 out shares memory with an input")
     a0, a1, a2 = a
     b0, b1, b2 = b
-    out = np.empty(a.shape)
     o0, o1, o2 = out
-    np.multiply(a1, b2, out=o0)
-    o0 -= a2 * b1
-    np.multiply(a2, b0, out=o1)
-    o1 -= a0 * b2
-    np.multiply(a0, b1, out=o2)
-    o2 -= a1 * b0
+    tmp = np.empty(a.shape[1:])
+    np.multiply(a1, b2, o0)
+    o0 -= np.multiply(a2, b1, tmp)
+    np.multiply(a2, b0, o1)
+    o1 -= np.multiply(a0, b2, tmp)
+    np.multiply(a0, b1, o2)
+    o2 -= np.multiply(a1, b0, tmp)
     return out
+
+
+class Workspace:
+    """Padded-grid arrays one time step writes, reused by the next.
+
+    ``vals`` holds u's values for the whole step; ``lap`` holds Lap u's
+    values and then each G_j's values in the Ito correction; ``prod`` holds
+    the pointwise product u |u|^2 and then every cross product; ``mag2``
+    holds |u|^2.
+    """
+
+    def __init__(self, grid: Grid):
+        field = (3, *grid.padded)
+        self.vals = np.empty(field)
+        self.lap = np.empty(field)
+        self.prod = np.empty(field)
+        self.mag2 = np.empty(grid.padded)
+
+
+def workspace(grid: Grid) -> Workspace:
+    """This thread's :class:`Workspace` for ``grid``, built on first use."""
+    cache = _LOCAL.workspaces
+    ws = cache.get(grid)
+    if ws is None:
+        ws = cache[grid] = Workspace(grid)
+    return ws
 
 
 def collocation_points(grid: Grid) -> tuple[np.ndarray, ...]:
@@ -210,9 +293,17 @@ def quad_weight(grid: Grid) -> float:
     return float(np.prod([L / M for L, M in zip(grid.lengths, grid.padded)]))
 
 
-def synthesize(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Raw coefficients ``(3, *modes)`` -> values ``(3, *padded)``."""
-    return _transform(coeffs, _axis_matrices(grid)[1])
+def synthesize(grid: Grid, coeffs: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Raw coefficients ``(3, *modes)`` -> values ``(3, *padded)``.
+
+    Written into ``out`` when it is given, a fresh array otherwise.
+    """
+    if out is not None and (out.shape != (3, *grid.padded) or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ValueError(f"synthesize out must be a C-contiguous float64 array of "
+                         f"shape {(3, *grid.padded)}, got {out.dtype} {out.shape}")
+    return _transform(coeffs, _axis_matrices(grid)[1], out)
 
 
 def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:

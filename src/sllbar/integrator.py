@@ -41,6 +41,7 @@ from .grid import (
     lp_norm,
     sobolev_norm,
     synthesize,
+    workspace,
 )
 from .model import ModelParams, TruncationConfig, truncation_scale
 from .noise import (
@@ -165,22 +166,26 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     ``precession`` (-b4 Pi(u x Lap u)), ``nonlocal``
     (b5 theta_R(|grad u|) Lap Pi(|u|^2 u)) and, when ``include_correction``
     is set and J > 0, ``ito_correction`` to coefficient arrays. The linear
-    part is not included.
+    part is not included. Padded-grid values and products go into this
+    thread's :func:`~sllbar.grid.workspace` for the grid; every returned
+    array is freshly allocated.
     """
     lam = eigenvalue_array(grid)
-    vals = synthesize(grid, coeffs)
-    mag2 = (vals * vals).sum(axis=0)
-    cubic = analyze(grid, vals * mag2)
-    lap_vals = synthesize(grid, -lam * coeffs)
+    ws = workspace(grid)
+    vals = synthesize(grid, coeffs, out=ws.vals)
+    mag2 = np.multiply(vals, vals, out=ws.prod).sum(axis=0, out=ws.mag2)
+    cubic = analyze(grid, np.multiply(vals, mag2, out=ws.prod))
+    lap_vals = synthesize(grid, -lam * coeffs, out=ws.lap)
     theta = truncation_scale(SpectralField(grid, coeffs), trunc)
     terms = {
         "penalty": params.beta3 * (coeffs - cubic),
-        "precession": -params.beta4 * analyze(grid, cross3(vals, lap_vals)),
+        "precession": -params.beta4 * analyze(grid, cross3(vals, lap_vals,
+                                                           out=ws.prod)),
         "nonlocal": (params.beta5 * theta) * (-lam) * cubic,
     }
-    Gs = [_diffusion_coeffs(grid, vals, noise, j) for j in range(noise.J)]
+    Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
     if include_correction and noise.J > 0:
-        terms["ito_correction"] = _correction_coeffs(grid, vals, noise)
+        terms["ito_correction"] = _correction_coeffs(grid, vals, noise, ws)
     return terms, Gs
 
 
@@ -193,8 +198,9 @@ def imex_em_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
                                 include_correction=True)
     acc = coeffs + dt * reduce(np.add, terms.values())
     for j, G in enumerate(Gs):
-        acc = acc + G * dW[j]
-    return acc / div
+        acc += G * dW[j]
+    acc /= div
+    return acc
 
 
 def heun_strat_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,

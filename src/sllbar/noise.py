@@ -26,6 +26,7 @@ import numpy as np
 from .grid import (
     Grid,
     SpectralField,
+    Workspace,
     analyze,
     apply_laplacian,
     cross3,
@@ -64,7 +65,7 @@ def coefficient_from_physical(grid: Grid, values: np.ndarray):
 
 @dataclass
 class NoiseModel:
-    """Immutable noise family with precomputed Laplacians and C_h."""
+    """Immutable noise family with precomputed Laplacians, h_j - Lap h_j and C_h."""
 
     grid: Grid
     h: list[SpectralField]
@@ -73,10 +74,12 @@ class NoiseModel:
     c_h_bound: float | None = None
     tail_estimate: float = 0.0
     h_phys: list[np.ndarray] = field(default_factory=list)
+    h_minus_lap: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.h_phys:
             self.h_phys = [synthesize(self.grid, hj.coeffs) for hj in self.h]
+        self.h_minus_lap = [hj.coeffs - lh.coeffs for hj, lh in zip(self.h, self.lap_h)]
 
     @property
     def J(self) -> int:
@@ -155,20 +158,28 @@ def check_noise_condition(noise: NoiseModel) -> float:
 
 
 def _diffusion_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
-                      j: int) -> np.ndarray:
-    """Coefficients of ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)`` from u's values."""
-    cross = cross3(u_vals, noise.h_phys[j])
-    return noise.h[j].coeffs - noise.lap_h[j].coeffs - analyze(grid, cross)
+                      j: int, ws: Workspace | None = None) -> np.ndarray:
+    """Coefficients of ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)`` from u's values.
+
+    With a workspace ``ws`` the cross product is written into ``ws.prod``.
+    """
+    cross = cross3(u_vals, noise.h_phys[j], out=None if ws is None else ws.prod)
+    return noise.h_minus_lap[j] - analyze(grid, cross)
 
 
-def _correction_coeffs(grid: Grid, u_vals: np.ndarray,
-                       noise: NoiseModel) -> np.ndarray:
-    """Coefficients of the Ito correction ``-1/2 sum_j Pi(G_j(u) x h_j)``."""
+def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
+                       ws: Workspace | None = None) -> np.ndarray:
+    """Coefficients of the Ito correction ``-1/2 sum_j Pi(G_j(u) x h_j)``.
+
+    With a workspace ``ws`` each G_j's values are written into ``ws.lap``
+    and each cross product into ``ws.prod``.
+    """
+    G_out, cross_out = (None, None) if ws is None else (ws.lap, ws.prod)
     acc = np.zeros((3, *grid.modes))
     for j in range(noise.J):
-        G = _diffusion_coeffs(grid, u_vals, noise, j)
-        G_vals = synthesize(grid, G)
-        acc += analyze(grid, cross3(G_vals, noise.h_phys[j]))
+        G = _diffusion_coeffs(grid, u_vals, noise, j, ws)
+        G_vals = synthesize(grid, G, out=G_out)
+        acc += analyze(grid, cross3(G_vals, noise.h_phys[j], out=cross_out))
     return -0.5 * acc
 
 

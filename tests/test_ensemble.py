@@ -1,13 +1,16 @@
 """Monte Carlo driver, moments, growth fit, tightness, window averages."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sllbar.cli import run_command
 from sllbar.ensemble import (
     EnsembleStats,
     Observable,
+    _path_mean_se,
     h2_time_average,
     invariant_average,
     moment_estimates,
@@ -19,6 +22,7 @@ from sllbar.integrator import BlowupAbort, SolverConfig
 from sllbar.model import ModelParams
 from sllbar.noise import NoiseModel, build_noise_modes
 
+ROOT = Path(__file__).resolve().parents[1]
 TINY = 1e-300
 G8 = Grid(1, (np.pi,), (8,))
 
@@ -391,3 +395,29 @@ class TestTimeWeights:
         rep = invariant_average(stats, 0, burn_in=0.5, windows=[(0.5, 1.0)])
         assert rep.window_means[0] == pytest.approx(mean, rel=1e-12)
         assert rep.window_ses == [0.0]
+
+
+class TestAgreeingPaths:
+    """Where every path holds the same value, the statistics are exact."""
+
+    def test_mean_is_the_common_value(self):
+        x = np.full((8, 3), 0.0886226925452758)
+        assert x.mean(axis=0)[0] != x[0, 0]  # the summed mean is one ulp off
+        mean, var, se = _path_mean_se(x)
+        assert np.array_equal(mean, x[0])
+        assert not var.any() and not se.any()
+
+    def test_ensemble_writes_the_simulated_value_at_t0(self, tmp_path):
+        cfg = str(ROOT / "demos" / "configs" / "annotated.cfg")
+        assert run_command(["simulate", "--config", cfg, "--output-dir",
+                            str(tmp_path / "sim"), "--quiet"]) == 0
+        assert run_command(["ensemble", "--config", cfg, "--output-dir",
+                            str(tmp_path / "ens"), "--quiet"]) == 0
+
+        def first_row(path, column):
+            header, row = path.read_text().splitlines()[:2]
+            return row.split(",")[header.split(",").index(column)]
+
+        written = first_row(tmp_path / "ens" / "ensemble_norms.csv", "mean_l2")
+        assert written == "0.0886226925452758"
+        assert written == first_row(tmp_path / "sim" / "trajectory.csv", "l2")

@@ -137,12 +137,17 @@ class TestReferenceSeries:
 
     The d=3 grid has unequal N_i and, at pad_factor 1.5, padded sizes
     (8, 5, 6) that are neither 2 N_i nor equal to each other, so an axis
-    mixed up by a transform pass changes the result.
+    mixed up by a transform pass changes the result. At pad_factor 1 the
+    padded grid is the mode grid, and with equal N_i every pass of a d=3
+    transform has the same shape.
     """
 
     GRIDS = [Grid(1, (np.pi,), (80,)), Grid(2, (np.pi, 2.0), (33, 40)),
-             Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4), pad_factor=1.5)]
-    IDS = ["d1_N80", "d2_N33x40", "d3_N5x3x4_pad1.5"]
+             Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4), pad_factor=1.5),
+             Grid(3, (np.pi, 1.0, 2.5), (4, 3, 5), pad_factor=1),
+             Grid(3, (np.pi, 1.0, 2.5), (4, 4, 4), pad_factor=1)]
+    IDS = ["d1_N80", "d2_N33x40", "d3_N5x3x4_pad1.5", "d3_N4x3x5_pad1",
+           "d3_N4x4x4_pad1"]
 
     @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     def test_synthesize(self, grid):
@@ -179,6 +184,30 @@ class TestCross3:
     def test_mismatched_shapes_rejected(self, shape_b):
         with pytest.raises(ValueError, match="cross3 shapes differ"):
             cross3(np.ones((3, 8)), np.ones(shape_b))
+
+    def test_writes_into_out(self):
+        a, b = np.random.default_rng(11).standard_normal((2, 3, 6, 5))  # views
+        expected = cross3(a, b)
+        for x, y in [(a, b), (a.copy(), b.copy())]:
+            out = np.empty((3, 6, 5))
+            assert cross3(x, y, out=out) is out
+            assert np.array_equal(out, expected)
+
+    def test_out_aliasing_an_input_rejected(self):
+        a, b = np.random.default_rng(12).standard_normal((2, 3, 8))
+        kept = a.copy()
+        with pytest.raises(ValueError, match="shares memory"):
+            cross3(a, b, out=a)
+        assert np.array_equal(a, kept)
+
+    def test_out_viewing_an_input_rejected(self):
+        a, b = np.random.default_rng(13).standard_normal((2, 3, 4, 4))
+        with pytest.raises(ValueError, match="shares memory"):
+            cross3(a, b, out=b[:, ::-1])
+
+    def test_out_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="cross3 out"):
+            cross3(np.ones((3, 8)), np.ones((3, 8)), out=np.empty((3, 7)))
 
 
 class TestLaplacian:

@@ -277,6 +277,9 @@ def parse_config(path: str) -> RunConfig:
             modes = modes * dim
     # convert before each try, whose handler would re-prefix a converter error
     optional = sec.given(pad_factor=_float)
+    if optional.get("pad_factor", 2.0) < 2:
+        raise ConfigError("grid.pad_factor: must be >= 2; a coarser padded grid "
+                          "aliases the cubic terms")
     try:
         grid = Grid(dim, lengths, modes, **optional)
     except ValueError as exc:

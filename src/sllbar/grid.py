@@ -24,23 +24,25 @@ Conventions
 
 Transforms
 ----------
-There is one transform: cached per-axis orthonormal DCT-II / DST-II matrices
-(:func:`_axis_matrices`) applied one axis at a time by :func:`_transform`.
+There is one transform: per-axis orthonormal DCT-II / DST-II matrices
+(``Grid._axis_matrices``) applied one axis at a time by :func:`_transform`.
 Each pass contracts the leading spatial axis in one GEMM and appends the
 result as the trailing axis, so after d passes the axes are back in order
 without any transposed copy. A synthesis or analysis costs O(M^(d+1)) for
 ``M`` padded nodes per axis, and the matrices of one axis take ``3 M N``
-doubles.
+doubles. They, the eigenvalues, the Sobolev weights and the implicit
+divisors are built once per Grid instance and read from it as attributes.
 
 Memory
 ------
 The time step allocates no padded-grid array. Every transform pass but the
 last writes into a buffer kept per thread and keyed by (pass index, shape),
 and the step writes its padded-grid values, products and |u|^2 into the
-:class:`Workspace` of its grid and thread (:func:`workspace`), which every
-later step on that grid reuses. :func:`synthesize` and :func:`cross3` write
-into ``out`` when it is given; without it they return fresh arrays, as do
-:func:`analyze` and :func:`gradient_values` always.
+:class:`Workspace` of its padded shape and thread (:func:`workspace`).
+:func:`cross3` takes its one component-sized temporary from a per-thread
+scratch row. :func:`synthesize` and :func:`cross3` write into ``out`` when
+it is given; without it they return fresh arrays, as do :func:`analyze` and
+:func:`gradient_values` always.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -93,9 +95,9 @@ class Grid:
             raise ValueError("pad_factor must be >= 1")
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         object.__setattr__(self, "modes", tuple(int(N) for N in self.modes))
-        # every step hashes its grid in a few dozen cache lookups
         object.__setattr__(self, "_hash", hash(
             (self.dim, self.lengths, self.modes, self.pad_factor)))
+        object.__setattr__(self, "_memo", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -110,6 +112,43 @@ class Grid:
 
     def with_modes(self, modes: tuple[int, ...]) -> "Grid":
         return Grid(self.dim, self.lengths, tuple(modes), self.pad_factor)
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        lam = np.zeros(self.modes)
+        for ax, (N, L) in enumerate(zip(self.modes, self.lengths)):
+            shape = [1] * self.dim
+            shape[ax] = N
+            lam = lam + ((np.pi * np.arange(N) / L) ** 2).reshape(shape)
+        lam.setflags(write=False)
+        return lam
+
+    @cached_property
+    def _axis_matrices(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per-axis analysis (N, M), synthesis (M, N) and derivative-synthesis
+        (M, N) matrices, one tuple of each; the scale sqrt(L/M) is folded in."""
+        out = []
+        for N, M, L in zip(self.modes, self.padded, self.lengths):
+            s = math.sqrt(L / M)
+            dct_mat = sfft.dct(np.eye(M), type=2, norm="ortho", axis=0)
+            dst_mat = sfft.dst(np.eye(M), type=2, norm="ortho", axis=0)
+            analysis = np.ascontiguousarray(s * dct_mat[:N, :])
+            synthesis = np.ascontiguousarray(dct_mat[:N, :].T / s)
+            deriv = np.zeros((M, N))
+            for k in range(1, N):
+                deriv[:, k] = -(np.pi * k / L) / s * dst_mat[k - 1, :]
+            for m in (analysis, synthesis, deriv):
+                m.setflags(write=False)
+            out.append((analysis, synthesis, deriv))
+        return tuple(zip(*out))
+
+    def _constant(self, key: tuple, build) -> np.ndarray:
+        """``build()``, made read-only and kept on this instance under ``key``."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+            value.setflags(write=False)
+        return value
 
 
 @dataclass
@@ -146,49 +185,18 @@ def _check_same_grid(a: Grid, b: Grid):
         raise GridMismatchError(f"grid mismatch: {a} vs {b}")
 
 
-@lru_cache(maxsize=None)
 def eigenvalue_array(grid: Grid) -> np.ndarray:
     """Array of shape ``grid.modes`` holding lambda_k for each multi-index."""
-    lam = np.zeros(grid.modes)
-    for ax, (N, L) in enumerate(zip(grid.modes, grid.lengths)):
-        shape = [1] * grid.dim
-        shape[ax] = N
-        lam = lam + ((np.pi * np.arange(N) / L) ** 2).reshape(shape)
-    lam.setflags(write=False)
-    return lam
-
-
-@lru_cache(maxsize=None)
-def _axis_matrices(grid: Grid) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per-axis analysis, synthesis and derivative-synthesis matrices.
-
-    Returns three tuples with one matrix per axis. analysis: (N, M) values
-    -> coefficients; synthesis: (M, N) its adjoint; derivative: (M, N)
-    coefficients -> axis derivative at the nodes. The per-axis scale
-    sqrt(L/M) is folded in.
-    """
-    out = []
-    for N, M, L in zip(grid.modes, grid.padded, grid.lengths):
-        s = math.sqrt(L / M)
-        dct_mat = sfft.dct(np.eye(M), type=2, norm="ortho", axis=0)
-        dst_mat = sfft.dst(np.eye(M), type=2, norm="ortho", axis=0)
-        analysis = np.ascontiguousarray(s * dct_mat[:N, :])
-        synthesis = np.ascontiguousarray(dct_mat[:N, :].T / s)
-        deriv = np.zeros((M, N))
-        for k in range(1, N):
-            deriv[:, k] = -(np.pi * k / L) / s * dst_mat[k - 1, :]
-        for m in (analysis, synthesis, deriv):
-            m.setflags(write=False)
-        out.append((analysis, synthesis, deriv))
-    return tuple(zip(*out))
+    return grid._eigenvalues
 
 
 class _ThreadBuffers(threading.local):
-    """Transform pass buffers and step workspaces, one set per thread."""
+    """Pass buffers, cross3 scratch rows and step workspaces of one thread."""
 
     def __init__(self):
         self.passes: dict[tuple, np.ndarray] = {}
-        self.workspaces: dict[Grid, Workspace] = {}
+        self.rows: dict[tuple, np.ndarray] = {}
+        self.workspaces: dict[tuple, Workspace] = {}
 
 
 _LOCAL = _ThreadBuffers()
@@ -242,10 +250,12 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
         if out is a or out is b or not owned and (
                 np.may_share_memory(out, a) or np.may_share_memory(out, b)):
             raise ValueError("cross3 out shares memory with an input")
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    o0, o1, o2 = out
-    tmp = np.empty(a.shape[1:])
+    # indexing beats unpacking; the scratch row is this thread's own
+    a0, a1, a2, b0, b1, b2 = a[0], a[1], a[2], b[0], b[1], b[2]
+    o0, o1, o2 = out[0], out[1], out[2]
+    tmp = _LOCAL.rows.get(a.shape[1:])
+    if tmp is None:
+        tmp = _LOCAL.rows[a.shape[1:]] = np.empty(a.shape[1:])
     np.multiply(a1, b2, o0)
     o0 -= np.multiply(a2, b1, tmp)
     np.multiply(a2, b0, o1)
@@ -273,11 +283,11 @@ class Workspace:
 
 
 def workspace(grid: Grid) -> Workspace:
-    """This thread's :class:`Workspace` for ``grid``, built on first use."""
+    """This thread's :class:`Workspace` for ``grid.padded``, built on first use."""
     cache = _LOCAL.workspaces
-    ws = cache.get(grid)
+    ws = cache.get(grid.padded)
     if ws is None:
-        ws = cache[grid] = Workspace(grid)
+        ws = cache[grid.padded] = Workspace(grid)
     return ws
 
 
@@ -303,7 +313,7 @@ def synthesize(grid: Grid, coeffs: np.ndarray,
                             or not out.flags.c_contiguous):
         raise ValueError(f"synthesize out must be a C-contiguous float64 array of "
                          f"shape {(3, *grid.padded)}, got {out.dtype} {out.shape}")
-    return _transform(coeffs, _axis_matrices(grid)[1], out)
+    return _transform(coeffs, grid._axis_matrices[1], out)
 
 
 def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -312,7 +322,7 @@ def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
     The truncation composes the analysis with the Galerkin projection onto
     the retained-mode span.
     """
-    return _transform(values, _axis_matrices(grid)[0])
+    return _transform(values, grid._axis_matrices[0])
 
 
 def apply_laplacian(field: SpectralField, power: int = 1) -> SpectralField:
@@ -331,17 +341,15 @@ def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
     component is synthesized with the DST-II derivative matrix along the
     derivative axis and the DCT-II synthesis matrices along the rest.
     """
-    _, syn, deriv = _axis_matrices(grid)
+    _, syn, deriv = grid._axis_matrices
     return [_transform(coeffs, syn[:ax] + (deriv[ax],) + syn[ax + 1:])
             for ax in range(grid.dim)]
 
 
-@lru_cache(maxsize=None)
 def _sobolev_weight(grid: Grid, s: float, seminorm: bool) -> np.ndarray:
-    lam = eigenvalue_array(grid)
-    weight = np.power(lam, s) if seminorm else np.power(1.0 + lam, s)
-    weight.setflags(write=False)
-    return weight
+    lam = grid._eigenvalues
+    return grid._constant(("sobolev", s, seminorm), lambda: (
+        np.power(lam, s) if seminorm else np.power(1.0 + lam, s)))
 
 
 def sobolev_norm(field: SpectralField, s: float, seminorm: bool = False) -> float:

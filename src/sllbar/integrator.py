@@ -28,7 +28,7 @@ grid. A study that needs every path to reach ``t_end`` raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -148,11 +148,9 @@ def linear_factor(lam, dt: float, params: ModelParams):
     return factor
 
 
-@lru_cache(maxsize=None)
 def _divisor_array(grid: Grid, dt: float, params: ModelParams) -> np.ndarray:
-    div = linear_factor(eigenvalue_array(grid), dt, params)
-    div.setflags(write=False)
-    return div
+    return grid._constant(("divisor", dt, params), lambda: linear_factor(
+        eigenvalue_array(grid), dt, params))
 
 
 def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,

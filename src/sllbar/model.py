@@ -51,6 +51,11 @@ class ModelParams:
                 raise ValueError(f"{name}: must be finite, got {value}")
             if value <= 0 and name != "beta1":
                 raise ValueError(f"{name}: must be positive, got {value}")
+        object.__setattr__(self, "_hash", hash(
+            (self.beta1, self.beta2, self.beta3, self.beta4, self.beta5)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

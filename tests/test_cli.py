@@ -120,6 +120,14 @@ class TestExitCodes:
         assert run_command(["check", "--config", str(f),
                             "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
 
+    def test_pad_factor_below_two(self, tmp_path, capsys):
+        f = tmp_path / "bad.cfg"
+        f.write_text(BASE.replace("modes = 8", "modes = 8\npad_factor = 1.5"))
+        assert run_command(["simulate", "--config", str(f),
+                            "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "configuration error: grid.pad_factor:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_observable_index_outside_grid(self, tmp_path, capsys):
         f = tmp_path / "bad.cfg"
         f.write_text(BASE + "\n[observable.2]\nkind = tanh_mode\nindex = 99\n")

@@ -91,6 +91,16 @@ class TestRejections:
         with pytest.raises(ConfigError, match="experiment.workers"):
             parse_config(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("pad", ["1.0", "1.5", "1.99"])
+    def test_pad_factor_below_two(self, tmp_path, pad):
+        # the padded grid would alias the cubic terms; Grid itself allows it
+        bad = MINIMAL.replace("modes = 8", f"modes = 8\npad_factor = {pad}")
+        with pytest.raises(ConfigError, match="^grid.pad_factor: must be >= 2; .* alias"):
+            parse_config(write(tmp_path, bad))
+        assert Grid(1, (np.pi,), (8,), pad_factor=float(pad)).pad_factor < 2
+        ok = MINIMAL.replace("modes = 8", "modes = 8\npad_factor = 3")
+        assert parse_config(write(tmp_path, ok)).grid.padded == (24,)
+
     def test_t_end_not_whole_steps(self, tmp_path):
         bad = MINIMAL.replace("dt = 0.01", "dt = 0.3")
         with pytest.raises(ConfigError, match="solver: t_end"):

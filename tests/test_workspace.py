@@ -168,3 +168,36 @@ def test_grid_hash_is_stable_and_matches_equality():
     b = Grid(3, (np.pi, 1, 2.5), (5, 3, 4), pad_factor=2)
     assert a == b and hash(a) == hash(b)
     assert hash(a) == hash(a) and a != a.with_modes((5, 3, 3))
+
+
+def test_grid_comparisons_do_not_grow_with_steps(monkeypatch):
+    # noise and u0 built on grid a; a distinct grid b equal to a does the steps,
+    # so a per-step constant looked up by Grid would compare b with a each time
+    a = Grid(1, (np.pi,), (16,))
+    noise = two_mode_noise(a)
+    coeffs = state(a, 12)
+    eq_calls = []
+    dataclass_eq = Grid.__eq__
+
+    def counting_eq(self, other):
+        eq_calls.append(1)
+        return dataclass_eq(self, other)
+
+    monkeypatch.setattr(Grid, "__eq__", counting_eq)
+    counts = []
+    for n in (5, 20):
+        b = Grid(1, (np.pi,), (16,))
+        assert b == a and b is not a
+        eq_calls.clear()
+        assert np.isfinite(steps(coeffs, b, noise, imex_em_step, n)).all()
+        counts.append(len(eq_calls))
+    assert counts[0] == counts[1]
+
+
+def test_model_params_equality_and_hash_agree():
+    p = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
+    q = ModelParams(0.5, 1, 1, 1.0, 1)
+    r = ModelParams(0.5, 1.0, 1.0, 1.0, 2.0)
+    assert p == q and hash(p) == hash(q) and p is not q
+    assert p != r and hash(p) == hash(p)
+    assert {p: "divisor"}[q] == "divisor" and r not in {p: "divisor"}

@@ -37,10 +37,10 @@ noise = build_noise_modes(
 rng = np.random.default_rng(7)
 u = 0.5 * random_field(grid, rng, decay=1.5)
 
-terms = drift_terms(u, params, noise, TruncationConfig.off())
+terms = drift_terms(grid, u, params, noise, TruncationConfig.off())
 print("drift term magnitudes (L2 of each contribution):")
-for name, field in terms.items():
-    print(f"  {name:15s} {np.sqrt((field.coeffs**2).sum()):.6f}")
+for name, coeffs in terms.items():
+    print(f"  {name:15s} {np.sqrt((coeffs**2).sum()):.6f}")
 
 # The smooth cutoff is exactly 1 below the radius and exactly 0 above twice
 # the radius, with a C-infinity ramp in between.
@@ -49,22 +49,21 @@ for x in (0.5, 1.0, 1.3, 1.7, 2.0, 2.5):
 
 # Orthogonality: (Pi(u x Lap u), u) vanishes at quadrature precision, which
 # is why the precession term never enters the L2 energy balance.
-print("normalized cross identity:", identity_cross(u))
+print("normalized cross identity:", identity_cross(grid, u))
 
 # Cubic identities: both routes agree at rounding level.
-lhs, rhs, res = identity_cubic_gradient(u)
+lhs, rhs, res = identity_cubic_gradient(grid, u)
 print(f"(grad(|u|^2 u), grad u) = {lhs:.8f};  2|u.grad u|^2 + ||u||grad u||^2"
       f" = {rhs:.8f};  residual = {res:.2e}")
-lhs, rhs, res = identity_cubic_ibp(u)
+lhs, rhs, res = identity_cubic_ibp(grid, u)
 print(f"(Lap(|u|^2 u), u) = {lhs:.8f};  -(2|u.grad u|^2 + ...) = {rhs:.8f};"
       f"  residual = {res:.2e}")
 
 # Truncation: far above the gradient norm it is inert; far below it kills
 # the nonlocal term entirely.
-grad = sobolev_norm(u, 1, seminorm=True)
-on_big = drift_terms(u, params, noise, TruncationConfig.on(10 * grad))["nonlocal"]
-on_tiny = drift_terms(u, params, noise, TruncationConfig.on(grad / 3))["nonlocal"]
-off = drift_terms(u, params, noise, TruncationConfig.off())["nonlocal"]
-print("nonlocal term: |off - on(10x)| =",
-      np.abs(off.coeffs - on_big.coeffs).max(),
-      " |on(1/3 x)| =", np.abs(on_tiny.coeffs).max())
+grad = sobolev_norm(grid, u, 1, seminorm=True)
+on_big = drift_terms(grid, u, params, noise, TruncationConfig.on(10 * grad))["nonlocal"]
+on_tiny = drift_terms(grid, u, params, noise, TruncationConfig.on(grad / 3))["nonlocal"]
+off = drift_terms(grid, u, params, noise, TruncationConfig.off())["nonlocal"]
+print("nonlocal term: |off - on(10x)| =", np.abs(off - on_big).max(),
+      " |on(1/3 x)| =", np.abs(on_tiny).max())

@@ -5,17 +5,12 @@ __version__ = "0.1.0"
 
 from .grid import (
     Grid,
-    GridMismatchError,
-    SpectralField,
-    apply_laplacian,
     constant_field,
     eigenmode_field,
     embed,
-    l2_inner,
     lp_norm,
     random_field,
     sobolev_norm,
-    zero_field,
 )
 from .model import (
     ModelParams,
@@ -31,7 +26,6 @@ from .noise import (
     WienerIncrement,
     build_noise_modes,
     check_noise_condition,
-    coefficient_from_physical,
     coupled_increments,
     sample_increments,
 )

@@ -116,7 +116,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     u0 = cfg.build_initial()
     record = run_trajectory(u0, cfg.params, noise, cfg.solver, path=0)
     write_trajectory_csv(record, out / "trajectory.csv")
-    write_snapshot(record.final, out / "final_state.snap")
+    write_snapshot(record.final, out / "final_state.snap", record.grid)
     report = report_skeleton(cfg.echo())
     report["stop_events"] = _stop_events([record.stop_reason], [record.stop_time])
     report["final_norms"] = {k: float(v[-1]) for k, v in record.norms.items()}
@@ -225,9 +225,9 @@ def _cmd_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     rows = []
     for i in range(20):
         u = random_field(cfg.grid, rng)
-        _, _, grad_res = identity_cubic_gradient(u)
-        _, _, ibp_res = identity_cubic_ibp(u)
-        rows.append((i, identity_cross(u), grad_res, ibp_res))
+        _, _, grad_res = identity_cubic_gradient(cfg.grid, u)
+        _, _, ibp_res = identity_cubic_ibp(cfg.grid, u)
+        rows.append((i, identity_cross(cfg.grid, u), grad_res, ibp_res))
     lines = ["field,cross_identity,cubic_gradient_residual,cubic_ibp_residual"]
     for i, a, b, c in rows:
         lines.append(f"{i},{a:.17g},{b:.17g},{c:.17g}")

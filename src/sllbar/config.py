@@ -19,14 +19,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .ensemble import Observable
-from .grid import (
-    Grid,
-    SpectralField,
-    check_mode_index,
-    constant_field,
-    eigenmode_field,
-    zero_field,
-)
+from .grid import Grid, check_mode_index, constant_field, eigenmode_field, embed
 from .integrator import ConfigurationError, SolverConfig
 from .model import ModelParams, TruncationConfig
 from .noise import NoiseModel, build_noise_modes
@@ -99,7 +92,7 @@ class RunConfig:
     def build_noise(self, grid: Grid | None = None) -> NoiseModel:
         return build_noise_modes(self.noise_spec, grid or self.grid)
 
-    def build_initial(self, grid: Grid | None = None) -> SpectralField:
+    def build_initial(self, grid: Grid | None = None) -> np.ndarray:
         return build_initial(self.initial_spec, grid or self.grid)
 
     def echo(self) -> dict:
@@ -136,14 +129,14 @@ def _jsonable(value):
     return value
 
 
-def build_initial(spec: dict, grid: Grid) -> SpectralField:
-    """Initial datum from a descriptor: constant vector, eigenmode sum,
-    or a coefficient snapshot file."""
+def build_initial(spec: dict, grid: Grid) -> np.ndarray:
+    """Initial coefficients on ``grid`` from a descriptor: constant vector,
+    eigenmode sum, or a coefficient snapshot file."""
     kind = spec.get("type", "constant")
     if kind == "constant":
         return constant_field(grid, spec["vector"])
     if kind == "modes":
-        u = zero_field(grid)
+        u = np.zeros((3, *grid.modes))
         for mode in spec["modes"]:
             index = tuple(int(i) for i in np.atleast_1d(mode["index"]))
             u = u + eigenmode_field(grid, index, mode["amplitude"])
@@ -152,16 +145,14 @@ def build_initial(spec: dict, grid: Grid) -> SpectralField:
         from .io import SnapshotFormatError, read_snapshot
 
         try:
-            u = read_snapshot(spec["path"], pad_factor=grid.pad_factor)
+            snap_grid, u = read_snapshot(spec["path"], pad_factor=grid.pad_factor)
         except SnapshotFormatError as exc:
             raise ConfigError(f"initial.path: {exc}") from exc
-        if u.grid.lengths != grid.lengths or u.grid.dim != grid.dim:
+        if snap_grid.lengths != grid.lengths or snap_grid.dim != grid.dim:
             raise ConfigError("initial.path: snapshot box does not match grid")
-        if u.grid.modes != grid.modes:
-            from .grid import embed
-
-            if all(a <= b for a, b in zip(u.grid.modes, grid.modes)):
-                return embed(u, grid)
+        if snap_grid.modes != grid.modes:
+            if all(a <= b for a, b in zip(snap_grid.modes, grid.modes)):
+                return embed(snap_grid, u, grid)
             raise ConfigError("initial.path: snapshot has more modes than grid")
         return u
     raise ConfigError(f"initial.type: unknown type {kind!r}")

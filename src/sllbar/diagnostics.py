@@ -19,14 +19,11 @@ import numpy as np
 
 from .grid import (
     Grid,
-    SpectralField,
     analyze,
-    apply_laplacian,
     cross3,
     eigenvalue_array,
     embed,
     gradient_values,
-    l2_inner,
     lp_norm,
     quad_weight,
     sobolev_norm,
@@ -55,20 +52,19 @@ class ResidualSeries:
             raise ValueError("times and values must have equal length")
 
 
-def identity_cross(u: SpectralField) -> float:
+def identity_cross(grid: Grid, coeffs: np.ndarray) -> float:
     """Normalized ``(Pi(u x Lap u), u)``; vanishes identically."""
-    num = l2_inner(precession(u), u)
-    denom = sobolev_norm(u, 1) * sobolev_norm(u, 2)
+    num = float((precession(grid, coeffs) * coeffs).sum())  # Parseval-exact
+    denom = sobolev_norm(grid, coeffs, 1) * sobolev_norm(grid, coeffs, 2)
     if denom == 0.0:
         return 0.0
     return num / denom
 
 
-def _gradient_quadratics(u: SpectralField):
+def _gradient_quadratics(grid: Grid, coeffs: np.ndarray):
     """Quadrature values of |u.grad u|^2 and |u|^2 |grad u|^2."""
-    grid = u.grid
-    vals = synthesize(grid, u.coeffs)
-    grads = gradient_values(grid, u.coeffs)
+    vals = synthesize(grid, coeffs)
+    grads = gradient_values(grid, coeffs)
     w = quad_weight(grid)
     mag2 = (vals * vals).sum(axis=0)
     u_dot_grad_sq = np.zeros(grid.padded)
@@ -79,31 +75,31 @@ def _gradient_quadratics(u: SpectralField):
     return float(u_dot_grad_sq.sum() * w), float((mag2 * grad_sq).sum() * w)
 
 
-def identity_cubic_gradient(u: SpectralField) -> tuple[float, float, float]:
+def identity_cubic_gradient(grid: Grid,
+                            coeffs: np.ndarray) -> tuple[float, float, float]:
     """``(grad(|u|^2 u), grad u) = 2 |u.grad u|^2 + | |u| |grad u| |^2``.
 
     The left side pairs the spectrally differentiated projected cubic with
     grad u by quadrature; modes dropped by the projection are orthogonal to
     the retained gradient modes, so the pairing equals the unprojected one.
     """
-    grid = u.grid
-    gw = gradient_values(grid, cubic_field(u).coeffs)
-    gu = gradient_values(grid, u.coeffs)
+    gw = gradient_values(grid, cubic_field(grid, coeffs))
+    gu = gradient_values(grid, coeffs)
     w = quad_weight(grid)
     lhs = float(sum((a * b).sum() for a, b in zip(gw, gu)) * w)
-    cross_sq, mixed_sq = _gradient_quadratics(u)
+    cross_sq, mixed_sq = _gradient_quadratics(grid, coeffs)
     rhs = 2.0 * cross_sq + mixed_sq
     residual = (lhs - rhs) / max(1.0, abs(lhs))
     return lhs, rhs, residual
 
 
-def identity_cubic_ibp(u: SpectralField) -> tuple[float, float, float]:
+def identity_cubic_ibp(grid: Grid,
+                       coeffs: np.ndarray) -> tuple[float, float, float]:
     """``(Lap(|u|^2 u), u) = -2 |u.grad u|^2 - | |u| |grad u| |^2``."""
-    grid = u.grid
-    lap_cubic = synthesize(grid, apply_laplacian(cubic_field(u)).coeffs)
-    u_vals = synthesize(grid, u.coeffs)
+    lap_cubic = synthesize(grid, -eigenvalue_array(grid) * cubic_field(grid, coeffs))
+    u_vals = synthesize(grid, coeffs)
     lhs = float((lap_cubic * u_vals).sum() * quad_weight(grid))
-    cross_sq, mixed_sq = _gradient_quadratics(u)
+    cross_sq, mixed_sq = _gradient_quadratics(grid, coeffs)
     rhs = -2.0 * cross_sq - mixed_sq
     residual = (lhs - rhs) / max(1.0, abs(lhs))
     return lhs, rhs, residual
@@ -128,23 +124,23 @@ def energy_balance_l2(traj: TrajectoryRecord,
         raise ValueError("need at least two snapshots")
     ts = np.asarray(traj.snapshot_steps) * traj.config.dt
     spacing = float(ts[1] - ts[0])
-    states = [SpectralField(traj.grid, c) for c in traj.snapshots]
+    grid, states = traj.grid, traj.snapshots
     trunc = traj.config.truncation
 
     residuals = np.zeros(len(states) - 1)
-    half_l2_sq = [0.5 * sobolev_norm(u, 0) ** 2 for u in states]
-    sup_l2 = max(sobolev_norm(u, 0) for u in states)
+    half_l2_sq = [0.5 * sobolev_norm(grid, u, 0) ** 2 for u in states]
+    sup_l2 = max(sobolev_norm(grid, u, 0) for u in states)
     for m in range(len(states) - 1):
         u = states[m]
-        cross_sq, mixed_sq = _gradient_quadratics(u)
-        theta = truncation_scale(u, trunc)
+        cross_sq, mixed_sq = _gradient_quadratics(grid, u)
+        theta = truncation_scale(grid, u, trunc)
         ddt = (half_l2_sq[m + 1] - half_l2_sq[m]) / spacing
         residuals[m] = (
             ddt
-            + params.beta1 * sobolev_norm(u, 1, seminorm=True) ** 2
-            + params.beta2 * sobolev_norm(u, 2, seminorm=True) ** 2
-            + params.beta3 * lp_norm(u, 4) ** 4
-            - params.beta3 * sobolev_norm(u, 0) ** 2
+            + params.beta1 * sobolev_norm(grid, u, 1, seminorm=True) ** 2
+            + params.beta2 * sobolev_norm(grid, u, 2, seminorm=True) ** 2
+            + params.beta3 * lp_norm(grid, u, 4) ** 4
+            - params.beta3 * sobolev_norm(grid, u, 0) ** 2
             + params.beta5 * theta * (2.0 * cross_sq + mixed_sq)
         )
     normalization = max(1.0, sup_l2**2)
@@ -191,18 +187,18 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
     sup_l2 = 0.0
     n_steps = len(steps) - 1
     for m in range(n_steps):
-        u = SpectralField(grid, traj.snapshots[m])
-        sup_l2 = max(sup_l2, sobolev_norm(u, 0))
-        vals = synthesize(grid, u.coeffs)
+        u = traj.snapshots[m]
+        sup_l2 = max(sup_l2, sobolev_norm(grid, u, 0))
+        vals = synthesize(grid, u)
         mag2 = (vals * vals).sum(axis=0)
         cubic_vals = vals * mag2
-        theta = truncation_scale(u, cfg.truncation)
+        theta = truncation_scale(grid, u, cfg.truncation)
 
         # common pairings
-        pair = -params.beta1 * lam_phi * u.coeffs[pick]
-        pair += params.beta3 * float(u.coeffs[pick])
+        pair = -params.beta1 * lam_phi * u[pick]
+        pair += params.beta3 * float(u[pick])
         # (u x grad u, grad phi) by quadrature
-        gu = gradient_values(grid, u.coeffs)
+        gu = gradient_values(grid, u)
         cross_pair = 0.0
         for g, gphi in zip(gu, grad_phi):
             cross_pair += float((cross3(vals, g) * gphi).sum() * w)
@@ -212,7 +208,7 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
         pair += -params.beta3 * float(cubic_coeffs[pick])
         if form == "weak":
             # +b2 (grad Lap u, grad phi) and -b5 theta (grad(|u|^2 u), grad phi)
-            pair += params.beta2 * (-(lam_phi**2)) * u.coeffs[pick]
+            pair += params.beta2 * (-(lam_phi**2)) * u[pick]
             gw = gradient_values(grid, cubic_coeffs)
             grad_pair = 0.0
             for g, gphi in zip(gw, grad_phi):
@@ -220,7 +216,7 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
             pair += -params.beta5 * theta * grad_pair
         else:
             # -b2 (Lap u, Lap phi) and +b5 theta (|u|^2 u, Lap phi)
-            pair += -params.beta2 * (lam_phi**2) * u.coeffs[pick]
+            pair += -params.beta2 * (lam_phi**2) * u[pick]
             pair += params.beta5 * theta * (-lam_phi) * float(cubic_coeffs[pick])
 
         if noise.J > 0:
@@ -233,14 +229,14 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
 
         total += dt * float(pair)
 
-    u_last = SpectralField(grid, traj.snapshots[n_steps])
-    sup_l2 = max(sup_l2, sobolev_norm(u_last, 0))
-    lhs = float(u_last.coeffs[pick])
+    u_last = traj.snapshots[n_steps]
+    sup_l2 = max(sup_l2, sobolev_norm(grid, u_last, 0))
+    lhs = float(u_last[pick])
     rhs = float(traj.snapshots[0][pick]) + total
     return abs(lhs - rhs) / max(sup_l2, 1e-300)
 
 
-def strong_convergence_gaps(u0: SpectralField, params: ModelParams,
+def strong_convergence_gaps(u0: np.ndarray, params: ModelParams,
                             noise: NoiseModel, config: SolverConfig,
                             halvings: int = 3, paths: int = 8) -> list[float]:
     """Mean L^2 gap at t_end between successive dt-halved runs.
@@ -264,12 +260,12 @@ def strong_convergence_gaps(u0: SpectralField, params: ModelParams,
             finals.append(rec.final)
         for k in range(halvings):
             gaps[k] += float(
-                np.sqrt(((finals[k].coeffs - finals[k + 1].coeffs) ** 2).sum())
+                np.sqrt(((finals[k] - finals[k + 1]) ** 2).sum())
             )
     return list(gaps / paths)
 
 
-def refinement_gap(u0_builder: Callable[[Grid], SpectralField],
+def refinement_gap(u0_builder: Callable[[Grid], np.ndarray],
                    params: ModelParams,
                    noise_builder: Callable[[Grid], NoiseModel],
                    config: SolverConfig, box: Grid,
@@ -296,6 +292,6 @@ def refinement_gap(u0_builder: Callable[[Grid], SpectralField],
         raise BlowupAbort("runs stopped at different times; cannot compare")
     fine_grid = fine.grid
     for cs, fs in zip(coarse.snapshots, fine.snapshots):
-        cf = embed(SpectralField(coarse.grid, cs), fine_grid)
-        gaps.append(float(np.sqrt(((cf.coeffs - fs) ** 2).sum())))
+        cf = embed(coarse.grid, cs, fine_grid)
+        gaps.append(float(np.sqrt(((cf - fs) ** 2).sum())))
     return max(gaps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import SpectralField, check_mode_index, sobolev_norm
+from .grid import Grid, check_mode_index, sobolev_norm
 from .integrator import (
     STOP_COMPLETED,
     BlowupAbort,
@@ -77,15 +77,15 @@ class Observable:
             return f"exp_neg_l2[s={self.scale:g}]"
         return f"clip_norm[{self.space};cap={self.cap:g}]"
 
-    def __call__(self, u: SpectralField) -> float:
+    def __call__(self, grid: Grid, coeffs: np.ndarray) -> float:
         if self.kind == "tanh_mode":
-            index = check_mode_index(u.grid, self.mode_index)
-            c = float(u.coeffs[(self.component,) + index])
+            index = check_mode_index(grid, self.mode_index)
+            c = float(coeffs[(self.component,) + index])
             return math.tanh(c / self.scale)
         if self.kind == "exp_neg_l2":
-            n = sobolev_norm(u, 0)
+            n = sobolev_norm(grid, coeffs, 0)
             return math.exp(-((n / self.scale) ** 2))
-        n = sobolev_norm(u, 0) if self.space == "L2" else sobolev_norm(u, 1)
+        n = sobolev_norm(grid, coeffs, 0 if self.space == "L2" else 1)
         return min(n, self.cap)
 
 
@@ -165,7 +165,7 @@ def _run_one(args) -> TrajectoryRecord:
         raise ConfigurationError(f"path {path}: {exc}") from exc
 
 
-def run_ensemble(u0: SpectralField, params: ModelParams, noise: NoiseModel,
+def run_ensemble(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
                  config: SolverConfig, M: int, observables=(),
                  workers: int = 1) -> EnsembleStats:
     """M independent trajectories with path-keyed increments.

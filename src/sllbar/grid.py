@@ -1,7 +1,8 @@
 """Neumann cosine-basis spectral core on rectangular boxes.
 
-Fields are R^3-valued and are held as coefficients in the L^2-orthonormal
-eigenbasis of the Neumann Laplacian (:class:`SpectralField`). Point values
+A field is R^3-valued and is held as one ``(3, *modes)`` array of
+coefficients in the L^2-orthonormal eigenbasis of the Neumann Laplacian;
+every function that reads a field takes ``(grid, coeffs)``. Point values
 on the zero-padded midpoint collocation grid are plain ``(3, *padded)``
 arrays: :func:`synthesize` and :func:`gradient_values` produce them from
 coefficients, and :func:`analyze` projects them back onto the retained
@@ -56,10 +57,6 @@ import numpy as np
 from scipy import fft as sfft
 
 
-class GridMismatchError(ValueError):
-    """A field was combined with an operation on a different grid."""
-
-
 @dataclass(frozen=True)
 class Grid:
     """Rectangular box with per-axis retained mode counts.
@@ -87,12 +84,12 @@ class Grid:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.lengths) != self.dim or len(self.modes) != self.dim:
             raise ValueError("lengths and modes must each have dim entries")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("box lengths must be positive")
+        if not all(0 < L < math.inf for L in self.lengths):  # NaN fails too
+            raise ValueError("box lengths must be positive and finite")
         if any(N < 1 for N in self.modes):
             raise ValueError("mode counts must be >= 1")
-        if self.pad_factor < 1:
-            raise ValueError("pad_factor must be >= 1")
+        if not 1 <= self.pad_factor < math.inf:
+            raise ValueError("pad_factor must be >= 1 and finite")
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         object.__setattr__(self, "modes", tuple(int(N) for N in self.modes))
         object.__setattr__(self, "_hash", hash(
@@ -149,40 +146,6 @@ class Grid:
             value = self._memo[key] = build()
             value.setflags(write=False)
         return value
-
-
-@dataclass
-class SpectralField:
-    """R^3-valued field as coefficients in the retained cosine eigenbasis."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        expected = (3, *self.grid.modes)
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {self.coeffs.shape}, expected {expected}")
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(a: Grid, b: Grid):
-    if a != b:
-        raise GridMismatchError(f"grid mismatch: {a} vs {b}")
 
 
 def eigenvalue_array(grid: Grid) -> np.ndarray:
@@ -325,15 +288,6 @@ def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
     return _transform(values, grid._axis_matrices[0])
 
 
-def apply_laplacian(field: SpectralField, power: int = 1) -> SpectralField:
-    """Per-mode multiplication by ``(-lambda_k)^power``."""
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    lam = eigenvalue_array(field.grid)
-    mult = -lam if power == 1 else lam * lam
-    return SpectralField(field.grid, field.coeffs * mult)
-
-
 def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
     """Exact per-axis derivatives evaluated on the padded grid.
 
@@ -352,7 +306,8 @@ def _sobolev_weight(grid: Grid, s: float, seminorm: bool) -> np.ndarray:
         np.power(lam, s) if seminorm else np.power(1.0 + lam, s)))
 
 
-def sobolev_norm(field: SpectralField, s: float, seminorm: bool = False) -> float:
+def sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float,
+                 seminorm: bool = False) -> float:
     """Spectral-multiplier Sobolev norm ``(sum_k (1+lambda_k)^s |c_k|^2)^(1/2)``.
 
     With ``seminorm=True`` the multiplier is ``lambda_k^s`` (the k = 0 mode
@@ -360,23 +315,23 @@ def sobolev_norm(field: SpectralField, s: float, seminorm: bool = False) -> floa
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    mag2 = (field.coeffs * field.coeffs).sum(axis=0)
+    mag2 = (coeffs * coeffs).sum(axis=0)
     if s == 0:
         return math.sqrt(float(mag2.sum()))
-    weight = _sobolev_weight(field.grid, float(s), bool(seminorm))
+    weight = _sobolev_weight(grid, float(s), bool(seminorm))
     return math.sqrt(float((weight * mag2).sum()))
 
 
-def lp_norm(field: SpectralField, p) -> float:
+def lp_norm(grid: Grid, coeffs: np.ndarray, p) -> float:
     """L^p norm by quadrature on the padded grid, p in {2, 4, inf}.
 
     For retained-mode fields the midpoint rule is exact at p = 2 and, with
     pad_factor 2, at p = 4 as well. The infinity norm is the max over nodes
     of the Euclidean magnitude of the 3-vector.
     """
-    vals = synthesize(field.grid, field.coeffs)
+    vals = synthesize(grid, coeffs)
     mag2 = (vals * vals).sum(axis=0)
-    w = quad_weight(field.grid)
+    w = quad_weight(grid)
     if p == 2:
         return math.sqrt(float(mag2.sum()) * w)
     if p == 4:
@@ -386,20 +341,14 @@ def lp_norm(field: SpectralField, p) -> float:
     raise ValueError(f"unsupported p {p!r}")
 
 
-def l2_inner(a: SpectralField, b: SpectralField) -> float:
-    """L^2 inner product from coefficients (Parseval-exact)."""
-    _check_same_grid(a.grid, b.grid)
-    return float((a.coeffs * b.coeffs).sum())
-
-
-def constant_field(grid: Grid, vector) -> SpectralField:
+def constant_field(grid: Grid, vector) -> np.ndarray:
     """Spatially constant field with the given 3-vector value."""
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (3,):
         raise ValueError("vector must have 3 components")
     coeffs = np.zeros((3, *grid.modes))
     coeffs[(slice(None),) + (0,) * grid.dim] = vector * math.sqrt(grid.volume)
-    return SpectralField(grid, coeffs)
+    return coeffs
 
 
 def check_mode_index(grid: Grid, index) -> tuple[int, ...]:
@@ -413,7 +362,7 @@ def check_mode_index(grid: Grid, index) -> tuple[int, ...]:
     return index
 
 
-def eigenmode_field(grid: Grid, index: tuple[int, ...], vector) -> SpectralField:
+def eigenmode_field(grid: Grid, index: tuple[int, ...], vector) -> np.ndarray:
     """Field ``e_k(x) * v`` for a retained multi-index k and 3-vector v."""
     index = check_mode_index(grid, index)
     vector = np.asarray(vector, dtype=float)
@@ -421,29 +370,25 @@ def eigenmode_field(grid: Grid, index: tuple[int, ...], vector) -> SpectralField
         raise ValueError("vector must have 3 components")
     coeffs = np.zeros((3, *grid.modes))
     coeffs[(slice(None),) + index] = vector
-    return SpectralField(grid, coeffs)
+    return coeffs
 
 
-def zero_field(grid: Grid) -> SpectralField:
-    return SpectralField(grid, np.zeros((3, *grid.modes)))
-
-
-def embed(field: SpectralField, fine: Grid) -> SpectralField:
-    """Zero-pad coefficients into a finer grid with the same box."""
-    coarse = field.grid
-    if fine.dim != coarse.dim or fine.lengths != coarse.lengths:
-        raise GridMismatchError("embedding requires the same box")
-    if any(nf < nc for nf, nc in zip(fine.modes, coarse.modes)):
+def embed(grid: Grid, coeffs: np.ndarray, fine: Grid) -> np.ndarray:
+    """Zero-pad coefficients on ``grid`` into a finer grid with the same box."""
+    if coeffs.shape != (3, *grid.modes):
+        raise ValueError(f"coeffs shape {coeffs.shape}, expected {(3, *grid.modes)}")
+    if fine.dim != grid.dim or fine.lengths != grid.lengths:
+        raise ValueError("embedding requires the same box")
+    if any(nf < nc for nf, nc in zip(fine.modes, grid.modes)):
         raise ValueError("target grid must retain at least as many modes")
     out = np.zeros((3, *fine.modes))
-    out[(slice(None),) + tuple(slice(0, N) for N in coarse.modes)] = field.coeffs
-    return SpectralField(fine, out)
+    out[(slice(None),) + tuple(slice(0, N) for N in grid.modes)] = coeffs
+    return out
 
 
 def random_field(grid: Grid, rng: np.random.Generator, amplitude: float = 1.0,
-                 decay: float = 1.0) -> SpectralField:
+                 decay: float = 1.0) -> np.ndarray:
     """Gaussian random coefficients with algebraic mode decay (test utility)."""
     lam = eigenvalue_array(grid)
     scale = amplitude / (1.0 + lam) ** decay
-    coeffs = rng.standard_normal((3, *grid.modes)) * scale
-    return SpectralField(grid, coeffs)
+    return rng.standard_normal((3, *grid.modes)) * scale

@@ -34,7 +34,6 @@ import numpy as np
 
 from .grid import (
     Grid,
-    SpectralField,
     analyze,
     cross3,
     eigenvalue_array,
@@ -120,7 +119,7 @@ class TrajectoryRecord:
     norms: dict[str, np.ndarray]
     stop_reason: str
     stop_time: float
-    final: SpectralField
+    final: np.ndarray  # coefficients (3, *grid.modes) at the stop
     config: SolverConfig
     path: int
     J: int
@@ -174,7 +173,7 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     mag2 = np.multiply(vals, vals, out=ws.prod).sum(axis=0, out=ws.mag2)
     cubic = analyze(grid, np.multiply(vals, mag2, out=ws.prod))
     lap_vals = synthesize(grid, -lam * coeffs, out=ws.lap)
-    theta = truncation_scale(SpectralField(grid, coeffs), trunc)
+    theta = truncation_scale(grid, coeffs, trunc)
     terms = {
         "penalty": params.beta3 * (coeffs - cubic),
         "precession": -params.beta4 * analyze(grid, cross3(vals, lap_vals,
@@ -222,24 +221,25 @@ def heun_strat_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     return out
 
 
-def _sample_norms(u: SpectralField) -> tuple[float, ...]:
-    grad = sobolev_norm(u, 1, seminorm=True)
+def _sample_norms(grid: Grid, coeffs: np.ndarray) -> tuple[float, ...]:
+    grad = sobolev_norm(grid, coeffs, 1, seminorm=True)
     return (
-        sobolev_norm(u, 0),
-        lp_norm(u, 4),
-        sobolev_norm(u, 1),
-        sobolev_norm(u, 2),
-        sobolev_norm(u, 3),
+        sobolev_norm(grid, coeffs, 0),
+        lp_norm(grid, coeffs, 4),
+        sobolev_norm(grid, coeffs, 1),
+        sobolev_norm(grid, coeffs, 2),
+        sobolev_norm(grid, coeffs, 3),
         grad,
         grad,  # theta argument: same quantity the truncation reads
     )
 
 
-def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
+def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
                    config: SolverConfig, path: int = 0,
                    observables=()) -> TrajectoryRecord:
     """Step from u0 to t_end (or an earlier stop), recording sampled norms.
 
+    The run's grid is ``noise.grid``; u0 holds coefficients on it.
     This loop is the one place where the stopping step is decided. At each
     step m, from 0, it sets the stop reason (nonfinite, from step 1; then
     H^1 norm above ``blowup_K``; then ``m == n_steps``), records when m is
@@ -248,9 +248,10 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     (implicit denominator too small) surface before any stepping. Identical
     inputs give bitwise-identical records.
     """
-    grid = u0.grid
-    if noise.grid != grid:
-        raise ConfigurationError("noise model grid does not match initial data")
+    grid = noise.grid
+    if u0.shape != (3, *grid.modes):
+        raise ConfigurationError(f"initial data shape {u0.shape} does not match "
+                                 f"the noise model grid {(3, *grid.modes)}")
     if config.scheme == "imex_em_ito":
         _divisor_array(grid, config.dt, params)  # denominator guard, pre-run
         stepper = imex_em_step
@@ -270,24 +271,23 @@ def run_trajectory(u0: SpectralField, params: ModelParams, noise: NoiseModel,
     stop_reason = None
     m = 0
     while True:
-        if m and not np.isfinite(u.coeffs).all():
+        if m and not np.isfinite(u).all():
             stop_reason = STOP_NONFINITE
-        elif sobolev_norm(u, 1) > config.blowup_K:
+        elif sobolev_norm(grid, u, 1) > config.blowup_K:
             stop_reason = STOP_BLOWUP
         elif m == n_steps:
             stop_reason = STOP_COMPLETED
         if m % config.record_every == 0 or stop_reason:
             sample_steps.append(m)
-            norm_rows.append(_sample_norms(u))
-            obs_rows.append([float(psi(u)) for psi in observables])
+            norm_rows.append(_sample_norms(grid, u))
+            obs_rows.append([float(psi(grid, u)) for psi in observables])
         if config.snapshot_every is not None and m % config.snapshot_every == 0:
             snap_steps.append(m)
-            snaps.append(u.coeffs.copy())
+            snaps.append(u)  # never written to: each step returns a new array
         if stop_reason:
             break
         inc = coupled_increments(config.seed, path, m, noise.J, dt, config.substeps)
-        u = SpectralField(grid, stepper(u.coeffs, grid, params, noise,
-                                        config.truncation, inc.values, dt))
+        u = stepper(u, grid, params, noise, config.truncation, inc.values, dt)
         m += 1
 
     norms_arr = np.asarray(norm_rows)

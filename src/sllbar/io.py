@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import ResidualSeries
 from .ensemble import EnsembleStats
-from .grid import Grid, SpectralField
+from .grid import Grid
 from .integrator import NORM_KEYS, TrajectoryRecord
 
 SNAPSHOT_MAGIC = b"SLLB"
@@ -79,18 +79,19 @@ def report_skeleton(config_echo: dict) -> dict:
     }
 
 
-def write_snapshot(field: SpectralField, path) -> None:
+def write_snapshot(coeffs: np.ndarray, path, grid: Grid) -> None:
     """Binary layout: magic "SLLB", u32 version, u32 dim, u32 N_i per axis,
     f64 L_i per axis, then 3 row-major blocks of f64 coefficients
     (component-major, axis 0 slowest). All integers and floats little-endian.
     """
-    grid = field.grid
+    if coeffs.shape != (3, *grid.modes):
+        raise ValueError(f"coeffs shape {coeffs.shape}, expected {(3, *grid.modes)}")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<II", SNAPSHOT_VERSION, grid.dim))
         fh.write(struct.pack(f"<{grid.dim}I", *grid.modes))
         fh.write(struct.pack(f"<{grid.dim}d", *grid.lengths))
-        fh.write(np.ascontiguousarray(field.coeffs, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(coeffs, dtype="<f8").tobytes())
 
 
 def _unpack(fh, fmt: str, path) -> tuple:
@@ -101,7 +102,12 @@ def _unpack(fh, fmt: str, path) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def read_snapshot(path, pad_factor: float = 2.0) -> SpectralField:
+def read_snapshot(path, pad_factor: float = 2.0) -> tuple[Grid, np.ndarray]:
+    """The grid and the ``(3, *modes)`` coefficients of a snapshot file.
+
+    Raises :class:`SnapshotFormatError` on a corrupt or unsupported file,
+    including one whose coefficients are not all finite.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
@@ -124,4 +130,6 @@ def read_snapshot(path, pad_factor: float = 2.0) -> SpectralField:
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: invalid grid: {exc}") from exc
     coeffs = np.frombuffer(block, dtype="<f8").astype(np.float64).reshape((3, *modes))
-    return SpectralField(grid, coeffs)
+    if not np.isfinite(coeffs).all():
+        raise SnapshotFormatError(f"{path}: nonfinite coefficients")
+    return grid, coeffs

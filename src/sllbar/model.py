@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import (
-    SpectralField,
+    Grid,
     analyze,
-    apply_laplacian,
     cross3,
     eigenvalue_array,
     sobolev_norm,
@@ -109,29 +110,30 @@ def theta_R(x: float, R: float) -> float:
     return hi / (hi + lo)
 
 
-def truncation_scale(u: SpectralField, trunc: TruncationConfig) -> float:
+def truncation_scale(grid: Grid, coeffs: np.ndarray,
+                     trunc: TruncationConfig) -> float:
     """theta_R evaluated at |grad u|_L2, or exactly 1.0 when truncation is off."""
     if trunc.mode == "off":
         return 1.0
-    return theta_R(sobolev_norm(u, 1, seminorm=True), trunc.radius)
+    return theta_R(sobolev_norm(grid, coeffs, 1, seminorm=True), trunc.radius)
 
 
-def cubic_field(u: SpectralField) -> SpectralField:
+def cubic_field(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Projected cubic ``Pi(|u|^2 u)`` via padded pointwise evaluation."""
-    vals = synthesize(u.grid, u.coeffs)
+    vals = synthesize(grid, coeffs)
     mag2 = (vals * vals).sum(axis=0)
-    return SpectralField(u.grid, analyze(u.grid, vals * mag2))
+    return analyze(grid, vals * mag2)
 
 
-def precession(u: SpectralField) -> SpectralField:
+def precession(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Projected precession term ``Pi(u x Lap u)``."""
-    vals = synthesize(u.grid, u.coeffs)
-    lap_vals = synthesize(u.grid, apply_laplacian(u).coeffs)
-    return SpectralField(u.grid, analyze(u.grid, cross3(vals, lap_vals)))
+    vals = synthesize(grid, coeffs)
+    lap_vals = synthesize(grid, -eigenvalue_array(grid) * coeffs)
+    return analyze(grid, cross3(vals, lap_vals))
 
 
-def drift_terms(u: SpectralField, params: ModelParams, noise,
-                trunc: TruncationConfig) -> dict[str, SpectralField]:
+def drift_terms(grid: Grid, coeffs: np.ndarray, params: ModelParams, noise,
+                trunc: TruncationConfig) -> dict[str, np.ndarray]:
     """Every Ito-form drift contribution, individually retrievable.
 
     Keys: ``laplacian`` (b1 Lap u), ``biharmonic`` (-b2 Lap^2 u), ``penalty``
@@ -143,14 +145,12 @@ def drift_terms(u: SpectralField, params: ModelParams, noise,
     """
     from .integrator import _explicit_parts
 
-    grid = u.grid
     lam = eigenvalue_array(grid)
-    nonlinear, _ = _explicit_parts(u.coeffs, grid, params, noise, trunc,
+    nonlinear, _ = _explicit_parts(coeffs, grid, params, noise, trunc,
                                    include_correction=True)
-    arrays = {
-        "laplacian": params.beta1 * (-lam) * u.coeffs,
-        "biharmonic": -params.beta2 * lam * lam * u.coeffs,
+    return {
+        "laplacian": params.beta1 * (-lam) * coeffs,
+        "biharmonic": -params.beta2 * lam * lam * coeffs,
         **nonlinear,
     }
-    return {name: SpectralField(grid, c) for name, c in arrays.items()}
 

@@ -9,6 +9,7 @@ diffusion map
 and the Stratonovich integral is simulated in Ito form with the correction
 drift ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 
+Every family is built from Neumann eigenmodes, ``h_j = sigma_j e_k(x) v_j``.
 The family must satisfy the square-summability condition
 ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the finite truncation reports its
 C_h so configured tail bounds can be checked.
@@ -25,13 +26,11 @@ import numpy as np
 
 from .grid import (
     Grid,
-    SpectralField,
     Workspace,
     analyze,
-    apply_laplacian,
     cross3,
     eigenmode_field,
-    quad_weight,
+    eigenvalue_array,
     sobolev_norm,
     synthesize,
 )
@@ -41,35 +40,16 @@ class NoiseTailWarning(UserWarning):
     """The computed C_h exceeded the configured bound."""
 
 
-def coefficient_from_physical(grid: Grid, values: np.ndarray):
-    """Convert padded-grid values to a spectral coefficient field.
-
-    Returns ``(field, projection_loss)`` where the loss is the relative
-    discrete L^2 mass dropped by the retained-mode projection. Use this to
-    feed physical-space noise coefficients into an explicit family.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (3, *grid.padded):
-        raise ValueError(
-            f"values shape {values.shape} does not match padded grid "
-            f"{(3, *grid.padded)}"
-        )
-    field = SpectralField(grid, analyze(grid, values))
-    total_sq = float((values * values).sum()) * quad_weight(grid)
-    kept_sq = float((field.coeffs * field.coeffs).sum())
-    if total_sq == 0.0:
-        return field, 0.0
-    loss = math.sqrt(max(0.0, total_sq - kept_sq) / total_sq)
-    return field, loss
-
-
 @dataclass
 class NoiseModel:
-    """Immutable noise family with precomputed Laplacians, h_j - Lap h_j and C_h."""
+    """Immutable noise family with precomputed Laplacians, h_j - Lap h_j and C_h.
+
+    ``h`` and ``lap_h`` hold one ``(3, *grid.modes)`` coefficient array per mode.
+    """
 
     grid: Grid
-    h: list[SpectralField]
-    lap_h: list[SpectralField]
+    h: list[np.ndarray]
+    lap_h: list[np.ndarray]
     C_h: float
     c_h_bound: float | None = None
     tail_estimate: float = 0.0
@@ -78,8 +58,8 @@ class NoiseModel:
 
     def __post_init__(self):
         if not self.h_phys:
-            self.h_phys = [synthesize(self.grid, hj.coeffs) for hj in self.h]
-        self.h_minus_lap = [hj.coeffs - lh.coeffs for hj, lh in zip(self.h, self.lap_h)]
+            self.h_phys = [synthesize(self.grid, hj) for hj in self.h]
+        self.h_minus_lap = [hj - lh for hj, lh in zip(self.h, self.lap_h)]
 
     @property
     def J(self) -> int:
@@ -99,16 +79,12 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
         {"family": "eigenmode",
          "modes": [{"sigma": s, "index": (k1, ..), "direction": (vx, vy, vz)}, ...],
          "c_h_bound": optional float, "tail_estimate": optional float}
-        {"family": "explicit", "coefficients": [array (3, *modes), ...], ...}
 
     Eigenmode entries build ``h_j = sigma_j e_k(x) v_j`` with v_j normalized
     to a unit vector; :func:`sllbar.grid.eigenmode_field` checks each index.
-    Explicit coefficient arrays are taken as given (already spectral);
-    convert physical-space input with :func:`coefficient_from_physical`
-    first, which also reports the mass the retained-mode projection drops.
     """
     family = spec.get("family", "none")
-    fields: list[SpectralField] = []
+    fields: list[np.ndarray] = []
     if family == "none":
         pass
     elif family == "eigenmode":
@@ -123,22 +99,14 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
                                               sigma * direction / nrm))
             except ValueError as exc:
                 raise ValueError(f"noise mode {m}: {exc}") from exc
-    elif family == "explicit":
-        for m, coeffs in enumerate(spec.get("coefficients", [])):
-            arr = np.asarray(coeffs, dtype=float)
-            if arr.shape != (3, *grid.modes):
-                raise ValueError(
-                    f"noise mode {m}: coefficient shape {arr.shape} does not match grid"
-                )
-            fields.append(SpectralField(grid, arr.copy()))
     else:
         raise ValueError(f"unknown noise family {family!r}")
 
     return NoiseModel(
         grid,
         fields,
-        [apply_laplacian(hj) for hj in fields],
-        float(sum(sobolev_norm(hj, 3) ** 2 for hj in fields)),  # C_h
+        [hj * -eigenvalue_array(grid) for hj in fields],
+        float(sum(sobolev_norm(grid, hj, 3) ** 2 for hj in fields)),  # C_h
         c_h_bound=spec.get("c_h_bound"),
         tail_estimate=float(spec.get("tail_estimate", 0.0)),
     )

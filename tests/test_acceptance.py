@@ -57,7 +57,7 @@ def small_data_setting():
     params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
     noise = two_mode_noise(grid, sigma=0.1)
     u0 = constant_field(grid, (0.05, 0.0, 0.0))
-    assert sobolev_norm(u0, 1) <= 0.1
+    assert sobolev_norm(grid, u0, 1) <= 0.1
     return grid, params, noise, u0
 
 
@@ -71,7 +71,7 @@ def test_01_logistic_oracle():
     rec = run_trajectory(constant_field(grid, (0.5, 0, 0)), params,
                          NoiseModel.empty(grid), cfg)
     elapsed = time.perf_counter() - start
-    vals = synthesize(grid, rec.final.coeffs)
+    vals = synthesize(grid, rec.final)
     mag2 = float((vals * vals).sum(axis=0).flat[0])
     r0 = 0.25
     exact = r0 * math.exp(2.0) / (1 - r0 + r0 * math.exp(2.0))
@@ -94,7 +94,7 @@ def test_02_linear_mode_decay():
     for k in range(4):
         cfg = SolverConfig(dt=0.01 / 2**k, t_end=1.0, record_every=10**6)
         rec = run_trajectory(u0, params, NoiseModel.empty(grid), cfg)
-        errors.append(abs(rec.final.coeffs[0, 1] - math.exp(-rate)))
+        errors.append(abs(rec.final[0, 1] - math.exp(-rate)))
     elapsed = time.perf_counter() - start
     for a, b in zip(errors[:-1], errors[1:]):
         assert a / b == pytest.approx(2.0, abs=0.2)
@@ -109,7 +109,7 @@ def test_02_linear_mode_decay():
 def test_03_cross_product_identity(grid):
     """Normalized (Pi(u x Lap u), u) below 1e-12 on 100 random fields."""
     rng = np.random.default_rng(314)
-    worst = max(abs(identity_cross(random_field(grid, rng))) for _ in range(100))
+    worst = max(abs(identity_cross(grid, random_field(grid, rng))) for _ in range(100))
     assert worst < 1e-12
 
 
@@ -119,12 +119,13 @@ def test_04_cubic_identities():
     grid = Grid(1, (np.pi,), (10,))
     rng = np.random.default_rng(1618)
     worst = max(
-        abs(identity_cubic_gradient(random_field(grid, rng))[2]) for _ in range(100)
+        abs(identity_cubic_gradient(grid, random_field(grid, rng))[2])
+        for _ in range(100)
     )
     assert worst < 1e-8
     amp = 1 / math.sqrt(2 / np.pi)
     u = eigenmode_field(grid, (1,), (amp, 0.0, 0.0))
-    lhs, rhs, _ = identity_cubic_gradient(u)
+    lhs, rhs, _ = identity_cubic_gradient(grid, u)
     assert rhs == pytest.approx(3 * np.pi / 8, abs=1e-10)
     assert lhs == pytest.approx(3 * np.pi / 8, abs=1e-10)
 
@@ -179,7 +180,7 @@ def test_06_truncation_neutrality():
     trunc_cfg = SolverConfig(dt=0.01, t_end=2.0, seed=6, record_every=1,
                              truncation=TruncationConfig.on(R))
     rec_on = run_trajectory(u0, params, noise, trunc_cfg)
-    assert np.array_equal(rec_on.final.coeffs, probe.final.coeffs)
+    assert np.array_equal(rec_on.final, probe.final)
     for key in probe.norms:
         assert np.array_equal(rec_on.norms[key], probe.norms[key])
 
@@ -330,7 +331,7 @@ def invariant_runs():
     u0b = constant_field(grid, (0.03, 0, 0)) + eigenmode_field(
         grid, (1,), (0.0, 0.02, 0.0)
     )
-    assert sobolev_norm(u0b, 1) <= 0.1
+    assert sobolev_norm(grid, u0b, 1) <= 0.1
     T = 200.0
     out = []
     for u0, seed in ((u0a, 201), (u0b, 202)):

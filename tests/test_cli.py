@@ -166,6 +166,22 @@ class TestExitCodes:
                             "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
         assert "configuration error: initial.path:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_nonfinite_initial_snapshot(self, tmp_path, capsys, command):
+        """A NaN coefficient is a bad initial datum, not a path that stops at
+        its first step with NaN in report.json."""
+        grid = Grid(1, (np.pi,), (8,))
+        u = eigenmode_field(grid, (1,), (0.1, 0, 0))
+        u[2, 5] = np.nan
+        snap = tmp_path / "state.snap"
+        write_snapshot(u, snap, grid)
+        text = BASE.replace("type = constant\nvector = 0.2, 0, 0",
+                            f"type = snapshot\npath = {snap}")
+        code, out = run_text(tmp_path, command, text)
+        assert code == 2
+        assert not (out / "report.json").exists()
+        assert ("configuration error: initial.path:" in capsys.readouterr().err)
+
     def test_invariant_blowup_fatal(self, tmp_path):
         text = BASE.replace("t_end = 0.5", "t_end = 0.5\nblowup_k = 0.05")
         f = tmp_path / "run.cfg"
@@ -279,8 +295,8 @@ class TestConvergeConfigChecks:
     def grid_sized_snapshot(tmp_path):
         """BASE on a 16-mode grid, started from a snapshot saved on that grid."""
         snap = tmp_path / "state.snap"
-        write_snapshot(eigenmode_field(Grid(1, (np.pi,), (16,)), (12,), (0.1, 0, 0)),
-                       snap)
+        grid = Grid(1, (np.pi,), (16,))
+        write_snapshot(eigenmode_field(grid, (12,), (0.1, 0, 0)), snap, grid)
         return (BASE.replace("modes = 8", "modes = 16")
                 .replace("type = constant\nvector = 0.2, 0, 0",
                          f"type = snapshot\npath = {snap}"))

@@ -56,7 +56,8 @@ class TestMinimal:
         assert echo["experiment"]["ensemble_m"] == 1
         assert cfg.build_noise().J == 0
         u0 = cfg.build_initial()
-        assert sobolev_norm(u0, 0) == pytest.approx(0.5 * math.sqrt(np.pi), rel=1e-13)
+        assert sobolev_norm(cfg.grid, u0, 0) == pytest.approx(0.5 * math.sqrt(np.pi),
+                                                              rel=1e-13)
 
     def test_defaults_come_from_dataclasses(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
@@ -353,8 +354,8 @@ class TestStructuredSpecs:
         )
         cfg = parse_config(write(tmp_path, text))
         u0 = cfg.build_initial()
-        assert u0.coeffs[0, 1] == pytest.approx(0.1)
-        assert u0.coeffs[1, 3] == pytest.approx(0.2)
+        assert u0[0, 1] == pytest.approx(0.1)
+        assert u0[1, 3] == pytest.approx(0.2)
         nm = cfg.build_noise()
         assert nm.J == 1 and nm.c_h_bound == 9.0
 

@@ -18,7 +18,6 @@ from sllbar.diagnostics import (
 )
 from sllbar.grid import (
     Grid,
-    SpectralField,
     analyze,
     constant_field,
     eigenmode_field,
@@ -26,7 +25,6 @@ from sllbar.grid import (
     random_field,
     sobolev_norm,
     synthesize,
-    zero_field,
 )
 from sllbar.integrator import BlowupAbort, SolverConfig, run_trajectory
 from sllbar.model import ModelParams, TruncationConfig, theta_R
@@ -36,6 +34,11 @@ RNG = np.random.default_rng(2718)
 TINY = 1e-300
 G8 = Grid(1, (np.pi,), (8,))
 COS_AMP = 1 / math.sqrt(2 / np.pi)
+
+
+def zeros(grid):
+    """The zero field on ``grid``."""
+    return np.zeros((3, *grid.modes))
 
 
 def small_noise(grid, sigma=0.1):
@@ -50,8 +53,8 @@ def small_noise(grid, sigma=0.1):
 
 class TestCrossIdentity:
     def test_zero_and_constant(self):
-        assert identity_cross(zero_field(G8)) == 0.0
-        assert identity_cross(constant_field(G8, (1.0, 2.0, 3.0))) == 0.0
+        assert identity_cross(G8, zeros(G8)) == 0.0
+        assert identity_cross(G8, constant_field(G8, (1.0, 2.0, 3.0))) == 0.0
 
     @pytest.mark.parametrize("grid", [
         Grid(1, (np.pi,), (9,)),
@@ -60,21 +63,21 @@ class TestCrossIdentity:
     ])
     def test_random_fields(self, grid):
         for _ in range(20):
-            assert abs(identity_cross(random_field(grid, RNG))) < 1e-12
+            assert abs(identity_cross(grid, random_field(grid, RNG))) < 1e-12
 
 
 class TestCubicIdentities:
     def test_constant_both_zero(self):
-        lhs, rhs, res = identity_cubic_gradient(constant_field(G8, (0.7, 0.1, 0)))
+        lhs, rhs, res = identity_cubic_gradient(G8, constant_field(G8, (0.7, 0.1, 0)))
         assert abs(lhs) < 1e-13 and abs(rhs) < 1e-13 and abs(res) < 1e-13
 
     def test_cos_closed_form(self):
         """u = (cos x, 0, 0): both sides equal 3 pi / 8."""
         u = eigenmode_field(G8, (1,), (COS_AMP, 0.0, 0.0))
-        lhs, rhs, res = identity_cubic_gradient(u)
+        lhs, rhs, res = identity_cubic_gradient(G8, u)
         assert rhs == pytest.approx(3 * np.pi / 8, abs=1e-10)
         assert lhs == pytest.approx(3 * np.pi / 8, abs=1e-10)
-        lhs_i, rhs_i, res_i = identity_cubic_ibp(u)
+        lhs_i, rhs_i, res_i = identity_cubic_ibp(G8, u)
         assert lhs_i == pytest.approx(-3 * np.pi / 8, abs=1e-10)
         assert rhs_i == pytest.approx(-3 * np.pi / 8, abs=1e-10)
 
@@ -85,8 +88,8 @@ class TestCubicIdentities:
     def test_random_fields(self, grid):
         for _ in range(20):
             u = random_field(grid, RNG)
-            assert abs(identity_cubic_gradient(u)[2]) < 1e-8
-            assert abs(identity_cubic_ibp(u)[2]) < 1e-8
+            assert abs(identity_cubic_gradient(grid, u)[2]) < 1e-8
+            assert abs(identity_cubic_ibp(grid, u)[2]) < 1e-8
 
 
 @st.composite
@@ -95,19 +98,21 @@ def random_fields(draw):
     modes = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
     lengths = tuple(draw(st.lists(st.floats(0.5, 4.0), min_size=dim, max_size=dim)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return random_field(Grid(dim, lengths, modes), np.random.default_rng(seed))
+    grid = Grid(dim, lengths, modes)
+    return grid, random_field(grid, np.random.default_rng(seed))
 
 
 @settings(max_examples=30, deadline=None)
 @given(random_fields())
-def test_exact_identities_on_random_fields(u):
+def test_exact_identities_on_random_fields(field):
     """Transform round trip, the cross identity and both cubic identities
     hold on random grids and fields, at the fixed-grid tests' tolerances."""
-    back = analyze(u.grid, synthesize(u.grid, u.coeffs))
-    assert np.abs(back - u.coeffs).max() <= 1e-12 * np.abs(u.coeffs).max()
-    assert abs(identity_cross(u)) < 1e-12
-    assert abs(identity_cubic_gradient(u)[2]) < 1e-8
-    assert abs(identity_cubic_ibp(u)[2]) < 1e-8
+    grid, u = field
+    back = analyze(grid, synthesize(grid, u))
+    assert np.abs(back - u).max() <= 1e-12 * np.abs(u).max()
+    assert abs(identity_cross(grid, u)) < 1e-12
+    assert abs(identity_cubic_gradient(grid, u)[2]) < 1e-8
+    assert abs(identity_cubic_ibp(grid, u)[2]) < 1e-8
 
 
 class TestEnergyBalance:
@@ -115,14 +120,14 @@ class TestEnergyBalance:
         return ModelParams(0.7, 1.0, 0.9, 1.1, 0.8)
 
     def run(self, u0, params, dt, t_end, trunc=TruncationConfig.off(),
-            noise=None, snapshot_every=1):
+            noise=None, snapshot_every=1, grid=G8):
         cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every,
                            truncation=trunc)
-        noise = noise if noise is not None else NoiseModel.empty(u0.grid)
+        noise = noise if noise is not None else NoiseModel.empty(grid)
         return run_trajectory(u0, params, noise, cfg)
 
     def test_zero_trajectory(self):
-        traj = self.run(zero_field(G8), self.params(), 0.01, 0.1)
+        traj = self.run(zeros(G8), self.params(), 0.01, 0.1)
         series = energy_balance_l2(traj, self.params())
         assert np.abs(series.values).max() == 0.0
         assert np.allclose(series.times, 0.01 * np.arange(10))
@@ -156,12 +161,12 @@ class TestEnergyBalance:
         four dt levels (under-resolved stiff transients would flatten it)."""
         grid = Grid(1, (2 * np.pi,), (8,))
         u0 = 0.4 * random_field(grid, np.random.default_rng(1), decay=1.0)
-        u0.coeffs[:, 3:] = 0.0
+        u0[:, 3:] = 0.0
         p = self.params()
         dts = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
         maxima = []
         for dt in dts:
-            traj = self.run(u0, p, dt, 0.2)
+            traj = self.run(u0, p, dt, 0.2, grid=grid)
             maxima.append(np.abs(energy_balance_l2(traj, p).values).max())
         slope = np.polyfit(np.log(dts), np.log(maxima), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.2)
@@ -171,28 +176,28 @@ class TestEnergyBalance:
         reference pairs b5 theta with (Lap(|u|^2 u), u) computed spectrally."""
         p, dt = self.params(), 0.01
         u0 = 0.6 * random_field(G8, np.random.default_rng(5))
-        R = sobolev_norm(u0, 1, seminorm=True) / 1.3
+        R = sobolev_norm(G8, u0, 1, seminorm=True) / 1.3
         trunc = TruncationConfig.on(R)
         traj = self.run(u0, p, dt, 0.1, trunc=trunc)
         series = energy_balance_l2(traj, p)
 
-        states = [SpectralField(G8, c) for c in traj.snapshots]
-        thetas = [theta_R(sobolev_norm(u, 1, seminorm=True), R) for u in states]
+        states = traj.snapshots
+        thetas = [theta_R(sobolev_norm(G8, u, 1, seminorm=True), R) for u in states]
         assert 0.0 < thetas[0] < 1.0
-        normalization = max(1.0, max(sobolev_norm(u, 0) for u in states) ** 2)
+        normalization = max(1.0, max(sobolev_norm(G8, u, 0) for u in states) ** 2)
 
         def reference(theta_of):
             out = []
             for m, u in enumerate(states[:-1]):
-                ddt = 0.5 * (sobolev_norm(states[m + 1], 0) ** 2
-                             - sobolev_norm(u, 0) ** 2) / dt
+                ddt = 0.5 * (sobolev_norm(G8, states[m + 1], 0) ** 2
+                             - sobolev_norm(G8, u, 0) ** 2) / dt
                 out.append((
                     ddt
-                    + p.beta1 * sobolev_norm(u, 1, seminorm=True) ** 2
-                    + p.beta2 * sobolev_norm(u, 2, seminorm=True) ** 2
-                    + p.beta3 * lp_norm(u, 4) ** 4
-                    - p.beta3 * sobolev_norm(u, 0) ** 2
-                    - p.beta5 * theta_of[m] * identity_cubic_ibp(u)[0]
+                    + p.beta1 * sobolev_norm(G8, u, 1, seminorm=True) ** 2
+                    + p.beta2 * sobolev_norm(G8, u, 2, seminorm=True) ** 2
+                    + p.beta3 * lp_norm(G8, u, 4) ** 4
+                    - p.beta3 * sobolev_norm(G8, u, 0) ** 2
+                    - p.beta5 * theta_of[m] * identity_cubic_ibp(G8, u)[0]
                 ) / normalization)
             return np.asarray(out)
 
@@ -208,7 +213,7 @@ class TestEnergyBalance:
             energy_balance_l2(traj, self.params())
 
     def test_without_snapshots_rejected(self):
-        traj = self.run(zero_field(G8), self.params(), 0.01, 0.1,
+        traj = self.run(zeros(G8), self.params(), 0.01, 0.1,
                         snapshot_every=None)
         with pytest.raises(ValueError, match="snapshots"):
             energy_balance_l2(traj, self.params())
@@ -229,7 +234,7 @@ class TestWeakForm:
     def test_zero_trajectory_zero_residual(self):
         nm = NoiseModel.empty(G8)
         cfg = SolverConfig(dt=0.01, t_end=0.05, snapshot_every=1)
-        traj = run_trajectory(zero_field(G8), self.params(), nm, cfg)
+        traj = run_trajectory(zeros(G8), self.params(), nm, cfg)
         for form in ("weak", "very_weak"):
             assert weak_form_residual(traj, self.params(), nm, (1,), 0, form) == 0.0
 
@@ -268,12 +273,12 @@ class TestWeakForm:
 
     def test_requires_full_snapshots(self):
         cfg = SolverConfig(dt=0.01, t_end=0.05, snapshot_every=2)
-        traj = run_trajectory(zero_field(G8), self.params(),
+        traj = run_trajectory(zeros(G8), self.params(),
                               NoiseModel.empty(G8), cfg)
         with pytest.raises(ValueError):
             weak_form_residual(traj, self.params(), NoiseModel.empty(G8), (1,))
         cfg = SolverConfig(dt=0.01, t_end=0.05)
-        traj = run_trajectory(zero_field(G8), self.params(),
+        traj = run_trajectory(zeros(G8), self.params(),
                               NoiseModel.empty(G8), cfg)
         with pytest.raises(ValueError):
             weak_form_residual(traj, self.params(), NoiseModel.empty(G8), (1,))
@@ -296,7 +301,7 @@ class TestRefinementGap:
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
         box = Grid(1, (np.pi,), (4,))
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2)
-        gap = refinement_gap(lambda g: zero_field(g), p,
+        gap = refinement_gap(zeros, p,
                              lambda g: NoiseModel.empty(g), cfg, box, 4, 8)
         assert gap == 0.0
 
@@ -317,7 +322,7 @@ class TestRefinementGap:
         box = Grid(1, (np.pi,), (4,))
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         with pytest.raises(ValueError):
-            refinement_gap(lambda g: zero_field(g), p,
+            refinement_gap(zeros, p,
                            lambda g: NoiseModel.empty(g), cfg, box, 8, 8)
 
     def test_fine_grid_blowup_aborts(self):
@@ -330,7 +335,8 @@ class TestRefinementGap:
         def top_mode(g):
             return eigenmode_field(g, (g.modes[0] - 1,), (0.1, 0.0, 0.0))
 
-        h1 = [sobolev_norm(top_mode(box.with_modes((n,))), 1) for n in (4, 8)]
+        grids = [box.with_modes((n,)) for n in (4, 8)]
+        h1 = [sobolev_norm(g, top_mode(g), 1) for g in grids]
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2,
                            blowup_K=math.sqrt(h1[0] * h1[1]))
         assert issubclass(BlowupAbort, RuntimeError)
@@ -347,7 +353,7 @@ class TestRefinementGap:
         ]}
         with pytest.raises(ValueError):
             refinement_gap(
-                lambda g: zero_field(g), p,
+                zeros, p,
                 lambda g: build_noise_modes(spec, g), cfg, box, 4, 8,
             )
 

@@ -17,7 +17,7 @@ from sllbar.ensemble import (
     run_ensemble,
     tightness_statistic,
 )
-from sllbar.grid import Grid, constant_field, eigenmode_field, sobolev_norm, zero_field
+from sllbar.grid import Grid, constant_field, eigenmode_field, sobolev_norm
 from sllbar.integrator import BlowupAbort, SolverConfig
 from sllbar.model import ModelParams
 from sllbar.noise import NoiseModel, build_noise_modes
@@ -46,21 +46,21 @@ class TestObservable:
         psi = Observable("tanh_mode", mode_index=(0,), component=0, scale=2.0)
         u = constant_field(G8, (1.0, 0.0, 0.0))
         expected = math.tanh(math.sqrt(np.pi) / 2.0)
-        assert psi(u) == pytest.approx(expected, rel=1e-14)
-        assert abs(psi(100.0 * u)) <= 1.0
+        assert psi(G8, u) == pytest.approx(expected, rel=1e-14)
+        assert abs(psi(G8, 100.0 * u)) <= 1.0
 
     def test_exp_neg_l2(self):
         psi = Observable("exp_neg_l2", scale=2.0)
-        assert psi(zero_field(G8)) == 1.0
+        assert psi(G8, np.zeros((3, 8))) == 1.0
         u = constant_field(G8, (1.0, 0.0, 0.0))
-        assert psi(u) == pytest.approx(math.exp(-np.pi / 4.0), rel=1e-13)
+        assert psi(G8, u) == pytest.approx(math.exp(-np.pi / 4.0), rel=1e-13)
 
     def test_clip_norm(self):
         psi = Observable("clip_norm", space="L2", cap=1.0)
         u = constant_field(G8, (3.0, 0.0, 0.0))
-        assert psi(u) == 1.0
+        assert psi(G8, u) == 1.0
         small = constant_field(G8, (0.1, 0.0, 0.0))
-        assert psi(small) == pytest.approx(0.1 * math.sqrt(np.pi), rel=1e-13)
+        assert psi(G8, small) == pytest.approx(0.1 * math.sqrt(np.pi), rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestObservable:
         grid = Grid(1, (np.pi,), (16,))
         u = eigenmode_field(grid, (15,), (1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="mode index"):
-            Observable("tanh_mode", mode_index=index)(u)
+            Observable("tanh_mode", mode_index=index)(grid, u)
 
     def test_names_unique(self):
         a = Observable("tanh_mode", mode_index=(0,), component=1)
@@ -154,6 +154,14 @@ class TestRunEnsemble:
             run_ensemble(u0, bad, NoiseModel.empty(G8),
                          SolverConfig(dt=0.1, t_end=1.0), 2)
 
+    def test_initial_data_off_the_noise_grid_names_path(self):
+        from sllbar.integrator import ConfigurationError
+
+        u0 = constant_field(Grid(1, (np.pi,), (4,)), (0.1, 0.0, 0.0))
+        with pytest.raises(ConfigurationError,
+                           match="^path 0: initial data shape .* does not match"):
+            run_ensemble(u0, full_params(), small_noise(G8), self.config(), 2)
+
     @pytest.mark.parametrize("workers,M,cpus,expected", [
         (100000, 3, 8, 3),
         (100000, 16, 4, 4),
@@ -213,7 +221,7 @@ class TestMoments:
 
     def test_zero_dynamics_zero_moments(self):
         cfg = SolverConfig(dt=0.01, t_end=0.2, record_every=2)
-        stats = run_ensemble(zero_field(G8), full_params(), NoiseModel.empty(G8),
+        stats = run_ensemble(np.zeros((3, 8)), full_params(), NoiseModel.empty(G8),
                              cfg, 2)
         for key, (est, se) in moment_estimates(stats, 1).items():
             assert est == 0.0 and se == 0.0
@@ -259,7 +267,7 @@ class TestMoments:
 class TestH2Growth:
     def test_zero_trajectories(self):
         cfg = SolverConfig(dt=0.01, t_end=0.5, record_every=2)
-        stats = run_ensemble(zero_field(G8), full_params(), NoiseModel.empty(G8),
+        stats = run_ensemble(np.zeros((3, 8)), full_params(), NoiseModel.empty(G8),
                              cfg, 2)
         rep = h2_time_average(stats)
         assert np.abs(rep.series).max() == 0.0
@@ -279,7 +287,7 @@ class TestH2Growth:
 
     def test_needs_enough_samples(self):
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=5)
-        stats = run_ensemble(zero_field(G8), full_params(), NoiseModel.empty(G8),
+        stats = run_ensemble(np.zeros((3, 8)), full_params(), NoiseModel.empty(G8),
                              cfg, 1)
         with pytest.raises(ValueError):
             h2_time_average(stats)
@@ -315,7 +323,7 @@ class TestInvariantAverage:
     def test_zero_state_exp_observable(self):
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=4)
         obs = (Observable("exp_neg_l2"),)
-        stats = run_ensemble(zero_field(G8), full_params(), NoiseModel.empty(G8),
+        stats = run_ensemble(np.zeros((3, 8)), full_params(), NoiseModel.empty(G8),
                              cfg, 2, observables=obs)
         rep = invariant_average(stats, 0, burn_in=0.25)
         assert rep.window_means == [1.0, 1.0]
@@ -336,7 +344,7 @@ class TestInvariantAverage:
     def test_window_validation(self):
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=4)
         obs = (Observable("exp_neg_l2"),)
-        stats = run_ensemble(zero_field(G8), full_params(), NoiseModel.empty(G8),
+        stats = run_ensemble(np.zeros((3, 8)), full_params(), NoiseModel.empty(G8),
                              cfg, 1, observables=obs)
         with pytest.raises(ValueError):
             invariant_average(stats, 0, burn_in=0.6)  # horizon < 2 burn_in
@@ -347,7 +355,7 @@ class TestInvariantAverage:
 
     def test_missing_observable(self):
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=4)
-        stats = run_ensemble(zero_field(G8), full_params(), NoiseModel.empty(G8),
+        stats = run_ensemble(np.zeros((3, 8)), full_params(), NoiseModel.empty(G8),
                              cfg, 1)
         with pytest.raises(ValueError):
             invariant_average(stats, 0, burn_in=0.2)
@@ -363,7 +371,7 @@ class TestTimeWeights:
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=record_every)
         stats = run_ensemble(u0, full_params(), NoiseModel.empty(G8), cfg, 2)
         assert stats.weights[-1] == (10 % record_every) / record_every
-        expected = 0.1 * sobolev_norm(u0, 2) ** 2
+        expected = 0.1 * sobolev_norm(G8, u0, 2) ** 2
         est, se = moment_estimates(stats, 1)["int_h2_p"]
         assert est == pytest.approx(expected, rel=1e-12)
         assert se == 0.0

@@ -8,7 +8,6 @@ import pytest
 
 from sllbar.grid import (
     Grid,
-    SpectralField,
     constant_field,
     eigenmode_field,
     random_field,
@@ -85,7 +84,7 @@ class TestImexStep:
     def test_single_mode_decay(self):
         u0 = eigenmode_field(G4, (1,), (1.0, 0.0, 0.0))
         inc = sample_increments(0, 0, 0, 0, 0.1)
-        nxt = imex_em_step(u0.coeffs, G4, linear_params(), NoiseModel.empty(G4),
+        nxt = imex_em_step(u0, G4, linear_params(), NoiseModel.empty(G4),
                            TruncationConfig.off(), inc.values, 0.1)
         assert nxt[0, 1] == pytest.approx(1 / 1.2, rel=1e-14)
 
@@ -93,7 +92,7 @@ class TestImexStep:
         u0 = constant_field(G4, (0, 0, 0))
         inc = sample_increments(0, 0, 0, 0, 0.1)
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
-        nxt = imex_em_step(u0.coeffs, G4, p, NoiseModel.empty(G4),
+        nxt = imex_em_step(u0, G4, p, NoiseModel.empty(G4),
                            TruncationConfig.off(), inc.values, 0.1)
         assert np.abs(nxt).max() == 0.0
 
@@ -101,9 +100,9 @@ class TestImexStep:
         u0 = constant_field(G4, (0.0, 1.0, 0.0))
         inc = sample_increments(0, 0, 0, 0, 0.1)
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
-        nxt = imex_em_step(u0.coeffs, G4, p, NoiseModel.empty(G4),
+        nxt = imex_em_step(u0, G4, p, NoiseModel.empty(G4),
                            TruncationConfig.off(), inc.values, 0.1)
-        assert np.abs(nxt - u0.coeffs).max() < 1e-13
+        assert np.abs(nxt - u0).max() < 1e-13
 
 
 class TestHeunStep:
@@ -117,7 +116,7 @@ class TestHeunStep:
             cfg = SolverConfig(dt=dt, t_end=1.0, scheme="heun_strat",
                                record_every=10**6)
             rec = run_trajectory(u0, linear_params(), NoiseModel.empty(G4), cfg)
-            errs.append(abs(rec.final.coeffs[0, 1] - math.exp(-a)))
+            errs.append(abs(rec.final[0, 1] - math.exp(-a)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
     def test_one_step_unroll_with_constant_noise(self):
@@ -127,11 +126,13 @@ class TestHeunStep:
         hvec = np.array([0.2, -0.4, 0.7])
         c = np.zeros((3, 4))
         c[:, 0] = hvec * math.sqrt(np.pi)
-        nm = build_noise_modes({"family": "explicit", "coefficients": [c]}, grid)
+        nm = build_noise_modes({"family": "eigenmode", "modes": [  # h = hvec
+            {"sigma": float(np.linalg.norm(hvec)) * math.sqrt(np.pi),
+             "index": (0,), "direction": hvec}]}, grid)
         p = ModelParams(TINY, TINY, TINY, TINY, TINY)
         u0 = constant_field(grid, (0, 0, 0))
         inc = sample_increments(3, 0, 0, 1, 0.05)
-        nxt = heun_strat_step(u0.coeffs, grid, p, nm, TruncationConfig.off(),
+        nxt = heun_strat_step(u0, grid, p, nm, TruncationConfig.off(),
                               inc.values, 0.05)
         expected = c * inc.values[0]
         assert np.abs(nxt - expected).max() < 1e-14
@@ -143,7 +144,7 @@ class TestRunTrajectory:
         cfg = SolverConfig(dt=1e-4, t_end=1.0, record_every=1000)
         rec = run_trajectory(constant_field(G4, (0.5, 0, 0)), p,
                              NoiseModel.empty(G4), cfg)
-        vals = synthesize(G4, rec.final.coeffs)
+        vals = synthesize(G4, rec.final)
         mag2 = float((vals * vals).sum(axis=0).flat[0])
         r0 = 0.25
         exact = r0 * math.e**2 / (1 - r0 + r0 * math.e**2)
@@ -194,6 +195,14 @@ class TestRunTrajectory:
         with pytest.raises(ConfigurationError, match="denominator"):
             run_trajectory(u0, p, NoiseModel.empty(G4), cfg)
 
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 4, 4), (4,)],
+                             ids=["other_modes", "other_dim", "bare_modes"])
+    def test_initial_data_off_the_noise_grid_rejected(self, shape):
+        """The run's grid is the noise model's; u0 must hold its coefficients."""
+        cfg = SolverConfig(dt=0.01, t_end=0.1)
+        with pytest.raises(ConfigurationError, match="does not match"):
+            run_trajectory(np.zeros(shape), linear_params(), small_noise(G4), cfg)
+
     def test_recording_grid_and_columns(self):
         u0 = random_field(G4, RNG, amplitude=0.1)
         cfg = SolverConfig(dt=0.01, t_end=0.2, record_every=4, seed=5)
@@ -210,7 +219,7 @@ class TestRunTrajectory:
         nm = small_noise(G4)
         a = run_trajectory(u0, p, nm, cfg, path=4)
         b = run_trajectory(u0, p, nm, cfg, path=4)
-        assert np.array_equal(a.final.coeffs, b.final.coeffs)
+        assert np.array_equal(a.final, b.final)
         for key in a.norms:
             assert np.array_equal(a.norms[key], b.norms[key])
 
@@ -227,7 +236,7 @@ class TestRunTrajectory:
         off = SolverConfig(dt=0.005, t_end=0.3, seed=3, record_every=1)
         rec_on = run_trajectory(u0, p, nm, on)
         rec_off = run_trajectory(u0, p, nm, off)
-        assert np.array_equal(rec_on.final.coeffs, rec_off.final.coeffs)
+        assert np.array_equal(rec_on.final, rec_off.final)
         for key in rec_on.norms:
             assert np.array_equal(rec_on.norms[key], rec_off.norms[key])
 
@@ -242,7 +251,7 @@ class TestRunTrajectory:
         on = SolverConfig(dt=0.005, t_end=0.3, seed=3, record_every=1,
                           truncation=TruncationConfig.on(R))
         rec_on = run_trajectory(u0, p, nm, on)
-        assert not np.array_equal(rec_on.final.coeffs, probe.final.coeffs)
+        assert not np.array_equal(rec_on.final, probe.final)
 
     def test_strong_self_convergence(self):
         """Mean L2 gap between dt and dt/2 runs decreases over three halvings."""
@@ -264,8 +273,8 @@ class TestRunTrajectory:
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2, snapshot_every=1)
         rec = run_trajectory(u0, linear_params(), NoiseModel.empty(G4), cfg)
         assert rec.snapshots.shape == (11, 3, 4)
-        assert np.array_equal(rec.snapshots[0], u0.coeffs)
-        assert np.array_equal(rec.snapshots[-1], rec.final.coeffs)
+        assert np.array_equal(rec.snapshots[0], u0)
+        assert np.array_equal(rec.snapshots[-1], rec.final)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -307,17 +316,16 @@ def reference_record(u0, params, noise, cfg, path=0):
     is nonfinite, from step 1, or whose H^1 norm exceeds blowup_K; else
     n_steps), the samples on the record grid plus tau, and the snapshots.
     """
-    grid = u0.grid
+    grid = noise.grid
     step = imex_em_step if cfg.scheme == "imex_em_ito" else heun_strat_step
-    states = [u0.coeffs.copy()]
+    states = [u0.copy()]
     with np.errstate(all="ignore"):
         for m in range(cfg.n_steps):
             inc = coupled_increments(cfg.seed, path, m, noise.J, cfg.dt,
                                      cfg.substeps)
             states.append(step(states[-1], grid, params, noise,
                                cfg.truncation, inc.values, cfg.dt))
-        fields = [SpectralField(grid, c) for c in states]
-        h1 = [sobolev_norm(u, 1) for u in fields]
+        h1 = [sobolev_norm(grid, u, 1) for u in states]
     nonfinite = [m > 0 and not np.isfinite(c).all() for m, c in enumerate(states)]
     stops = [m for m in range(cfg.n_steps + 1)
              if nonfinite[m] or h1[m] > cfg.blowup_K]
@@ -334,9 +342,9 @@ def reference_record(u0, params, noise, cfg, path=0):
     return dict(
         tau=tau, reason=reason, recorded=recorded, snapped=snapped,
         states=states, h1=h1,
-        norms={"l2": [sobolev_norm(fields[m], 0) for m in recorded],
+        norms={"l2": [sobolev_norm(grid, states[m], 0) for m in recorded],
                "h1": [h1[m] for m in recorded],
-               "h2": [sobolev_norm(fields[m], 2) for m in recorded]},
+               "h2": [sobolev_norm(grid, states[m], 2) for m in recorded]},
     )
 
 
@@ -353,7 +361,7 @@ class TestStopRuleAgainstReference:
         assert np.array_equal(rec.times, [m * cfg.dt for m in ref["recorded"]])
         for key, values in ref["norms"].items():
             assert np.array_equal(rec.norms[key], values, equal_nan=True), key
-        assert np.array_equal(rec.final.coeffs, ref["states"][ref["tau"]],
+        assert np.array_equal(rec.final, ref["states"][ref["tau"]],
                               equal_nan=True)
         if ref["snapped"]:
             assert np.array_equal(rec.snapshot_steps, ref["snapped"])

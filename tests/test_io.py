@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sllbar.ensemble import EnsembleStats, Observable, run_ensemble
-from sllbar.grid import Grid, SpectralField, constant_field, random_field, zero_field
+from sllbar.grid import Grid, constant_field, random_field
 from sllbar.integrator import NORM_KEYS, SolverConfig, run_trajectory
 from sllbar.io import (
     SnapshotFormatError,
@@ -124,21 +124,34 @@ class TestSnapshot:
     def test_round_trip_bitwise(self, grid, tmp_path):
         u = random_field(grid, RNG)
         path = tmp_path / "state.snap"
-        write_snapshot(u, path)
-        v = read_snapshot(path)
-        assert np.array_equal(v.coeffs, u.coeffs)
-        assert v.grid.modes == grid.modes
-        assert v.grid.lengths == grid.lengths
+        write_snapshot(u, path, grid)
+        v_grid, v = read_snapshot(path)
+        assert np.array_equal(v, u)
+        assert v_grid.modes == grid.modes
+        assert v_grid.lengths == grid.lengths
 
-    def test_zero_field_round_trip(self, tmp_path):
+    def test_zero_coefficients_round_trip(self, tmp_path):
         path = tmp_path / "zero.snap"
-        write_snapshot(zero_field(G8), path)
-        v = read_snapshot(path)
-        assert np.array_equal(v.coeffs, np.zeros((3, 8)))
+        write_snapshot(np.zeros((3, 8)), path, G8)
+        _, v = read_snapshot(path)
+        assert np.array_equal(v, np.zeros((3, 8)))
+
+    def test_shape_off_the_grid_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="expected"):
+            write_snapshot(np.zeros((3, 9)), tmp_path / "bad.snap", G8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coefficient_rejected(self, value, tmp_path):
+        path = tmp_path / "nan.snap"
+        u = np.zeros((3, 8))
+        u[1, 3] = value
+        write_snapshot(u, path, G8)
+        with pytest.raises(SnapshotFormatError, match="nonfinite"):
+            read_snapshot(path)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "state.snap"
-        write_snapshot(zero_field(G8), path)
+        write_snapshot(np.zeros((3, 8)), path, G8)
         raw = path.read_bytes()
         assert raw[:4] == b"SLLB"
         version, dim = struct.unpack("<II", raw[4:12])
@@ -156,14 +169,14 @@ class TestSnapshot:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.snap"
-        write_snapshot(zero_field(G8), path)
+        write_snapshot(np.zeros((3, 8)), path, G8)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(SnapshotFormatError, match="trailing"):
             read_snapshot(path)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "trunc.snap"
-        write_snapshot(zero_field(G8), path)
+        write_snapshot(np.zeros((3, 8)), path, G8)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
@@ -192,20 +205,21 @@ def spectral_fields(draw):
     coeffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                            min_size=count, max_size=count))
     grid = Grid(dim, lengths, modes)
-    return SpectralField(grid, np.array(coeffs).reshape((3, *modes)))
+    return grid, np.array(coeffs).reshape((3, *modes))
 
 
 @settings(max_examples=30, deadline=None)
 @given(spectral_fields())
-def test_snapshot_round_trip_and_prefixes(u):
+def test_snapshot_round_trip_and_prefixes(field):
     """Writing then reading is bitwise exact, and every strict prefix of the
     file is rejected as a format error."""
+    grid, u = field
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.snap"
-        write_snapshot(u, path)
-        v = read_snapshot(path)
-        assert v.grid == u.grid
-        assert v.coeffs.tobytes() == u.coeffs.tobytes()
+        write_snapshot(u, path, grid)
+        v_grid, v = read_snapshot(path)
+        assert v_grid == grid
+        assert v.tobytes() == u.tobytes()
         raw = path.read_bytes()
         cut = Path(tmp) / "cut.snap"
         for n in range(len(raw)):

@@ -8,16 +8,13 @@ import pytest
 from sllbar.grid import (
     Grid,
     analyze,
-    apply_laplacian,
     collocation_points,
     constant_field,
     eigenmode_field,
     eigenvalue_array,
-    l2_inner,
     random_field,
     sobolev_norm,
     synthesize,
-    zero_field,
 )
 from sllbar.integrator import imex_em_step, linear_factor
 from sllbar.model import (
@@ -86,49 +83,49 @@ class TestThetaR:
 class TestCubicField:
     def test_constant(self):
         u = constant_field(G8, (0.5, 0.0, 0.0))
-        out = synthesize(G8, cubic_field(u).coeffs)
+        out = synthesize(G8, cubic_field(G8, u))
         assert np.abs(out[0] - 0.125).max() < 1e-13
         assert np.abs(out[1:]).max() < 1e-14
 
     def test_unit_magnitude_fixed_point(self):
         v = np.array([1.0, 2.0, -2.0]) / 3.0
         u = constant_field(G8, v)
-        out = cubic_field(u)
-        assert np.abs(out.coeffs - u.coeffs).max() < 1e-13
+        out = cubic_field(G8, u)
+        assert np.abs(out - u).max() < 1e-13
 
     def test_cos_cubed_identity(self):
         """cos^3 x = (3 cos x + cos 3x) / 4."""
         u = eigenmode_field(G8, (1,), (COS_AMP, 0.0, 0.0))
-        out = cubic_field(u)
+        out = cubic_field(G8, u)
         expected = np.zeros(8)
         expected[1] = 0.75 * COS_AMP
         expected[3] = 0.25 * COS_AMP
-        assert np.abs(out.coeffs[0] - expected).max() < 1e-10
-        assert np.abs(out.coeffs[1:]).max() < 1e-13
+        assert np.abs(out[0] - expected).max() < 1e-10
+        assert np.abs(out[1:]).max() < 1e-13
 
     def test_cubic_scaling(self):
         u = random_field(G8, RNG)
         c = 1.7
-        a = cubic_field(c * u).coeffs
-        b = (c**3) * cubic_field(u).coeffs
+        a = cubic_field(G8, c * u)
+        b = (c**3) * cubic_field(G8, u)
         assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(b).max())
 
 
 class TestPrecession:
     def test_constant_gives_zero(self):
         u = constant_field(G8, (1.0, 2.0, 3.0))
-        assert np.abs(precession(u).coeffs).max() < 1e-14
+        assert np.abs(precession(G8, u)).max() < 1e-14
 
     def test_parallel_laplacian_gives_zero(self):
         u = eigenmode_field(G8, (1,), (0.8, 0.0, 0.0))  # Lap u is parallel to u
-        assert np.abs(precession(u).coeffs).max() < 1e-13
+        assert np.abs(precession(G8, u)).max() < 1e-13
 
     def test_two_mode_oracle(self):
         """u = (cos x, cos 2x, 0): third component is -3 cos x cos 2x."""
         u = eigenmode_field(G8, (1,), (COS_AMP, 0.0, 0.0)) + eigenmode_field(
             G8, (2,), (0.0, COS_AMP, 0.0)
         )
-        vals = synthesize(G8, precession(u).coeffs)
+        vals = synthesize(G8, precession(G8, u))
         x = collocation_points(G8)[0]
         assert np.abs(vals[2] - (-3.0 * np.cos(x) * np.cos(2 * x))).max() < 1e-12
         assert np.abs(vals[:2]).max() < 1e-13
@@ -142,34 +139,34 @@ class TestPrecession:
         grid = Grid(dim, lengths, modes)
         for _ in range(10):
             u = random_field(grid, RNG)
-            val = l2_inner(precession(u), u)
-            bound = 1e-12 * max(1.0, sobolev_norm(u, 0) * sobolev_norm(u, 2))
+            val = float((precession(grid, u) * u).sum())  # Parseval: (., .)_L2
+            bound = 1e-12 * max(1.0, sobolev_norm(grid, u, 0) * sobolev_norm(grid, u, 2))
             assert abs(val) < bound
 
 
 def nonlocal_term(u, trunc):
-    """The ``nonlocal`` drift entry with b5 = 1 and no noise."""
+    """The ``nonlocal`` drift entry on G8 with b5 = 1 and no noise."""
     params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
-    return drift_terms(u, params, NoiseModel.empty(u.grid), trunc)["nonlocal"]
+    return drift_terms(G8, u, params, NoiseModel.empty(G8), trunc)["nonlocal"]
 
 
 class TestNonlocalCubic:
     def test_constant_gives_zero(self):
         u = constant_field(G8, (0.7, -0.1, 0.4))
-        assert np.abs(nonlocal_term(u, TruncationConfig.off()).coeffs).max() < 1e-13
+        assert np.abs(nonlocal_term(u, TruncationConfig.off())).max() < 1e-13
 
     def test_truncation_beyond_2r_kills_term(self):
         u = random_field(G8, RNG)
-        grad = sobolev_norm(u, 1, seminorm=True)
+        grad = sobolev_norm(G8, u, 1, seminorm=True)
         trunc = TruncationConfig.on(grad / 3.0)  # grad > 2R
-        assert np.abs(nonlocal_term(u, trunc).coeffs).max() == 0.0
+        assert np.abs(nonlocal_term(u, trunc)).max() == 0.0
 
     def test_truncation_below_r_is_identity(self):
         u = random_field(G8, RNG)
-        grad = sobolev_norm(u, 1, seminorm=True)
+        grad = sobolev_norm(G8, u, 1, seminorm=True)
         trunc = TruncationConfig.on(2.0 * grad)  # grad < R
-        a = nonlocal_term(u, trunc).coeffs
-        b = nonlocal_term(u, TruncationConfig.off()).coeffs
+        a = nonlocal_term(u, trunc)
+        b = nonlocal_term(u, TruncationConfig.off())
         assert np.array_equal(a, b)
 
     def test_truncation_config_validation(self):
@@ -182,9 +179,9 @@ class TestNonlocalCubic:
 
 
 def full_drift(u, params, noise):
-    """The whole Ito-form drift: the sum of every named term."""
-    terms = drift_terms(u, params, noise, TruncationConfig.off())
-    return sum(t.coeffs for t in terms.values())
+    """The whole Ito-form drift on G8: the sum of every named term."""
+    terms = drift_terms(G8, u, params, noise, TruncationConfig.off())
+    return sum(terms.values())
 
 
 class TestDriftAssembly:
@@ -195,7 +192,7 @@ class TestDriftAssembly:
 
     def test_zero_state_zero_drift(self):
         p = self.params()
-        d = full_drift(zero_field(G8), p, NoiseModel.empty(G8))
+        d = full_drift(np.zeros((3, 8)), p, NoiseModel.empty(G8))
         assert np.abs(d).max() == 0.0
 
     def test_constant_penalty_only(self):
@@ -220,8 +217,8 @@ class TestDriftAssembly:
             ]},
             G8,
         )
-        terms = drift_terms(u, p, noise, TruncationConfig.off())
-        strat = sum(t.coeffs for name, t in terms.items() if name != "ito_correction")
+        terms = drift_terms(G8, u, p, noise, TruncationConfig.off())
+        strat = sum(t for name, t in terms.items() if name != "ito_correction")
         ito_nonoise = full_drift(u, p, NoiseModel.empty(G8))
         assert np.abs(strat - ito_nonoise).max() < 1e-14
 
@@ -244,24 +241,23 @@ def parity_noise(grid):
     )
 
 
-def parity_truncation(u, mode):
+def parity_truncation(grid, u, mode):
     if mode == "off":
         return TruncationConfig.off()
-    trunc = TruncationConfig.on(sobolev_norm(u, 1, seminorm=True) / 1.5)
-    assert 0.0 < truncation_scale(u, trunc) < 1.0
+    trunc = TruncationConfig.on(sobolev_norm(grid, u, 1, seminorm=True) / 1.5)
+    assert 0.0 < truncation_scale(grid, u, trunc) < 1.0
     return trunc
 
 
-def correction_reference(u, noise):
+def correction_reference(grid, u, noise):
     """``-1/2 sum_j Pi(G_j(u) x h_j)`` with ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)``,
     from np.cross on synthesized values."""
-    grid = u.grid
-    vals = synthesize(grid, u.coeffs)
-    total = np.zeros_like(u.coeffs)
+    lam = eigenvalue_array(grid)
+    vals = synthesize(grid, u)
+    total = np.zeros_like(u)
     for h in noise.h:
-        h_vals = synthesize(grid, h.coeffs)
-        G = (analyze(grid, -np.cross(vals, h_vals, axis=0)) + h.coeffs
-             - apply_laplacian(h).coeffs)
+        h_vals = synthesize(grid, h)
+        G = analyze(grid, -np.cross(vals, h_vals, axis=0)) + h + lam * h
         total += analyze(grid, np.cross(synthesize(grid, G), h_vals, axis=0))
     return -0.5 * total
 
@@ -281,21 +277,22 @@ class TestDriftParity:
         p = self.P
         u = random_field(grid, RNG)
         noise = parity_noise(grid)
-        trunc = parity_truncation(u, mode)
-        theta = truncation_scale(u, trunc)
-        cubic = cubic_field(u).coeffs
+        trunc = parity_truncation(grid, u, mode)
+        theta = truncation_scale(grid, u, trunc)
+        lam = eigenvalue_array(grid)
+        cubic = cubic_field(grid, u)
         expected = {
-            "laplacian": p.beta1 * apply_laplacian(u).coeffs,
-            "biharmonic": -p.beta2 * apply_laplacian(u, 2).coeffs,
-            "penalty": p.beta3 * (u.coeffs - cubic),
-            "precession": -p.beta4 * precession(u).coeffs,
-            "nonlocal": p.beta5 * theta * apply_laplacian(cubic_field(u)).coeffs,
-            "ito_correction": correction_reference(u, noise),
+            "laplacian": p.beta1 * -lam * u,
+            "biharmonic": -p.beta2 * lam**2 * u,
+            "penalty": p.beta3 * (u - cubic),
+            "precession": -p.beta4 * precession(grid, u),
+            "nonlocal": p.beta5 * theta * -lam * cubic,
+            "ito_correction": correction_reference(grid, u, noise),
         }
-        terms = drift_terms(u, p, noise, trunc)
+        terms = drift_terms(grid, u, p, noise, trunc)
         assert set(terms) == set(expected)
         for name, ref in expected.items():
-            assert rel_gap(terms[name].coeffs, ref) < 1e-13, name
+            assert rel_gap(terms[name], ref) < 1e-13, name
 
     @pytest.mark.parametrize("mode", ["off", "on"])
     @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=["d1", "d2", "d3"])
@@ -303,11 +300,11 @@ class TestDriftParity:
         p, dt = self.P, 1e-3
         u = random_field(grid, RNG)
         noise = parity_noise(grid)
-        trunc = parity_truncation(u, mode)
-        terms = drift_terms(u, p, noise, trunc)
-        nonlinear = sum(terms[k].coeffs for k in
+        trunc = parity_truncation(grid, u, mode)
+        terms = drift_terms(grid, u, p, noise, trunc)
+        nonlinear = sum(terms[k] for k in
                         ("penalty", "precession", "nonlocal", "ito_correction"))
-        expected = (u.coeffs + dt * nonlinear) / linear_factor(
+        expected = (u + dt * nonlinear) / linear_factor(
             eigenvalue_array(grid), dt, p)
-        step = imex_em_step(u.coeffs, grid, p, noise, trunc, np.zeros(noise.J), dt)
+        step = imex_em_step(u, grid, p, noise, trunc, np.zeros(noise.J), dt)
         assert rel_gap(step, expected) < 1e-13

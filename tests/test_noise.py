@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from sllbar.grid import (
     Grid,
+    analyze,
     constant_field,
+    cross3,
     eigenmode_field,
+    eigenvalue_array,
     gradient_values,
     quad_weight,
     random_field,
     sobolev_norm,
     synthesize,
-    zero_field,
 )
 from sllbar.noise import (
     NoiseModel,
@@ -35,13 +37,14 @@ G8 = Grid(1, (np.pi,), (8,))
 
 
 def diffusion(u, noise, j):
-    """Coefficients of G_j(u), from the function the steppers call."""
-    return _diffusion_coeffs(u.grid, synthesize(u.grid, u.coeffs), noise, j)
+    """Coefficients of G_j(u) on G8, from the function the steppers call."""
+    return _diffusion_coeffs(G8, synthesize(G8, u), noise, j)
 
 
 def correction(u, noise):
-    """Coefficients of the Ito correction, from the function the steppers call."""
-    return _correction_coeffs(u.grid, synthesize(u.grid, u.coeffs), noise)
+    """Coefficients of the Ito correction on G8, from the function the steppers
+    call."""
+    return _correction_coeffs(G8, synthesize(G8, u), noise)
 
 
 def eigenmode_spec(*modes):
@@ -49,9 +52,11 @@ def eigenmode_spec(*modes):
 
 
 def constant_noise(grid, vector):
-    c = np.zeros((3, *grid.modes))
-    c[(slice(None),) + (0,) * grid.dim] = np.asarray(vector) * math.sqrt(grid.volume)
-    return build_noise_modes({"family": "explicit", "coefficients": [c]}, grid)
+    """One mode h = vector everywhere: the index-0 eigenmode with sigma =
+    |vector| sqrt(volume) and direction vector."""
+    sigma = float(np.linalg.norm(vector)) * math.sqrt(grid.volume)
+    return build_noise_modes(eigenmode_spec(
+        {"sigma": sigma, "index": (0,) * grid.dim, "direction": vector}), grid)
 
 
 class TestBuild:
@@ -86,9 +91,7 @@ class TestBuild:
             eigenmode_spec({"sigma": 1.0, "index": (2,), "direction": (1, 0, 0)}),
             G8,
         )
-        from sllbar.grid import apply_laplacian
-
-        assert np.array_equal(nm.lap_h[0].coeffs, apply_laplacian(nm.h[0]).coeffs)
+        assert np.array_equal(nm.lap_h[0], -eigenvalue_array(G8) * nm.h[0])
 
     def test_mode_outside_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -110,7 +113,7 @@ class TestBuild:
             eigenmode_spec({"sigma": 2.0, "index": (1,), "direction": (0, 0, 5)}),
             G8,
         )
-        assert sobolev_norm(nm.h[0], 0) == pytest.approx(2.0, rel=1e-14)
+        assert sobolev_norm(G8, nm.h[0], 0) == pytest.approx(2.0, rel=1e-14)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -118,35 +121,6 @@ class TestBuild:
                 eigenmode_spec({"sigma": 1.0, "index": (1,), "direction": (0, 0, 0)}),
                 G8,
             )
-
-
-class TestPhysicalInput:
-    def test_retained_field_zero_loss(self):
-        from sllbar.grid import synthesize
-        from sllbar.noise import coefficient_from_physical
-
-        u = random_field(G8, RNG)
-        field, loss = coefficient_from_physical(G8, synthesize(G8, u.coeffs))
-        assert np.abs(field.coeffs - u.coeffs).max() < 1e-12
-        assert loss < 1e-7
-
-    def test_out_of_band_content_reported(self):
-        from sllbar.grid import collocation_points
-        from sllbar.noise import coefficient_from_physical
-
-        x = collocation_points(G8)[0]
-        values = np.zeros((3, G8.padded[0]))
-        values[0] = np.cos(x) + np.cos(12 * x)  # mode 12 exceeds N=8
-        field, loss = coefficient_from_physical(G8, values)
-        # equal mass in a retained and a dropped mode: loss = 1/sqrt(2)
-        assert loss == pytest.approx(1 / np.sqrt(2), rel=1e-10)
-        assert np.abs(field.coeffs[0, 2:]).max() < 1e-12
-
-    def test_shape_mismatch(self):
-        from sllbar.noise import coefficient_from_physical
-
-        with pytest.raises(ValueError):
-            coefficient_from_physical(G8, np.zeros((3, 8)))
 
 
 class TestNoiseCondition:
@@ -170,16 +144,14 @@ class TestNoiseCondition:
             ),
             G8,
         )
-        from sllbar.grid import apply_laplacian
-
         w = quad_weight(G8)
         total = 0.0
         for h in nm.h:
-            vals = synthesize(G8, h.coeffs)
-            lap = apply_laplacian(h)
-            lap_vals = synthesize(G8, lap.coeffs)
-            g = gradient_values(G8, h.coeffs)
-            gl = gradient_values(G8, lap.coeffs)
+            vals = synthesize(G8, h)
+            lap = -eigenvalue_array(G8) * h
+            lap_vals = synthesize(G8, lap)
+            g = gradient_values(G8, h)
+            gl = gradient_values(G8, lap)
             total += float((vals * vals).sum()) * w
             total += 3 * sum(float((a * a).sum()) * w for a in g)
             total += 3 * float((lap_vals * lap_vals).sum()) * w
@@ -205,8 +177,8 @@ class TestDiffusionApply:
             eigenmode_spec({"sigma": 0.5, "index": (2,), "direction": (0, 1, 0)}),
             G8,
         )
-        G = diffusion(zero_field(G8), nm, 0)
-        expected = nm.h[0].coeffs - nm.lap_h[0].coeffs
+        G = diffusion(np.zeros((3, 8)), nm, 0)
+        expected = nm.h[0] - nm.lap_h[0]
         assert np.abs(G - expected).max() < 1e-13
 
     def test_constant_h_and_u(self):
@@ -225,7 +197,7 @@ class TestDiffusionApply:
         )
         u = eigenmode_field(G8, (1,), (0.0, 0.0, 2.0))  # u parallel to h pointwise
         G = diffusion(u, nm, 0)
-        expected = nm.h[0].coeffs - nm.lap_h[0].coeffs
+        expected = nm.h[0] - nm.lap_h[0]
         assert np.abs(G - expected).max() < 1e-12
 
     def test_affine_in_u(self):
@@ -251,10 +223,10 @@ class TestDiffusionApply:
         )
         for _ in range(10):
             u = random_field(G8, RNG)
-            vals = synthesize(G8, u.coeffs)
+            vals = synthesize(G8, u)
             cross = np.cross(vals, nm.h_phys[0], axis=0)
             val = float((cross * vals).sum()) * quad_weight(G8)
-            assert abs(val) < 1e-12 * max(1.0, sobolev_norm(u, 0) ** 2)
+            assert abs(val) < 1e-12 * max(1.0, sobolev_norm(G8, u, 0) ** 2)
 
 
 class TestItoCorrection:
@@ -272,7 +244,7 @@ class TestItoCorrection:
 
     def test_zero_state_constant_h(self):
         nm = constant_noise(G8, (0.4, -0.3, 0.8))
-        corr = correction(zero_field(G8), nm)
+        corr = correction(np.zeros((3, 8)), nm)
         assert np.abs(corr).max() < 1e-13
 
     def test_affine_in_u(self):
@@ -295,15 +267,13 @@ class TestItoCorrection:
     def test_parallel_state_reduces_to_additive_part(self):
         """u parallel to h_j pointwise: the correction equals
         -1/2 sum Pi((h_j - Lap h_j) x h_j)."""
-        from sllbar.grid import analyze, cross3
-
         nm = build_noise_modes(
             eigenmode_spec({"sigma": 0.7, "index": (2,), "direction": (0, 1, 0)}),
             G8,
         )
         u = 1.8 * nm.h[0]  # parallel pointwise
         got = correction(u, nm)
-        additive = nm.h[0].coeffs - nm.lap_h[0].coeffs
+        additive = nm.h[0] - nm.lap_h[0]
         expected = -0.5 * analyze(G8, cross3(synthesize(G8, additive), nm.h_phys[0]))
         assert np.abs(got - expected).max() < 1e-12
 

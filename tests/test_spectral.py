@@ -7,10 +7,7 @@ import pytest
 
 from sllbar.grid import (
     Grid,
-    GridMismatchError,
-    SpectralField,
     analyze,
-    apply_laplacian,
     collocation_points,
     constant_field,
     cross3,
@@ -23,7 +20,6 @@ from sllbar.grid import (
     random_field,
     sobolev_norm,
     synthesize,
-    zero_field,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -67,28 +63,28 @@ class TestTransforms:
         f = eigenmode_field(grid, (1,), (1.0, 0.0, 0.0))
         x = collocation_points(grid)[0]
         expected = math.sqrt(2 / np.pi) * np.cos(x)
-        vals = synthesize(grid, f.coeffs)
+        vals = synthesize(grid, f)
         assert np.abs(vals[0] - expected).max() < 1e-13
         assert np.abs(vals[1:]).max() == 0.0
 
     def test_constant_field_everywhere(self):
         grid = Grid(2, (np.pi, 1.0), (4, 4))
-        c = synthesize(grid, constant_field(grid, (2.0, -1.0, 0.5)).coeffs)
+        c = synthesize(grid, constant_field(grid, (2.0, -1.0, 0.5)))
         for comp, val in enumerate((2.0, -1.0, 0.5)):
             assert np.abs(c[comp] - val).max() < 1e-13
 
     @pytest.mark.parametrize("grid", grids_for_dims())
     def test_round_trip(self, grid):
         u = random_field(grid, RNG)
-        back = SpectralField(grid, analyze(grid, synthesize(grid, u.coeffs)))
-        assert np.abs(back.coeffs - u.coeffs).max() < 1e-12
+        back = analyze(grid, synthesize(grid, u))
+        assert np.abs(back - u).max() < 1e-12
 
     def test_round_trip_large_grid(self):
         # N=80 (160 padded nodes): larger than any grid a shipped config runs
         grid = Grid(1, (np.pi,), (80,))
         u = random_field(grid, RNG)
-        back = SpectralField(grid, analyze(grid, synthesize(grid, u.coeffs)))
-        assert np.abs(back.coeffs - u.coeffs).max() < 1e-12
+        back = analyze(grid, synthesize(grid, u))
+        assert np.abs(back - u).max() < 1e-12
 
 
 def series_matrices(grid, deriv_axis=None):
@@ -152,15 +148,15 @@ class TestReferenceSeries:
     @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     def test_synthesize(self, grid):
         u = random_field(grid, np.random.default_rng(7))
-        ref = cosine_series(grid, u.coeffs)
-        got = synthesize(grid, u.coeffs)
+        ref = cosine_series(grid, u)
+        got = synthesize(grid, u)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     def test_gradient(self, grid):
         u = random_field(grid, np.random.default_rng(8))
-        for ax, got in enumerate(gradient_values(grid, u.coeffs)):
-            ref = cosine_series(grid, u.coeffs, deriv_axis=ax)
+        for ax, got in enumerate(gradient_values(grid, u)):
+            ref = cosine_series(grid, u, deriv_axis=ax)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
@@ -211,19 +207,23 @@ class TestCross3:
 
 
 class TestLaplacian:
+    """The Laplacian is the per-mode multiplier ``-eigenvalue_array(grid)``."""
+
     def test_single_mode(self):
         grid = Grid(1, (np.pi,), (4,))
-        u = eigenmode_field(grid, (1,), (0.7, 0.0, 0.0))  # lambda = 1
-        lap = apply_laplacian(u)
-        assert lap.coeffs[0, 1] == pytest.approx(-0.7, abs=1e-15)
-        lap2 = apply_laplacian(u, power=2)
-        assert lap2.coeffs[0, 1] == pytest.approx(0.7, abs=1e-15)
+        amp = 0.7 / math.sqrt(2 / np.pi)
+        u = eigenmode_field(grid, (1,), (amp, 0.0, 0.0))  # u_x = 0.7 cos(x)
+        x = collocation_points(grid)[0]
+        lap = synthesize(grid, -eigenvalue_array(grid) * u)
+        assert np.abs(lap[0] - (-0.7 * np.cos(x))).max() < 1e-13
+        lap2 = synthesize(grid, eigenvalue_array(grid) ** 2 * u)
+        assert np.abs(lap2[0] - 0.7 * np.cos(x)).max() < 1e-13
 
     def test_constant_annihilated(self):
         grid = Grid(2, (1.0, 2.0), (4, 4))
         c = constant_field(grid, (1.0, 2.0, 3.0))
-        assert np.abs(apply_laplacian(c).coeffs).max() == 0.0
-        assert np.abs(apply_laplacian(c, 2).coeffs).max() == 0.0
+        assert np.abs(-eigenvalue_array(grid) * c).max() == 0.0
+        assert np.abs(eigenvalue_array(grid) ** 2 * c).max() == 0.0
 
 
 class TestGradient:
@@ -232,13 +232,13 @@ class TestGradient:
         amp = 1 / math.sqrt(2 / np.pi)
         u = eigenmode_field(grid, (1,), (amp, 0.0, 0.0))  # u_x = cos(x)
         x = collocation_points(grid)[0]
-        g = gradient_values(u.grid, u.coeffs)[0]
+        g = gradient_values(grid, u)[0]
         assert np.abs(g[0] - (-np.sin(x))).max() < 1e-13
 
     def test_constant_zero_gradient(self):
         grid = Grid(3, (1.0, 1.0, 1.0), (3, 3, 3))
         c = constant_field(grid, (4.0, 5.0, 6.0))
-        for g in gradient_values(c.grid, c.coeffs):
+        for g in gradient_values(grid, c):
             assert np.abs(g).max() < 1e-13
 
     @pytest.mark.parametrize("grid", grids_for_dims())
@@ -246,10 +246,8 @@ class TestGradient:
         """Quadrature of |grad u|^2 equals the spectral sum of lambda |c|^2."""
         u = random_field(grid, RNG)
         w = quad_weight(grid)
-        quad = sum(float((g * g).sum()) * w for g in gradient_values(grid, u.coeffs))
-        spectral = float(
-            (eigenvalue_array(grid) * (u.coeffs**2).sum(axis=0)).sum()
-        )
+        quad = sum(float((g * g).sum()) * w for g in gradient_values(grid, u))
+        spectral = float((eigenvalue_array(grid) * (u**2).sum(axis=0)).sum())
         assert quad == pytest.approx(spectral, rel=1e-10)
 
 
@@ -257,43 +255,47 @@ class TestNorms:
     def test_sobolev_single_mode(self):
         grid = Grid(1, (np.pi,), (4,))
         u = eigenmode_field(grid, (1,), (1.0, 0.0, 0.0))  # lambda = 1, |c| = 1
-        assert sobolev_norm(u, 1) == pytest.approx(math.sqrt(2), rel=1e-14)
+        assert sobolev_norm(grid, u, 1) == pytest.approx(math.sqrt(2), rel=1e-14)
 
     def test_l2_of_constant(self):
         grid = Grid(2, (np.pi, 2.0), (4, 4))
         a = 1.3
         u = constant_field(grid, (a, 0.0, 0.0))
-        assert sobolev_norm(u, 0) == pytest.approx(a * math.sqrt(grid.volume), rel=1e-14)
+        assert sobolev_norm(grid, u, 0) == pytest.approx(a * math.sqrt(grid.volume),
+                                                         rel=1e-14)
 
     def test_h3_of_sigma_mode(self):
         grid = Grid(1, (np.pi,), (4,))
         sigma = 0.37
         h = eigenmode_field(grid, (1,), (0.0, 0.0, sigma))
-        assert sobolev_norm(h, 3) == pytest.approx(sigma * 2 * math.sqrt(2), rel=1e-14)
+        assert sobolev_norm(grid, h, 3) == pytest.approx(sigma * 2 * math.sqrt(2),
+                                                         rel=1e-14)
 
     def test_seminorm_matches_grad(self):
         grid = Grid(2, (np.pi, 1.0), (5, 4))
         u = random_field(grid, RNG)
         w = quad_weight(grid)
         quad = math.sqrt(
-            sum(float((g * g).sum()) * w for g in gradient_values(grid, u.coeffs))
+            sum(float((g * g).sum()) * w for g in gradient_values(grid, u))
         )
-        assert sobolev_norm(u, 1, seminorm=True) == pytest.approx(quad, rel=1e-10)
+        assert sobolev_norm(grid, u, 1, seminorm=True) == pytest.approx(quad, rel=1e-10)
 
     def test_negative_order_rejected(self):
-        u = random_field(Grid(1, (1.0,), (4,)), RNG)
+        grid = Grid(1, (1.0,), (4,))
         with pytest.raises(ValueError):
-            sobolev_norm(u, -1.0)
+            sobolev_norm(grid, random_field(grid, RNG), -1.0)
 
     def test_l4_of_constant(self):
         grid = Grid(1, (2.0,), (4,))
         a = 0.9
         u = constant_field(grid, (a, 0.0, 0.0))
-        assert lp_norm(u, 4) == pytest.approx((a**4 * grid.volume) ** 0.25, rel=1e-13)
+        assert lp_norm(grid, u, 4) == pytest.approx((a**4 * grid.volume) ** 0.25,
+                                                    rel=1e-13)
 
     def test_l2_quadrature_matches_spectral(self):
-        u = random_field(Grid(2, (np.pi, 2.0), (5, 6)), RNG)
-        assert lp_norm(u, 2) == pytest.approx(sobolev_norm(u, 0), rel=1e-10)
+        grid = Grid(2, (np.pi, 2.0), (5, 6))
+        u = random_field(grid, RNG)
+        assert lp_norm(grid, u, 2) == pytest.approx(sobolev_norm(grid, u, 0), rel=1e-10)
 
     def test_linf_of_cos(self):
         grid = Grid(1, (np.pi,), (8,))
@@ -301,11 +303,13 @@ class TestNorms:
         u = eigenmode_field(grid, (1,), (amp, 0.0, 0.0))
         # max over midpoint nodes; the first node sits near but not at x=0
         x = collocation_points(grid)[0]
-        assert lp_norm(u, math.inf) == pytest.approx(np.abs(np.cos(x)).max(), rel=1e-13)
+        assert lp_norm(grid, u, math.inf) == pytest.approx(np.abs(np.cos(x)).max(),
+                                                           rel=1e-13)
 
     def test_unsupported_p(self):
+        grid = Grid(1, (1.0,), (4,))
         with pytest.raises(ValueError):
-            lp_norm(random_field(Grid(1, (1.0,), (4,)), RNG), 3)
+            lp_norm(grid, random_field(grid, RNG), 3)
 
 
 class TestDealiasing:
@@ -318,11 +322,11 @@ class TestDealiasing:
         def unit_cos(k):
             return eigenmode_field(grid, (k,), (1 / math.sqrt(2 / np.pi), 0, 0))
 
-        fa = synthesize(grid, unit_cos(2).coeffs)
-        fb = synthesize(grid, unit_cos(3).coeffs)
-        fc = synthesize(grid, unit_cos(6).coeffs)
-        prod = SpectralField(grid, analyze(grid, fa * fb * fc))
-        c = prod.coeffs[0] * math.sqrt(2 / np.pi)  # back to raw cosine amplitudes
+        fa = synthesize(grid, unit_cos(2))
+        fb = synthesize(grid, unit_cos(3))
+        fc = synthesize(grid, unit_cos(6))
+        prod = analyze(grid, fa * fb * fc)
+        c = prod[0] * math.sqrt(2 / np.pi)  # back to raw cosine amplitudes
         expected = np.zeros(8)
         expected[1] = 0.25  # |2-3+6| would be 5; combinations: 2+3-6=-1 -> cos(1x)
         expected[5] = 0.25  # 2-3+6 = 5
@@ -334,34 +338,42 @@ class TestDealiasing:
         grid = Grid(1, (np.pi,), (6,))
         fine = Grid(1, (np.pi,), (18,))  # holds the full cubic expansion
         ua, ub, uc = (random_field(grid, RNG) for _ in range(3))
-        pa, pb, pc = (synthesize(grid, u.coeffs) for u in (ua, ub, uc))
+        pa, pb, pc = (synthesize(grid, u) for u in (ua, ub, uc))
         got = analyze(grid, pa * pb * pc)
-        fa, fb, fc = (synthesize(fine, embed(u, fine).coeffs) for u in (ua, ub, uc))
+        fa, fb, fc = (synthesize(fine, embed(grid, u, fine)) for u in (ua, ub, uc))
         ref = analyze(fine, fa * fb * fc)[:, :6]
         assert np.abs(got - ref).max() < 1e-10
 
 
 class TestFieldHelpers:
-    def test_zero_field(self):
+    def test_zero_coefficients_zero_norm(self):
         grid = Grid(1, (1.0,), (4,))
-        assert sobolev_norm(zero_field(grid), 0) == 0.0
+        zero = np.zeros((3, 4))
+        assert [sobolev_norm(grid, zero, s) for s in range(4)] == [0.0] * 4
+        assert [lp_norm(grid, zero, p) for p in (2, 4, math.inf)] == [0.0] * 3
 
     def test_embed_preserves_values(self):
         coarse = Grid(1, (np.pi,), (5,))
         fine = Grid(1, (np.pi,), (11,))
         u = random_field(coarse, RNG)
-        v = embed(u, fine)
-        assert sobolev_norm(v, 0) == pytest.approx(sobolev_norm(u, 0), rel=1e-14)
-        with pytest.raises(GridMismatchError):
-            embed(u, Grid(1, (2.0,), (11,)))
+        v = embed(coarse, u, fine)
+        assert sobolev_norm(fine, v, 0) == pytest.approx(sobolev_norm(coarse, u, 0),
+                                                         rel=1e-14)
+        with pytest.raises(ValueError, match="same box"):
+            embed(coarse, u, Grid(1, (2.0,), (11,)))
+        with pytest.raises(ValueError, match="expected"):
+            embed(coarse, u[:, :1], fine)  # would broadcast into the first 5 modes
 
     @pytest.mark.parametrize("index", [(4,), (-1,), (1, 0), ()])
     def test_eigenmode_index_checked(self, index):
         with pytest.raises(ValueError, match="mode index"):
             eigenmode_field(Grid(1, (1.0,), (4,)), index, (1.0, 0.0, 0.0))
 
-    def test_field_algebra(self):
-        grid = Grid(1, (1.0,), (4,))
-        u, v = random_field(grid, RNG), random_field(grid, RNG)
-        w = 2.0 * u + v - u
-        assert np.abs(w.coeffs - (u.coeffs + v.coeffs)).max() < 1e-15
+    @pytest.mark.parametrize("kwargs", [
+        {"lengths": (float("nan"),)}, {"lengths": (float("inf"),)},
+        {"pad_factor": float("nan")}, {"pad_factor": float("inf")},
+    ], ids=["nan_length", "inf_length", "nan_pad_factor", "inf_pad_factor"])
+    def test_nonfinite_grid_rejected(self, kwargs):
+        args = {"dim": 1, "lengths": (1.0,), "modes": (4,), **kwargs}
+        with pytest.raises(ValueError, match="finite"):
+            Grid(**args)

@@ -37,7 +37,7 @@ def two_mode_noise(grid):
 
 
 def state(grid, seed):
-    return random_field(grid, np.random.default_rng(seed), amplitude=0.3).coeffs
+    return random_field(grid, np.random.default_rng(seed), amplitude=0.3)
 
 
 def steps(coeffs, grid, noise, scheme, n):

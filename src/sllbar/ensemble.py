@@ -78,6 +78,8 @@ class Observable:
         return f"clip_norm[{self.space};cap={self.cap:g}]"
 
     def __call__(self, grid: Grid, coeffs: np.ndarray) -> float:
+        if coeffs.shape != grid.field_shape:
+            raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
         if self.kind == "tanh_mode":
             index = check_mode_index(grid, self.mode_index)
             c = float(coeffs[(self.component,) + index])

@@ -33,6 +33,11 @@ without any transposed copy. A synthesis or analysis costs O(M^(d+1)) for
 ``M`` padded nodes per axis, and the matrices of one axis take ``3 M N``
 doubles. They, the eigenvalues, the Sobolev weights and the implicit
 divisors are built once per Grid instance and read from it as attributes.
+The matrices are the basis and its derivative evaluated at the midpoint
+nodes, built in closed form with numpy after an exact integer reduction of
+the phase (:func:`_cos_phase`); they agree with scipy's orthonormal
+DCT-II / DST-II of the identity to <= 3.2e-16, so the package needs no
+scipy.
 
 Memory
 ------
@@ -54,7 +59,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,8 @@ class Grid:
     pad_factor:
         Zero-padding factor for physical-space evaluation; the padded grid
         has ``ceil(pad_factor * N_i)`` nodes per axis.
+
+    ``field_shape`` is ``(3, *modes)``, the shape of a field's coefficients.
     """
 
     dim: int
@@ -95,6 +101,7 @@ class Grid:
         object.__setattr__(self, "_hash", hash(
             (self.dim, self.lengths, self.modes, self.pad_factor)))
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "field_shape", (3, *self.modes))
 
     def __hash__(self) -> int:
         return self._hash
@@ -123,17 +130,27 @@ class Grid:
     @cached_property
     def _axis_matrices(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """Per-axis analysis (N, M), synthesis (M, N) and derivative-synthesis
-        (M, N) matrices, one tuple of each; the scale sqrt(L/M) is folded in."""
+        (M, N) matrices, one tuple of each; the scale sqrt(L/M) is folded in.
+
+        Row k of the orthonormal DCT-II is ``c_k cos(theta)`` and of the
+        DST-II ``sqrt(2/M) sin(theta)``, ``theta = pi k (2j+1) / (2M)``: the
+        basis and its derivative at the midpoint nodes (:func:`_cos_phase`).
+        Only k <= N-1 <= M-1 is used, so the DST-II row k = M with its own
+        scale never arises.
+        """
         out = []
         for N, M, L in zip(self.modes, self.padded, self.lengths):
             s = math.sqrt(L / M)
-            dct_mat = sfft.dct(np.eye(M), type=2, norm="ortho", axis=0)
-            dst_mat = sfft.dst(np.eye(M), type=2, norm="ortho", axis=0)
-            analysis = np.ascontiguousarray(s * dct_mat[:N, :])
-            synthesis = np.ascontiguousarray(dct_mat[:N, :].T / s)
+            k = np.arange(N)[:, None]
+            phase = k * (2 * np.arange(M) + 1)
+            dct_rows = math.sqrt(2 / M) * _cos_phase(phase, M)
+            dct_rows[0] = math.sqrt(1 / M)
+            # sin(theta) = cos(theta - pi/2), a phase shift of M
+            dst_rows = math.sqrt(2 / M) * _cos_phase(phase[1:] - M, M)
+            analysis = np.ascontiguousarray(s * dct_rows)
+            synthesis = np.ascontiguousarray(dct_rows.T / s)
             deriv = np.zeros((M, N))
-            for k in range(1, N):
-                deriv[:, k] = -(np.pi * k / L) / s * dst_mat[k - 1, :]
+            deriv[:, 1:] = -(np.pi * k[1:, 0] / L) / s * dst_rows.T
             for m in (analysis, synthesis, deriv):
                 m.setflags(write=False)
             out.append((analysis, synthesis, deriv))
@@ -146,6 +163,27 @@ class Grid:
             value = self._memo[key] = build()
             value.setflags(write=False)
         return value
+
+
+def _cos_phase(phase: np.ndarray, M: int) -> np.ndarray:
+    """``cos(pi * phase / (2M))`` for an integer array ``phase``.
+
+    The values repeat with period 4M in the phase, so one period is tabled
+    and indexed. Each table phase is folded by exact integer symmetries onto
+    [0, M/2] before it is scaled by pi, so every cos or sin is taken of an
+    angle in [0, pi/4] and the entries are within an ulp or so of exact at
+    any M; unreduced, the arguments reach k (2j+1) pi / (2M), about 400 rad
+    at N = 128 (M = 256).
+    """
+    p = np.arange(4 * M)
+    p = np.where(p > 2 * M, 4 * M - p, p)             # cos is even
+    sign = np.where(p > M, -1.0, 1.0)                  # cos(pi - a)
+    p = np.where(p > M, 2 * M - p, p)
+    use_sin = 2 * p > M                                # cos(pi/2 - a)
+    p = np.where(use_sin, M - p, p)
+    angle = np.pi * p / (2 * M)
+    table = sign * np.where(use_sin, np.sin(angle), np.cos(angle))
+    return table[phase % (4 * M)]
 
 
 def eigenvalue_array(grid: Grid) -> np.ndarray:
@@ -313,6 +351,8 @@ def sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float,
     With ``seminorm=True`` the multiplier is ``lambda_k^s`` (the k = 0 mode
     drops out for s > 0); ``s = 0`` gives the L^2 norm either way.
     """
+    if coeffs.shape != grid.field_shape:
+        raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
     if s < 0:
         raise ValueError("s must be >= 0")
     mag2 = (coeffs * coeffs).sum(axis=0)
@@ -329,6 +369,8 @@ def lp_norm(grid: Grid, coeffs: np.ndarray, p) -> float:
     pad_factor 2, at p = 4 as well. The infinity norm is the max over nodes
     of the Euclidean magnitude of the 3-vector.
     """
+    if coeffs.shape != grid.field_shape:
+        raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
     vals = synthesize(grid, coeffs)
     mag2 = (vals * vals).sum(axis=0)
     w = quad_weight(grid)
@@ -375,8 +417,8 @@ def eigenmode_field(grid: Grid, index: tuple[int, ...], vector) -> np.ndarray:
 
 def embed(grid: Grid, coeffs: np.ndarray, fine: Grid) -> np.ndarray:
     """Zero-pad coefficients on ``grid`` into a finer grid with the same box."""
-    if coeffs.shape != (3, *grid.modes):
-        raise ValueError(f"coeffs shape {coeffs.shape}, expected {(3, *grid.modes)}")
+    if coeffs.shape != grid.field_shape:
+        raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
     if fine.dim != grid.dim or fine.lengths != grid.lengths:
         raise ValueError("embedding requires the same box")
     if any(nf < nc for nf, nc in zip(fine.modes, grid.modes)):

@@ -249,9 +249,9 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
     inputs give bitwise-identical records.
     """
     grid = noise.grid
-    if u0.shape != (3, *grid.modes):
+    if u0.shape != grid.field_shape:
         raise ConfigurationError(f"initial data shape {u0.shape} does not match "
-                                 f"the noise model grid {(3, *grid.modes)}")
+                                 f"the noise model grid {grid.field_shape}")
     if config.scheme == "imex_em_ito":
         _divisor_array(grid, config.dt, params)  # denominator guard, pre-run
         stepper = imex_em_step

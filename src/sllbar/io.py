@@ -84,8 +84,8 @@ def write_snapshot(coeffs: np.ndarray, path, grid: Grid) -> None:
     f64 L_i per axis, then 3 row-major blocks of f64 coefficients
     (component-major, axis 0 slowest). All integers and floats little-endian.
     """
-    if coeffs.shape != (3, *grid.modes):
-        raise ValueError(f"coeffs shape {coeffs.shape}, expected {(3, *grid.modes)}")
+    if coeffs.shape != grid.field_shape:
+        raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<II", SNAPSHOT_VERSION, grid.dim))

@@ -80,6 +80,15 @@ class TestObservable:
         with pytest.raises(ValueError, match="mode index"):
             Observable("tanh_mode", mode_index=index)(grid, u)
 
+    @pytest.mark.parametrize("psi", [
+        Observable("tanh_mode", mode_index=(0,)), Observable("exp_neg_l2"),
+        Observable("clip_norm", space="H1")], ids=lambda psi: psi.kind)
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 8)], ids=["one_mode", "two_rows"])
+    def test_wrong_shape_rejected(self, psi, shape):
+        """One mode is not broadcast against the grid's eight."""
+        with pytest.raises(ValueError, match="coeffs shape"):
+            psi(G8, np.ones(shape))
+
     def test_names_unique(self):
         a = Observable("tanh_mode", mode_index=(0,), component=1)
         b = Observable("tanh_mode", mode_index=(1,), component=1)

@@ -169,6 +169,11 @@ class TestNonlocalCubic:
         b = nonlocal_term(u, TruncationConfig.off())
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 8)], ids=["one_mode", "two_rows"])
+    def test_truncation_scale_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="coeffs shape"):
+            truncation_scale(G8, np.ones(shape), TruncationConfig.on(1.0))
+
     def test_truncation_config_validation(self):
         with pytest.raises(ValueError):
             TruncationConfig("on", None)

@@ -167,6 +167,32 @@ class TestReferenceSeries:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+class TestAxisMatricesAgainstScipy:
+    """The closed-form per-axis matrices against scipy's orthonormal
+    DCT-II / DST-II of the identity, each to 1e-15 of its folded-in scale."""
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 8, 16, 64, 128])
+    @pytest.mark.parametrize("pad_factor", [1, 1.5, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matrices(self, dim, pad_factor, N):
+        sfft = pytest.importorskip("scipy.fft")
+        grid = Grid(dim, (np.pi, 1.0, 2.5)[:dim], (N,) * dim, pad_factor)
+        for L, M, analysis, synthesis, deriv in zip(
+                grid.lengths, grid.padded, *grid._axis_matrices):
+            s = math.sqrt(L / M)
+            dct = sfft.dct(np.eye(M), type=2, norm="ortho", axis=0)[:N]
+            dst = sfft.dst(np.eye(M), type=2, norm="ortho", axis=0)
+            for mat in (analysis, synthesis, deriv):
+                assert mat.flags.c_contiguous and not mat.flags.writeable
+            assert np.abs(analysis - s * dct).max() <= 1e-15 * s
+            assert np.abs(synthesis - dct.T / s).max() <= 1e-15 / s
+            for k in range(1, N):
+                scale = (np.pi * k / L) / s
+                assert np.abs(deriv[:, k] + scale * dst[k - 1]).max() <= 1e-15 * scale
+            assert np.all(deriv[:, 0] == 0.0) and not np.signbit(deriv[:, 0]).any()
+            assert np.abs(analysis @ synthesis - np.eye(N)).max() <= 1e-14
+
+
 class TestCross3:
     @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 4, 3)],
                              ids=["d1", "d2", "d3"])
@@ -279,6 +305,17 @@ class TestNorms:
             sum(float((g * g).sum()) * w for g in gradient_values(grid, u))
         )
         assert sobolev_norm(grid, u, 1, seminorm=True) == pytest.approx(quad, rel=1e-10)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 5)], ids=["one_mode", "two_rows"])
+    @pytest.mark.parametrize("norm", [
+        lambda g, c: sobolev_norm(g, c, 0), lambda g, c: sobolev_norm(g, c, 1),
+        lambda g, c: lp_norm(g, c, 2)], ids=["L2", "H1", "lp_L2"])
+    def test_wrong_shape_rejected(self, norm, shape):
+        """A (3, 1) array once broadcast its one mode against all five
+        weights and read 10.2469 in H^1; a (2, 5) one read 8.37."""
+        grid = Grid(1, (np.pi,), (5,))
+        with pytest.raises(ValueError, match="coeffs shape"):
+            norm(grid, np.ones(shape))
 
     def test_negative_order_rejected(self):
         grid = Grid(1, (1.0,), (4,))

@@ -1,26 +1,26 @@
 """Run configuration: parsing, validation and echoing.
 
 Configs are INI-style key-value text (see ``demos/configs/annotated.cfg``
-for a complete annotated example). The dataclasses are the schema:
-``Grid``, ``ModelParams``, ``TruncationConfig``, ``SolverConfig``,
-``ExperimentConfig`` and ``Observable`` own every default and every value
-check, and the parser hands each of them only the keys a file sets. Keys
-are checked against a whitelist, and ``RunConfig.echo`` writes the fully
-resolved dataclasses into each JSON report, so a run can be reproduced
-bitwise from its outputs.
+for a complete annotated example). One table, ``_KEYS``, lists every
+section and key with its converter; a key it does not list is rejected.
+The dataclasses ``Grid``, ``ModelParams``, ``TruncationConfig``,
+``SolverConfig``, ``ExperimentConfig`` and ``Observable`` own every default
+and every value check, and the parser hands each of them only the keys a
+file sets. ``RunConfig.echo`` writes the fully resolved dataclasses into
+each JSON report, so a run can be reproduced bitwise from its outputs.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .ensemble import Observable
 from .grid import Grid, check_mode_index, constant_field, eigenmode_field, embed
-from .integrator import ConfigurationError, SolverConfig
+from .integrator import SolverConfig
 from .model import ModelParams, TruncationConfig
 from .noise import NoiseModel, build_noise_modes
 
@@ -188,34 +188,64 @@ _BAD_VALUE = {
     _windows: "bad window list",
 }
 
+# The whole key schema: each section, or numbered-section prefix, maps its
+# keys to their converters, in the order they are read. Two keys take a
+# dataclass field's other name: solver.blowup_k (SolverConfig.blowup_K) and
+# observable.N.index (Observable.mode_index).
+_KEYS = {
+    "grid": {"dim": int, "lengths": _floats, "modes": _ints, "pad_factor": _float},
+    "params": {"beta1": _float, "beta2": _float, "beta3": _float, "beta4": _float,
+               "beta5": _float},
+    "truncation": {"mode": str.strip, "radius": _float},
+    "solver": {"dt": _float, "t_end": _float, "scheme": str.strip, "blowup_k": float,
+               "record_every": int, "seed": int, "substeps": int,
+               "snapshot_every": int},
+    "noise": {"family": str.strip, "c_h_bound": _float, "tail_estimate": _float},
+    "noise.mode.": {"sigma": _float, "index": _ints, "direction": _floats},
+    "initial": {"type": str.strip, "vector": _floats, "path": str.strip},
+    "initial.mode.": {"index": _ints, "amplitude": _floats},
+    "experiment": {"ensemble_m": int, "burn_in": _float, "windows": _windows,
+                   "tightness_r": _floats, "moment_powers": _floats, "workers": int,
+                   "dt_halvings": int, "refine_levels": _ints},
+    "observable.": {"kind": str.strip, "index": _ints, "component": int,
+                    "scale": _float, "space": str.strip, "cap": _float},
+}
 
-class _Section:
-    """Typed access to one config section with key-path error messages."""
 
-    def __init__(self, parser: configparser.ConfigParser, name: str,
-                 allowed: set[str]):
-        self.name = name
-        self.data = dict(parser[name]) if parser.has_section(name) else {}
-        for key in self.data:
-            if key not in allowed:
-                raise ConfigError(f"{name}.{key}: unknown key")
+def _section(parser: configparser.ConfigParser, name: str, schema: dict | None = None,
+             required=()) -> dict:
+    """Converted values of the keys section ``name`` sets, in ``schema`` order
+    (``_KEYS[name]`` by default). Absent optional keys are left out, so the
+    dataclass receiving them supplies its own defaults."""
+    schema = _KEYS[name] if schema is None else schema
+    data = dict(parser[name]) if parser.has_section(name) else {}
+    for key in data:
+        if key not in schema:
+            raise ConfigError(f"{name}.{key}: unknown key")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{name}.{key}: missing required key")
+    values = {}
+    for key, convert in schema.items():
+        if key in data:
+            try:
+                values[key] = convert(data[key])
+            except ValueError:
+                raise ConfigError(
+                    f"{name}.{key}: {_BAD_VALUE[convert]} {data[key]!r}") from None
+    return values
 
-    def get(self, key, convert=str.strip, default=None, required=False):
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"{self.name}.{key}: missing required key")
-            return default
-        raw = self.data[key]
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: {_BAD_VALUE[convert]} {raw!r}") from None
 
-    def given(self, **converters) -> dict:
-        """Converted values of the keys the file sets. Absent keys are left
-        out, so the dataclass receiving them supplies its own defaults."""
-        return {key: self.get(key, convert)
-                for key, convert in converters.items() if key in self.data}
+def _made(prefix: str, build, *args, **kw):
+    """``build(*args, **kw)``, a ValueError re-raised as a ConfigError whose
+    message starts with ``prefix``. A ConfigError already names its key and
+    passes through as it is."""
+    try:
+        return build(*args, **kw)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _numbered_sections(parser: configparser.ConfigParser, prefix: str) -> list[str]:
@@ -227,8 +257,7 @@ def _numbered_sections(parser: configparser.ConfigParser, prefix: str) -> list[s
                 raise ConfigError(f"{name}: section suffix must be a number")
             found.append((int(suffix), name))
     found.sort()
-    expected = list(range(1, len(found) + 1))
-    if [i for i, _ in found] != expected:
+    if [i for i, _ in found] != list(range(1, len(found) + 1)):
         raise ConfigError(f"{prefix}* sections must be numbered 1..{len(found)}")
     return [name for _, name in found]
 
@@ -246,79 +275,40 @@ def parse_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"parse error: {exc}") from exc
 
-    known_prefixes = ("noise.mode.", "initial.mode.", "observable.")
+    prefixes = tuple(name for name in _KEYS if name.endswith("."))
     for name in parser.sections():
-        if name in _SECTION_KEYS:
-            continue
-        if any(name.startswith(p) for p in known_prefixes):
-            continue
-        raise ConfigError(f"{name}: unknown section")
+        if name not in _KEYS and not name.startswith(prefixes):
+            raise ConfigError(f"{name}: unknown section")
+    for name in ("grid", "params", "solver", "initial"):
+        if not parser.has_section(name):
+            raise ConfigError(f"{name}: missing section")
 
-    # grid
-    sec = _Section(parser, "grid", _SECTION_KEYS["grid"])
-    if not parser.has_section("grid"):
-        raise ConfigError("grid: missing section")
-    dim = sec.get("dim", int, required=True)
-    lengths = sec.get("lengths", _floats, required=True)
-    modes = sec.get("modes", _ints, required=True)
-    if dim in (2, 3):
-        if len(lengths) == 1:
-            lengths = lengths * dim
-        if len(modes) == 1:
-            modes = modes * dim
-    # convert before each try, whose handler would re-prefix a converter error
-    optional = sec.given(pad_factor=_float)
-    if optional.get("pad_factor", 2.0) < 2:
+    # grid; one length or mode count stands for every axis
+    sec = _section(parser, "grid", required=("dim", "lengths", "modes"))
+    for key in ("lengths", "modes"):
+        if sec["dim"] in (2, 3) and len(sec[key]) == 1:
+            sec[key] *= sec["dim"]
+    if sec.get("pad_factor", 2.0) < 2:
         raise ConfigError("grid.pad_factor: must be >= 2; a coarser padded grid "
                           "aliases the cubic terms")
-    try:
-        grid = Grid(dim, lengths, modes, **optional)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    grid = _made("grid: ", Grid, **sec)
 
-    # params
-    if not parser.has_section("params"):
-        raise ConfigError("params: missing section")
-    sec = _Section(parser, "params", _SECTION_KEYS["params"])
-    betas = {f.name: sec.get(f.name, _float, required=True) for f in fields(ModelParams)}
-    try:
-        params = ModelParams(**betas)
-    except ValueError as exc:
-        raise ConfigError(f"params.{exc}") from exc
+    params = _made("params.", ModelParams,
+                   **_section(parser, "params", required=_KEYS["params"]))
 
     # truncation; the radius is ignored while the cutoff is off
-    sec = _Section(parser, "truncation", _SECTION_KEYS["truncation"])
-    optional = sec.given(mode=str.strip, radius=_float)
-    try:
-        trunc = TruncationConfig(**optional)
-    except ValueError as exc:
-        raise ConfigError(f"truncation.{exc}") from exc
+    trunc = _made("truncation.", TruncationConfig, **_section(parser, "truncation"))
     if trunc.mode == "off":
         trunc = TruncationConfig.off()
 
-    # solver
-    if not parser.has_section("solver"):
-        raise ConfigError("solver: missing section")
-    sec = _Section(parser, "solver", _SECTION_KEYS["solver"])
-    optional = sec.given(scheme=str.strip, blowup_k=float, record_every=int,
-                         seed=int, substeps=int, snapshot_every=int)
-    if "blowup_k" in optional:
-        optional["blowup_K"] = optional.pop("blowup_k")
-    try:
-        solver = SolverConfig(
-            dt=sec.get("dt", _float, required=True),
-            t_end=sec.get("t_end", _float, required=True),
-            truncation=trunc,
-            **optional,
-        )
-    except ConfigurationError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    sec = _section(parser, "solver", required=("dt", "t_end"))
+    if "blowup_k" in sec:
+        sec["blowup_K"] = sec.pop("blowup_k")
+    solver = _made("solver: ", SolverConfig, truncation=trunc, **sec)
 
     # noise
-    sec = _Section(parser, "noise", _SECTION_KEYS["noise"])
-    family = sec.get("family", default="none")
-    noise_spec: dict = {"family": family,
-                        **sec.given(c_h_bound=_float, tail_estimate=_float)}
+    noise_spec: dict = {"family": "none", **_section(parser, "noise")}
+    family = noise_spec["family"]
     mode_sections = _numbered_sections(parser, "noise.mode.")
     if family == "none":
         if mode_sections:
@@ -326,100 +316,59 @@ def parse_config(path: str) -> RunConfig:
     elif family == "eigenmode":
         if not mode_sections:
             raise ConfigError("noise: family 'eigenmode' needs noise.mode.* sections")
-        modes_list = []
-        for name in mode_sections:
-            msec = _Section(parser, name, _NOISE_MODE_KEYS)
-            modes_list.append({
-                "sigma": msec.get("sigma", _float, required=True),
-                "index": msec.get("index", _ints, required=True),
-                "direction": msec.get("direction", _floats, required=True),
-            })
-        noise_spec["modes"] = modes_list
+        schema = _KEYS["noise.mode."]
+        noise_spec["modes"] = [_section(parser, name, schema, required=schema)
+                               for name in mode_sections]
     else:
         raise ConfigError(f"noise.family: unknown family {family!r}")
-    try:
-        build_noise_modes(noise_spec, grid)  # validate indices against the grid
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
+    _made("noise: ", build_noise_modes, noise_spec, grid)  # check indices on the grid
 
-    # initial data
-    if not parser.has_section("initial"):
-        raise ConfigError("initial: missing section")
-    sec = _Section(parser, "initial", _SECTION_KEYS["initial"])
-    itype = sec.get("type", default="constant")
-    initial_spec: dict = {"type": itype}
-    init_mode_sections = _numbered_sections(parser, "initial.mode.")
-    if itype == "constant":
-        vec = sec.get("vector", _floats, required=True)
-        if len(vec) != 3:
-            raise ConfigError("initial.vector: need 3 components")
-        initial_spec["vector"] = vec
-    elif itype == "modes":
-        if not init_mode_sections:
-            raise ConfigError("initial: type 'modes' needs initial.mode.* sections")
-        entries = []
-        for name in init_mode_sections:
-            msec = _Section(parser, name, _INITIAL_MODE_KEYS)
-            amp = msec.get("amplitude", _floats, required=True)
-            if len(amp) != 3:
-                raise ConfigError(f"{name}.amplitude: need 3 components")
-            entries.append({
-                "index": msec.get("index", _ints, required=True),
-                "amplitude": amp,
-            })
-        initial_spec["modes"] = entries
-    elif itype == "snapshot":
-        initial_spec["path"] = sec.get("path", required=True)
-    else:
+    # initial data; input that the type never reads is rejected
+    initial_spec: dict = {"type": "constant", **_section(parser, "initial")}
+    itype = initial_spec["type"]
+    mode_sections = _numbered_sections(parser, "initial.mode.")
+    if itype not in ("constant", "modes", "snapshot"):
         raise ConfigError(f"initial.type: unknown type {itype!r}")
-    try:
-        build_initial(initial_spec, grid)
-    except ConfigError:
-        raise  # a snapshot error already names initial.path
-    except ValueError as exc:
-        raise ConfigError(f"initial: {exc}") from exc
+    for key, reader in (("vector", "constant"), ("path", "snapshot")):
+        if key in initial_spec and itype != reader:
+            raise ConfigError(f"initial.{key}: not read by type {itype!r}")
+        if key not in initial_spec and itype == reader:
+            raise ConfigError(f"initial.{key}: missing required key")
+    if itype == "constant" and len(initial_spec["vector"]) != 3:
+        raise ConfigError("initial.vector: need 3 components")
+    if itype == "modes":
+        if not mode_sections:
+            raise ConfigError("initial: type 'modes' needs initial.mode.* sections")
+        schema = _KEYS["initial.mode."]
+        initial_spec["modes"] = [_section(parser, name, schema, required=schema)
+                                 for name in mode_sections]
+        for name, mode in zip(mode_sections, initial_spec["modes"]):
+            if len(mode["amplitude"]) != 3:
+                raise ConfigError(f"{name}.amplitude: need 3 components")
+    elif mode_sections:
+        raise ConfigError(f"initial.type: {itype!r} but initial.mode.* sections present")
+    _made("initial: ", build_initial, initial_spec, grid)
 
     # experiment
-    sec = _Section(parser, "experiment", _SECTION_KEYS["experiment"])
     observables = []
     for name in _numbered_sections(parser, "observable."):
-        osec = _Section(parser, name, _OBSERVABLE_KEYS)
-        optional = osec.given(index=_ints, component=int, scale=_float,
-                              space=str.strip, cap=_float)
-        if "index" in optional:
-            optional["mode_index"] = optional.pop("index")
-        try:
-            obs = Observable(osec.get("kind", required=True), **optional)
-            if obs.kind == "tanh_mode":
-                check_mode_index(grid, obs.mode_index)
-            observables.append(obs)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-    optional = sec.given(ensemble_m=int, burn_in=_float, windows=_windows,
-                         tightness_r=_floats, moment_powers=_floats, workers=int,
-                         dt_halvings=int, refine_levels=_ints)
-    try:
-        experiment = ExperimentConfig(observables=tuple(observables), **optional)
-    except ValueError as exc:
-        raise ConfigError(f"experiment.{exc}") from exc
+        sec = _section(parser, name, _KEYS["observable."], required=("kind",))
+        if "index" in sec:
+            sec["mode_index"] = sec.pop("index")
+        obs = _made(f"{name}: ", Observable, **sec)
+        if obs.kind == "tanh_mode":
+            _made(f"{name}: ", check_mode_index, grid, obs.mode_index)
+        observables.append(obs)
+    experiment = _made("experiment.", ExperimentConfig, observables=tuple(observables),
+                       **_section(parser, "experiment"))
     # converge builds both on every refine level; fail here, not after its dt
     # study. Only converge itself reads a snapshot there (see _cmd_converge).
     if experiment.refine_levels:
-        coarse = grid.with_modes((experiment.refine_levels[0],) * dim)
-        try:
-            build_noise_modes(noise_spec, coarse)
-            if itype != "snapshot":
-                build_initial(initial_spec, coarse)
-        except ValueError as exc:
-            raise ConfigError(
-                f"experiment.refine_levels: level {coarse.modes[0]}: {exc}"
-            ) from exc
+        coarse = grid.with_modes((experiment.refine_levels[0],) * grid.dim)
+        where = f"experiment.refine_levels: level {coarse.modes[0]}: "
+        _made(where, build_noise_modes, noise_spec, coarse)
+        if itype != "snapshot":
+            _made(where, build_initial, initial_spec, coarse)
 
-    return RunConfig(
-        grid=grid,
-        params=params,
-        solver=solver,
-        noise_spec=noise_spec,
-        initial_spec=initial_spec,
-        experiment=experiment,
-    )
+    return RunConfig(grid=grid, params=params, solver=solver, noise_spec=noise_spec,
+                     initial_spec=initial_spec, experiment=experiment)

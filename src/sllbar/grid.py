@@ -310,6 +310,8 @@ def synthesize(grid: Grid, coeffs: np.ndarray,
 
     Written into ``out`` when it is given, a fresh array otherwise.
     """
+    if coeffs.shape != grid.field_shape:
+        raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
     if out is not None and (out.shape != (3, *grid.padded) or out.dtype != np.float64
                             or not out.flags.c_contiguous):
         raise ValueError(f"synthesize out must be a C-contiguous float64 array of "
@@ -333,6 +335,8 @@ def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
     component is synthesized with the DST-II derivative matrix along the
     derivative axis and the DCT-II synthesis matrices along the rest.
     """
+    if coeffs.shape != grid.field_shape:
+        raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
     _, syn, deriv = grid._axis_matrices
     return [_transform(coeffs, syn[:ax] + (deriv[ax],) + syn[ax + 1:])
             for ax in range(grid.dim)]
@@ -369,8 +373,6 @@ def lp_norm(grid: Grid, coeffs: np.ndarray, p) -> float:
     pad_factor 2, at p = 4 as well. The infinity norm is the max over nodes
     of the Euclidean magnitude of the 3-vector.
     """
-    if coeffs.shape != grid.field_shape:
-        raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
     vals = synthesize(grid, coeffs)
     mag2 = (vals * vals).sum(axis=0)
     w = quad_weight(grid)

@@ -42,24 +42,26 @@ class NoiseTailWarning(UserWarning):
 
 @dataclass
 class NoiseModel:
-    """Immutable noise family with precomputed Laplacians, h_j - Lap h_j and C_h.
+    """Immutable noise family; the Laplacians, padded-grid values, h_j - Lap h_j
+    and C_h are derived from ``h`` once, at construction.
 
     ``h`` and ``lap_h`` hold one ``(3, *grid.modes)`` coefficient array per mode.
     """
 
     grid: Grid
     h: list[np.ndarray]
-    lap_h: list[np.ndarray]
-    C_h: float
     c_h_bound: float | None = None
     tail_estimate: float = 0.0
-    h_phys: list[np.ndarray] = field(default_factory=list)
+    lap_h: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    h_phys: list[np.ndarray] = field(init=False, repr=False, compare=False)
     h_minus_lap: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    C_h: float = field(init=False)
 
     def __post_init__(self):
-        if not self.h_phys:
-            self.h_phys = [synthesize(self.grid, hj) for hj in self.h]
+        self.lap_h = [hj * -eigenvalue_array(self.grid) for hj in self.h]
+        self.h_phys = [synthesize(self.grid, hj) for hj in self.h]
         self.h_minus_lap = [hj - lh for hj, lh in zip(self.h, self.lap_h)]
+        self.C_h = float(sum(sobolev_norm(self.grid, hj, 3) ** 2 for hj in self.h))
 
     @property
     def J(self) -> int:
@@ -67,7 +69,7 @@ class NoiseModel:
 
     @classmethod
     def empty(cls, grid: Grid) -> "NoiseModel":
-        return cls(grid, [], [], 0.0)
+        return cls(grid, [])
 
 
 def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
@@ -102,14 +104,8 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
     else:
         raise ValueError(f"unknown noise family {family!r}")
 
-    return NoiseModel(
-        grid,
-        fields,
-        [hj * -eigenvalue_array(grid) for hj in fields],
-        float(sum(sobolev_norm(grid, hj, 3) ** 2 for hj in fields)),  # C_h
-        c_h_bound=spec.get("c_h_bound"),
-        tail_estimate=float(spec.get("tail_estimate", 0.0)),
-    )
+    return NoiseModel(grid, fields, c_h_bound=spec.get("c_h_bound"),
+                      tail_estimate=float(spec.get("tail_estimate", 0.0)))
 
 
 def check_noise_condition(noise: NoiseModel) -> float:

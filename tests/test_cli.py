@@ -354,6 +354,18 @@ class TestNonFiniteNumbers:
         assert report["stop_events"][0]["stop_reason"] == "completed"
 
 
+class TestUnreadInitialInput:
+    def test_mode_sections_under_constant_exit_2(self, tmp_path, capsys):
+        """Constant data never reads the section, whose amplitude is short."""
+        text = BASE.replace("vector = 0.2, 0, 0", "vector = 0.2, 0, 0\n\n"
+                            "[initial.mode.1]\nindex = 1\namplitude = 0.1, 0")
+        code, out = run_text(tmp_path, "simulate", text)
+        assert code == 2
+        assert not (out / "report.json").exists()
+        assert ("configuration error: initial.type: 'constant' but initial.mode.* "
+                "sections present") in capsys.readouterr().err
+
+
 class TestAbortIsOnlyBlowup:
     def test_broken_worker_pool_is_not_a_blowup(self, tmp_path, monkeypatch):
         """A crashed pool propagates instead of exiting 3 as a blow-up."""

@@ -2,17 +2,21 @@
 
 import json
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sllbar.cli import run_command
-from sllbar.config import ConfigError, ExperimentConfig, parse_config
+from sllbar.config import _KEYS, ConfigError, ExperimentConfig, parse_config
 from sllbar.ensemble import Observable
 from sllbar.grid import Grid, sobolev_norm
 from sllbar.integrator import ConfigurationError, SolverConfig
-from sllbar.model import ModelParams
+from sllbar.model import ModelParams, TruncationConfig
+
+ANNOTATED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "annotated.cfg"
 
 MINIMAL = """
 [grid]
@@ -168,6 +172,35 @@ class TestRejections:
     def test_dt_exceeding_horizon(self, tmp_path):
         bad = MINIMAL.replace("dt = 0.01", "dt = 2.0")
         with pytest.raises(ConfigError, match="solver"):
+            parse_config(write(tmp_path, bad))
+
+    def test_observable_without_kind(self, tmp_path):
+        bad = MINIMAL + "\n[observable.1]\nscale = 2.0\n"
+        with pytest.raises(ConfigError, match=r"^observable\.1\.kind: missing required key$"):
+            parse_config(write(tmp_path, bad))
+
+    @pytest.mark.parametrize("initial, message", [
+        ("type = constant\nvector = 0.5, 0, 0\n[initial.mode.1]\nindex = 1\n"
+         "amplitude = 0.1, 0",
+         "initial.type: 'constant' but initial.mode.* sections present"),
+        ("vector = 0.5, 0, 0\n[initial.mode.1]\nindex = 1\namplitude = 0.1, 0, 0",
+         "initial.type: 'constant' but initial.mode.* sections present"),
+        ("type = modes\nvector = 0.5, 0, 0\n[initial.mode.1]\nindex = 1\n"
+         "amplitude = 0.1, 0, 0",
+         "initial.vector: not read by type 'modes'"),
+        ("type = snapshot\npath = state.snap\nvector = 0.5, 0, 0",
+         "initial.vector: not read by type 'snapshot'"),
+        ("type = constant\nvector = 0.5, 0, 0\npath = state.snap",
+         "initial.path: not read by type 'constant'"),
+        ("type = snapshot\npath = state.snap\n[initial.mode.1]\nindex = 1\n"
+         "amplitude = 0.1, 0, 0",
+         "initial.type: 'snapshot' but initial.mode.* sections present"),
+    ], ids=["modes_under_constant", "modes_under_default", "vector_under_modes",
+            "vector_under_snapshot", "path_under_constant", "modes_under_snapshot"])
+    def test_initial_input_the_type_never_reads(self, tmp_path, initial, message):
+        """Such input used to parse and be silently ignored."""
+        bad = MINIMAL.replace("type = constant\nvector = 0.5, 0, 0", initial)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(write(tmp_path, bad))
 
 
@@ -381,3 +414,38 @@ class TestStructuredSpecs:
         )
         with pytest.raises(ConfigError, match="numbered"):
             parse_config(write(tmp_path, text))
+
+
+class TestSchema:
+    """``config._KEYS`` is the one list of sections and keys."""
+
+    @pytest.mark.parametrize("section, cls, renamed, not_keys", [
+        ("grid", Grid, {}, ()),
+        ("params", ModelParams, {}, ()),
+        ("truncation", TruncationConfig, {}, ()),
+        ("solver", SolverConfig, {"blowup_k": "blowup_K"}, ("truncation",)),
+        ("experiment", ExperimentConfig, {}, ("observables",)),
+        ("observable.", Observable, {"index": "mode_index"}, ()),
+    ], ids=["grid", "params", "truncation", "solver", "experiment", "observable"])
+    def test_keys_are_dataclass_fields(self, section, cls, renamed, not_keys):
+        """Up to the renames, a section's keys are its dataclass's init fields,
+        less the ones the parser fills: the solver carries the truncation
+        section, and observables come from the numbered sections."""
+        keys = {renamed.get(key, key) for key in _KEYS[section]}
+        assert keys == {f.name for f in fields(cls) if f.init} - set(not_keys)
+
+    def test_annotated_example_names_every_key(self):
+        """The README points to annotated.cfg as the format's documentation,
+        so each key appears there, set or commented out, in its section."""
+        found: dict[str, set[str]] = {}
+        section = None
+        for line in ANNOTATED.read_text().splitlines():
+            line = line.lstrip("#; ")
+            header = re.match(r"\[([a-z_.]+?)\d*\]", line)
+            if header:
+                section = header.group(1)
+            elif section and (key := re.match(r"([a-z_0-9]+)\s*=", line)):
+                found.setdefault(section, set()).add(key.group(1))
+        assert set(found) == set(_KEYS)
+        for section, keys in _KEYS.items():
+            assert set(keys) <= found[section], section

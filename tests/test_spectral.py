@@ -21,6 +21,7 @@ from sllbar.grid import (
     sobolev_norm,
     synthesize,
 )
+from sllbar.model import cubic_field, precession
 
 RNG = np.random.default_rng(20240817)
 
@@ -85,6 +86,18 @@ class TestTransforms:
         u = random_field(grid, RNG)
         back = analyze(grid, synthesize(grid, u))
         assert np.abs(back - u).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 5)], ids=["one_mode", "two_rows"])
+    @pytest.mark.parametrize("transform", [
+        synthesize, gradient_values, cubic_field, precession,
+    ], ids=["synthesize", "gradient_values", "cubic_field", "precession"])
+    def test_wrong_shape_rejected(self, transform, shape):
+        """A (2, 5) array once synthesized to (2, 10) values, and precession
+        raised IndexError on it; a (3, 1) one failed inside matmul."""
+        grid = Grid(1, (np.pi,), (5,))
+        with pytest.raises(ValueError, match=r"^coeffs shape \(\d+, \d+\), "
+                                             r"expected \(3, 5\)$"):
+            transform(grid, np.ones(shape))
 
 
 def series_matrices(grid, deriv_axis=None):

@@ -29,26 +29,6 @@ class ConfigError(ValueError):
     """Invalid configuration file; the message carries the key path."""
 
 
-_SECTION_KEYS = {
-    "grid": {"dim", "lengths", "modes", "pad_factor"},
-    "params": {"beta1", "beta2", "beta3", "beta4", "beta5"},
-    "truncation": {"mode", "radius"},
-    "solver": {
-        "dt", "t_end", "scheme", "blowup_k", "record_every", "seed",
-        "substeps", "snapshot_every",
-    },
-    "noise": {"family", "c_h_bound", "tail_estimate"},
-    "initial": {"type", "vector", "path"},
-    "experiment": {
-        "ensemble_m", "burn_in", "windows", "tightness_r", "moment_powers",
-        "workers", "dt_halvings", "refine_levels",
-    },
-}
-_NOISE_MODE_KEYS = {"sigma", "index", "direction"}
-_INITIAL_MODE_KEYS = {"index", "amplitude"}
-_OBSERVABLE_KEYS = {"kind", "index", "component", "scale", "space", "cap"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     ensemble_m: int = 1
@@ -79,21 +59,35 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run. :func:`parse_config` keeps the noise model and the
+    (read-only) initial field it built on ``grid``. The first
+    ``build_noise`` / ``build_initial`` call that asks for no other grid is
+    handed that object and the config lets go of it, so a config held
+    through a run keeps no second copy; every other call builds anew."""
+
     grid: Grid
     params: ModelParams
     solver: SolverConfig
     noise_spec: dict
     initial_spec: dict
     experiment: ExperimentConfig
+    _built = None  # {"noise": ..., "initial": ...} left to hand over; not a field
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, solver=replace(self.solver, seed=int(seed)))
+        cfg = replace(self, solver=replace(self.solver, seed=int(seed)))
+        object.__setattr__(cfg, "_built", self._built)  # shared: handed over once
+        return cfg
+
+    def _kept_or_built(self, key: str, grid: Grid | None, build, spec: dict):
+        own = self._built is not None and grid in (None, self.grid)
+        kept = self._built.pop(key, None) if own else None
+        return build(spec, grid or self.grid) if kept is None else kept
 
     def build_noise(self, grid: Grid | None = None) -> NoiseModel:
-        return build_noise_modes(self.noise_spec, grid or self.grid)
+        return self._kept_or_built("noise", grid, build_noise_modes, self.noise_spec)
 
     def build_initial(self, grid: Grid | None = None) -> np.ndarray:
-        return build_initial(self.initial_spec, grid or self.grid)
+        return self._kept_or_built("initial", grid, build_initial, self.initial_spec)
 
     def echo(self) -> dict:
         """Every field of the resolved config, one section per config
@@ -264,8 +258,11 @@ def _numbered_sections(parser: configparser.ConfigParser, prefix: str) -> list[s
 
 def parse_config(path: str) -> RunConfig:
     """Parse and fully validate a run configuration file."""
+    # no section header can hold a newline, so a [DEFAULT] section is read as
+    # an ordinary one and rejected below instead of merging into every section
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";"), strict=True
+        interpolation=None, inline_comment_prefixes=("#", ";"), strict=True,
+        default_section="\n",
     )
     try:
         with open(path) as fh:
@@ -321,7 +318,7 @@ def parse_config(path: str) -> RunConfig:
                                for name in mode_sections]
     else:
         raise ConfigError(f"noise.family: unknown family {family!r}")
-    _made("noise: ", build_noise_modes, noise_spec, grid)  # check indices on the grid
+    noise = _made("noise: ", build_noise_modes, noise_spec, grid)  # checks indices
 
     # initial data; input that the type never reads is rejected
     initial_spec: dict = {"type": "constant", **_section(parser, "initial")}
@@ -347,7 +344,8 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"{name}.amplitude: need 3 components")
     elif mode_sections:
         raise ConfigError(f"initial.type: {itype!r} but initial.mode.* sections present")
-    _made("initial: ", build_initial, initial_spec, grid)
+    u0 = _made("initial: ", build_initial, initial_spec, grid)
+    u0.setflags(write=False)
 
     # experiment
     observables = []
@@ -370,5 +368,7 @@ def parse_config(path: str) -> RunConfig:
         if itype != "snapshot":
             _made(where, build_initial, initial_spec, coarse)
 
-    return RunConfig(grid=grid, params=params, solver=solver, noise_spec=noise_spec,
-                     initial_spec=initial_spec, experiment=experiment)
+    cfg = RunConfig(grid=grid, params=params, solver=solver, noise_spec=noise_spec,
+                    initial_spec=initial_spec, experiment=experiment)
+    object.__setattr__(cfg, "_built", {"noise": noise, "initial": u0})
+    return cfg

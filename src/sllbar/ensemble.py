@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -187,6 +186,9 @@ def run_ensemble(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
     if workers <= 1:
         records = [_run_one(job) for job in jobs]
     else:
+        # imported here: the pool's modules would add to every CLI start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, jobs))
 

@@ -29,10 +29,12 @@ There is one transform: per-axis orthonormal DCT-II / DST-II matrices
 (``Grid._axis_matrices``) applied one axis at a time by :func:`_transform`.
 Each pass contracts the leading spatial axis in one GEMM and appends the
 result as the trailing axis, so after d passes the axes are back in order
-without any transposed copy. A synthesis or analysis costs O(M^(d+1)) for
-``M`` padded nodes per axis, and the matrices of one axis take ``3 M N``
-doubles. They, the eigenvalues, the Sobolev weights and the implicit
-divisors are built once per Grid instance and read from it as attributes.
+without any transposed copy; at d=1 the one pass is ``np.dot(arr, mat.T)``,
+the bits of ``arr @ mat.T`` at less per-call cost. A synthesis or analysis
+costs O(M^(d+1)) for ``M`` padded nodes per axis, and the matrices of one
+axis take ``3 M N`` doubles. They, the eigenvalues, the Sobolev weights and
+the implicit divisors are built once per Grid instance and read from it as
+attributes.
 The matrices are the basis and its derivative evaluated at the midpoint
 nodes, built in closed form with numpy after an exact integer reduction of
 the phase (:func:`_cos_phase`); they agree with scipy's orthonormal
@@ -77,7 +79,8 @@ class Grid:
         Zero-padding factor for physical-space evaluation; the padded grid
         has ``ceil(pad_factor * N_i)`` nodes per axis.
 
-    ``field_shape`` is ``(3, *modes)``, the shape of a field's coefficients.
+    ``field_shape`` is ``(3, *modes)``, the shape of a field's coefficients;
+    ``values_shape`` is ``(3, *padded)``, the shape of its padded-grid values.
     """
 
     dim: int
@@ -102,6 +105,7 @@ class Grid:
             (self.dim, self.lengths, self.modes, self.pad_factor)))
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "field_shape", (3, *self.modes))
+        object.__setattr__(self, "values_shape", (3, *self.padded))
 
     def __hash__(self) -> int:
         return self._hash
@@ -126,6 +130,12 @@ class Grid:
             lam = lam + ((np.pi * np.arange(N) / L) ** 2).reshape(shape)
         lam.setflags(write=False)
         return lam
+
+    @cached_property
+    def _neg_eigenvalues(self) -> np.ndarray:  # -lambda_k, the Laplacian's symbol
+        neg = -self._eigenvalues
+        neg.setflags(write=False)
+        return neg
 
     @cached_property
     def _axis_matrices(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -211,11 +221,11 @@ def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
     otherwise. At d=2 and 3 every pass but the last writes into this
     thread's buffer for its (pass index, shape); the index keeps consecutive
     passes of equal shape (pad_factor 1) from reading the buffer they write.
-    At d=1 a plain product is kept: the cycling pass would round differently
-    there.
+    At d=1 a plain ``np.dot`` is kept: the cycling pass would round
+    differently there, and ``np.dot`` gives the bits of ``@`` for less.
     """
     if arr.ndim == 2:
-        return arr @ mats[0].T if out is None else np.matmul(arr, mats[0].T, out)
+        return np.dot(arr, mats[0].T) if out is None else np.dot(arr, mats[0].T, out)
     bufs = _LOCAL.passes
     last = len(mats) - 1
     for i, mat in enumerate(mats):
@@ -276,10 +286,9 @@ class Workspace:
     """
 
     def __init__(self, grid: Grid):
-        field = (3, *grid.padded)
-        self.vals = np.empty(field)
-        self.lap = np.empty(field)
-        self.prod = np.empty(field)
+        self.vals = np.empty(grid.values_shape)
+        self.lap = np.empty(grid.values_shape)
+        self.prod = np.empty(grid.values_shape)
         self.mag2 = np.empty(grid.padded)
 
 
@@ -312,10 +321,10 @@ def synthesize(grid: Grid, coeffs: np.ndarray,
     """
     if coeffs.shape != grid.field_shape:
         raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
-    if out is not None and (out.shape != (3, *grid.padded) or out.dtype != np.float64
+    if out is not None and (out.shape != grid.values_shape or out.dtype != np.float64
                             or not out.flags.c_contiguous):
         raise ValueError(f"synthesize out must be a C-contiguous float64 array of "
-                         f"shape {(3, *grid.padded)}, got {out.dtype} {out.shape}")
+                         f"shape {grid.values_shape}, got {out.dtype} {out.shape}")
     return _transform(coeffs, grid._axis_matrices[1], out)
 
 
@@ -343,6 +352,9 @@ def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
 
 
 def _sobolev_weight(grid: Grid, s: float, seminorm: bool) -> np.ndarray:
+    weight = grid._memo.get(("sobolev", s, seminorm))  # read every step
+    if weight is not None:
+        return weight
     lam = grid._eigenvalues
     return grid._constant(("sobolev", s, seminorm), lambda: (
         np.power(lam, s) if seminorm else np.power(1.0 + lam, s)))
@@ -355,15 +367,24 @@ def sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float,
     With ``seminorm=True`` the multiplier is ``lambda_k^s`` (the k = 0 mode
     drops out for s > 0); ``s = 0`` gives the L^2 norm either way.
     """
+    return sobolev_norms(grid, coeffs, ((s, seminorm),))[0]
+
+
+def sobolev_norms(grid: Grid, coeffs: np.ndarray, orders) -> list[float]:
+    """:func:`sobolev_norm` at each ``(s, seminorm)`` pair of ``orders``, in
+    order, with ``|c_k|^2`` formed once for all of them."""
     if coeffs.shape != grid.field_shape:
         raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    mag2 = (coeffs * coeffs).sum(axis=0)
-    if s == 0:
-        return math.sqrt(float(mag2.sum()))
-    weight = _sobolev_weight(grid, float(s), bool(seminorm))
-    return math.sqrt(float((weight * mag2).sum()))
+    # np.add.reduce is what .sum() runs, without its Python wrapper
+    mag2 = np.add.reduce(coeffs * coeffs, axis=0)
+    norms = []
+    for s, seminorm in orders:
+        if s < 0:
+            raise ValueError("s must be >= 0")
+        terms = mag2 if s == 0 else (
+            _sobolev_weight(grid, float(s), bool(seminorm)) * mag2)
+        norms.append(math.sqrt(float(np.add.reduce(terms, axis=None))))
+    return norms
 
 
 def lp_norm(grid: Grid, coeffs: np.ndarray, p) -> float:

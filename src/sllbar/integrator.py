@@ -27,6 +27,7 @@ grid. A study that needs every path to reach ``t_end`` raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
@@ -39,6 +40,7 @@ from .grid import (
     eigenvalue_array,
     lp_norm,
     sobolev_norm,
+    sobolev_norms,
     synthesize,
     workspace,
 )
@@ -167,18 +169,19 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     thread's :func:`~sllbar.grid.workspace` for the grid; every returned
     array is freshly allocated.
     """
-    lam = eigenvalue_array(grid)
+    neg_lam = grid._neg_eigenvalues
     ws = workspace(grid)
     vals = synthesize(grid, coeffs, out=ws.vals)
-    mag2 = np.multiply(vals, vals, out=ws.prod).sum(axis=0, out=ws.mag2)
+    mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0,
+                         out=ws.mag2)  # .sum(axis=0) without its Python wrapper
     cubic = analyze(grid, np.multiply(vals, mag2, out=ws.prod))
-    lap_vals = synthesize(grid, -lam * coeffs, out=ws.lap)
+    lap_vals = synthesize(grid, neg_lam * coeffs, out=ws.lap)
     theta = truncation_scale(grid, coeffs, trunc)
     terms = {
         "penalty": params.beta3 * (coeffs - cubic),
         "precession": -params.beta4 * analyze(grid, cross3(vals, lap_vals,
                                                            out=ws.prod)),
-        "nonlocal": (params.beta5 * theta) * (-lam) * cubic,
+        "nonlocal": (params.beta5 * theta) * neg_lam * cubic,
     }
     Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
     if include_correction and noise.J > 0:
@@ -221,17 +224,12 @@ def heun_strat_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     return out
 
 
-def _sample_norms(grid: Grid, coeffs: np.ndarray) -> tuple[float, ...]:
-    grad = sobolev_norm(grid, coeffs, 1, seminorm=True)
-    return (
-        sobolev_norm(grid, coeffs, 0),
-        lp_norm(grid, coeffs, 4),
-        sobolev_norm(grid, coeffs, 1),
-        sobolev_norm(grid, coeffs, 2),
-        sobolev_norm(grid, coeffs, 3),
-        grad,
-        grad,  # theta argument: same quantity the truncation reads
-    )
+def _sample_norms(grid: Grid, coeffs: np.ndarray, h1: float) -> tuple[float, ...]:
+    """One row of ``NORM_KEYS``; ``h1`` is the H^1 norm the stop check took."""
+    l2, grad, h2, h3 = sobolev_norms(
+        grid, coeffs, ((0, False), (1, True), (2, False), (3, False)))
+    # theta argument: the same quantity the truncation reads
+    return (l2, lp_norm(grid, coeffs, 4), h1, h2, h3, grad, grad)
 
 
 def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
@@ -244,9 +242,12 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
     step m, from 0, it sets the stop reason (nonfinite, from step 1; then
     H^1 norm above ``blowup_K``; then ``m == n_steps``), records when m is
     on the ``record_every`` grid or a stop was just set, snapshots on the
-    ``snapshot_every`` grid, and then stops or steps. Configuration problems
-    (implicit denominator too small) surface before any stepping. Identical
-    inputs give bitwise-identical records.
+    ``snapshot_every`` grid, and then stops or steps. One H^1 norm per step
+    serves the stop check and the record, and u is scanned for nonfinite
+    entries only when that norm is not finite, as it is for every nonfinite
+    u (a finite u whose norm overflows stops as ``blowup_K``).
+    Configuration problems (implicit denominator too small) surface before
+    any stepping. Identical inputs give bitwise-identical records.
     """
     grid = noise.grid
     if u0.shape != grid.field_shape:
@@ -271,15 +272,16 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
     stop_reason = None
     m = 0
     while True:
-        if m and not np.isfinite(u).all():
+        h1 = sobolev_norm(grid, u, 1)
+        if m and not math.isfinite(h1) and not np.isfinite(u).all():
             stop_reason = STOP_NONFINITE
-        elif sobolev_norm(grid, u, 1) > config.blowup_K:
+        elif h1 > config.blowup_K:
             stop_reason = STOP_BLOWUP
         elif m == n_steps:
             stop_reason = STOP_COMPLETED
         if m % config.record_every == 0 or stop_reason:
             sample_steps.append(m)
-            norm_rows.append(_sample_norms(grid, u))
+            norm_rows.append(_sample_norms(grid, u, h1))
             obs_rows.append([float(psi(grid, u)) for psi in observables])
         if config.snapshot_every is not None and m % config.snapshot_every == 0:
             snap_steps.append(m)

@@ -166,10 +166,11 @@ def sample_increments(seed: int, path: int, step: int, J: int,
     The Philox counter is keyed on (path, step); mode j takes the j-th draw
     of that stream, so the value for a given (seed, path, j, step) never
     depends on J or on evaluation order, and parallel schedules cannot
-    change results. Each thread reuses one generator and resets its whole
-    state (key, counter and buffered bits) on every call, which gives the
-    same values as a freshly built ``Generator(Philox(key=seed,
-    counter=[0x5757, path, step, 0]))``.
+    change results. Each thread reuses one generator and one state dict; each
+    call writes key and counter into the dict and resets the whole state
+    (key, counter and buffered bits) from it, which gives the same values as
+    a freshly built ``Generator(Philox(key=seed, counter=[0x5757, path,
+    step, 0]))``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -177,12 +178,15 @@ def sample_increments(seed: int, path: int, step: int, J: int,
         return WienerIncrement(step, np.zeros(0))
     if not hasattr(_PHILOX, "gen"):
         _PHILOX.gen = np.random.Generator(np.random.Philox(0))
-    _PHILOX.gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [_STREAM_WIENER, int(path), int(step), 0],
-                  "key": [int(seed), 0]},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+        _PHILOX.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [_STREAM_WIENER, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+    inner = _PHILOX.state["state"]
+    inner["counter"][1:3] = int(path), int(step)
+    inner["key"][0] = int(seed)
+    _PHILOX.gen.bit_generator.state = _PHILOX.state
     values = _PHILOX.gen.standard_normal(J) * math.sqrt(dt)
     return WienerIncrement(step, values)
 

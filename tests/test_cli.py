@@ -369,6 +369,7 @@ class TestUnreadInitialInput:
 class TestAbortIsOnlyBlowup:
     def test_broken_worker_pool_is_not_a_blowup(self, tmp_path, monkeypatch):
         """A crashed pool propagates instead of exiting 3 as a blow-up."""
+        import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
         import sllbar.ensemble as ens
@@ -386,7 +387,7 @@ class TestAbortIsOnlyBlowup:
             def map(self, fn, jobs):
                 raise BrokenProcessPool("worker died")
 
-        monkeypatch.setattr(ens, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
         monkeypatch.setattr(ens.os, "cpu_count", lambda: 2)
         text = BASE.replace("ensemble_m = 3", "ensemble_m = 3\nworkers = 2")
         with pytest.raises(BrokenProcessPool):

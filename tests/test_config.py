@@ -84,6 +84,54 @@ class TestMinimal:
         assert cfg.with_seed(99).solver.seed == 99
 
 
+class TestBuiltOnce:
+    """parse_config builds the noise model and initial field to check them,
+    and the first build_noise / build_initial on the config's grid is handed
+    those; the config then lets go of them."""
+
+    NOISY = MINIMAL + ("\n[noise]\nfamily = eigenmode\n"
+                       "[noise.mode.1]\nsigma = 0.5\nindex = 1\ndirection = 0,0,1\n")
+
+    def counted(self, monkeypatch, name):
+        import sllbar.config as config
+
+        calls = []
+        original = getattr(config, name)
+        monkeypatch.setattr(config, name, lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    def test_one_parse_and_both_builds_build_once(self, tmp_path, monkeypatch):
+        noise_calls = self.counted(monkeypatch, "build_noise_modes")
+        initial_calls = self.counted(monkeypatch, "build_initial")
+        cfg = parse_config(write(tmp_path, self.NOISY))
+        noise, u0 = cfg.build_noise(), cfg.build_initial()
+        assert len(noise_calls) == len(initial_calls) == 1
+        again = cfg.build_noise(), cfg.build_initial()
+        assert again[0] is not noise and again[1] is not u0
+        assert len(noise_calls) == len(initial_calls) == 2
+
+    def test_equal_grid_and_seeded_copy_share_the_hand_over(self, tmp_path, monkeypatch):
+        noise_calls = self.counted(monkeypatch, "build_noise_modes")
+        cfg = parse_config(write(tmp_path, self.NOISY))
+        seeded = cfg.with_seed(5)
+        noise = seeded.build_noise(cfg.grid.with_modes((8,)))
+        assert len(noise_calls) == 1
+        assert cfg.build_noise() is not noise and len(noise_calls) == 2
+
+    def test_other_grid_builds_anew(self, tmp_path, monkeypatch):
+        noise_calls = self.counted(monkeypatch, "build_noise_modes")
+        cfg = parse_config(write(tmp_path, self.NOISY))
+        coarse = cfg.grid.with_modes((4,))
+        assert cfg.build_noise(coarse).grid == coarse
+        assert cfg.build_initial(coarse).shape == (3, 4)
+        assert len(noise_calls) == 2
+
+    def test_kept_initial_field_is_read_only(self):
+        u0 = parse_config(str(ANNOTATED)).build_initial()
+        with pytest.raises(ValueError, match="read-only"):
+            u0[0, 0] = 1.0
+
+
 class TestRejections:
     def test_negative_beta2(self, tmp_path):
         bad = MINIMAL.replace("beta2 = 1.0", "beta2 = -1.0")
@@ -130,6 +178,17 @@ class TestRejections:
         bad = MINIMAL + "\n[turbo]\nx = 1\n"
         with pytest.raises(ConfigError, match="turbo"):
             parse_config(write(tmp_path, bad))
+
+    @pytest.mark.parametrize("body", ["seed = 3\n", ""], ids=["with_key", "empty"])
+    def test_default_section_rejected(self, tmp_path, body, capsys):
+        """configparser merges [DEFAULT] into every section, which once
+        reported ``seed = 3`` there as ``grid.seed: unknown key``."""
+        path = write(tmp_path, f"[DEFAULT]\n{body}" + MINIMAL)
+        with pytest.raises(ConfigError, match="^DEFAULT: unknown section$"):
+            parse_config(path)
+        assert run_command(["simulate", "--config", path, "--output-dir",
+                            str(tmp_path / "out"), "--quiet"]) == 2
+        assert "DEFAULT: unknown section" in capsys.readouterr().err
 
     def test_truncation_on_without_radius(self, tmp_path):
         bad = MINIMAL + "\n[truncation]\nmode = on\n"

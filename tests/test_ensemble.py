@@ -177,6 +177,8 @@ class TestRunEnsemble:
         (2, 16, 4, 2),
     ])
     def test_pool_size_capped(self, monkeypatch, workers, M, cpus, expected):
+        import concurrent.futures
+
         import sllbar.ensemble as ens
 
         sizes = []
@@ -196,7 +198,7 @@ class TestRunEnsemble:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(ens, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(ens.os, "cpu_count", lambda: cpus)
         cfg = SolverConfig(dt=0.05, t_end=0.1)
         stats = run_ensemble(constant_field(G8, (0.1, 0.0, 0.0)), full_params(),

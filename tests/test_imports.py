@@ -1,5 +1,5 @@
 """Import hygiene: every name a package module imports is used, and the
-CLI's import path loads no scipy.
+CLI's import path loads neither scipy nor the process pool.
 
 No linter is a dependency, so the check parses each module with ``ast``.
 ``__init__.py`` is skipped because its imports are the public re-exports.
@@ -47,12 +47,24 @@ def test_no_unused_imports(name):
     assert unused_imports((PACKAGE / name).read_text()) == []
 
 
-def test_cli_import_loads_no_scipy():
-    """The transform matrices are built in closed form, so importing the CLI
-    loads no scipy (about 0.33 s of a 0.58 s start-up when it did)."""
+def cli_import_modules() -> list[str]:
+    """Every module loaded by ``import sllbar.cli`` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", "import sllbar.cli, sys; print(sorted(sys.modules))"],
         env=env, capture_output=True, text=True, check=True)
-    loaded = ast.literal_eval(proc.stdout)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    """The transform matrices are built in closed form, so importing the CLI
+    loads no scipy (about 0.33 s of a 0.58 s start-up when it did)."""
+    loaded = cli_import_modules()
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only ``workers > 1`` needs the pool, which brings in multiprocessing,
+    socket, subprocess and logging; ``run_ensemble`` imports it there."""
+    loaded = cli_import_modules()
+    assert [m for m in loaded if m.startswith("concurrent.futures")] == []

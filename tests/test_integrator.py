@@ -404,6 +404,28 @@ class TestStopRuleAgainstReference:
         assert (rec.stop_reason, ref["tau"]) == ("blowup_K", 10)
         assert ref["recorded"] == [0, 7, 10]
 
+    def test_finite_state_with_overflowing_norm_is_a_blowup(self):
+        """The cubic terms take u ~ 1e60 to a finite u ~ 1e178 in one step,
+        whose H^1 norm overflows: nonfinite norm, finite state, blowup_K."""
+        u0 = eigenmode_field(G4, (1,), (1e60, 0.0, 0.0))
+        cfg = SolverConfig(dt=0.01, t_end=0.05, blowup_K=1e100)
+        with np.errstate(over="ignore"):
+            rec, ref = self.check(u0, ModelParams(0.5, 1.0, 1.0, 1.0, 1.0),
+                                  small_noise(G4), cfg)
+        assert np.isfinite(ref["states"][1]).all()
+        assert ref["h1"][1] == math.inf
+        assert (rec.stop_reason, ref["tau"]) == ("blowup_K", 1)
+
+    def test_nan_at_step_0_is_not_flagged(self):
+        """The nonfinite check starts at step 1; a NaN initial datum stops
+        at step 1, once it has been stepped."""
+        u0 = eigenmode_field(G4, (1,), (0.3, 0.0, 0.0))
+        u0[2, 0] = np.nan
+        cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2)
+        rec, ref = self.check(u0, linear_params(), small_noise(G4), cfg)
+        assert math.isnan(rec.norms["h1"][0])
+        assert (rec.stop_reason, ref["tau"], ref["recorded"]) == ("nonfinite", 1, [0, 1])
+
     def test_heun_nonfinite_stop_with_snapshots(self):
         """Explicit Heun on a stiff grid overflows; the stop sample is the
         first nonfinite state."""

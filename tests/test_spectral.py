@@ -7,6 +7,7 @@ import pytest
 
 from sllbar.grid import (
     Grid,
+    _transform,
     analyze,
     collocation_points,
     constant_field,
@@ -19,8 +20,10 @@ from sllbar.grid import (
     quad_weight,
     random_field,
     sobolev_norm,
+    sobolev_norms,
     synthesize,
 )
+from sllbar.integrator import _sample_norms
 from sllbar.model import cubic_field, precession
 
 RNG = np.random.default_rng(20240817)
@@ -139,6 +142,22 @@ def quadrature_adjoint(grid, values):
     zm, zn, tables = _series_spec(grid)
     return quad_weight(grid) * np.einsum(f"{zn},{tables}->{zm}", values,
                                          *series_matrices(grid))
+
+
+@pytest.mark.parametrize("pad", [1, 1.5, 2])
+def test_d1_transform_matches_plain_product_bitwise(pad):
+    """At d=1 ``_transform`` is ``np.dot``; it must give the bits of the
+    plain ``arr @ mat.T`` for every matrix, with and without ``out``."""
+    for N in range(1, 129):
+        grid = Grid(1, (np.pi,), (N,), pad)
+        for mats in grid._axis_matrices:
+            mat = mats[0]
+            arr = RNG.standard_normal((3, mat.shape[1]))
+            ref = (arr @ mat.T).tobytes()
+            out = np.empty((3, mat.shape[0]))
+            assert _transform(arr, mats).tobytes() == ref, (N, mat.shape)
+            assert _transform(arr, mats, out) is out
+            assert out.tobytes() == ref, (N, mat.shape)
 
 
 class TestReferenceSeries:
@@ -360,6 +379,34 @@ class TestNorms:
         grid = Grid(1, (1.0,), (4,))
         with pytest.raises(ValueError):
             lp_norm(grid, random_field(grid, RNG), 3)
+
+    @pytest.mark.parametrize("grid", grids_for_dims())
+    def test_norms_match_the_plain_sums_bitwise(self, grid):
+        """``sobolev_norms`` forms |c_k|^2 once; each order must give the
+        bits of its own weighted sum, and ``sobolev_norm`` those of its order."""
+        u = random_field(grid, RNG)
+        lam = eigenvalue_array(grid)
+        orders = ((0, False), (1, True), (1, False), (2, False), (3, False))
+        plain = []
+        for s, semi in orders:
+            mag2 = (u * u).sum(axis=0)
+            weight = np.power(lam if semi else 1.0 + lam, float(s))
+            total = mag2.sum() if s == 0 else (weight * mag2).sum()
+            plain.append(math.sqrt(float(total)))
+        got = sobolev_norms(grid, u, orders)
+        assert np.array(got).tobytes() == np.array(plain).tobytes()
+        single = [sobolev_norm(grid, u, s, seminorm=semi) for s, semi in orders]
+        assert np.array(single).tobytes() == np.array(plain).tobytes()
+
+    @pytest.mark.parametrize("grid", grids_for_dims())
+    def test_sampled_norms_match_per_order_norms_bitwise(self, grid):
+        u = random_field(grid, RNG)
+        h1 = sobolev_norm(grid, u, 1)
+        grad = sobolev_norm(grid, u, 1, seminorm=True)
+        expected = (sobolev_norm(grid, u, 0), lp_norm(grid, u, 4), h1,
+                    sobolev_norm(grid, u, 2), sobolev_norm(grid, u, 3), grad, grad)
+        got = _sample_norms(grid, u, h1)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 class TestDealiasing:

@@ -46,7 +46,10 @@ Memory
 The time step allocates no padded-grid array. Every transform pass but the
 last writes into a buffer kept per thread and keyed by (pass index, shape),
 and the step writes its padded-grid values, products and |u|^2 into the
-:class:`Workspace` of its padded shape and thread (:func:`workspace`).
+:class:`Workspace` of its padded shape and thread (:func:`workspace`). At
+d >= 2 the noise touches no padded-grid array: its operators are per-axis
+N x N matrices applied to coefficient arrays, and the padded values of the
+h_j are built only if the d = 1 route or the weak-form residual reads them.
 :func:`cross3` takes its one component-sized temporary from a per-thread
 scratch row. :func:`synthesize` and :func:`cross3` write into ``out`` when
 it is given; without it they return fresh arrays, as do :func:`analyze` and
@@ -280,9 +283,9 @@ class Workspace:
     """Padded-grid arrays one time step writes, reused by the next.
 
     ``vals`` holds u's values for the whole step; ``lap`` holds Lap u's
-    values and then each G_j's values in the Ito correction; ``prod`` holds
-    the pointwise product u |u|^2 and then every cross product; ``mag2``
-    holds |u|^2.
+    values and then, at d = 1, each G_j's values in the Ito correction;
+    ``prod`` holds the pointwise product u |u|^2 and then every cross
+    product; ``mag2`` holds |u|^2.
     """
 
     def __init__(self, grid: Grid):

@@ -15,7 +15,9 @@ Both steps act on raw coefficient arrays ``(3, *modes)``:
 the array of J Wiener increments. The nonlinear drift terms and the
 diffusion fields G_j are assembled in one place, :func:`_explicit_parts`,
 which both schemes call; :func:`sllbar.model.drift_terms` is a term-by-term
-view of the same arrays.
+view of the same arrays. It takes G_j and the Ito correction from the
+coefficient-space operators of :mod:`sllbar.noise` at d >= 2, and from the
+padded-grid route at d = 1, whose per-step counts the benchmark pins.
 
 :func:`run_trajectory` decides the discrete stopping time tau in one loop.
 The H^1 norm is checked against ``blowup_K`` at every step from t = 0, the
@@ -49,6 +51,7 @@ from .noise import (
     NoiseModel,
     _correction_coeffs,
     _diffusion_coeffs,
+    _operator_parts,
     coupled_increments,
 )
 
@@ -183,9 +186,14 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
                                                            out=ws.prod)),
         "nonlocal": (params.beta5 * theta) * neg_lam * cubic,
     }
-    Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
-    if include_correction and noise.J > 0:
-        terms["ito_correction"] = _correction_coeffs(grid, vals, noise, ws)
+    if grid.dim == 1:
+        Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
+        corr = (_correction_coeffs(grid, vals, noise, ws)
+                if include_correction and noise.J > 0 else None)
+    else:
+        Gs, corr = _operator_parts(noise, coeffs, include_correction)
+    if corr is not None:
+        terms["ito_correction"] = corr
     return terms, Gs
 
 

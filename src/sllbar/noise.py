@@ -10,6 +10,11 @@ and the Stratonovich integral is simulated in Ito form with the correction
 drift ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 
 Every family is built from Neumann eigenmodes, ``h_j = sigma_j e_k(x) v_j``.
+At d >= 2 the step applies G_j and the correction in coefficient space
+(:func:`_operator_parts`), with no padded grid. At d = 1 it keeps the
+padded-grid route (:func:`_diffusion_coeffs`, :func:`_correction_coeffs`)
+until the benchmark re-pins the per-step counts ``bench/tests/test_counts.py``
+holds for it; that route also stays the weak-form residual's own pairing.
 The family must satisfy the square-summability condition
 ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the finite truncation reports its
 C_h so configured tail bounds can be checked.
@@ -21,13 +26,16 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .grid import (
     Grid,
     Workspace,
+    _transform,
     analyze,
+    check_mode_index,
     cross3,
     eigenmode_field,
     eigenvalue_array,
@@ -42,24 +50,33 @@ class NoiseTailWarning(UserWarning):
 
 @dataclass
 class NoiseModel:
-    """Immutable noise family; the Laplacians, padded-grid values, h_j - Lap h_j
-    and C_h are derived from ``h`` once, at construction.
-
-    ``h`` and ``lap_h`` hold one ``(3, *grid.modes)`` coefficient array per mode.
+    """Immutable eigenmode family ``h_j = e_{k_j}(x) a_j``, stored as the
+    read-only ``(J, d)`` int ``index`` of the k_j and ``(J, 3)`` ``amplitude``
+    of the ``a_j = sigma_j v_j``. The coefficient arrays ``h``, ``lap_h`` and
+    h_j - Lap h_j, and C_h, are derived at construction; ``h_phys`` and the
+    d >= 2 operators :attr:`_groups` on first use.
     """
 
     grid: Grid
-    h: list[np.ndarray]
+    index: np.ndarray
+    amplitude: np.ndarray
     c_h_bound: float | None = None
     tail_estimate: float = 0.0
+    h: list[np.ndarray] = field(init=False, repr=False, compare=False)
     lap_h: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    h_phys: list[np.ndarray] = field(init=False, repr=False, compare=False)
     h_minus_lap: list[np.ndarray] = field(init=False, repr=False, compare=False)
     C_h: float = field(init=False)
 
     def __post_init__(self):
+        self.index = np.array(self.index, dtype=int).reshape(-1, self.grid.dim)
+        self.amplitude = np.array(self.amplitude, dtype=float).reshape(-1, 3)
+        if len(self.index) != len(self.amplitude):
+            raise ValueError("index and amplitude must hold one row per mode")
+        for arr in (self.index, self.amplitude):
+            arr.setflags(write=False)
+        self.h = [eigenmode_field(self.grid, k, a)
+                  for k, a in zip(self.index, self.amplitude)]
         self.lap_h = [hj * -eigenvalue_array(self.grid) for hj in self.h]
-        self.h_phys = [synthesize(self.grid, hj) for hj in self.h]
         self.h_minus_lap = [hj - lh for hj, lh in zip(self.h, self.lap_h)]
         self.C_h = float(sum(sobolev_norm(self.grid, hj, 3) ** 2 for hj in self.h))
 
@@ -69,7 +86,35 @@ class NoiseModel:
 
     @classmethod
     def empty(cls, grid: Grid) -> "NoiseModel":
-        return cls(grid, [])
+        return cls(grid, [], [])
+
+    @cached_property
+    def h_phys(self) -> list[np.ndarray]:
+        """Padded-grid values of each h_j for the d=1 route; built by the
+        transform itself, so they add no ``synthesize`` call to a step."""
+        return [_transform(hj, self.grid._axis_matrices[1]) for hj in self.h]
+
+    @cached_property
+    def _groups(self) -> list[tuple]:
+        """Read-only ``(mats, [(j, K_j), ...], Q_k)`` per distinct k, in order
+        of first appearance. ``mats`` are the per-axis ``P_{k_i} = A
+        diag(phi_{k_i}(x)) S``, whose tensor product M_k is Pi of the product
+        with e_k; ``K_j w = a_j x w`` and ``Q_k = sum_{j: k_j = k} K_j K_j =
+        sum (a_j a_j^T - |a_j|^2 I)`` act on the component axis."""
+        analysis, synthesis, _ = self.grid._axis_matrices
+        members: dict[tuple[int, ...], list[int]] = {}
+        for j, k in enumerate(map(tuple, self.index.tolist())):
+            members.setdefault(k, []).append(j)
+        groups = []
+        for k, js in members.items():
+            mats = tuple(analysis[ax] @ (synthesis[ax][:, [ki]] * synthesis[ax])
+                         for ax, ki in enumerate(k))
+            skews = [np.cross(a, np.eye(3)).T for a in self.amplitude[js]]
+            Q = sum(K @ K for K in skews)
+            for arr in (*mats, *skews, Q):
+                arr.setflags(write=False)
+            groups.append((mats, list(zip(js, skews)), Q))
+        return groups
 
 
 def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
@@ -83,10 +128,10 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
          "c_h_bound": optional float, "tail_estimate": optional float}
 
     Eigenmode entries build ``h_j = sigma_j e_k(x) v_j`` with v_j normalized
-    to a unit vector; :func:`sllbar.grid.eigenmode_field` checks each index.
+    to a unit vector; :func:`sllbar.grid.check_mode_index` checks each index.
     """
     family = spec.get("family", "none")
-    fields: list[np.ndarray] = []
+    index, amplitude = [], []
     if family == "none":
         pass
     elif family == "eigenmode":
@@ -97,14 +142,16 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
             if nrm == 0.0:
                 raise ValueError(f"noise mode {m}: direction must be nonzero")
             try:
-                fields.append(eigenmode_field(grid, np.atleast_1d(mode["index"]),
-                                              sigma * direction / nrm))
+                index.append(check_mode_index(grid, np.atleast_1d(mode["index"])))
+                if direction.shape != (3,):
+                    raise ValueError("vector must have 3 components")
             except ValueError as exc:
                 raise ValueError(f"noise mode {m}: {exc}") from exc
+            amplitude.append(sigma * direction / nrm)
     else:
         raise ValueError(f"unknown noise family {family!r}")
 
-    return NoiseModel(grid, fields, c_h_bound=spec.get("c_h_bound"),
+    return NoiseModel(grid, index, amplitude, c_h_bound=spec.get("c_h_bound"),
                       tail_estimate=float(spec.get("tail_estimate", 0.0)))
 
 
@@ -145,6 +192,26 @@ def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
         G_vals = synthesize(grid, G, out=G_out)
         acc += analyze(grid, cross3(G_vals, noise.h_phys[j], out=cross_out))
     return -0.5 * acc
+
+
+def _operator_parts(noise: NoiseModel, coeffs: np.ndarray,
+                    include_correction: bool):
+    """``([G_j coeffs], Ito correction)`` at d >= 2 from :attr:`NoiseModel._groups`.
+
+    ``Pi(u x h_j) = (M_k u) x a_j``, so ``G_j(u) = (h_j - Lap h_j) + a_j x
+    M_k u``, and the correction is ``1/2 sum_k Q_k M_k^2 u``; its constant
+    part ``(M_k (h_j - Lap h_j)) x a_j`` is exactly zero. The correction is
+    None unless ``include_correction`` is set and J > 0.
+    """
+    Gs: list[np.ndarray] = [None] * noise.J
+    acc = np.zeros((3, coeffs[0].size)) if include_correction and noise.J else None
+    for mats, skews, Q in noise._groups:
+        Mu = _transform(coeffs, mats)
+        for j, skew in skews:
+            Gs[j] = noise.h_minus_lap[j] + (skew @ Mu.reshape(3, -1)).reshape(Mu.shape)
+        if acc is not None:
+            acc += Q @ _transform(Mu, mats).reshape(3, -1)
+    return Gs, None if acc is None else 0.5 * acc.reshape(coeffs.shape)
 
 
 @dataclass(frozen=True)

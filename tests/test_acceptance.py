@@ -382,20 +382,12 @@ def test_12_noise_condition_closed_form():
     assert abs(double.C_h - 39.25) < 1e-10
 
 
-def test_13_weak_form_residuals():
-    """Five basis test functions on a d=1 stochastic run: both the weak and
-    very-weak residuals decrease by a factor of about 2 per dt halving."""
-    grid = Grid(1, (2 * np.pi,), (16,))
+def assert_residuals_halve(grid, noise, u0, phis):
+    """Both the weak and very-weak residuals against each (test mode,
+    component) of ``phis`` fall by a factor of 2 +- 0.4 per dt halving, over
+    4 dt levels from 0.01 to t = 0.2 on one coupled Brownian path."""
     params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
-    noise = two_mode_noise(grid, sigma=0.1)
-    u0 = (constant_field(grid, (0.3, 0, 0))
-          + eigenmode_field(grid, (1,), (0, 0.3, 0))
-          + eigenmode_field(grid, (2,), (0, 0, 0.15))
-          + eigenmode_field(grid, (4,), (0.1, 0, 0))
-          + eigenmode_field(grid, (5,), (0, 0.1, 0)))
-    phis = [((1,), 0), ((2,), 2), ((3,), 1), ((4,), 0), ((5,), 1)]
     halvings = 3
-
     residuals = {}
     for level in range(halvings + 1):
         dt = 0.01 / 2**level
@@ -410,3 +402,52 @@ def test_13_weak_form_residuals():
     for key, values in residuals.items():
         for a, b in zip(values[:-1], values[1:]):
             assert a / b == pytest.approx(2.0, abs=0.4), key
+
+
+def modes_field(grid, constant, modes):
+    return constant_field(grid, constant) + sum(
+        eigenmode_field(grid, k, v) for k, v in modes)
+
+
+def test_13_weak_form_residuals():
+    """Five basis test functions on a d=1 stochastic run: both the weak and
+    very-weak residuals decrease by a factor of about 2 per dt halving."""
+    grid = Grid(1, (2 * np.pi,), (16,))
+    u0 = modes_field(grid, (0.3, 0, 0), [((1,), (0, 0.3, 0)), ((2,), (0, 0, 0.15)),
+                                         ((4,), (0.1, 0, 0)), ((5,), (0, 0.1, 0))])
+    phis = [((1,), 0), ((2,), 2), ((3,), 1), ((4,), 0), ((5,), 1)]
+    assert_residuals_halve(grid, two_mode_noise(grid, sigma=0.1), u0, phis)
+
+
+def test_13_weak_form_residuals_d2():
+    """Criterion 13 at d=2, N=8, where the step applies the noise through
+    coefficient-space operators. The test modes see the Ito correction:
+    with the step's correction dropped or halved, 3 or more of the 5 fail."""
+    grid = Grid(2, (2 * np.pi, 2 * np.pi), (8, 8))
+    noise = build_noise_modes({"family": "eigenmode", "modes": [
+        {"sigma": 0.1, "index": (1, 0), "direction": (1, 0, 0)},
+        {"sigma": 0.1, "index": (0, 1), "direction": (0, 0, 1)},
+    ]}, grid)
+    u0 = modes_field(grid, (0.3, 0, 0), [
+        ((1, 0), (0, 0.3, 0)), ((0, 1), (0, 0, 0.15)), ((1, 1), (0.1, 0, 0)),
+        ((2, 0), (0, 0.1, 0))])
+    phis = [((1, 0), 1), ((0, 1), 2), ((1, 1), 0), ((2, 0), 1), ((0, 2), 1)]
+    assert_residuals_halve(grid, noise, u0, phis)
+
+
+def test_13_weak_form_residuals_d3():
+    """Criterion 13 at d=3, N=6, as at d=2; with the step's Ito correction
+    dropped or halved, 3 of the 5 test modes fail (at sigma = 0.1, halving
+    it went unseen)."""
+    grid = Grid(3, (2 * np.pi,) * 3, (6, 6, 6))
+    noise = build_noise_modes({"family": "eigenmode", "modes": [
+        {"sigma": 0.2, "index": (1, 0, 0), "direction": (1, 0, 0)},
+        {"sigma": 0.2, "index": (0, 1, 0), "direction": (0, 0, 1)},
+        {"sigma": 0.2, "index": (0, 0, 1), "direction": (0, 1, 0)},
+    ]}, grid)
+    u0 = modes_field(grid, (0.3, 0, 0), [
+        ((1, 0, 0), (0, 0.3, 0)), ((0, 1, 0), (0, 0, 0.15)),
+        ((0, 0, 1), (0.1, 0, 0)), ((1, 1, 0), (0, 0.1, 0))])
+    phis = [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 0), ((1, 1, 0), 1),
+            ((2, 0, 0), 1)]
+    assert_residuals_halve(grid, noise, u0, phis)

@@ -231,6 +231,30 @@ class TestEnsemble:
         assert (out / "observables.csv").exists()
 
 
+    def test_d2_outputs_identical_at_one_and_two_workers(self, tmp_path):
+        text = (BASE.replace("dim = 1", "dim = 2")
+                .replace("lengths = 3.141592653589793",
+                         "lengths = 3.141592653589793, 2.0")
+                .replace("modes = 8", "modes = 6, 5")
+                .replace("index = 1\n", "index = 1, 0\n")
+                .replace("index = 2\n", "index = 1, 2\n")
+                .replace("t_end = 0.5", "t_end = 0.2"))
+        outs = []
+        for workers in (1, 2):
+            f = tmp_path / f"w{workers}.cfg"
+            f.write_text(text.replace("ensemble_m = 3",
+                                      f"ensemble_m = 3\nworkers = {workers}"))
+            outs.append(tmp_path / f"out{workers}")
+            assert run_command(["ensemble", "--config", str(f),
+                                "--output-dir", str(outs[-1]), "--quiet"]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        report = json.loads((outs[0] / "report.json").read_text())
+        assert report["config"]["grid"]["modes"] == [6, 5] and report["paths"] == 3
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestInvariant:
     def test_windows_and_tightness(self, cfg_file, tmp_path):
         out = tmp_path / "out"

@@ -6,6 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sllbar.grid
+import sllbar.integrator
+import sllbar.model
+import sllbar.noise
 from sllbar.grid import (
     Grid,
     constant_field,
@@ -103,6 +107,49 @@ class TestImexStep:
         nxt = imex_em_step(u0, G4, p, NoiseModel.empty(G4),
                            TruncationConfig.off(), inc.values, 0.1)
         assert np.abs(nxt - u0).max() < 1e-13
+
+
+COUNTED = ("synthesize", "analyze", "cross3", "_diffusion_coeffs",
+           "_correction_coeffs")
+
+
+def count_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of the COUNTED functions through every module binding."""
+    counts = dict.fromkeys(COUNTED, 0)
+    for mod in (sllbar.grid, sllbar.model, sllbar.noise, sllbar.integrator):
+        for name in COUNTED:
+            fn = getattr(mod, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    @pytest.mark.parametrize("grid", [Grid(2, (np.pi, 2.0), (6, 5)),
+                                      Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))],
+                             ids=["d2", "d3"])
+    def test_imex_step_at_d2_and_d3_applies_noise_in_coefficient_space(
+            self, monkeypatch, grid, J):
+        """2 synthesize (u, Lap u), 2 analyze (cubic, precession) and 1 cross3
+        per step at any J: G_j and the correction take no padded-grid route."""
+        noise = build_noise_modes({"family": "eigenmode", "modes": [
+            {"sigma": 0.1, "index": (j % 2, j // 2) + (1,) * (grid.dim - 2),
+             "direction": (1.0, j, 0.0)} for j in range(J)]}, grid)
+        u = random_field(grid, RNG, amplitude=0.3)
+        dW = RNG.standard_normal(J) * math.sqrt(1e-3)
+        params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
+        counts = count_calls(monkeypatch)
+        out = imex_em_step(u, grid, params, noise, TruncationConfig.on(0.5), dW, 1e-3)
+        assert np.isfinite(out).all()
+        assert counts == {"synthesize": 2, "analyze": 2, "cross3": 1,
+                          "_diffusion_coeffs": 0, "_correction_coeffs": 0}
 
 
 class TestHeunStep:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sllbar.grid import (
@@ -21,6 +21,8 @@ from sllbar.grid import (
     sobolev_norm,
     synthesize,
 )
+from sllbar.integrator import SolverConfig, run_trajectory
+from sllbar.model import ModelParams
 from sllbar.noise import (
     NoiseModel,
     NoiseTailWarning,
@@ -28,6 +30,7 @@ from sllbar.noise import (
     check_noise_condition,
     _correction_coeffs,
     _diffusion_coeffs,
+    _operator_parts,
     coupled_increments,
     sample_increments,
 )
@@ -121,6 +124,51 @@ class TestBuild:
                 eigenmode_spec({"sigma": 1.0, "index": (1,), "direction": (0, 0, 0)}),
                 G8,
             )
+
+
+class TestStorage:
+    def test_index_and_amplitude_arrays(self):
+        grid = Grid(2, (np.pi, 2.0), (6, 5))
+        nm = build_noise_modes(eigenmode_spec(
+            {"sigma": 0.5, "index": (1, 0), "direction": (0, 3, 4)},
+            {"sigma": 2.0, "index": (0, 4), "direction": (1, 0, 0)}), grid)
+        assert nm.index.dtype.kind == "i" and nm.index.tolist() == [[1, 0], [0, 4]]
+        direction = np.array([0.0, 3.0, 4.0])
+        assert nm.amplitude.tobytes() == np.array(
+            [0.5 * direction / 5.0, [2.0, 0.0, 0.0]]).tobytes()
+        assert not nm.index.flags.writeable and not nm.amplitude.flags.writeable
+        for k, a, hj in zip(nm.index, nm.amplitude, nm.h):
+            assert hj.tobytes() == eigenmode_field(grid, k, a).tobytes()
+
+    def test_empty_family_arrays(self):
+        nm = NoiseModel.empty(Grid(3, (1.0, 2.0, 3.0), (2, 3, 4)))
+        assert nm.index.shape == (0, 3) and nm.amplitude.shape == (0, 3)
+        assert build_noise_modes({"family": "none"}, G8).index.shape == (0, 1)
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(ValueError, match="one row per mode"):
+            NoiseModel(G8, np.array([[1, 0]]), np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            NoiseModel(G8, np.array([[1]]), np.array([[0.0, 1.0]]))
+
+    def test_h_phys_built_on_first_read(self):
+        nm = build_noise_modes(eigenmode_spec(
+            {"sigma": 0.5, "index": (2,), "direction": (0, 1, 0)}), G8)
+        assert "h_phys" not in vars(nm)
+        vals = nm.h_phys
+        assert vals[0].tobytes() == synthesize(G8, nm.h[0]).tobytes()
+        assert nm.h_phys is vals
+
+    def test_d3_imex_run_never_builds_h_phys(self):
+        grid = Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))
+        nm = build_noise_modes(eigenmode_spec(
+            {"sigma": 0.1, "index": (1, 0, 0), "direction": (1, 0, 0)},
+            {"sigma": 0.1, "index": (0, 2, 3), "direction": (0, 1, 1)}), grid)
+        rec = run_trajectory(random_field(grid, RNG, amplitude=0.3),
+                             ModelParams(0.5, 1.0, 1.0, 1.0, 1.0), nm,
+                             SolverConfig(dt=1e-3, t_end=5e-3, record_every=2))
+        assert rec.stop_reason == "completed"
+        assert "h_phys" not in vars(nm)
 
 
 class TestNoiseCondition:
@@ -276,6 +324,59 @@ class TestItoCorrection:
         additive = nm.h[0] - nm.lap_h[0]
         expected = -0.5 * analyze(G8, cross3(synthesize(G8, additive), nm.h_phys[0]))
         assert np.abs(got - expected).max() < 1e-12
+
+
+@st.composite
+def noise_cases(draw):
+    """A d = 2 or 3 grid with unequal axes and an eigenmode family on it whose
+    indices may repeat and may hold zeros (J may be 0)."""
+    d = draw(st.sampled_from([2, 3]))
+    modes = draw(st.lists(st.integers(1, 6), min_size=d, max_size=d, unique=True))
+    lengths = draw(st.lists(st.floats(1.0, 3.0), min_size=d, max_size=d,
+                            unique=True))
+    grid = Grid(d, tuple(lengths), tuple(modes), draw(st.sampled_from([2, 2.5, 3])))
+    indices: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 5))):
+        if indices and draw(st.booleans()):
+            indices.append(draw(st.sampled_from(indices)))
+        else:
+            indices.append(tuple(draw(st.integers(0, N - 1)) for N in modes))
+    unit = st.floats(-1.0, 1.0)
+    family = [{"sigma": draw(st.floats(0.05, 2.0)), "index": k,
+               "direction": draw(st.tuples(unit, unit, unit).filter(
+                   lambda v: np.linalg.norm(v) > 0.1))}
+              for k in indices]
+    return grid, family
+
+
+@settings(max_examples=60, deadline=None)
+@given(noise_cases(), st.integers(0, 2**32 - 1))
+@example((Grid(3, (1.0, 2.0, 3.0), (4, 5, 3), 2.5), [
+    {"sigma": 0.7, "index": (0, 0, 0), "direction": (1, 0, 0)},
+    {"sigma": 0.3, "index": (1, 0, 2), "direction": (0, 1, 1)},
+    {"sigma": 1.1, "index": (1, 0, 2), "direction": (1, -1, 0)}]), 0)
+@example((Grid(2, (1.0, 2.0), (3, 4), 3), []), 1)
+def test_operator_route_matches_transform_route(case, seed):
+    """The d >= 2 coefficient operators give each G_j and the Ito correction
+    of the padded-grid route to 1e-12 relative to the largest entry. Most of
+    the gap is the transform route's rounding of the constant part
+    Pi((h_j - Lap h_j) x h_j), which is exactly zero and which the operator
+    route leaves out."""
+    grid, family = case
+    noise = build_noise_modes(eigenmode_spec(*family), grid)
+    u = random_field(grid, np.random.default_rng(seed))
+    vals = synthesize(grid, u)
+    Gs, corr = _operator_parts(noise, u, include_correction=True)
+    assert len(Gs) == noise.J == len(family)
+    for j, G in enumerate(Gs):
+        ref = _diffusion_coeffs(grid, vals, noise, j)
+        assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+    if noise.J == 0:
+        assert corr is None
+    else:
+        ref = _correction_coeffs(grid, vals, noise)
+        assert np.abs(corr - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert _operator_parts(noise, u, include_correction=False)[1] is None
 
 
 def fresh_increments(seed, path, step, J, dt):

@@ -51,20 +51,22 @@ def steps(coeffs, grid, noise, scheme, n):
 
 
 def test_warm_step_allocates_less_than_one_padded_field():
-    # one padded field dwarfs the (3, 8, 8) coefficient arrays
-    grid = Grid(2, (np.pi, np.pi), (8, 8), pad_factor=8)
-    field_bytes = 3 * 64 * 64 * 8
-    assert np.empty((3, *grid.padded)).nbytes == field_bytes == 98_304
-    noise = two_mode_noise(grid)
-    coeffs = state(grid, 1)
-    steps(coeffs, grid, noise, imex_em_step, 1)  # warm the caches and buffers
-    tracemalloc.start()
-    try:
-        steps(coeffs, grid, noise, imex_em_step, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < field_bytes
+    # one padded field (64^2 or 16^3 nodes) dwarfs the (3, 8, 8) and
+    # (3, 4, 4, 4) coefficient arrays
+    field_bytes = 98_304
+    for grid in (Grid(2, (np.pi, np.pi), (8, 8), pad_factor=8),
+                 Grid(3, (np.pi, 1.0, 2.5), (4, 4, 4), pad_factor=4)):
+        assert np.empty((3, *grid.padded)).nbytes == field_bytes
+        noise = two_mode_noise(grid)
+        coeffs = state(grid, 1)
+        steps(coeffs, grid, noise, imex_em_step, 1)  # warm the caches and buffers
+        tracemalloc.start()
+        try:
+            steps(coeffs, grid, noise, imex_em_step, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < field_bytes, grid.dim
 
 
 @pytest.mark.parametrize("include_correction", [True, False])

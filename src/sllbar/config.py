@@ -60,10 +60,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed run. :func:`parse_config` keeps the noise model and the
-    (read-only) initial field it built on ``grid``. The first
-    ``build_noise`` / ``build_initial`` call that asks for no other grid is
-    handed that object and the config lets go of it, so a config held
-    through a run keeps no second copy; every other call builds anew."""
+    (read-only) initial field it built on ``grid``: every ``build_noise`` /
+    ``build_initial`` call that asks for no other grid returns that object,
+    and a call for another grid builds anew."""
 
     grid: Grid
     params: ModelParams
@@ -71,17 +70,16 @@ class RunConfig:
     noise_spec: dict
     initial_spec: dict
     experiment: ExperimentConfig
-    _built = None  # {"noise": ..., "initial": ...} left to hand over; not a field
+    _built = None  # {"noise": ..., "initial": ...} built on grid; not a field
 
     def with_seed(self, seed: int) -> "RunConfig":
         cfg = replace(self, solver=replace(self.solver, seed=int(seed)))
-        object.__setattr__(cfg, "_built", self._built)  # shared: handed over once
+        object.__setattr__(cfg, "_built", self._built)
         return cfg
 
     def _kept_or_built(self, key: str, grid: Grid | None, build, spec: dict):
         own = self._built is not None and grid in (None, self.grid)
-        kept = self._built.pop(key, None) if own else None
-        return build(spec, grid or self.grid) if kept is None else kept
+        return self._built[key] if own else build(spec, grid or self.grid)
 
     def build_noise(self, grid: Grid | None = None) -> NoiseModel:
         return self._kept_or_built("noise", grid, build_noise_modes, self.noise_spec)

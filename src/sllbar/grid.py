@@ -43,13 +43,13 @@ scipy.
 
 Memory
 ------
-The time step allocates no padded-grid array. Every transform pass but the
-last writes into a buffer kept per thread and keyed by (pass index, shape),
-and the step writes its padded-grid values, products and |u|^2 into the
-:class:`Workspace` of its padded shape and thread (:func:`workspace`). At
-d >= 2 the noise touches no padded-grid array: its operators are per-axis
-N x N matrices applied to coefficient arrays, and the padded values of the
-h_j are built only if the d = 1 route or the weak-form residual reads them.
+The time step and :func:`lp_norm` allocate no padded-grid array. Every
+transform pass but the last writes into a buffer kept per thread and keyed
+by element count, so synthesis and analysis share it; the step and the norm
+write padded-grid values, products and |u|^2 into the :class:`Workspace` of
+their padded shape and thread (:func:`workspace`). At d >= 2 the noise
+touches no padded-grid array: its operators are per-axis N x N matrices
+applied to coefficient arrays, and the noise model stores per-mode vectors.
 :func:`cross3` takes its one component-sized temporary from a per-thread
 scratch row. :func:`synthesize` and :func:`cross3` write into ``out`` when
 it is given; without it they return fresh arrays, as do :func:`analyze` and
@@ -221,9 +221,9 @@ def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
     """Apply ``mats[i]`` along spatial axis i of a ``(3, ...)`` array.
 
     The result is C-contiguous: ``out`` when it is given, a fresh array
-    otherwise. At d=2 and 3 every pass but the last writes into this
-    thread's buffer for its (pass index, shape); the index keeps consecutive
-    passes of equal shape (pad_factor 1) from reading the buffer they write.
+    otherwise. At d=2 and 3 every pass but the last writes into this thread's buffer
+    for its element count, shared by synthesis and analysis; a square pass also keys
+    on its index, else matmul would copy the buffer it reads.
     At d=1 a plain ``np.dot`` is kept: the cycling pass would round
     differently there, and ``np.dot`` gives the bits of ``@`` for less.
     """
@@ -238,9 +238,10 @@ def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
         if i == last:
             dest = None if out is None else out.reshape(shape)
         else:
-            dest = bufs.get((i, shape))
-            if dest is None:
-                dest = bufs[(i, shape)] = np.empty(shape)
+            key = (3 * shape[1] * shape[2], i if mat.shape[0] == mat.shape[1] else -1)
+            if key not in bufs:
+                bufs[key] = np.empty(key[0])
+            dest = bufs[key].reshape(shape)
         arr = np.matmul(lhs, mat.T, dest).reshape(3, *rest, mat.shape[0])
     return arr if out is None else out
 
@@ -280,7 +281,7 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 class Workspace:
-    """Padded-grid arrays one time step writes, reused by the next.
+    """Padded-grid arrays a time step or :func:`lp_norm` writes, reused by the next.
 
     ``vals`` holds u's values for the whole step; ``lap`` holds Lap u's
     values and then, at d = 1, each G_j's values in the Ito correction;
@@ -391,22 +392,23 @@ def sobolev_norms(grid: Grid, coeffs: np.ndarray, orders) -> list[float]:
 
 
 def lp_norm(grid: Grid, coeffs: np.ndarray, p) -> float:
-    """L^p norm by quadrature on the padded grid, p in {2, 4, inf}.
+    """L^p norm by quadrature in this thread's :func:`workspace`, p in {2, 4, inf}.
 
     For retained-mode fields the midpoint rule is exact at p = 2 and, with
     pad_factor 2, at p = 4 as well. The infinity norm is the max over nodes
     of the Euclidean magnitude of the 3-vector.
     """
-    vals = synthesize(grid, coeffs)
-    mag2 = (vals * vals).sum(axis=0)
+    if p not in (2, 4, math.inf, "inf"):
+        raise ValueError(f"unsupported p {p!r}")
+    ws = workspace(grid)
+    vals = synthesize(grid, coeffs, out=ws.vals)
+    mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0, out=ws.mag2)
     w = quad_weight(grid)
     if p == 2:
         return math.sqrt(float(mag2.sum()) * w)
     if p == 4:
-        return float((mag2 * mag2).sum() * w) ** 0.25
-    if p == math.inf or p == "inf":
-        return math.sqrt(float(mag2.max()))
-    raise ValueError(f"unsupported p {p!r}")
+        return float(np.multiply(mag2, mag2, out=ws.prod[0]).sum() * w) ** 0.25
+    return math.sqrt(float(mag2.max()))
 
 
 def constant_field(grid: Grid, vector) -> np.ndarray:

@@ -9,15 +9,15 @@ diffusion map
 and the Stratonovich integral is simulated in Ito form with the correction
 drift ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 
-Every family is built from Neumann eigenmodes, ``h_j = sigma_j e_k(x) v_j``.
-At d >= 2 the step applies G_j and the correction in coefficient space
-(:func:`_operator_parts`), with no padded grid. At d = 1 it keeps the
-padded-grid route (:func:`_diffusion_coeffs`, :func:`_correction_coeffs`)
-until the benchmark re-pins the per-step counts ``bench/tests/test_counts.py``
-holds for it; that route also stays the weak-form residual's own pairing.
-The family must satisfy the square-summability condition
-``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the finite truncation reports its
-C_h so configured tail bounds can be checked.
+Every family is built from Neumann eigenmodes, ``h_j = sigma_j e_k(x) v_j``,
+stored per mode. At d >= 2 the step applies G_j and the correction in
+coefficient space (:func:`_operator_parts`), with no padded grid or dense h_j.
+At d = 1 it keeps the padded-grid route (:func:`_diffusion_coeffs`,
+:func:`_correction_coeffs`) until the benchmark re-pins the per-step counts
+``bench/tests/test_counts.py`` holds for it; that route also stays the
+weak-form residual's own pairing. The family must satisfy the
+square-summability condition ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the
+finite truncation reports its C_h so configured tail bounds can be checked.
 """
 
 from __future__ import annotations
@@ -50,21 +50,18 @@ class NoiseTailWarning(UserWarning):
 
 @dataclass
 class NoiseModel:
-    """Immutable eigenmode family ``h_j = e_{k_j}(x) a_j``, stored as the
-    read-only ``(J, d)`` int ``index`` of the k_j and ``(J, 3)`` ``amplitude``
-    of the ``a_j = sigma_j v_j``. The coefficient arrays ``h``, ``lap_h`` and
-    h_j - Lap h_j, and C_h, are derived at construction; ``h_phys`` and the
-    d >= 2 operators :attr:`_groups` on first use.
-    """
+    """Immutable eigenmode family ``h_j = e_{k_j}(x) a_j``, stored per mode as
+    read-only ``(J, d)`` int ``index`` (k_j), ``(J, 3)`` ``amplitude`` (a_j =
+    sigma_j v_j) and ``h_minus_lap_k`` (h_j - Lap h_j at k_j), with C_h. Dense
+    ``h`` and ``lap_h`` are built on each read; ``h_minus_lap``, ``h_phys``
+    and the d >= 2 :attr:`_groups` on first use."""
 
     grid: Grid
     index: np.ndarray
     amplitude: np.ndarray
     c_h_bound: float | None = None
     tail_estimate: float = 0.0
-    h: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    lap_h: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    h_minus_lap: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    h_minus_lap_k: np.ndarray = field(init=False, repr=False, compare=False)
     C_h: float = field(init=False)
 
     def __post_init__(self):
@@ -72,17 +69,28 @@ class NoiseModel:
         self.amplitude = np.array(self.amplitude, dtype=float).reshape(-1, 3)
         if len(self.index) != len(self.amplitude):
             raise ValueError("index and amplitude must hold one row per mode")
-        for arr in (self.index, self.amplitude):
-            arr.setflags(write=False)
-        self.h = [eigenmode_field(self.grid, k, a)
-                  for k, a in zip(self.index, self.amplitude)]
-        self.lap_h = [hj * -eigenvalue_array(self.grid) for hj in self.h]
-        self.h_minus_lap = [hj - lh for hj, lh in zip(self.h, self.lap_h)]
         self.C_h = float(sum(sobolev_norm(self.grid, hj, 3) ** 2 for hj in self.h))
+        lam = eigenvalue_array(self.grid)[tuple(self.index.T)][:, None]
+        self.h_minus_lap_k = self.amplitude - self.amplitude * -lam  # as h - lap_h
+        for arr in (self.index, self.amplitude, self.h_minus_lap_k):
+            arr.setflags(write=False)
 
     @property
     def J(self) -> int:
-        return len(self.h)
+        return len(self.index)
+
+    @property
+    def h(self) -> list[np.ndarray]:
+        return [eigenmode_field(self.grid, k, a)
+                for k, a in zip(self.index, self.amplitude)]
+
+    @property
+    def lap_h(self) -> list[np.ndarray]:
+        return [hj * -eigenvalue_array(self.grid) for hj in self.h]
+
+    @cached_property
+    def h_minus_lap(self) -> list[np.ndarray]:
+        return [hj - lh for hj, lh in zip(self.h, self.lap_h)]
 
     @classmethod
     def empty(cls, grid: Grid) -> "NoiseModel":
@@ -96,11 +104,11 @@ class NoiseModel:
 
     @cached_property
     def _groups(self) -> list[tuple]:
-        """Read-only ``(mats, [(j, K_j), ...], Q_k)`` per distinct k, in order
-        of first appearance. ``mats`` are the per-axis ``P_{k_i} = A
-        diag(phi_{k_i}(x)) S``, whose tensor product M_k is Pi of the product
-        with e_k; ``K_j w = a_j x w`` and ``Q_k = sum_{j: k_j = k} K_j K_j =
-        sum (a_j a_j^T - |a_j|^2 I)`` act on the component axis."""
+        """Read-only ``(at, mats, [(j, K_j), ...], Q_k)`` per distinct k, in
+        order of first appearance; ``at`` indexes k. ``mats`` are the per-axis
+        ``P_{k_i} = A diag(phi_{k_i}(x)) S``, whose tensor product M_k is Pi of
+        the product with e_k; ``K_j w = a_j x w`` and ``Q_k = sum_{j: k_j = k}
+        K_j K_j = sum (a_j a_j^T - |a_j|^2 I)`` act on the component axis."""
         analysis, synthesis, _ = self.grid._axis_matrices
         members: dict[tuple[int, ...], list[int]] = {}
         for j, k in enumerate(map(tuple, self.index.tolist())):
@@ -113,7 +121,7 @@ class NoiseModel:
             Q = sum(K @ K for K in skews)
             for arr in (*mats, *skews, Q):
                 arr.setflags(write=False)
-            groups.append((mats, list(zip(js, skews)), Q))
+            groups.append(((slice(None), *k), mats, list(zip(js, skews)), Q))
         return groups
 
 
@@ -199,16 +207,18 @@ def _operator_parts(noise: NoiseModel, coeffs: np.ndarray,
     """``([G_j coeffs], Ito correction)`` at d >= 2 from :attr:`NoiseModel._groups`.
 
     ``Pi(u x h_j) = (M_k u) x a_j``, so ``G_j(u) = (h_j - Lap h_j) + a_j x
-    M_k u``, and the correction is ``1/2 sum_k Q_k M_k^2 u``; its constant
-    part ``(M_k (h_j - Lap h_j)) x a_j`` is exactly zero. The correction is
-    None unless ``include_correction`` is set and J > 0.
+    M_k u``, with h_j - Lap h_j written at k_j; the correction is ``1/2 sum_k
+    Q_k M_k^2 u``; its constant part ``(M_k (h_j - Lap h_j)) x a_j`` is exactly
+    zero. The correction is None unless ``include_correction`` is set and J > 0.
     """
     Gs: list[np.ndarray] = [None] * noise.J
     acc = np.zeros((3, coeffs[0].size)) if include_correction and noise.J else None
-    for mats, skews, Q in noise._groups:
+    for at, mats, skews, Q in noise._groups:
         Mu = _transform(coeffs, mats)
         for j, skew in skews:
-            Gs[j] = noise.h_minus_lap[j] + (skew @ Mu.reshape(3, -1)).reshape(Mu.shape)
+            G = Gs[j] = np.zeros(coeffs.shape)
+            G[at] = noise.h_minus_lap_k[j]
+            G += (skew @ Mu.reshape(3, -1)).reshape(Mu.shape)
         if acc is not None:
             acc += Q @ _transform(Mu, mats).reshape(3, -1)
     return Gs, None if acc is None else 0.5 * acc.reshape(coeffs.shape)

@@ -283,6 +283,31 @@ def test_08_galerkin_refinement():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def test_08_galerkin_refinement_d2():
+    """Criterion 8 at d=2, where the step applies the noise through
+    coefficient-space operators: refinement gaps over 4->8, 8->16, 16->32
+    are strictly decreasing."""
+    box = Grid(2, (np.pi, np.pi), (4, 4))
+    params = ModelParams(0.5, 0.01, 1.0, 1.0, 1.0)
+    cfg = SolverConfig(dt=5e-4, t_end=0.25, record_every=40, seed=13)
+
+    def u0(grid):
+        return modes_field(grid, (1.5, 0, 0), [
+            ((1, 0), (0, 1.5, 0)), ((0, 2), (0, 0, 0.75)), ((1, 1), (0.5, 0, 0))])
+
+    def noise(grid):
+        return build_noise_modes({"family": "eigenmode", "modes": [
+            {"sigma": 0.5, "index": (1, 0), "direction": (1, 0, 0)},
+            {"sigma": 0.5, "index": (0, 2), "direction": (0, 0, 1)},
+        ]}, grid)
+
+    gaps = [
+        refinement_gap(u0, params, noise, cfg, box, nc, nf)
+        for nc, nf in ((4, 8), (8, 16), (16, 32))
+    ]
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
 @pytest.fixture(scope="module")
 def growth_stats():
     grid, params, noise, u0 = small_data_setting()

@@ -86,8 +86,8 @@ class TestMinimal:
 
 class TestBuiltOnce:
     """parse_config builds the noise model and initial field to check them,
-    and the first build_noise / build_initial on the config's grid is handed
-    those; the config then lets go of them."""
+    and every build_noise / build_initial on the config's grid returns
+    those."""
 
     NOISY = MINIMAL + ("\n[noise]\nfamily = eigenmode\n"
                        "[noise.mode.1]\nsigma = 0.5\nindex = 1\ndirection = 0,0,1\n")
@@ -106,17 +106,17 @@ class TestBuiltOnce:
         cfg = parse_config(write(tmp_path, self.NOISY))
         noise, u0 = cfg.build_noise(), cfg.build_initial()
         assert len(noise_calls) == len(initial_calls) == 1
-        again = cfg.build_noise(), cfg.build_initial()
-        assert again[0] is not noise and again[1] is not u0
-        assert len(noise_calls) == len(initial_calls) == 2
+        assert cfg.build_noise() is noise and cfg.build_initial() is u0
+        assert len(noise_calls) == len(initial_calls) == 1
 
-    def test_equal_grid_and_seeded_copy_share_the_hand_over(self, tmp_path, monkeypatch):
+    def test_equal_grid_and_seeded_copy_share_the_built_objects(self, tmp_path,
+                                                                monkeypatch):
         noise_calls = self.counted(monkeypatch, "build_noise_modes")
         cfg = parse_config(write(tmp_path, self.NOISY))
         seeded = cfg.with_seed(5)
         noise = seeded.build_noise(cfg.grid.with_modes((8,)))
         assert len(noise_calls) == 1
-        assert cfg.build_noise() is not noise and len(noise_calls) == 2
+        assert cfg.build_noise() is noise and len(noise_calls) == 1
 
     def test_other_grid_builds_anew(self, tmp_path, monkeypatch):
         noise_calls = self.counted(monkeypatch, "build_noise_modes")

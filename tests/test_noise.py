@@ -139,6 +139,9 @@ class TestStorage:
         assert not nm.index.flags.writeable and not nm.amplitude.flags.writeable
         for k, a, hj in zip(nm.index, nm.amplitude, nm.h):
             assert hj.tobytes() == eigenmode_field(grid, k, a).tobytes()
+        assert not nm.h_minus_lap_k.flags.writeable
+        for k, row, dense in zip(nm.index, nm.h_minus_lap_k, nm.h_minus_lap):
+            assert row.tobytes() == dense[(slice(None), *k)].tobytes()
 
     def test_empty_family_arrays(self):
         nm = NoiseModel.empty(Grid(3, (1.0, 2.0, 3.0), (2, 3, 4)))
@@ -168,7 +171,22 @@ class TestStorage:
                              ModelParams(0.5, 1.0, 1.0, 1.0, 1.0), nm,
                              SolverConfig(dt=1e-3, t_end=5e-3, record_every=2))
         assert rec.stop_reason == "completed"
-        assert "h_phys" not in vars(nm)
+        assert "h_phys" not in vars(nm) and "h_minus_lap" not in vars(nm)
+
+    def test_held_arrays_do_not_grow_with_the_grid(self):
+        # per-mode rows only; the dense h_j are built when something reads them
+        def held_bytes(nm):
+            held = [v for value in vars(nm).values()
+                    for v in (value if isinstance(value, list) else [value])]
+            return sum(v.nbytes for v in held if isinstance(v, np.ndarray))
+
+        sizes = []
+        for n in (4, 32):
+            grid = Grid(3, (np.pi, 1.0, 2.5), (n, n, n))
+            sizes.append(held_bytes(build_noise_modes(eigenmode_spec(
+                {"sigma": 0.1, "index": (1, 0, 0), "direction": (1, 0, 0)},
+                {"sigma": 0.1, "index": (0, 2, 3), "direction": (0, 1, 1)}), grid)))
+        assert sizes[0] == sizes[1] > 0
 
 
 class TestNoiseCondition:

@@ -22,6 +22,7 @@ from sllbar.grid import (
     sobolev_norm,
     sobolev_norms,
     synthesize,
+    workspace,
 )
 from sllbar.integrator import _sample_norms
 from sllbar.model import cubic_field, precession
@@ -376,9 +377,15 @@ class TestNorms:
                                                            rel=1e-13)
 
     def test_unsupported_p(self):
+        # p is checked before u is synthesized into this thread's workspace
         grid = Grid(1, (1.0,), (4,))
+        ws = workspace(grid)
+        arrays = (ws.vals, ws.lap, ws.prod, ws.mag2)
+        for arr in arrays:
+            arr.fill(7.0)
         with pytest.raises(ValueError):
             lp_norm(grid, random_field(grid, RNG), 3)
+        assert all((arr == 7.0).all() for arr in arrays)
 
     @pytest.mark.parametrize("grid", grids_for_dims())
     def test_norms_match_the_plain_sums_bitwise(self, grid):

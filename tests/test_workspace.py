@@ -16,7 +16,12 @@ from sllbar.grid import (
     synthesize,
     workspace,
 )
-from sllbar.integrator import _explicit_parts, heun_strat_step, imex_em_step
+from sllbar.integrator import (
+    _explicit_parts,
+    _sample_norms,
+    heun_strat_step,
+    imex_em_step,
+)
 from sllbar.model import ModelParams, TruncationConfig
 from sllbar.noise import build_noise_modes
 
@@ -52,7 +57,7 @@ def steps(coeffs, grid, noise, scheme, n):
 
 def test_warm_step_allocates_less_than_one_padded_field():
     # one padded field (64^2 or 16^3 nodes) dwarfs the (3, 8, 8) and
-    # (3, 4, 4, 4) coefficient arrays
+    # (3, 4, 4, 4) coefficient arrays; a recorded step also samples the norms
     field_bytes = 98_304
     for grid in (Grid(2, (np.pi, np.pi), (8, 8), pad_factor=8),
                  Grid(3, (np.pi, 1.0, 2.5), (4, 4, 4), pad_factor=4)):
@@ -63,10 +68,28 @@ def test_warm_step_allocates_less_than_one_padded_field():
         tracemalloc.start()
         try:
             steps(coeffs, grid, noise, imex_em_step, 1)
+            _sample_norms(grid, coeffs, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < field_bytes, grid.dim
+
+
+def test_square_passes_copy_no_buffer():
+    # at pad_factor 1 every pass keeps its input's size, as the noise
+    # operators' passes do at any pad factor; a pass that wrote the buffer it
+    # reads would make matmul copy its input
+    grid = Grid(3, (np.pi, 1.0, 2.5), (8, 8, 8), pad_factor=1)
+    coeffs = state(grid, 2)
+    out = np.empty((3, *grid.padded))
+    synthesize(grid, coeffs, out=out)  # warm the pass buffers
+    tracemalloc.start()
+    try:
+        synthesize(grid, coeffs, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes
 
 
 @pytest.mark.parametrize("include_correction", [True, False])

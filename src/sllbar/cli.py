@@ -8,6 +8,13 @@ Subcommands::
     sllbar converge  --config run.cfg --output-dir out/   dt-halving + refinement study
     sllbar check     --config run.cfg --output-dir out/   identity suite + noise condition
 
+One flow, one owner per stage: :func:`run_command` parses the config and
+prepares the output directory; each ``_cmd_*(cfg, out)`` runs its study,
+writes its CSV and snapshot files through :mod:`sllbar.io`, and returns
+``(report_body, summary)``; :func:`run_command` then merges the body into
+the report skeleton, writes ``report.json`` and prints ``<summary>, outputs
+in <dir>`` unless ``--quiet``.
+
 Exit codes: 0 success, 2 configuration error, 3 fatal blow-up inside a
 study (``BlowupAbort``), 4 I/O error. For ``simulate`` a blow-up stop is
 data, not an error.
@@ -45,6 +52,7 @@ from .integrator import BlowupAbort, ConfigurationError, run_trajectory
 from .io import (
     report_skeleton,
     write_ensemble_csv,
+    write_identities_csv,
     write_observables_csv,
     write_report_json,
     write_residual_csv,
@@ -86,11 +94,6 @@ def _prepare_output_dir(path: str, force: bool) -> Path:
     return out
 
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
 def _stop_events(reasons, times) -> list[dict]:
     return [
         {"path": p, "stop_reason": r, "stop_time": t}
@@ -111,47 +114,37 @@ def _write_ensemble_csvs(stats: EnsembleStats, out: Path) -> None:
         write_observables_csv(stats, out / "observables.csv")
 
 
-def _cmd_simulate(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    noise = cfg.build_noise()
-    u0 = cfg.build_initial()
-    record = run_trajectory(u0, cfg.params, noise, cfg.solver, path=0)
+def _cmd_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
+    record = run_trajectory(cfg.build_initial(), cfg.params, cfg.build_noise(),
+                            cfg.solver, path=0)
     write_trajectory_csv(record, out / "trajectory.csv")
     write_snapshot(record.final, out / "final_state.snap", record.grid)
-    report = report_skeleton(cfg.echo())
-    report["stop_events"] = _stop_events([record.stop_reason], [record.stop_time])
-    report["final_norms"] = {k: float(v[-1]) for k, v in record.norms.items()}
-    write_report_json(report, out / "report.json")
-    _say(quiet, f"simulate: {record.stop_reason} at t={record.stop_time:g}, "
-                f"outputs in {out}")
-    return 0
+    body = {"stop_events": _stop_events([record.stop_reason], [record.stop_time]),
+            "final_norms": {k: float(v[-1]) for k, v in record.norms.items()}}
+    return body, f"simulate: {record.stop_reason} at t={record.stop_time:g}"
 
 
-def _cmd_ensemble(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def _cmd_ensemble(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     exp = cfg.experiment
     stats = _run_paths(cfg)
     _write_ensemble_csvs(stats, out)
-    report = report_skeleton(cfg.echo())
-    report["paths"] = stats.M
-    report["blowup_count"] = stats.blowup_count
-    report["stop_events"] = _stop_events(stats.stop_reasons, stats.stop_times)
-    report["moments"] = {
+    body = {"paths": stats.M, "blowup_count": stats.blowup_count,
+            "stop_events": _stop_events(stats.stop_reasons, stats.stop_times)}
+    body["moments"] = {
         f"p={p:g}": {k: {"estimate": v[0], "se": v[1]}
                      for k, v in moment_estimates(stats, p).items()}
         for p in exp.moment_powers
     }
     if len(stats.times) >= MIN_GROWTH_SAMPLES:
         growth = h2_time_average(stats)
-        report["h2_growth"] = {
+        body["h2_growth"] = {
             "a": growth.a, "b": growth.b, "c": growth.c,
             "curvature_ratio": growth.curvature_ratio,
         }
-    write_report_json(report, out / "report.json")
-    _say(quiet, f"ensemble: M={stats.M}, blowups={stats.blowup_count}, "
-                f"outputs in {out}")
-    return 0
+    return body, f"ensemble: M={stats.M}, blowups={stats.blowup_count}"
 
 
-def _cmd_invariant(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def _cmd_invariant(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     exp = cfg.experiment
     stats = _run_paths(cfg)
     if stats.blowup_count:
@@ -159,29 +152,25 @@ def _cmd_invariant(cfg: RunConfig, out: Path, quiet: bool) -> int:
             f"{stats.blowup_count} of {stats.M} paths stopped early; "
             "invariant averages need the full horizon"
         )
-    report = report_skeleton(cfg.echo())
-    report["paths"] = stats.M
+    body = {"paths": stats.M, "window_averages": {}}
     windows = list(exp.windows) if exp.windows else None
-    report["window_averages"] = {}
     for psi in exp.observables:
         wrep = invariant_average(stats, psi.name, exp.burn_in, windows)
-        report["window_averages"][psi.name] = {
+        body["window_averages"][psi.name] = {
             "windows": [list(w) for w in wrep.windows],
             "means": wrep.window_means,
             "ses": wrep.window_ses,
         }
-    report["tightness"] = {
+    body["tightness"] = {
         space: {f"R={r:g}": tightness_statistic(stats, r, space)
                 for r in exp.tightness_r}
         for space in ("H1", "L2")
     }
     _write_ensemble_csvs(stats, out)
-    write_report_json(report, out / "report.json")
-    _say(quiet, f"invariant: M={stats.M}, outputs in {out}")
-    return 0
+    return body, f"invariant: M={stats.M}"
 
 
-def _cmd_converge(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def _cmd_converge(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     exp = cfg.experiment
     levels = list(exp.refine_levels)
     if levels:  # parse_config reads a snapshot on the grid only: check it here
@@ -190,48 +179,37 @@ def _cmd_converge(cfg: RunConfig, out: Path, quiet: bool) -> int:
         except ConfigError as exc:
             raise ConfigError(
                 f"experiment.refine_levels: level {levels[0]}: {exc}") from exc
-    report = report_skeleton(cfg.echo())
 
     # dt-halving self-convergence with one shared Brownian path per MC path
     halvings = exp.dt_halvings
-    noise = cfg.build_noise()
-    u0 = cfg.build_initial()
-    diffs = strong_convergence_gaps(u0, cfg.params, noise, cfg.solver,
-                                    halvings=halvings, paths=exp.ensemble_m)
-    report["dt_study"] = {
+    diffs = strong_convergence_gaps(cfg.build_initial(), cfg.params, cfg.build_noise(),
+                                    cfg.solver, halvings=halvings, paths=exp.ensemble_m)
+    body = {"dt_study": {
         "dts": [cfg.solver.dt / 2**k for k in range(halvings)],
         "mean_l2_gap_to_next_level": diffs,
         "base_dt": cfg.solver.dt / (2**halvings),
         "paths": exp.ensemble_m,
-    }
+    }}
 
     # Galerkin refinement gaps with frozen noise keys
-    gaps = {}
+    gaps = body["refinement_gaps"] = {}
     for nc, nf in zip(levels[:-1], levels[1:]):
         gaps[f"{nc}->{nf}"] = refinement_gap(
             cfg.build_initial, cfg.params, cfg.build_noise, cfg.solver,
             cfg.grid, nc, nf,
         )
-    report["refinement_gaps"] = gaps
-    write_report_json(report, out / "report.json")
-    _say(quiet, f"converge: dt gaps {['%.3e' % d for d in diffs]}, "
-                f"refinement {gaps}, outputs in {out}")
-    return 0
+    return body, f"converge: dt gaps {['%.3e' % d for d in diffs]}, refinement {gaps}"
 
 
-def _cmd_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def _cmd_check(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     noise = cfg.build_noise()
     rng = np.random.default_rng(cfg.solver.seed)
     rows = []
-    for i in range(20):
+    for _ in range(20):
         u = random_field(cfg.grid, rng)
-        _, _, grad_res = identity_cubic_gradient(cfg.grid, u)
-        _, _, ibp_res = identity_cubic_ibp(cfg.grid, u)
-        rows.append((i, identity_cross(cfg.grid, u), grad_res, ibp_res))
-    lines = ["field,cross_identity,cubic_gradient_residual,cubic_ibp_residual"]
-    for i, a, b, c in rows:
-        lines.append(f"{i},{a:.17g},{b:.17g},{c:.17g}")
-    (out / "identities.csv").write_text("\n".join(lines) + "\n")
+        rows.append((identity_cross(cfg.grid, u), identity_cubic_gradient(cfg.grid, u)[2],
+                     identity_cubic_ibp(cfg.grid, u)[2]))
+    write_identities_csv(rows, out / "identities.csv")
 
     # short noise-off run: energy-balance residual series as CSV
     steps = max(2, min(50, cfg.solver.n_steps))
@@ -243,23 +221,19 @@ def _cmd_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     write_residual_csv(series, out / "energy_residuals.csv",
                        name="energy_balance_residual")
 
-    report = report_skeleton(cfg.echo())
-    report["energy_balance_max_residual"] = float(np.abs(series.values).max())
-    report["identity_max"] = {
-        "cross": max(abs(r[1]) for r in rows),
-        "cubic_gradient": max(abs(r[2]) for r in rows),
-        "cubic_ibp": max(abs(r[3]) for r in rows),
-    }
     c_h = check_noise_condition(noise)
-    report["noise_condition"] = {
-        "C_h": c_h,
-        "bound": noise.c_h_bound,
-        "tail_estimate": noise.tail_estimate,
-        "bound_exceeded": bool(noise.c_h_bound is not None and c_h > noise.c_h_bound),
+    body = {
+        "energy_balance_max_residual": float(np.abs(series.values).max()),
+        "identity_max": dict(zip(("cross", "cubic_gradient", "cubic_ibp"),
+                                 np.abs(rows).max(axis=0).tolist())),
+        "noise_condition": {
+            "C_h": c_h,
+            "bound": noise.c_h_bound,
+            "tail_estimate": noise.tail_estimate,
+            "bound_exceeded": bool(noise.c_h_bound is not None and c_h > noise.c_h_bound),
+        },
     }
-    write_report_json(report, out / "report.json")
-    _say(quiet, f"check: identity maxima {report['identity_max']}, C_h={c_h:g}")
-    return 0
+    return body, f"check: identity maxima {body['identity_max']}, C_h={c_h:g}"
 
 
 _COMMANDS = {
@@ -282,7 +256,11 @@ def run_command(argv) -> int:
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
         out = _prepare_output_dir(args.output_dir, args.force)
-        return _COMMANDS[args.command](cfg, out, args.quiet)
+        body, summary = _COMMANDS[args.command](cfg, out)
+        write_report_json({**report_skeleton(cfg.echo()), **body}, out / "report.json")
+        if not args.quiet:
+            print(f"{summary}, outputs in {out}")
+        return 0
     except (ConfigError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

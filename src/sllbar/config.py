@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,10 +59,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed run. :func:`parse_config` keeps the noise model and the
-    (read-only) initial field it built on ``grid``: every ``build_noise`` /
-    ``build_initial`` call that asks for no other grid returns that object,
-    and a call for another grid builds anew."""
+    """A parsed run. ``noise`` and ``initial`` hold the noise model and the
+    (read-only) initial field :func:`parse_config` built on ``grid``: every
+    ``build_noise`` / ``build_initial`` call that asks for no other grid
+    returns them, and a call for another grid, or on a config made without
+    them, builds anew. They are not part of the echo."""
 
     grid: Grid
     params: ModelParams
@@ -70,27 +71,27 @@ class RunConfig:
     noise_spec: dict
     initial_spec: dict
     experiment: ExperimentConfig
-    _built = None  # {"noise": ..., "initial": ...} built on grid; not a field
+    noise: NoiseModel | None = field(default=None, compare=False, repr=False)
+    initial: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        cfg = replace(self, solver=replace(self.solver, seed=int(seed)))
-        object.__setattr__(cfg, "_built", self._built)
-        return cfg
-
-    def _kept_or_built(self, key: str, grid: Grid | None, build, spec: dict):
-        own = self._built is not None and grid in (None, self.grid)
-        return self._built[key] if own else build(spec, grid or self.grid)
+        return replace(self, solver=replace(self.solver, seed=int(seed)))
 
     def build_noise(self, grid: Grid | None = None) -> NoiseModel:
-        return self._kept_or_built("noise", grid, build_noise_modes, self.noise_spec)
+        if self.noise is not None and grid in (None, self.grid):
+            return self.noise
+        return build_noise_modes(self.noise_spec, grid or self.grid)
 
     def build_initial(self, grid: Grid | None = None) -> np.ndarray:
-        return self._kept_or_built("initial", grid, build_initial, self.initial_spec)
+        if self.initial is not None and grid in (None, self.grid):
+            return self.initial
+        return build_initial(self.initial_spec, grid or self.grid)
 
     def echo(self) -> dict:
-        """Every field of the resolved config, one section per config
-        section, with three deliberate exceptions noted below."""
-        echo = _jsonable(asdict(self))
+        """Every field of the resolved config but the two built objects, whose
+        specs take their keys, one section per config section, with three
+        deliberate exceptions noted below."""
+        echo = _jsonable(asdict(replace(self, noise=None, initial=None)))
         echo["noise"] = echo.pop("noise_spec")
         echo["initial"] = echo.pop("initial_spec")
         solver, experiment = echo["solver"], echo["experiment"]
@@ -190,8 +191,7 @@ _KEYS = {
                "beta5": _float},
     "truncation": {"mode": str.strip, "radius": _float},
     "solver": {"dt": _float, "t_end": _float, "scheme": str.strip, "blowup_k": float,
-               "record_every": int, "seed": int, "substeps": int,
-               "snapshot_every": int},
+               "record_every": int, "seed": int, "substeps": int},
     "noise": {"family": str.strip, "c_h_bound": _float, "tail_estimate": _float},
     "noise.mode.": {"sigma": _float, "index": _ints, "direction": _floats},
     "initial": {"type": str.strip, "vector": _floats, "path": str.strip},
@@ -366,7 +366,6 @@ def parse_config(path: str) -> RunConfig:
         if itype != "snapshot":
             _made(where, build_initial, initial_spec, coarse)
 
-    cfg = RunConfig(grid=grid, params=params, solver=solver, noise_spec=noise_spec,
-                    initial_spec=initial_spec, experiment=experiment)
-    object.__setattr__(cfg, "_built", {"noise": noise, "initial": u0})
-    return cfg
+    return RunConfig(grid=grid, params=params, solver=solver, noise_spec=noise_spec,
+                     initial_spec=initial_spec, experiment=experiment, noise=noise,
+                     initial=u0)

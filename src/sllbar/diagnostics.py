@@ -20,6 +20,7 @@ import numpy as np
 from .grid import (
     Grid,
     analyze,
+    check_mode_index,
     cross3,
     eigenvalue_array,
     embed,
@@ -173,7 +174,9 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
     grid = traj.grid
     dt = traj.config.dt
     cfg = traj.config
-    phi_index = tuple(int(i) for i in phi_index)
+    phi_index = check_mode_index(grid, phi_index)
+    if component not in (0, 1, 2):
+        raise ValueError(f"component must be 0, 1 or 2, got {component}")
     pick = (component,) + phi_index
     lam_phi = float(eigenvalue_array(grid)[phi_index])
 
@@ -245,6 +248,10 @@ def strong_convergence_gaps(u0: np.ndarray, params: ModelParams,
     increment coupling; the returned list has one entry per halving and
     decreases for a convergent scheme (strong order >= 1/2 here).
     """
+    if halvings < 0:
+        raise ValueError(f"halvings must be >= 0, got {halvings}")
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
     gaps = np.zeros(halvings)
     for path in range(paths):
         finals = []
@@ -274,7 +281,8 @@ def refinement_gap(u0_builder: Callable[[Grid], np.ndarray],
 
     Both runs consume identical increment keys; the coarse solution is
     embedded into the fine mode set for the comparison. The noise family
-    must be representable on the coarse grid (the builder raises otherwise).
+    must be representable on the coarse grid (the builder raises otherwise),
+    and both runs must reach ``t_end`` (:class:`BlowupAbort` otherwise).
     """
     if n_coarse >= n_fine:
         raise ValueError("n_coarse must be smaller than n_fine")
@@ -283,13 +291,13 @@ def refinement_gap(u0_builder: Callable[[Grid], np.ndarray],
     for n in (n_coarse, n_fine):
         grid = box.with_modes((n,) * box.dim)
         cfg = replace(config, snapshot_every=config.record_every)
-        records.append(
-            run_trajectory(u0_builder(grid), params, noise_builder(grid), cfg,
-                           path=path)
-        )
+        rec = run_trajectory(u0_builder(grid), params, noise_builder(grid), cfg,
+                             path=path)
+        if rec.stop_reason != STOP_COMPLETED:
+            raise BlowupAbort(
+                f"run at N={n} stopped early at t={rec.stop_time:g}: {rec.stop_reason}")
+        records.append(rec)
     coarse, fine = records
-    if coarse.stop_time != fine.stop_time:
-        raise BlowupAbort("runs stopped at different times; cannot compare")
     fine_grid = fine.grid
     for cs, fs in zip(coarse.snapshots, fine.snapshots):
         cf = embed(coarse.grid, cs, fine_grid)

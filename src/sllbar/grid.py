@@ -286,7 +286,9 @@ class Workspace:
     ``vals`` holds u's values for the whole step; ``lap`` holds Lap u's
     values and then, at d = 1, each G_j's values in the Ito correction;
     ``prod`` holds the pointwise product u |u|^2 and then every cross
-    product; ``mag2`` holds |u|^2.
+    product; ``mag2`` holds |u|^2. The padded-grid noise helpers
+    (``noise._diffusion_coeffs``, ``noise._correction_coeffs``) take it
+    themselves, so the u values handed to them must not be ``lap`` or ``prod``.
     """
 
     def __init__(self, grid: Grid):

@@ -187,8 +187,8 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
         "nonlocal": (params.beta5 * theta) * neg_lam * cubic,
     }
     if grid.dim == 1:
-        Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
-        corr = (_correction_coeffs(grid, vals, noise, ws)
+        Gs = [_diffusion_coeffs(grid, vals, noise, j) for j in range(noise.J)]
+        corr = (_correction_coeffs(grid, vals, noise)
                 if include_correction and noise.J > 0 else None)
     else:
         Gs, corr = _operator_parts(noise, coeffs, include_correction)

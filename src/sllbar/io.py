@@ -32,11 +32,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_columns(path, times, columns: dict[str, np.ndarray]) -> None:
-    """CSV with a ``t`` column and one column per entry, in dict order."""
-    lines = [",".join(["t", *columns])]
-    for i, t in enumerate(times):
-        lines.append(",".join([_fmt(t)] + [_fmt(col[i]) for col in columns.values()]))
+def _write_columns(path, rows, columns: dict[str, np.ndarray], index: str = "t") -> None:
+    """CSV: an ``index`` column of ``rows``, then one column per entry in order."""
+    lines = [",".join([index, *columns])]
+    for i, key in enumerate(rows):
+        lines.append(",".join([_fmt(key)] + [_fmt(col[i]) for col in columns.values()]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -65,6 +65,13 @@ def write_observables_csv(stats: EnsembleStats, path) -> None:
 
 def write_residual_csv(series: ResidualSeries, path, name: str = "residual") -> None:
     _write_columns(path, series.times, {name: series.values})
+
+
+def write_identities_csv(rows: list[tuple[float, float, float]], path) -> None:
+    """One row per random field: its number, the cross identity and the cubic
+    gradient and integration-by-parts residuals."""
+    names = ("cross_identity", "cubic_gradient_residual", "cubic_ibp_residual")
+    _write_columns(path, range(len(rows)), dict(zip(names, zip(*rows))), index="field")
 
 
 def write_report_json(report: dict, path) -> None:

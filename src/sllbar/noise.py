@@ -32,7 +32,6 @@ import numpy as np
 
 from .grid import (
     Grid,
-    Workspace,
     _transform,
     analyze,
     check_mode_index,
@@ -41,6 +40,7 @@ from .grid import (
     eigenvalue_array,
     sobolev_norm,
     synthesize,
+    workspace,
 )
 
 
@@ -177,28 +177,26 @@ def check_noise_condition(noise: NoiseModel) -> float:
 
 
 def _diffusion_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
-                      j: int, ws: Workspace | None = None) -> np.ndarray:
+                      j: int) -> np.ndarray:
     """Coefficients of ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)`` from u's values.
 
-    With a workspace ``ws`` the cross product is written into ``ws.prod``.
+    The cross product is written into this thread's ``workspace(grid).prod``.
     """
-    cross = cross3(u_vals, noise.h_phys[j], out=None if ws is None else ws.prod)
+    cross = cross3(u_vals, noise.h_phys[j], out=workspace(grid).prod)
     return noise.h_minus_lap[j] - analyze(grid, cross)
 
 
-def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
-                       ws: Workspace | None = None) -> np.ndarray:
+def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Coefficients of the Ito correction ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 
-    With a workspace ``ws`` each G_j's values are written into ``ws.lap``
-    and each cross product into ``ws.prod``.
+    Each G_j's values are written into this thread's ``workspace(grid).lap``
+    and each cross product into its ``prod``.
     """
-    G_out, cross_out = (None, None) if ws is None else (ws.lap, ws.prod)
+    ws = workspace(grid)
     acc = np.zeros((3, *grid.modes))
     for j in range(noise.J):
-        G = _diffusion_coeffs(grid, u_vals, noise, j, ws)
-        G_vals = synthesize(grid, G, out=G_out)
-        acc += analyze(grid, cross3(G_vals, noise.h_phys[j], out=cross_out))
+        G_vals = synthesize(grid, _diffusion_coeffs(grid, u_vals, noise, j), out=ws.lap)
+        acc += analyze(grid, cross3(G_vals, noise.h_phys[j], out=ws.prod))
     return -0.5 * acc
 
 

@@ -110,6 +110,26 @@ class TestSimulate:
         assert report["stop_events"][0]["stop_reason"] == "blowup_K"
 
 
+class TestSummaryLine:
+    """run_command prints one line per run: the command's summary and where
+    its outputs went; --quiet prints nothing."""
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["printed", "quiet"])
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "invariant",
+                                         "converge", "check"])
+    def test_one_line_unless_quiet(self, cfg_file, tmp_path, capsys, command, quiet):
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg_file, "--output-dir", str(out)]
+        assert run_command(argv + ["--quiet"] * quiet) == 0
+        printed = capsys.readouterr().out
+        if quiet:
+            assert printed == ""
+        else:
+            assert printed.count("\n") == 1 and printed.startswith(f"{command}: ")
+            assert printed.endswith(f", outputs in {out}\n")
+        assert (out / "report.json").exists()
+
+
 class TestExitCodes:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert run_command(["transmogrify"]) == 2

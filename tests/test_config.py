@@ -174,6 +174,17 @@ class TestRejections:
         with pytest.raises(ConfigError, match="walkers"):
             parse_config(write(tmp_path, bad))
 
+    def test_snapshot_every_is_not_a_key(self, tmp_path, capsys):
+        """No command writes snapshots, so a file cannot ask for them."""
+        path = write(tmp_path, MINIMAL.replace("t_end = 1.0",
+                                               "t_end = 1.0\nsnapshot_every = 1"))
+        with pytest.raises(ConfigError, match="^solver.snapshot_every: unknown key$"):
+            parse_config(path)
+        assert run_command(["simulate", "--config", path, "--output-dir",
+                            str(tmp_path / "out"), "--quiet"]) == 2
+        assert ("configuration error: solver.snapshot_every: unknown key"
+                in capsys.readouterr().err)
+
     def test_unknown_section(self, tmp_path):
         bad = MINIMAL + "\n[turbo]\nx = 1\n"
         with pytest.raises(ConfigError, match="turbo"):
@@ -482,14 +493,17 @@ class TestSchema:
         ("grid", Grid, {}, ()),
         ("params", ModelParams, {}, ()),
         ("truncation", TruncationConfig, {}, ()),
-        ("solver", SolverConfig, {"blowup_k": "blowup_K"}, ("truncation",)),
+        ("solver", SolverConfig, {"blowup_k": "blowup_K"},
+         ("truncation", "snapshot_every")),
         ("experiment", ExperimentConfig, {}, ("observables",)),
         ("observable.", Observable, {"index": "mode_index"}, ()),
     ], ids=["grid", "params", "truncation", "solver", "experiment", "observable"])
     def test_keys_are_dataclass_fields(self, section, cls, renamed, not_keys):
         """Up to the renames, a section's keys are its dataclass's init fields,
         less the ones the parser fills: the solver carries the truncation
-        section, and observables come from the numbered sections."""
+        section, and observables come from the numbered sections. No command
+        writes snapshots, so ``snapshot_every`` is the diagnostics' own and
+        has no key."""
         keys = {renamed.get(key, key) for key in _KEYS[section]}
         assert keys == {f.name for f in fields(cls) if f.init} - set(not_keys)
 

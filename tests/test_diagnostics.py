@@ -283,6 +283,21 @@ class TestWeakForm:
         with pytest.raises(ValueError):
             weak_form_residual(traj, self.params(), NoiseModel.empty(G8), (1,))
 
+    @pytest.mark.parametrize("phi_index,component,message", [
+        ((-1,), 0, "mode index -1 outside"),
+        ((8,), 0, "mode index 8 outside"),
+        ((1, 0), 0, "must have 1 entries"),
+        ((1,), -1, "component must be 0, 1 or 2"),
+        ((1,), 3, "component must be 0, 1 or 2"),
+    ], ids=["negative_mode", "mode_past_n", "two_axes", "component_-1",
+            "component_3"])
+    def test_rejects_bad_test_function(self, phi_index, component, message):
+        """An index that numpy would wrap or a component outside the three
+        is an error, not a pairing against another mode or component."""
+        traj, nm = self.trajectory(t_end=0.01)
+        with pytest.raises(ValueError, match=message):
+            weak_form_residual(traj, self.params(), nm, phi_index, component)
+
 
 class TestRefinementGap:
     def test_linear_resolved_coarse(self):
@@ -340,9 +355,23 @@ class TestRefinementGap:
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2,
                            blowup_K=math.sqrt(h1[0] * h1[1]))
         assert issubclass(BlowupAbort, RuntimeError)
-        with pytest.raises(BlowupAbort, match="different times"):
+        with pytest.raises(BlowupAbort, match="N=8 stopped early at t=0: blowup_K"):
             refinement_gap(top_mode, p, lambda g: NoiseModel.empty(g), cfg,
                            box, 4, 8)
+
+    def test_both_runs_stopped_at_start_abort(self):
+        """With blowup_K below the H^1 norm of u0 both runs stop at t = 0 and
+        agree trivially; that is no refinement gap."""
+        p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
+        box = Grid(1, (np.pi,), (4,))
+
+        def u0(g):
+            return eigenmode_field(g, (1,), (0.5, 0.0, 0.0))
+
+        cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2,
+                           blowup_K=0.5 * sobolev_norm(box, u0(box), 1))
+        with pytest.raises(BlowupAbort, match="N=4 stopped early at t=0: blowup_K"):
+            refinement_gap(u0, p, lambda g: NoiseModel.empty(g), cfg, box, 4, 8)
 
     def test_noise_not_representable_on_coarse(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -365,3 +394,16 @@ class TestStrongConvergenceGaps:
         with pytest.raises(BlowupAbort, match="stopped early: blowup_K"):
             strong_convergence_gaps(u0, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0),
                                     small_noise(G8), cfg, halvings=1, paths=1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"paths": 0}, "paths must be >= 1"),
+        ({"paths": -2}, "paths must be >= 1"),
+        ({"halvings": -1}, "halvings must be >= 0"),
+    ], ids=["paths_0", "paths_-2", "halvings_-1"])
+    def test_rejects_bad_counts(self, kwargs, message):
+        """No path gives a NaN mean, and a negative halving count no study."""
+        u0 = eigenmode_field(G8, (2,), (0.1, 0.0, 0.0))
+        cfg = SolverConfig(dt=0.01, t_end=0.02)
+        with pytest.raises(ValueError, match=message):
+            strong_convergence_gaps(u0, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0),
+                                    small_noise(G8), cfg, **kwargs)

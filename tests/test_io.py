@@ -17,6 +17,7 @@ from sllbar.io import (
     SnapshotFormatError,
     read_snapshot,
     write_ensemble_csv,
+    write_identities_csv,
     write_observables_csv,
     write_report_json,
     write_snapshot,
@@ -103,6 +104,19 @@ class TestEnsembleCsvs:
         _, values = read_columns(tmp_path / "o.csv")
         assert values[0, 2] == 0.0
         assert values[1, 2] > 0.0
+
+
+class TestIdentitiesCsv:
+    def test_field_numbers_and_full_precision(self, tmp_path):
+        """The field column counts from 0 and every residual keeps 17
+        significant digits, as the hand-formatted table did."""
+        rows = [(0.1, -2.5e-17, 3.0), (1 / 3, 0.0, -1e300)]
+        path = tmp_path / "identities.csv"
+        write_identities_csv(rows, path)
+        assert path.read_text() == (
+            "field,cross_identity,cubic_gradient_residual,cubic_ibp_residual\n"
+            "0,0.10000000000000001,-2.4999999999999999e-17,3\n"
+            "1,0.33333333333333331,0,-1.0000000000000001e+300\n")
 
 
 class TestReportJson:

@@ -43,6 +43,7 @@ from .ensemble import (
     EnsembleStats,
     h2_time_average,
     invariant_average,
+    invariant_windows,
     moment_estimates,
     run_ensemble,
     tightness_statistic,
@@ -146,6 +147,12 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 def _cmd_invariant(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     exp = cfg.experiment
+    try:  # before any path is stepped; n_steps * dt has the bits of stats.horizon
+        windows = invariant_windows(cfg.solver.n_steps * cfg.solver.dt, exp.burn_in,
+                                    exp.windows or None)
+    except ValueError as exc:
+        key = "windows" if exp.windows else "burn_in"
+        raise ConfigError(f"experiment.{key}: {exc}") from exc
     stats = _run_paths(cfg)
     if stats.blowup_count:
         raise BlowupAbort(
@@ -153,7 +160,6 @@ def _cmd_invariant(cfg: RunConfig, out: Path) -> tuple[dict, str]:
             "invariant averages need the full horizon"
         )
     body = {"paths": stats.M, "window_averages": {}}
-    windows = list(exp.windows) if exp.windows else None
     for psi in exp.observables:
         wrep = invariant_average(stats, psi.name, exp.burn_in, windows)
         body["window_averages"][psi.name] = {

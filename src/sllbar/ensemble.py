@@ -243,7 +243,7 @@ class GrowthReport:
     a: float
     b: float
     c: float
-    curvature_ratio: float
+    curvature_ratio: float | None  # None when the fitted b is 0
 
 
 # fewest recorded samples the quadratic growth fit accepts
@@ -265,7 +265,7 @@ def h2_time_average(stats: EnsembleStats) -> GrowthReport:
     mask = stats.times >= T / 5.0
     coeffs = np.polyfit(stats.times[mask], series[mask], deg=2)
     c, b, a = (float(x) for x in coeffs)
-    ratio = abs(c) * T / b if b != 0 else math.inf
+    ratio = abs(c) * T / b if b != 0 else None  # JSON has no infinity
     return GrowthReport(stats.times, series, a, b, c, ratio)
 
 
@@ -295,13 +295,27 @@ class WindowReport:
     window_ses: list[float]
 
 
+def invariant_windows(T: float, burn_in: float, windows=None) -> list[tuple]:
+    """The windows of :func:`invariant_average` on [0, T] (default [T/4, T/2]
+    and [T/2, T]); raises unless 2 burn_in <= T and each is in [burn_in, T]."""
+    if T < 2 * burn_in:
+        raise ValueError(f"horizon {T} must be at least twice the burn-in {burn_in}")
+    windows = [(T / 4.0, T / 2.0), (T / 2.0, T)] if windows is None else list(windows)
+    for t0, t1 in windows:
+        if t0 < burn_in:
+            raise ValueError(f"window start {t0} precedes burn-in {burn_in}")
+        if t1 > T + 1e-12:
+            raise ValueError(f"window end {t1} exceeds horizon {T}")
+    return windows
+
+
 def invariant_average(stats: EnsembleStats, observable: str | int,
                       burn_in: float,
                       windows: list[tuple[float, float]] | None = None,
                       ) -> WindowReport:
     """Windowed ergodic averages of one observable.
 
-    Returns time averages over consecutive windows after burn-in (default:
+    Returns time averages over the :func:`invariant_windows` (default:
     dyadic windows [T/4, T/2] and [T/2, T]), each with its standard error
     across paths. A sample in a window counts for its record interval (left
     endpoint). The transition estimates, the cross-path mean of psi(u(t)) at
@@ -313,20 +327,12 @@ def invariant_average(stats: EnsembleStats, observable: str | int,
         observable = list(stats.obs)[observable]
     if observable not in stats.obs:
         raise KeyError(f"observable {observable!r} not recorded")
-    T = stats.horizon
-    if T < 2 * burn_in:
-        raise ValueError("horizon must be at least twice the burn-in")
-    if windows is None:
-        windows = [(T / 4.0, T / 2.0), (T / 2.0, T)]
+    windows = invariant_windows(stats.horizon, burn_in, windows)
     left = stats.times[:-1]  # each interval's left endpoint
     series = stats.obs[observable][:, :-1]  # (M, S - 1)
 
     means, ses = [], []
     for t0, t1 in windows:
-        if t0 < burn_in:
-            raise ValueError(f"window start {t0} precedes burn-in {burn_in}")
-        if t1 > T + 1e-12:
-            raise ValueError(f"window end {t1} exceeds horizon {T}")
         mask = (left >= t0) & (left < t1)
         if mask.sum() == 0:
             raise ValueError(f"window ({t0}, {t1}) contains no samples")
@@ -334,4 +340,4 @@ def invariant_average(stats: EnsembleStats, observable: str | int,
         m, se = _scalar_mean_se((series[:, mask] * w).sum(axis=1) / w.sum())
         means.append(m)
         ses.append(se)
-    return WindowReport(observable, list(windows), means, ses)
+    return WindowReport(observable, windows, means, ses)

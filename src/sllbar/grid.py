@@ -43,16 +43,16 @@ scipy.
 
 Memory
 ------
-The time step and :func:`lp_norm` allocate no padded-grid array. Every
-transform pass but the last writes into a buffer kept per thread and keyed
-by element count, so synthesis and analysis share it; the step and the norm
-write padded-grid values, products and |u|^2 into the :class:`Workspace` of
-their padded shape and thread (:func:`workspace`). At d >= 2 the noise
-touches no padded-grid array: its operators are per-axis N x N matrices
-applied to coefficient arrays, and the noise model stores per-mode vectors.
-:func:`cross3` takes its one component-sized temporary from a per-thread
-scratch row. :func:`synthesize` and :func:`cross3` write into ``out`` when
-it is given; without it they return fresh arrays, as do :func:`analyze` and
+A time step and :func:`lp_norm` write padded-grid values, products and
+|u|^2 into the :class:`Workspace` of their padded shape and thread
+(:func:`workspace`), the one per-thread cache this module keeps. Every
+transform pass but the last writes into a fresh array that the next pass
+reads and drops, and :func:`cross3` uses the rows of ``out`` as its scratch
+and allocates one component-sized temporary. At d >= 2 the noise touches no
+padded-grid array: its operators are per-axis N x N matrices applied to
+coefficient arrays, and the noise model stores per-mode vectors.
+:func:`synthesize` and :func:`cross3` write into ``out`` when it is given;
+without it they return fresh arrays, as do :func:`analyze` and
 :func:`gradient_values` always.
 """
 
@@ -204,16 +204,14 @@ def eigenvalue_array(grid: Grid) -> np.ndarray:
     return grid._eigenvalues
 
 
-class _ThreadBuffers(threading.local):
-    """Pass buffers, cross3 scratch rows and step workspaces of one thread."""
+class _ThreadWorkspaces(threading.local):
+    """The step workspaces of one thread, keyed by padded shape."""
 
     def __init__(self):
-        self.passes: dict[tuple, np.ndarray] = {}
-        self.rows: dict[tuple, np.ndarray] = {}
         self.workspaces: dict[tuple, Workspace] = {}
 
 
-_LOCAL = _ThreadBuffers()
+_LOCAL = _ThreadWorkspaces()
 
 
 def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
@@ -221,27 +219,19 @@ def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
     """Apply ``mats[i]`` along spatial axis i of a ``(3, ...)`` array.
 
     The result is C-contiguous: ``out`` when it is given, a fresh array
-    otherwise. At d=2 and 3 every pass but the last writes into this thread's buffer
-    for its element count, shared by synthesis and analysis; a square pass also keys
-    on its index, else matmul would copy the buffer it reads.
+    otherwise. At d=2 and 3 every pass but the last writes into a fresh
+    array, which the next pass reads and drops.
     At d=1 a plain ``np.dot`` is kept: the cycling pass would round
     differently there, and ``np.dot`` gives the bits of ``@`` for less.
     """
     if arr.ndim == 2:
         return np.dot(arr, mats[0].T) if out is None else np.dot(arr, mats[0].T, out)
-    bufs = _LOCAL.passes
     last = len(mats) - 1
     for i, mat in enumerate(mats):
         n, rest = arr.shape[1], arr.shape[2:]
         lhs = arr.reshape(3, n, -1).transpose(0, 2, 1)
-        shape = (3, lhs.shape[1], mat.shape[0])
-        if i == last:
-            dest = None if out is None else out.reshape(shape)
-        else:
-            key = (3 * shape[1] * shape[2], i if mat.shape[0] == mat.shape[1] else -1)
-            if key not in bufs:
-                bufs[key] = np.empty(key[0])
-            dest = bufs[key].reshape(shape)
+        dest = None if i < last or out is None else out.reshape(
+            3, lhs.shape[1], mat.shape[0])
         arr = np.matmul(lhs, mat.T, dest).reshape(3, *rest, mat.shape[0])
     return arr if out is None else out
 
@@ -250,7 +240,8 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     """Cross product of two ``(3, ...)`` arrays of equal shape along axis 0.
 
     Written into ``out`` when it is given, which must have that shape and
-    share no memory with ``a`` or ``b``; a fresh array otherwise.
+    share no memory with ``a`` or ``b``; a fresh array otherwise. Beyond
+    ``out``, a call allocates one component-sized temporary.
     """
     if a.shape != b.shape:
         raise ValueError(f"cross3 shapes differ: {a.shape} vs {b.shape}")
@@ -265,28 +256,26 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
         if out is a or out is b or not owned and (
                 np.may_share_memory(out, a) or np.may_share_memory(out, b)):
             raise ValueError("cross3 out shares memory with an input")
-    # indexing beats unpacking; the scratch row is this thread's own
+    # indexing beats unpacking; out[0], which a and b cannot share, is the
+    # scratch of rows 2 and 1
     a0, a1, a2, b0, b1, b2 = a[0], a[1], a[2], b[0], b[1], b[2]
     o0, o1, o2 = out[0], out[1], out[2]
-    tmp = _LOCAL.rows.get(a.shape[1:])
-    if tmp is None:
-        tmp = _LOCAL.rows[a.shape[1:]] = np.empty(a.shape[1:])
-    np.multiply(a1, b2, o0)
-    o0 -= np.multiply(a2, b1, tmp)
-    np.multiply(a2, b0, o1)
-    o1 -= np.multiply(a0, b2, tmp)
     np.multiply(a0, b1, o2)
-    o2 -= np.multiply(a1, b0, tmp)
+    o2 -= np.multiply(a1, b0, o0)
+    np.multiply(a2, b0, o1)
+    o1 -= np.multiply(a0, b2, o0)
+    np.multiply(a1, b2, o0)
+    o0 -= np.multiply(a2, b1)
     return out
 
 
 class Workspace:
     """Padded-grid arrays a time step or :func:`lp_norm` writes, reused by the next.
 
-    ``vals`` holds u's values for the whole step; ``lap`` holds Lap u's
-    values and then, at d = 1, each G_j's values in the Ito correction;
-    ``prod`` holds the pointwise product u |u|^2 and then every cross
-    product; ``mag2`` holds |u|^2. The padded-grid noise helpers
+    ``vals`` holds u's values for the whole step; ``lap[0]`` holds |u|^2
+    until ``lap`` takes Lap u's values and then, at d = 1, each G_j's values
+    in the Ito correction; ``prod`` holds u.u, the pointwise product u |u|^2
+    and then every cross product. The padded-grid noise helpers
     (``noise._diffusion_coeffs``, ``noise._correction_coeffs``) take it
     themselves, so the u values handed to them must not be ``lap`` or ``prod``.
     """
@@ -295,7 +284,6 @@ class Workspace:
         self.vals = np.empty(grid.values_shape)
         self.lap = np.empty(grid.values_shape)
         self.prod = np.empty(grid.values_shape)
-        self.mag2 = np.empty(grid.padded)
 
 
 def workspace(grid: Grid) -> Workspace:
@@ -404,7 +392,7 @@ def lp_norm(grid: Grid, coeffs: np.ndarray, p) -> float:
         raise ValueError(f"unsupported p {p!r}")
     ws = workspace(grid)
     vals = synthesize(grid, coeffs, out=ws.vals)
-    mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0, out=ws.mag2)
+    mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0, out=ws.lap[0])
     w = quad_weight(grid)
     if p == 2:
         return math.sqrt(float(mag2.sum()) * w)

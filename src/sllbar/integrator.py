@@ -12,10 +12,10 @@ Two schemes are provided:
 
 Both steps act on raw coefficient arrays ``(3, *modes)``:
 ``step(coeffs, grid, params, noise, trunc, dW, dt) -> coeffs`` with ``dW``
-the array of J Wiener increments. The nonlinear drift terms and the
-diffusion fields G_j are assembled in one place, :func:`_explicit_parts`,
-which both schemes call; :func:`sllbar.model.drift_terms` is a term-by-term
-view of the same arrays. It takes G_j and the Ito correction from the
+the array of J Wiener increments. The nonlinear drift terms and the one
+noise increment sum_j G_j(u) dW_j are assembled in :func:`_explicit_parts`,
+which each stage calls once; :func:`sllbar.model.drift_terms` is a view of
+the same drift arrays. The increment and the Ito correction come from the
 coefficient-space operators of :mod:`sllbar.noise` at d >= 2, and from the
 padded-grid route at d = 1, whose per-step counts the benchmark pins.
 
@@ -159,24 +159,24 @@ def _divisor_array(grid: Grid, dt: float, params: ModelParams) -> np.ndarray:
 
 def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
                     noise: NoiseModel, trunc: TruncationConfig,
-                    include_correction: bool):
-    """Explicitly treated drift terms and the diffusion fields, sharing transforms.
+                    include_correction: bool, dW: np.ndarray | None = None):
+    """Explicitly treated drift terms and the noise increment, sharing transforms.
 
-    This is the only assembly of the nonlinear drift. Returns
-    ``(terms, [G_j coeffs])`` where ``terms`` maps, in summation order,
-    ``penalty`` (b3 Pi((1 - |u|^2) u), as b3 (u - Pi(|u|^2 u))),
-    ``precession`` (-b4 Pi(u x Lap u)), ``nonlocal``
-    (b5 theta_R(|grad u|) Lap Pi(|u|^2 u)) and, when ``include_correction``
-    is set and J > 0, ``ito_correction`` to coefficient arrays. The linear
-    part is not included. Padded-grid values and products go into this
-    thread's :func:`~sllbar.grid.workspace` for the grid; every returned
-    array is freshly allocated.
+    This is the only assembly of the nonlinear drift. Returns ``(terms,
+    increment)``: ``terms`` maps, in summation order, ``penalty`` (b3 Pi((1 -
+    |u|^2) u), as b3 (u - Pi(|u|^2 u))), ``precession`` (-b4 Pi(u x Lap u)),
+    ``nonlocal`` (b5 theta_R(|grad u|) Lap Pi(|u|^2 u)) and, when
+    ``include_correction`` is set and J > 0, ``ito_correction`` to coefficient
+    arrays; ``increment`` is ``sum_j G_j(u) dW_j``, None without ``dW`` or if
+    J = 0. The linear part is not included. Padded-grid values, products and
+    |u|^2 (in ``lap[0]``) go into this thread's :func:`~sllbar.grid.workspace`;
+    every returned array is freshly allocated.
     """
     neg_lam = grid._neg_eigenvalues
     ws = workspace(grid)
     vals = synthesize(grid, coeffs, out=ws.vals)
     mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0,
-                         out=ws.mag2)  # .sum(axis=0) without its Python wrapper
+                         out=ws.lap[0])  # .sum(axis=0) without its Python wrapper
     cubic = analyze(grid, np.multiply(vals, mag2, out=ws.prod))
     lap_vals = synthesize(grid, neg_lam * coeffs, out=ws.lap)
     theta = truncation_scale(grid, coeffs, trunc)
@@ -187,14 +187,15 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
         "nonlocal": (params.beta5 * theta) * neg_lam * cubic,
     }
     if grid.dim == 1:
-        Gs = [_diffusion_coeffs(grid, vals, noise, j) for j in range(noise.J)]
+        inc = None if dW is None or not noise.J else reduce(np.add, (
+            _diffusion_coeffs(grid, vals, noise, j) * dW[j] for j in range(noise.J)))
         corr = (_correction_coeffs(grid, vals, noise)
                 if include_correction and noise.J > 0 else None)
     else:
-        Gs, corr = _operator_parts(noise, coeffs, include_correction)
+        inc, corr = _operator_parts(noise, coeffs, dW, include_correction)
     if corr is not None:
         terms["ito_correction"] = corr
-    return terms, Gs
+    return terms, inc
 
 
 def imex_em_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
@@ -202,11 +203,11 @@ def imex_em_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
                  dt: float) -> np.ndarray:
     """One semi-implicit Euler-Maruyama step on the Ito form."""
     div = _divisor_array(grid, dt, params)
-    terms, Gs = _explicit_parts(coeffs, grid, params, noise, trunc,
-                                include_correction=True)
+    terms, inc = _explicit_parts(coeffs, grid, params, noise, trunc,
+                                 include_correction=True, dW=dW)
     acc = coeffs + dt * reduce(np.add, terms.values())
-    for j, G in enumerate(Gs):
-        acc += G * dW[j]
+    if inc is not None:
+        acc += inc
     acc /= div
     return acc
 
@@ -217,18 +218,18 @@ def heun_strat_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     """One explicit Stratonovich Heun step (predictor-corrector)."""
     lam = eigenvalue_array(grid)
     linear = -params.beta1 * lam - params.beta2 * lam * lam
-    terms0, G0 = _explicit_parts(coeffs, grid, params, noise, trunc,
-                                 include_correction=False)
+    terms0, inc0 = _explicit_parts(coeffs, grid, params, noise, trunc,
+                                   include_correction=False, dW=dW)
     a0 = reduce(np.add, terms0.values()) + linear * coeffs
     pred = coeffs + dt * a0
-    for j, G in enumerate(G0):
-        pred = pred + G * dW[j]
-    terms1, G1 = _explicit_parts(pred, grid, params, noise, trunc,
-                                 include_correction=False)
+    if inc0 is not None:
+        pred += inc0
+    terms1, inc1 = _explicit_parts(pred, grid, params, noise, trunc,
+                                   include_correction=False, dW=dW)
     a1 = reduce(np.add, terms1.values()) + linear * pred
     out = coeffs + 0.5 * dt * (a0 + a1)
-    for j in range(noise.J):
-        out = out + 0.5 * (G0[j] + G1[j]) * dW[j]
+    if inc0 is not None:
+        out += 0.5 * (inc0 + inc1)
     return out
 
 

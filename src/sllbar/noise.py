@@ -10,9 +10,10 @@ and the Stratonovich integral is simulated in Ito form with the correction
 drift ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 
 Every family is built from Neumann eigenmodes, ``h_j = sigma_j e_k(x) v_j``,
-stored per mode. At d >= 2 the step applies G_j and the correction in
-coefficient space (:func:`_operator_parts`), with no padded grid or dense h_j.
-At d = 1 it keeps the padded-grid route (:func:`_diffusion_coeffs`,
+stored per mode. A step takes one increment ``sum_j G_j(u) dW_j`` and the
+correction; at d >= 2 both are formed in coefficient space, with no padded
+grid, dense h_j or per-mode G_j (:func:`_operator_parts`). At d = 1 the
+step keeps the padded-grid route (:func:`_diffusion_coeffs`,
 :func:`_correction_coeffs`) until the benchmark re-pins the per-step counts
 ``bench/tests/test_counts.py`` holds for it; that route also stays the
 weak-form residual's own pairing. The family must satisfy the
@@ -53,8 +54,9 @@ class NoiseModel:
     """Immutable eigenmode family ``h_j = e_{k_j}(x) a_j``, stored per mode as
     read-only ``(J, d)`` int ``index`` (k_j), ``(J, 3)`` ``amplitude`` (a_j =
     sigma_j v_j) and ``h_minus_lap_k`` (h_j - Lap h_j at k_j), with C_h. Dense
-    ``h`` and ``lap_h`` are built on each read; ``h_minus_lap``, ``h_phys``
-    and the d >= 2 :attr:`_groups` on first use."""
+    ``h`` and ``lap_h`` are built on each read; the dense ``h_minus_lap`` and
+    ``h_phys`` of the d = 1 route and the d >= 2 :attr:`_groups` on first use
+    and kept (a sparse write per step would cost the d = 1 route more)."""
 
     grid: Grid
     index: np.ndarray
@@ -104,11 +106,11 @@ class NoiseModel:
 
     @cached_property
     def _groups(self) -> list[tuple]:
-        """Read-only ``(at, mats, [(j, K_j), ...], Q_k)`` per distinct k, in
-        order of first appearance; ``at`` indexes k. ``mats`` are the per-axis
-        ``P_{k_i} = A diag(phi_{k_i}(x)) S``, whose tensor product M_k is Pi of
-        the product with e_k; ``K_j w = a_j x w`` and ``Q_k = sum_{j: k_j = k}
-        K_j K_j = sum (a_j a_j^T - |a_j|^2 I)`` act on the component axis."""
+        """Read-only ``(at, mats, js, K, Q_k)`` per distinct k, in order of
+        first appearance; ``at`` indexes k, ``js`` the modes with k_j = k.
+        ``mats`` are the per-axis ``P_{k_i} = A diag(phi_{k_i}(x)) S``, whose
+        tensor product M_k is Pi of the product with e_k; ``K[i] w = a_j x w``
+        (j = js[i]) and ``Q_k = sum_i K[i] K[i]`` act on the component axis."""
         analysis, synthesis, _ = self.grid._axis_matrices
         members: dict[tuple[int, ...], list[int]] = {}
         for j, k in enumerate(map(tuple, self.index.tolist())):
@@ -117,11 +119,12 @@ class NoiseModel:
         for k, js in members.items():
             mats = tuple(analysis[ax] @ (synthesis[ax][:, [ki]] * synthesis[ax])
                          for ax, ki in enumerate(k))
-            skews = [np.cross(a, np.eye(3)).T for a in self.amplitude[js]]
-            Q = sum(K @ K for K in skews)
-            for arr in (*mats, *skews, Q):
+            js = np.array(js)
+            K = np.stack([np.cross(a, np.eye(3)).T for a in self.amplitude[js]])
+            Q = sum(Kj @ Kj for Kj in K)
+            for arr in (*mats, js, K, Q):
                 arr.setflags(write=False)
-            groups.append(((slice(None), *k), mats, list(zip(js, skews)), Q))
+            groups.append(((slice(None), *k), mats, js, K, Q))
         return groups
 
 
@@ -200,26 +203,27 @@ def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel) -> np.
     return -0.5 * acc
 
 
-def _operator_parts(noise: NoiseModel, coeffs: np.ndarray,
+def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None,
                     include_correction: bool):
-    """``([G_j coeffs], Ito correction)`` at d >= 2 from :attr:`NoiseModel._groups`.
+    """``(increment, Ito correction)`` at d >= 2 from :attr:`NoiseModel._groups`.
 
-    ``Pi(u x h_j) = (M_k u) x a_j``, so ``G_j(u) = (h_j - Lap h_j) + a_j x
-    M_k u``, with h_j - Lap h_j written at k_j; the correction is ``1/2 sum_k
-    Q_k M_k^2 u``; its constant part ``(M_k (h_j - Lap h_j)) x a_j`` is exactly
-    zero. The correction is None unless ``include_correction`` is set and J > 0.
+    ``G_j(u) = (h_j - Lap h_j) + K_j M_k u``, so per distinct k the increment
+    ``sum_j G_j(u) dW_j`` adds ``sum dW_j (h_j - Lap h_j)`` at k and ``B_k M_k
+    u``, ``B_k = sum dW_j K_j``, over the modes with k_j = k. The correction
+    is ``1/2 sum_k Q_k M_k^2 u``; its constant part ``(M_k (h_j - Lap h_j)) x
+    a_j`` is exactly zero. The increment is None without ``dW`` and the
+    correction unless ``include_correction`` is set; both are None if J = 0.
     """
-    Gs: list[np.ndarray] = [None] * noise.J
-    acc = np.zeros((3, coeffs[0].size)) if include_correction and noise.J else None
-    for at, mats, skews, Q in noise._groups:
+    inc = None if dW is None or not noise.J else np.zeros(coeffs.shape)
+    acc = np.zeros(coeffs.shape) if include_correction and noise.J else None
+    for at, mats, js, K, Q in noise._groups:
         Mu = _transform(coeffs, mats)
-        for j, skew in skews:
-            G = Gs[j] = np.zeros(coeffs.shape)
-            G[at] = noise.h_minus_lap_k[j]
-            G += (skew @ Mu.reshape(3, -1)).reshape(Mu.shape)
+        if inc is not None:
+            inc[at] += dW[js] @ noise.h_minus_lap_k[js]
+            inc += (np.tensordot(dW[js], K, 1) @ Mu.reshape(3, -1)).reshape(Mu.shape)
         if acc is not None:
-            acc += Q @ _transform(Mu, mats).reshape(3, -1)
-    return Gs, None if acc is None else 0.5 * acc.reshape(coeffs.shape)
+            acc += (Q @ _transform(Mu, mats).reshape(3, -1)).reshape(Mu.shape)
+    return inc, None if acc is None else 0.5 * acc
 
 
 @dataclass(frozen=True)

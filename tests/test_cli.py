@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import sllbar.cli
 from sllbar.cli import run_command
 from sllbar.grid import Grid, eigenmode_field
 from sllbar.io import write_snapshot
@@ -238,6 +239,28 @@ class TestCheck:
 
 
 class TestEnsemble:
+    def test_flat_growth_fit_writes_strict_json(self, tmp_path):
+        # noise off from u = 0: H2 stays 0, the fitted b is 0 and the
+        # curvature ratio has no finite value
+        noise = BASE[BASE.index("[noise]"):BASE.index("[initial]")]
+        text = (BASE.replace(noise, "[noise]\nfamily = none\n\n")
+                .replace("vector = 0.2, 0, 0", "vector = 0, 0, 0")
+                .replace("t_end = 0.5", "t_end = 0.3")
+                .replace("record_every = 5", "record_every = 1")
+                .replace("ensemble_m = 3", "ensemble_m = 2"))
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run_command(["ensemble", "--config", str(cfg),
+                            "--output-dir", str(out), "--quiet"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["h2_growth"]["b"] == 0.0
+        assert report["h2_growth"]["curvature_ratio"] is None
+
     def test_report_contents(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         assert run_command(["ensemble", "--config", cfg_file,
@@ -285,6 +308,32 @@ class TestInvariant:
         assert len(report["window_averages"][name]["means"]) == 2
         t = report["tightness"]["H1"]
         assert t["R=0.5"] >= t["R=1"] >= t["R=2"]
+
+    @pytest.mark.parametrize("edit,key", [
+        (("t_end = 0.5", "t_end = 0.2"), "burn_in"),  # default start 0.05 < 0.1
+        (("burn_in = 0.1", "burn_in = 0.1\nwindows = 0.1:0.3, 0.3:0.6"), "windows"),
+    ], ids=["default_before_burn_in", "explicit_past_t_end"])
+    def test_bad_windows_exit_2_before_any_path(self, tmp_path, capsys, monkeypatch,
+                                                edit, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace(*edit))
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(sllbar.cli, "run_ensemble", no_paths)
+        out = tmp_path / "out"
+        assert run_command(["invariant", "--config", str(cfg),
+                            "--output-dir", str(out), "--quiet"]) == 2
+        assert f"configuration error: experiment.{key}:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_simulate_and_ensemble_ignore_the_windows(self, tmp_path):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(BASE.replace("t_end = 0.5", "t_end = 0.2"))
+        for command in ("simulate", "ensemble"):
+            assert run_command([command, "--config", str(cfg), "--output-dir",
+                                str(tmp_path / command), "--quiet"]) == 0
 
 
 class TestConverge:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sllbar import grid as grid_mod
 from sllbar.grid import cross3
 
 
@@ -98,14 +97,13 @@ def test_overlapping_out_still_raises(shape, overlap, seed):
 
 
 def test_threads_on_different_shapes_keep_their_scratch_rows_apart():
+    # each call's scratch is its own out, so two threads never share one
     shapes = [(32,), (6, 5, 4)]
     rng = np.random.default_rng(1)
     cases = [(rng.standard_normal((3, *s)), rng.standard_normal((3, *s)))
              for s in shapes]
     expected = [cross3_oracle(a, b).tobytes() for a, b in cases]
     results = [[], []]
-    rows = [None, None]
-    aliased = [False, False]
     barrier = threading.Barrier(2)
 
     def run(i):
@@ -115,9 +113,6 @@ def test_threads_on_different_shapes_keep_their_scratch_rows_apart():
             out = np.empty(a.shape)
             cross3(a, b, out=out)
             results[i].append(out.tobytes())
-            aliased[i] |= any(np.may_share_memory(row, out)
-                              for row in grid_mod._LOCAL.rows.values())
-        rows[i] = list(grid_mod._LOCAL.rows.values())
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for t in threads:
@@ -126,8 +121,3 @@ def test_threads_on_different_shapes_keep_their_scratch_rows_apart():
         t.join()
     for got, ref in zip(results, expected):
         assert len(got) == 300 and set(got) == {ref}
-    assert aliased == [False, False]
-    # each thread took its scratch row from its own set
-    assert not any(x is y for x in rows[0] for y in rows[1])
-    assert [r.shape for r in rows[0]] == [(32,)]
-    assert [r.shape for r in rows[1]] == [(6, 5, 4)]

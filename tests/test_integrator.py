@@ -14,12 +14,14 @@ from sllbar.grid import (
     Grid,
     constant_field,
     eigenmode_field,
+    eigenvalue_array,
     random_field,
     sobolev_norm,
     synthesize,
 )
 from sllbar.integrator import (
     ConfigurationError,
+    _explicit_parts,
     SolverConfig,
     heun_strat_step,
     imex_em_step,
@@ -31,6 +33,7 @@ from sllbar.noise import (
     NoiseModel,
     build_noise_modes,
     coupled_increments,
+    _diffusion_coeffs,
     sample_increments,
 )
 
@@ -183,6 +186,47 @@ class TestHeunStep:
                               inc.values, 0.05)
         expected = c * inc.values[0]
         assert np.abs(nxt - expected).max() < 1e-14
+
+
+def heun_reference(u, grid, params, noise, trunc, dW, dt):
+    """The Heun step as a loop over modes, each G_j from ``_diffusion_coeffs``."""
+    lam = eigenvalue_array(grid)
+    linear = -params.beta1 * lam - params.beta2 * lam * lam
+
+    def drift_and_diffusion(v):
+        terms, _ = _explicit_parts(v, grid, params, noise, trunc, False)
+        vals = synthesize(grid, v)
+        return (sum(terms.values()) + linear * v,
+                [_diffusion_coeffs(grid, vals, noise, j) for j in range(noise.J)])
+
+    a0, G0 = drift_and_diffusion(u)
+    pred = u + dt * a0
+    for j, G in enumerate(G0):
+        pred = pred + G * dW[j]
+    a1, G1 = drift_and_diffusion(pred)
+    out = u + 0.5 * dt * (a0 + a1)
+    for j in range(noise.J):
+        out = out + 0.5 * (G0[j] + G1[j]) * dW[j]
+    return out
+
+
+@pytest.mark.parametrize("grid", [Grid(1, (np.pi,), (8,)),
+                                  Grid(2, (np.pi, 2.0), (6, 5))], ids=["d1", "d2"])
+def test_heun_step_matches_per_mode_reference(grid):
+    """One increment per stage gives the per-mode G_j sums to rounding."""
+    ones = (1,) * (grid.dim - 1)
+    noise = build_noise_modes({"family": "eigenmode", "modes": [
+        {"sigma": 0.3, "index": (1,) + ones, "direction": (1.0, 0.0, 0.5)},
+        {"sigma": 0.2, "index": (2,) + ones, "direction": (0.0, 1.0, 1.0)},
+        {"sigma": 0.4, "index": (1,) + ones, "direction": (-1.0, 2.0, 0.0)},
+    ]}, grid)
+    u = random_field(grid, RNG, amplitude=0.3)
+    dW = RNG.standard_normal(noise.J) * math.sqrt(1e-5)
+    params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
+    trunc = TruncationConfig.on(0.5)
+    got = heun_strat_step(u, grid, params, noise, trunc, dW, 1e-5)
+    ref = heun_reference(u, grid, params, noise, trunc, dW, 1e-5)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestRunTrajectory:

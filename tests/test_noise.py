@@ -375,26 +375,31 @@ def noise_cases(draw):
     {"sigma": 1.1, "index": (1, 0, 2), "direction": (1, -1, 0)}]), 0)
 @example((Grid(2, (1.0, 2.0), (3, 4), 3), []), 1)
 def test_operator_route_matches_transform_route(case, seed):
-    """The d >= 2 coefficient operators give each G_j and the Ito correction
-    of the padded-grid route to 1e-12 relative to the largest entry. Most of
-    the gap is the transform route's rounding of the constant part
-    Pi((h_j - Lap h_j) x h_j), which is exactly zero and which the operator
-    route leaves out."""
+    """The d >= 2 coefficient operators give the increment sum_j G_j(u) dW_j
+    and the Ito correction of the padded-grid route to 1e-12 relative to the
+    largest entry. A one-hot dW isolates each G_j; a random dW is held to
+    the largest entry of sum_j |G_j dW_j|. Most of the correction's gap is
+    the transform route's rounding of the constant part Pi((h_j - Lap h_j) x
+    h_j), which is exactly zero and which the operator route leaves out."""
     grid, family = case
     noise = build_noise_modes(eigenmode_spec(*family), grid)
-    u = random_field(grid, np.random.default_rng(seed))
+    assert noise.J == len(family)
+    rng = np.random.default_rng(seed)
+    u = random_field(grid, rng)
     vals = synthesize(grid, u)
-    Gs, corr = _operator_parts(noise, u, include_correction=True)
-    assert len(Gs) == noise.J == len(family)
-    for j, G in enumerate(Gs):
-        ref = _diffusion_coeffs(grid, vals, noise, j)
-        assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
-    if noise.J == 0:
-        assert corr is None
-    else:
+    Gs = [_diffusion_coeffs(grid, vals, noise, j) for j in range(noise.J)]
+    for dW in [rng.standard_normal(noise.J), *np.eye(noise.J)]:
+        inc, corr = _operator_parts(noise, u, dW, include_correction=True)
+        if noise.J == 0:
+            assert inc is None and corr is None
+            continue
+        ref = sum(G * w for G, w in zip(Gs, dW))
+        scale = sum(np.abs(G * w) for G, w in zip(Gs, dW)).max()
+        assert np.abs(inc - ref).max() <= 1e-12 * scale
         ref = _correction_coeffs(grid, vals, noise)
         assert np.abs(corr - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert _operator_parts(noise, u, include_correction=False)[1] is None
+    assert _operator_parts(noise, u, np.ones(noise.J), include_correction=False)[1] is None
+    assert _operator_parts(noise, u, None, include_correction=True)[0] is None
 
 
 def fresh_increments(seed, path, step, J, dt):

@@ -380,7 +380,7 @@ class TestNorms:
         # p is checked before u is synthesized into this thread's workspace
         grid = Grid(1, (1.0,), (4,))
         ws = workspace(grid)
-        arrays = (ws.vals, ws.lap, ws.prod, ws.mag2)
+        arrays = (ws.vals, ws.lap, ws.prod)
         for arr in arrays:
             arr.fill(7.0)
         with pytest.raises(ValueError):

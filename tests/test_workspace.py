@@ -75,37 +75,41 @@ def test_warm_step_allocates_less_than_one_padded_field():
         assert peak < field_bytes, grid.dim
 
 
-def test_square_passes_copy_no_buffer():
-    # at pad_factor 1 every pass keeps its input's size, as the noise
-    # operators' passes do at any pad factor; a pass that wrote the buffer it
-    # reads would make matmul copy its input
-    grid = Grid(3, (np.pi, 1.0, 2.5), (8, 8, 8), pad_factor=1)
-    coeffs = state(grid, 2)
-    out = np.empty((3, *grid.padded))
-    synthesize(grid, coeffs, out=out)  # warm the pass buffers
-    tracemalloc.start()
-    try:
-        synthesize(grid, coeffs, out=out)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < out.nbytes
-
-
 @pytest.mark.parametrize("include_correction", [True, False])
 def test_returned_arrays_survive_the_next_call(include_correction):
     grid = Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))
     noise = two_mode_noise(grid)
-    terms, Gs = _explicit_parts(state(grid, 1), grid, PARAMS, noise, TRUNC,
-                                include_correction)
-    kept = ({k: v.copy() for k, v in terms.items()}, [G.copy() for G in Gs])
+    dW = np.array([0.03, -0.02])
+    terms, inc = _explicit_parts(state(grid, 1), grid, PARAMS, noise, TRUNC,
+                                 include_correction, dW)
+    kept = ({k: v.copy() for k, v in terms.items()}, inc.copy())
     _explicit_parts(state(grid, 2), grid, PARAMS, noise, TRUNC,
-                    include_correction)
+                    include_correction, dW)
     assert terms.keys() == kept[0].keys()
     for name, arr in terms.items():
         assert np.array_equal(arr, kept[0][name]), name
-    for G, G_kept in zip(Gs, kept[1]):
-        assert np.array_equal(G, G_kept)
+    assert np.array_equal(inc, kept[1])
+
+
+def test_warm_step_peak_does_not_grow_with_the_mode_count():
+    # one increment replaces the J per-mode G_j arrays: J = 1 and J = 8 differ
+    # by less than one coefficient array in a warm d = 3 IMEX step
+    grid = Grid(3, (np.pi, 1.0, 2.5), (8, 8, 8), pad_factor=2)
+    coeffs = state(grid, 13)
+    peaks = []
+    for J in (1, 8):
+        noise = build_noise_modes({"family": "eigenmode", "modes": [
+            {"sigma": 0.1, "index": (j % 3, j // 3, 1), "direction": (1.0, j, 0.5)}
+            for j in range(J)]}, grid)
+        steps(coeffs, grid, noise, imex_em_step, 1)  # warm the caches
+        tracemalloc.start()
+        try:
+            steps(coeffs, grid, noise, imex_em_step, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < coeffs.nbytes, peaks
 
 
 @pytest.mark.parametrize("grid", [Grid(1, (np.pi,), (9,)),
@@ -180,7 +184,6 @@ def test_workspace_is_per_thread_and_per_grid():
     assert workspace(Grid(2, (np.pi, 2.0), (8, 6))) is ws
     assert workspace(grid.with_modes((8, 5))) is not ws
     assert ws.vals.shape == ws.lap.shape == ws.prod.shape == (3, 16, 12)
-    assert ws.mag2.shape == (16, 12)
     other = []
     t = threading.Thread(target=lambda: other.append(workspace(grid)))
     t.start()

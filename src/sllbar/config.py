@@ -21,6 +21,7 @@ import numpy as np
 from .ensemble import Observable
 from .grid import Grid, check_mode_index, constant_field, eigenmode_field, embed
 from .integrator import SolverConfig
+from .io import jsonable
 from .model import ModelParams, TruncationConfig
 from .noise import NoiseModel, build_noise_modes
 
@@ -89,16 +90,13 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Every field of the resolved config but the two built objects, whose
-        specs take their keys, one section per config section, with three
-        deliberate exceptions noted below."""
-        echo = _jsonable(asdict(replace(self, noise=None, initial=None)))
+        specs take their keys, one section per config section, with two
+        deliberate exceptions noted below; an infinite blowup_K is null."""
+        echo = jsonable(asdict(replace(self, noise=None, initial=None)))
         echo["noise"] = echo.pop("noise_spec")
         echo["initial"] = echo.pop("initial_spec")
         solver, experiment = echo["solver"], echo["experiment"]
         echo["truncation"] = solver.pop("truncation")
-        # JSON has no infinity: no blow-up threshold is echoed as null
-        if math.isinf(self.solver.blowup_K):
-            solver["blowup_K"] = None
         # workers is an execution detail: any level gives identical
         # outputs, so it is deliberately not part of the echo
         del experiment["workers"]
@@ -106,20 +104,6 @@ class RunConfig:
         for obs in experiment["observables"]:
             obs["index"] = obs.pop("mode_index")
         return echo
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
 
 
 def build_initial(spec: dict, grid: Grid) -> np.ndarray:

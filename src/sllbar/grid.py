@@ -49,11 +49,11 @@ A time step and :func:`lp_norm` write padded-grid values, products and
 transform pass but the last writes into a fresh array that the next pass
 reads and drops, and :func:`cross3` uses the rows of ``out`` as its scratch
 and allocates one component-sized temporary. At d >= 2 the noise touches no
-padded-grid array: its operators are per-axis N x N matrices applied to
-coefficient arrays, and the noise model stores per-mode vectors.
-:func:`synthesize` and :func:`cross3` write into ``out`` when it is given;
-without it they return fresh arrays, as do :func:`analyze` and
-:func:`gradient_values` always.
+padded-grid array: it applies N x N matrices to coefficient arrays only along
+the axes a mode excites (a zero axis is a scalar), its correction P_k^2 to u
+directly, and the noise model stores per-mode vectors. :func:`synthesize` and
+:func:`cross3` write into ``out`` when given; without it they return fresh
+arrays, as do :func:`analyze` and :func:`gradient_values` always.
 """
 
 from __future__ import annotations

@@ -74,8 +74,20 @@ def write_identities_csv(rows: list[tuple[float, float, float]], path) -> None:
     _write_columns(path, range(len(rows)), dict(zip(names, zip(*rows))), index="field")
 
 
+def jsonable(value):
+    """``value`` in the types strict JSON holds; a nonfinite float is None."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_report_json(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def report_skeleton(config_echo: dict) -> dict:

@@ -12,12 +12,12 @@ drift ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 Every family is built from Neumann eigenmodes, ``h_j = sigma_j e_k(x) v_j``,
 stored per mode. A step takes one increment ``sum_j G_j(u) dW_j`` and the
 correction; at d >= 2 both are formed in coefficient space, with no padded
-grid, dense h_j or per-mode G_j (:func:`_operator_parts`). At d = 1 the
-step keeps the padded-grid route (:func:`_diffusion_coeffs`,
-:func:`_correction_coeffs`) until the benchmark re-pins the per-step counts
-``bench/tests/test_counts.py`` holds for it; that route also stays the
-weak-form residual's own pairing. The family must satisfy the
-square-summability condition ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the
+grid, dense h_j or per-mode G_j, a zero entry of k_j being a scalar
+(:func:`_operator_parts`). At d = 1 the step keeps the padded-grid route
+(:func:`_diffusion_coeffs`, :func:`_correction_coeffs`) until the benchmark
+re-pins the per-step counts ``bench/tests/test_counts.py`` holds for it; that
+route also stays the weak-form residual's own pairing. The family must satisfy
+the square-summability condition ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the
 finite truncation reports its C_h so configured tail bounds can be checked.
 """
 
@@ -106,25 +106,29 @@ class NoiseModel:
 
     @cached_property
     def _groups(self) -> list[tuple]:
-        """Read-only ``(at, mats, js, K, Q_k)`` per distinct k, in order of
+        """Read-only ``(at, c, axes, js, cK, cQ)`` per distinct k, in order of
         first appearance; ``at`` indexes k, ``js`` the modes with k_j = k.
-        ``mats`` are the per-axis ``P_{k_i} = A diag(phi_{k_i}(x)) S``, whose
-        tensor product M_k is Pi of the product with e_k; ``K[i] w = a_j x w``
-        (j = js[i]) and ``Q_k = sum_i K[i] K[i]`` act on the component axis."""
+        M_k, Pi of the product with e_k, is the tensor product of the per-axis
+        ``P_{k_i} = A diag(phi_{k_i}(x)) S``. P_0 is L_i^{-1/2} I, so M_k is
+        ``c = prod_{k_i = 0} L_i^{-1/2}`` times the P of ``axes``: one ``(axis,
+        P^T, (P^2)^T)`` per k_i != 0, transposed so no pass is an ``X @ P.T``
+        GEMM, whose BLAS code (64 KB) no other pass of a step maps. ``cK[i] w =
+        c a_j x w`` (j = js[i]) and ``cQ = c^2 Q_k`` act on the component axis."""
         analysis, synthesis, _ = self.grid._axis_matrices
         members: dict[tuple[int, ...], list[int]] = {}
         for j, k in enumerate(map(tuple, self.index.tolist())):
             members.setdefault(k, []).append(j)
         groups = []
         for k, js in members.items():
-            mats = tuple(analysis[ax] @ (synthesis[ax][:, [ki]] * synthesis[ax])
-                         for ax, ki in enumerate(k))
+            c = math.prod(L ** -0.5 for L, ki in zip(self.grid.lengths, k) if not ki)
+            axes = tuple((ax, Pt, Pt @ Pt) for ax, ki in enumerate(k) if ki for Pt in
+                         [(synthesis[ax].T * synthesis[ax][:, ki]) @ analysis[ax].T])
             js = np.array(js)
-            K = np.stack([np.cross(a, np.eye(3)).T for a in self.amplitude[js]])
-            Q = sum(Kj @ Kj for Kj in K)
-            for arr in (*mats, js, K, Q):
+            cK = c * np.stack([np.cross(a, np.eye(3)).T for a in self.amplitude[js]])
+            cQ = sum(Kj @ Kj for Kj in cK)
+            for arr in (*(m for _, *pair in axes for m in pair), js, cK, cQ):
                 arr.setflags(write=False)
-            groups.append(((slice(None), *k), mats, js, K, Q))
+            groups.append(((slice(None), *k), c, axes, js, cK, cQ))
         return groups
 
 
@@ -203,6 +207,16 @@ def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel) -> np.
     return -0.5 * acc
 
 
+def _tensor_apply(B: np.ndarray, arr: np.ndarray, mats) -> np.ndarray:
+    """3 x 3 ``B`` on the components of ``arr`` and, for each ``(axis, mat_t)``,
+    the matrix ``mat_t.T`` along spatial ``axis``, each in one matmul."""
+    for ax, mat_t in mats:
+        rest = math.prod(arr.shape[ax + 2:])
+        arr = (np.matmul(arr.reshape(-1, len(mat_t)), mat_t) if rest == 1 else
+               np.matmul(mat_t.T, arr.reshape(-1, len(mat_t), rest))).reshape(arr.shape)
+    return (B @ arr.reshape(3, -1)).reshape(arr.shape)
+
+
 def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None,
                     include_correction: bool):
     """``(increment, Ito correction)`` at d >= 2 from :attr:`NoiseModel._groups`.
@@ -210,19 +224,19 @@ def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None
     ``G_j(u) = (h_j - Lap h_j) + K_j M_k u``, so per distinct k the increment
     ``sum_j G_j(u) dW_j`` adds ``sum dW_j (h_j - Lap h_j)`` at k and ``B_k M_k
     u``, ``B_k = sum dW_j K_j``, over the modes with k_j = k. The correction
-    is ``1/2 sum_k Q_k M_k^2 u``; its constant part ``(M_k (h_j - Lap h_j)) x
-    a_j`` is exactly zero. The increment is None without ``dW`` and the
-    correction unless ``include_correction`` is set; both are None if J = 0.
+    is ``1/2 sum_k Q_k M_k^2 u``, one P^2 pass on u per k_i != 0; its constant
+    part ``(M_k (h_j - Lap h_j)) x a_j`` is 0. Without ``dW`` the increment, and
+    unless ``include_correction`` the correction, is None at no cost; both if J = 0.
     """
     inc = None if dW is None or not noise.J else np.zeros(coeffs.shape)
     acc = np.zeros(coeffs.shape) if include_correction and noise.J else None
-    for at, mats, js, K, Q in noise._groups:
-        Mu = _transform(coeffs, mats)
+    for at, _, axes, js, cK, cQ in noise._groups:
         if inc is not None:
             inc[at] += dW[js] @ noise.h_minus_lap_k[js]
-            inc += (np.tensordot(dW[js], K, 1) @ Mu.reshape(3, -1)).reshape(Mu.shape)
+            B = np.tensordot(dW[js], cK, 1)
+            inc += _tensor_apply(B, coeffs, ((ax, Pt) for ax, Pt, _ in axes))
         if acc is not None:
-            acc += (Q @ _transform(Mu, mats).reshape(3, -1)).reshape(Mu.shape)
+            acc += _tensor_apply(cQ, coeffs, ((ax, P2t) for ax, _, P2t in axes))
     return inc, None if acc is None else 0.5 * acc
 
 

@@ -61,6 +61,14 @@ scale = 2.0
 """
 
 
+def strict_json(path):
+    """The JSON in ``path``; raises on NaN or Infinity, which strict JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     f = tmp_path / "run.cfg"
@@ -109,6 +117,27 @@ class TestSimulate:
                             "--output-dir", str(out), "--quiet"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["stop_events"][0]["stop_reason"] == "blowup_K"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_stop_writes_strict_json(self, tmp_path):
+        # explicit Heun at dt = 0.01 is unstable on mode 5 of N = 16: the
+        # state overflows and the run stops nonfinite at t = 0.04
+        noise = BASE[BASE.index("[noise]"):BASE.index("[initial]")]
+        text = (BASE.replace(noise, "[noise]\nfamily = none\n\n")
+                .replace("modes = 8", "modes = 16")
+                .replace("refine_levels = 4, 8", "refine_levels = 8, 16")
+                .replace("t_end = 0.5", "t_end = 20\nscheme = heun_strat")
+                .replace("type = constant\nvector = 0.2, 0, 0", "type = modes\n\n"
+                         "[initial.mode.1]\nindex = 5\namplitude = 0.1, 0.2, 0"))
+        f = tmp_path / "run.cfg"
+        f.write_text(text)
+        out = tmp_path / "out"
+        assert run_command(["simulate", "--config", str(f),
+                            "--output-dir", str(out), "--quiet"]) == 0
+        report = strict_json(out / "report.json")
+        assert report["stop_events"][0]["stop_reason"] == "nonfinite"
+        assert report["final_norms"] and all(
+            v is None for v in report["final_norms"].values())
 
 
 class TestSummaryLine:
@@ -253,11 +282,7 @@ class TestEnsemble:
         out = tmp_path / "out"
         assert run_command(["ensemble", "--config", str(cfg),
                             "--output-dir", str(out), "--quiet"]) == 0
-
-        def reject(constant):
-            raise ValueError(f"non-JSON constant {constant}")
-
-        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        report = strict_json(out / "report.json")
         assert report["h2_growth"]["b"] == 0.0
         assert report["h2_growth"]["curvature_ratio"] is None
 

@@ -210,15 +210,19 @@ def heun_reference(u, grid, params, noise, trunc, dW, dt):
     return out
 
 
-@pytest.mark.parametrize("grid", [Grid(1, (np.pi,), (8,)),
-                                  Grid(2, (np.pi, 2.0), (6, 5))], ids=["d1", "d2"])
-def test_heun_step_matches_per_mode_reference(grid):
-    """One increment per stage gives the per-mode G_j sums to rounding."""
-    ones = (1,) * (grid.dim - 1)
+@pytest.mark.parametrize("grid, indices", [
+    (Grid(1, (np.pi,), (8,)), [(1,), (2,), (1,)]),
+    (Grid(2, (np.pi, 2.0), (6, 5)), [(1, 1), (2, 1), (1, 1)]),
+    (Grid(3, (np.pi, 2.0, 1.5), (5, 4, 3)), [(1, 0, 0), (0, 2, 1), (1, 0, 0)]),
+], ids=["d1", "d2", "d3"])
+def test_heun_step_matches_per_mode_reference(grid, indices):
+    """One increment per stage gives the per-mode G_j sums to rounding. At
+    d = 3 the indices hold zeros, which the increment-only operator route
+    Heun takes applies as scalars."""
     noise = build_noise_modes({"family": "eigenmode", "modes": [
-        {"sigma": 0.3, "index": (1,) + ones, "direction": (1.0, 0.0, 0.5)},
-        {"sigma": 0.2, "index": (2,) + ones, "direction": (0.0, 1.0, 1.0)},
-        {"sigma": 0.4, "index": (1,) + ones, "direction": (-1.0, 2.0, 0.0)},
+        {"sigma": 0.3, "index": indices[0], "direction": (1.0, 0.0, 0.5)},
+        {"sigma": 0.2, "index": indices[1], "direction": (0.0, 1.0, 1.0)},
+        {"sigma": 0.4, "index": indices[2], "direction": (-1.0, 2.0, 0.0)},
     ]}, grid)
     u = random_field(grid, RNG, amplitude=0.3)
     dW = RNG.standard_normal(noise.J) * math.sqrt(1e-5)

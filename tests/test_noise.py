@@ -344,6 +344,14 @@ class TestItoCorrection:
         assert np.abs(got - expected).max() < 1e-12
 
 
+# the noise family of bench/workloads/simulate_d3_kernel.cfg
+D3_KERNEL_FAMILY = [
+    {"sigma": 0.1, "index": (1, 0, 0), "direction": (1, 0, 0)},
+    {"sigma": 0.1, "index": (0, 2, 0), "direction": (0, 1, 0)},
+    {"sigma": 0.1, "index": (0, 0, 1), "direction": (0, 0, 1)},
+    {"sigma": 0.1, "index": (1, 1, 1), "direction": (1, 1, 0)}]
+
+
 @st.composite
 def noise_cases(draw):
     """A d = 2 or 3 grid with unequal axes and an eigenmode family on it whose
@@ -374,6 +382,13 @@ def noise_cases(draw):
     {"sigma": 0.3, "index": (1, 0, 2), "direction": (0, 1, 1)},
     {"sigma": 1.1, "index": (1, 0, 2), "direction": (1, -1, 0)}]), 0)
 @example((Grid(2, (1.0, 2.0), (3, 4), 3), []), 1)
+@example((Grid(3, (1.0, 2.0, 3.0), (3, 4, 5)), D3_KERNEL_FAMILY), 2)
+@example((Grid(3, (1.5, 2.5, 1.0), (2, 3, 4), 2.5), [
+    {"sigma": 0.9, "index": (0, 0, 0), "direction": (1, 2, 3)}]), 3)
+@example((Grid(2, (2.0, 1.2), (4, 3)), [
+    {"sigma": 0.4, "index": (0, 2), "direction": (0, 1, 0)},
+    {"sigma": 0.6, "index": (3, 0), "direction": (1, 0, 1)},
+    {"sigma": 0.2, "index": (0, 2), "direction": (1, 1, 1)}]), 4)
 def test_operator_route_matches_transform_route(case, seed):
     """The d >= 2 coefficient operators give the increment sum_j G_j(u) dW_j
     and the Ito correction of the padded-grid route to 1e-12 relative to the
@@ -400,6 +415,39 @@ def test_operator_route_matches_transform_route(case, seed):
         assert np.abs(corr - ref).max() <= 1e-12 * np.abs(ref).max()
     assert _operator_parts(noise, u, np.ones(noise.J), include_correction=False)[1] is None
     assert _operator_parts(noise, u, None, include_correction=True)[0] is None
+
+
+@pytest.mark.parametrize("grid", [Grid(3, (1.0, 2.0, 3.0), (3, 4, 5)),
+                                  Grid(2, (2.0, 1.2), (4, 3))], ids=["d3", "d2"])
+def test_operator_plan_excites_only_nonzero_axes(grid):
+    """Each group of ``_groups`` holds one ``(axis, P^T, (P^2)^T)`` per
+    k_i != 0 and none for k = 0, c = prod_{k_i = 0} L_i^{-1/2}, cK = c K_j
+    and cQ = c^2 Q_k; every array in the plan is read-only. P_0, which the
+    plan replaces by its scalar, is L_i^{-1/2} I to rounding."""
+    zero = (0,) * grid.dim
+    indices = [zero, (1,) + zero[1:], zero[1:] + (2,), (1,) * grid.dim, zero]
+    noise = build_noise_modes(eigenmode_spec(*[
+        {"sigma": 0.5, "index": k, "direction": (1, 2, 3)} for k in indices]), grid)
+    assert [g[0][1:] for g in noise._groups] == list(dict.fromkeys(indices))
+    analysis, synthesis, _ = grid._axis_matrices
+    for at, c, axes, js, cK, cQ in noise._groups:
+        k = at[1:]
+        assert [ax for ax, *_ in axes] == [i for i, ki in enumerate(k) if ki]
+        assert list(js) == [j for j, kj in enumerate(indices) if kj == k]
+        assert c == pytest.approx(
+            math.prod(L ** -0.5 for L, ki in zip(grid.lengths, k) if ki == 0), rel=1e-15)
+        for ax, Pt, P2t in axes:
+            ref = analysis[ax] @ (synthesis[ax][:, [k[ax]]] * synthesis[ax])
+            assert np.allclose(Pt, ref.T, atol=1e-15)
+            assert np.allclose(P2t, (ref @ ref).T, atol=1e-15)
+        K = np.stack([np.cross(a, np.eye(3)).T for a in noise.amplitude[js]])
+        assert np.allclose(cK, c * K, rtol=1e-15, atol=0)
+        assert np.allclose(cQ, c * c * sum(Kj @ Kj for Kj in K), atol=1e-15)
+        for arr in (*(m for _, *pair in axes for m in pair), js, cK, cQ):
+            assert not arr.flags.writeable
+    for ax, L in enumerate(grid.lengths):
+        P0 = analysis[ax] @ (synthesis[ax][:, [0]] * synthesis[ax])
+        assert np.abs(P0 - L ** -0.5 * np.eye(grid.modes[ax])).max() <= 1e-15
 
 
 def fresh_increments(seed, path, step, J, dt):

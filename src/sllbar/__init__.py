@@ -32,6 +32,7 @@ from .noise import (
 from .integrator import (
     ConfigurationError,
     SolverConfig,
+    StepKernel,
     TrajectoryRecord,
     heun_strat_step,
     imex_em_step,

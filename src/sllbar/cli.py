@@ -16,8 +16,8 @@ the report skeleton, writes ``report.json`` and prints ``<summary>, outputs
 in <dir>`` unless ``--quiet``.
 
 Exit codes: 0 success, 2 configuration error, 3 fatal blow-up inside a
-study (``BlowupAbort``), 4 I/O error. For ``simulate`` a blow-up stop is
-data, not an error.
+study (``BlowupAbort``, also when ``ensemble`` or ``check`` stops at t = 0),
+4 I/O error. For ``simulate`` a blow-up stop is data, not an error.
 """
 
 from __future__ import annotations
@@ -128,6 +128,9 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 def _cmd_ensemble(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     exp = cfg.experiment
     stats = _run_paths(cfg)
+    if stats.horizon == 0.0:
+        raise BlowupAbort(f"all {stats.M} paths stopped at t=0 (H^1 norm of u0 above "
+                          "blowup_k); moment estimates need two samples")
     _write_ensemble_csvs(stats, out)
     body = {"paths": stats.M, "blowup_count": stats.blowup_count,
             "stop_events": _stop_events(stats.stop_reasons, stats.stop_times)}
@@ -223,6 +226,9 @@ def _cmd_check(cfg: RunConfig, out: Path) -> tuple[dict, str]:
                           snapshot_every=1, record_every=max(1, steps // 10))
     traj = run_trajectory(cfg.build_initial(), cfg.params,
                           NoiseModel.empty(cfg.grid), balance_cfg)
+    if traj.stop_time == 0.0:
+        raise BlowupAbort("the energy-balance run stopped at t=0 (H^1 norm of u0 "
+                          "above blowup_k); its residual needs two snapshots")
     series = energy_balance_l2(traj, cfg.params)
     write_residual_csv(series, out / "energy_residuals.csv",
                        name="energy_balance_residual")

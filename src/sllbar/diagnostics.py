@@ -19,6 +19,7 @@ import numpy as np
 
 from .grid import (
     Grid,
+    Workspace,
     analyze,
     check_mode_index,
     cross3,
@@ -126,7 +127,7 @@ def energy_balance_l2(traj: TrajectoryRecord,
     ts = np.asarray(traj.snapshot_steps) * traj.config.dt
     spacing = float(ts[1] - ts[0])
     grid, states = traj.grid, traj.snapshots
-    trunc = traj.config.truncation
+    trunc, ws = traj.config.truncation, Workspace(traj.grid)
 
     residuals = np.zeros(len(states) - 1)
     half_l2_sq = [0.5 * sobolev_norm(grid, u, 0) ** 2 for u in states]
@@ -140,7 +141,7 @@ def energy_balance_l2(traj: TrajectoryRecord,
             ddt
             + params.beta1 * sobolev_norm(grid, u, 1, seminorm=True) ** 2
             + params.beta2 * sobolev_norm(grid, u, 2, seminorm=True) ** 2
-            + params.beta3 * lp_norm(grid, u, 4) ** 4
+            + params.beta3 * lp_norm(grid, u, 4, ws) ** 4
             - params.beta3 * sobolev_norm(grid, u, 0) ** 2
             + params.beta5 * theta * (2.0 * cross_sq + mixed_sq)
         )
@@ -185,6 +186,7 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
     phi_coeffs[pick] = 1.0
     grad_phi = gradient_values(grid, phi_coeffs)
     w = quad_weight(grid)
+    ws = Workspace(grid)
 
     total = 0.0
     sup_l2 = 0.0
@@ -223,11 +225,11 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
             pair += params.beta5 * theta * (-lam_phi) * float(cubic_coeffs[pick])
 
         if noise.J > 0:
-            pair += float(_correction_coeffs(grid, vals, noise)[pick])
+            pair += float(_correction_coeffs(grid, vals, noise, ws)[pick])
             inc = coupled_increments(cfg.seed, traj.path, m, noise.J, dt,
                                      cfg.substeps)
             for j in range(noise.J):
-                Gj = _diffusion_coeffs(grid, vals, noise, j)
+                Gj = _diffusion_coeffs(grid, vals, noise, j, ws)
                 total += float(Gj[pick]) * inc.values[j]
 
         total += dt * float(pair)

@@ -32,9 +32,8 @@ result as the trailing axis, so after d passes the axes are back in order
 without any transposed copy; at d=1 the one pass is ``np.dot(arr, mat.T)``,
 the bits of ``arr @ mat.T`` at less per-call cost. A synthesis or analysis
 costs O(M^(d+1)) for ``M`` padded nodes per axis, and the matrices of one
-axis take ``3 M N`` doubles. They, the eigenvalues, the Sobolev weights and
-the implicit divisors are built once per Grid instance and read from it as
-attributes.
+axis take ``3 M N`` doubles. They, the eigenvalues and the Sobolev weights
+are built once per Grid instance and read from it as attributes.
 The matrices are the basis and its derivative evaluated at the midpoint
 nodes, built in closed form with numpy after an exact integer reduction of
 the phase (:func:`_cos_phase`); they agree with scipy's orthonormal
@@ -43,9 +42,10 @@ scipy.
 
 Memory
 ------
-A time step and :func:`lp_norm` write padded-grid values, products and
-|u|^2 into the :class:`Workspace` of their padded shape and thread
-(:func:`workspace`), the one per-thread cache this module keeps. Every
+A time step writes padded-grid values, products and |u|^2 into the
+:class:`Workspace` its run's ``integrator.StepKernel`` owns, so the buffers
+live exactly as long as the run; :func:`lp_norm` writes into a given
+workspace or a fresh one. This module keeps no per-thread state. Every
 transform pass but the last writes into a fresh array that the next pass
 reads and drops, and :func:`cross3` uses the rows of ``out`` as its scratch
 and allocates one component-sized temporary. At d >= 2 the noise touches no
@@ -59,7 +59,6 @@ arrays, as do :func:`analyze` and :func:`gradient_values` always.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,14 +103,9 @@ class Grid:
             raise ValueError("pad_factor must be >= 1 and finite")
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         object.__setattr__(self, "modes", tuple(int(N) for N in self.modes))
-        object.__setattr__(self, "_hash", hash(
-            (self.dim, self.lengths, self.modes, self.pad_factor)))
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_sobolev", {})  # (s, seminorm) -> weight
         object.__setattr__(self, "field_shape", (3, *self.modes))
         object.__setattr__(self, "values_shape", (3, *self.padded))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def padded(self) -> tuple[int, ...]:
@@ -169,14 +163,6 @@ class Grid:
             out.append((analysis, synthesis, deriv))
         return tuple(zip(*out))
 
-    def _constant(self, key: tuple, build) -> np.ndarray:
-        """``build()``, made read-only and kept on this instance under ``key``."""
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = build()
-            value.setflags(write=False)
-        return value
-
 
 def _cos_phase(phase: np.ndarray, M: int) -> np.ndarray:
     """``cos(pi * phase / (2M))`` for an integer array ``phase``.
@@ -202,16 +188,6 @@ def _cos_phase(phase: np.ndarray, M: int) -> np.ndarray:
 def eigenvalue_array(grid: Grid) -> np.ndarray:
     """Array of shape ``grid.modes`` holding lambda_k for each multi-index."""
     return grid._eigenvalues
-
-
-class _ThreadWorkspaces(threading.local):
-    """The step workspaces of one thread, keyed by padded shape."""
-
-    def __init__(self):
-        self.workspaces: dict[tuple, Workspace] = {}
-
-
-_LOCAL = _ThreadWorkspaces()
 
 
 def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
@@ -272,27 +248,21 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 class Workspace:
     """Padded-grid arrays a time step or :func:`lp_norm` writes, reused by the next.
 
-    ``vals`` holds u's values for the whole step; ``lap[0]`` holds |u|^2
-    until ``lap`` takes Lap u's values and then, at d = 1, each G_j's values
-    in the Ito correction; ``prod`` holds u.u, the pointwise product u |u|^2
-    and then every cross product. The padded-grid noise helpers
-    (``noise._diffusion_coeffs``, ``noise._correction_coeffs``) take it
-    themselves, so the u values handed to them must not be ``lap`` or ``prod``.
+    A run's ``integrator.StepKernel`` owns one, and it is freed with the
+    kernel; two workspaces never share a buffer, so each thread or run that
+    steps needs its own. ``vals`` holds u's values for the whole step;
+    ``lap[0]`` holds |u|^2 until ``lap`` takes Lap u's values and then, at
+    d = 1, each G_j's values in the Ito correction; ``prod`` holds u.u, the
+    pointwise product u |u|^2 and then every cross product. The padded-grid
+    noise helpers (``noise._diffusion_coeffs``, ``noise._correction_coeffs``)
+    write into the workspace they are given, so the u values handed to them
+    must not be its ``lap`` or ``prod``.
     """
 
     def __init__(self, grid: Grid):
         self.vals = np.empty(grid.values_shape)
         self.lap = np.empty(grid.values_shape)
         self.prod = np.empty(grid.values_shape)
-
-
-def workspace(grid: Grid) -> Workspace:
-    """This thread's :class:`Workspace` for ``grid.padded``, built on first use."""
-    cache = _LOCAL.workspaces
-    ws = cache.get(grid.padded)
-    if ws is None:
-        ws = cache[grid.padded] = Workspace(grid)
-    return ws
 
 
 def collocation_points(grid: Grid) -> tuple[np.ndarray, ...]:
@@ -346,12 +316,13 @@ def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
 
 
 def _sobolev_weight(grid: Grid, s: float, seminorm: bool) -> np.ndarray:
-    weight = grid._memo.get(("sobolev", s, seminorm))  # read every step
-    if weight is not None:
-        return weight
-    lam = grid._eigenvalues
-    return grid._constant(("sobolev", s, seminorm), lambda: (
-        np.power(lam, s) if seminorm else np.power(1.0 + lam, s)))
+    weight = grid._sobolev.get((s, seminorm))  # read every step
+    if weight is None:
+        lam = grid._eigenvalues
+        weight = grid._sobolev[s, seminorm] = (
+            np.power(lam, s) if seminorm else np.power(1.0 + lam, s))
+        weight.setflags(write=False)
+    return weight
 
 
 def sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float,
@@ -381,8 +352,9 @@ def sobolev_norms(grid: Grid, coeffs: np.ndarray, orders) -> list[float]:
     return norms
 
 
-def lp_norm(grid: Grid, coeffs: np.ndarray, p) -> float:
-    """L^p norm by quadrature in this thread's :func:`workspace`, p in {2, 4, inf}.
+def lp_norm(grid: Grid, coeffs: np.ndarray, p, ws: Workspace | None = None) -> float:
+    """L^p norm by quadrature, p in {2, 4, inf}, written into ``ws`` when it
+    is given and into a fresh :class:`Workspace` otherwise.
 
     For retained-mode fields the midpoint rule is exact at p = 2 and, with
     pad_factor 2, at p = 4 as well. The infinity norm is the max over nodes
@@ -390,7 +362,8 @@ def lp_norm(grid: Grid, coeffs: np.ndarray, p) -> float:
     """
     if p not in (2, 4, math.inf, "inf"):
         raise ValueError(f"unsupported p {p!r}")
-    ws = workspace(grid)
+    if ws is None:
+        ws = Workspace(grid)
     vals = synthesize(grid, coeffs, out=ws.vals)
     mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0, out=ws.lap[0])
     w = quad_weight(grid)

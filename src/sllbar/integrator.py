@@ -10,12 +10,14 @@ Two schemes are provided:
   and diffusion, no Ito correction), intended as a cross-check on mildly
   stiff grids.
 
-Both steps act on raw coefficient arrays ``(3, *modes)``:
-``step(coeffs, grid, params, noise, trunc, dW, dt) -> coeffs`` with ``dW``
-the array of J Wiener increments. The nonlinear drift terms and the one
-noise increment sum_j G_j(u) dW_j are assembled in :func:`_explicit_parts`,
-which each stage calls once; :func:`sllbar.model.drift_terms` is a view of
-the same drift arrays. The increment and the Ito correction come from the
+A run builds one :class:`StepKernel`, which holds the scheme's linear part and
+the run's own :class:`~sllbar.grid.Workspace`: the padded-grid buffers live
+exactly as long as the run. Both steps act on raw coefficient arrays
+``(3, *modes)``: ``step(kernel, coeffs, dW) -> coeffs`` with ``dW`` the array
+of J Wiener increments. The nonlinear drift terms and the one noise increment
+sum_j G_j(u) dW_j are assembled in :func:`_explicit_parts`, which each stage
+calls once; :func:`sllbar.model.drift_terms` is a view of the same drift
+arrays. The increment and the Ito correction come from the
 coefficient-space operators of :mod:`sllbar.noise` at d >= 2, and from the
 padded-grid route at d = 1, whose per-step counts the benchmark pins.
 
@@ -37,6 +39,7 @@ import numpy as np
 
 from .grid import (
     Grid,
+    Workspace,
     analyze,
     cross3,
     eigenvalue_array,
@@ -44,7 +47,6 @@ from .grid import (
     sobolev_norm,
     sobolev_norms,
     synthesize,
-    workspace,
 )
 from .model import ModelParams, TruncationConfig, truncation_scale
 from .noise import (
@@ -152,13 +154,38 @@ def linear_factor(lam, dt: float, params: ModelParams):
     return factor
 
 
-def _divisor_array(grid: Grid, dt: float, params: ModelParams) -> np.ndarray:
-    return grid._constant(("divisor", dt, params), lambda: linear_factor(
-        eigenvalue_array(grid), dt, params))
+class StepKernel:
+    """One run's stepping plan on ``noise.grid``, built before its first step.
+
+    ``stepper`` is the scheme's step and ``ws`` the run's own workspace. The
+    linear part is ``divisor``, the :func:`linear_factor` of ``imex_em_ito``
+    (its check raises here), or ``symbol``, the ``-b1 lam - b2 lam^2`` of
+    ``heun_strat``; the other is None, so a step of the wrong scheme fails.
+    """
+
+    def __init__(self, params: ModelParams, noise: NoiseModel,
+                 trunc: TruncationConfig, dt: float, scheme: str = "imex_em_ito"):
+        self.grid, self.params, self.noise, self.trunc, self.dt = (
+            noise.grid, params, noise, trunc, dt)
+        lam = eigenvalue_array(self.grid)
+        self.divisor = self.symbol = None
+        if scheme == "imex_em_ito":
+            self.stepper, self.divisor = imex_em_step, linear_factor(lam, dt, params)
+        elif scheme == "heun_strat":
+            self.stepper = heun_strat_step
+            self.symbol = -params.beta1 * lam - params.beta2 * lam * lam
+        else:
+            raise ConfigurationError(f"unknown scheme {scheme!r}")
+        self.ws = Workspace(self.grid)
+
+    def parts(self, coeffs: np.ndarray, include_correction: bool, dW: np.ndarray):
+        """:func:`_explicit_parts` of ``coeffs`` in this run's workspace."""
+        return _explicit_parts(coeffs, self.grid, self.params, self.noise, self.trunc,
+                               self.ws, include_correction, dW)
 
 
 def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
-                    noise: NoiseModel, trunc: TruncationConfig,
+                    noise: NoiseModel, trunc: TruncationConfig, ws: Workspace,
                     include_correction: bool, dW: np.ndarray | None = None):
     """Explicitly treated drift terms and the noise increment, sharing transforms.
 
@@ -169,11 +196,10 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     ``include_correction`` is set and J > 0, ``ito_correction`` to coefficient
     arrays; ``increment`` is ``sum_j G_j(u) dW_j``, None without ``dW`` or if
     J = 0. The linear part is not included. Padded-grid values, products and
-    |u|^2 (in ``lap[0]``) go into this thread's :func:`~sllbar.grid.workspace`;
-    every returned array is freshly allocated.
+    |u|^2 (in ``lap[0]``) go into the workspace ``ws``; every returned array
+    is freshly allocated.
     """
     neg_lam = grid._neg_eigenvalues
-    ws = workspace(grid)
     vals = synthesize(grid, coeffs, out=ws.vals)
     mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0,
                          out=ws.lap[0])  # .sum(axis=0) without its Python wrapper
@@ -188,8 +214,9 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     }
     if grid.dim == 1:
         inc = None if dW is None or not noise.J else reduce(np.add, (
-            _diffusion_coeffs(grid, vals, noise, j) * dW[j] for j in range(noise.J)))
-        corr = (_correction_coeffs(grid, vals, noise)
+            _diffusion_coeffs(grid, vals, noise, j, ws) * dW[j]
+            for j in range(noise.J)))
+        corr = (_correction_coeffs(grid, vals, noise, ws)
                 if include_correction and noise.J > 0 else None)
     else:
         inc, corr = _operator_parts(noise, coeffs, dW, include_correction)
@@ -198,34 +225,25 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     return terms, inc
 
 
-def imex_em_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
-                 noise: NoiseModel, trunc: TruncationConfig, dW: np.ndarray,
-                 dt: float) -> np.ndarray:
+def imex_em_step(kernel: StepKernel, coeffs: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """One semi-implicit Euler-Maruyama step on the Ito form."""
-    div = _divisor_array(grid, dt, params)
-    terms, inc = _explicit_parts(coeffs, grid, params, noise, trunc,
-                                 include_correction=True, dW=dW)
-    acc = coeffs + dt * reduce(np.add, terms.values())
+    terms, inc = kernel.parts(coeffs, True, dW)
+    acc = coeffs + kernel.dt * reduce(np.add, terms.values())
     if inc is not None:
         acc += inc
-    acc /= div
+    acc /= kernel.divisor
     return acc
 
 
-def heun_strat_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
-                    noise: NoiseModel, trunc: TruncationConfig, dW: np.ndarray,
-                    dt: float) -> np.ndarray:
+def heun_strat_step(kernel: StepKernel, coeffs: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """One explicit Stratonovich Heun step (predictor-corrector)."""
-    lam = eigenvalue_array(grid)
-    linear = -params.beta1 * lam - params.beta2 * lam * lam
-    terms0, inc0 = _explicit_parts(coeffs, grid, params, noise, trunc,
-                                   include_correction=False, dW=dW)
+    dt, linear = kernel.dt, kernel.symbol
+    terms0, inc0 = kernel.parts(coeffs, False, dW)
     a0 = reduce(np.add, terms0.values()) + linear * coeffs
     pred = coeffs + dt * a0
     if inc0 is not None:
         pred += inc0
-    terms1, inc1 = _explicit_parts(pred, grid, params, noise, trunc,
-                                   include_correction=False, dW=dW)
+    terms1, inc1 = kernel.parts(pred, False, dW)
     a1 = reduce(np.add, terms1.values()) + linear * pred
     out = coeffs + 0.5 * dt * (a0 + a1)
     if inc0 is not None:
@@ -233,12 +251,12 @@ def heun_strat_step(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     return out
 
 
-def _sample_norms(grid: Grid, coeffs: np.ndarray, h1: float) -> tuple[float, ...]:
+def _sample_norms(kernel: StepKernel, coeffs: np.ndarray, h1: float) -> tuple[float, ...]:
     """One row of ``NORM_KEYS``; ``h1`` is the H^1 norm the stop check took."""
     l2, grad, h2, h3 = sobolev_norms(
-        grid, coeffs, ((0, False), (1, True), (2, False), (3, False)))
+        kernel.grid, coeffs, ((0, False), (1, True), (2, False), (3, False)))
     # theta argument: the same quantity the truncation reads
-    return (l2, lp_norm(grid, coeffs, 4), h1, h2, h3, grad, grad)
+    return (l2, lp_norm(kernel.grid, coeffs, 4, kernel.ws), h1, h2, h3, grad, grad)
 
 
 def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
@@ -256,20 +274,15 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
     entries only when that norm is not finite, as it is for every nonfinite
     u (a finite u whose norm overflows stops as ``blowup_K``).
     Configuration problems (implicit denominator too small) surface before
-    any stepping. Identical inputs give bitwise-identical records.
+    any stepping, when the run's :class:`StepKernel` is built. Identical
+    inputs give bitwise-identical records.
     """
     grid = noise.grid
     if u0.shape != grid.field_shape:
         raise ConfigurationError(f"initial data shape {u0.shape} does not match "
                                  f"the noise model grid {grid.field_shape}")
-    if config.scheme == "imex_em_ito":
-        _divisor_array(grid, config.dt, params)  # denominator guard, pre-run
-        stepper = imex_em_step
-    else:
-        stepper = heun_strat_step
-
-    n_steps = config.n_steps
-    dt = config.dt
+    dt, n_steps = config.dt, config.n_steps
+    kernel = StepKernel(params, noise, config.truncation, dt, config.scheme)
 
     sample_steps: list[int] = []
     norm_rows: list[tuple[float, ...]] = []
@@ -290,7 +303,7 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
             stop_reason = STOP_COMPLETED
         if m % config.record_every == 0 or stop_reason:
             sample_steps.append(m)
-            norm_rows.append(_sample_norms(grid, u, h1))
+            norm_rows.append(_sample_norms(kernel, u, h1))
             obs_rows.append([float(psi(grid, u)) for psi in observables])
         if config.snapshot_every is not None and m % config.snapshot_every == 0:
             snap_steps.append(m)
@@ -298,7 +311,7 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
         if stop_reason:
             break
         inc = coupled_increments(config.seed, path, m, noise.J, dt, config.substeps)
-        u = stepper(u, grid, params, noise, config.truncation, inc.values, dt)
+        u = kernel.stepper(kernel, u, inc.values)
         m += 1
 
     norms_arr = np.asarray(norm_rows)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .grid import (
     Grid,
+    Workspace,
     analyze,
     cross3,
     eigenvalue_array,
@@ -52,11 +53,6 @@ class ModelParams:
                 raise ValueError(f"{name}: must be finite, got {value}")
             if value <= 0 and name != "beta1":
                 raise ValueError(f"{name}: must be positive, got {value}")
-        object.__setattr__(self, "_hash", hash(
-            (self.beta1, self.beta2, self.beta3, self.beta4, self.beta5)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def drift_terms(grid: Grid, coeffs: np.ndarray, params: ModelParams, noise,
 
     lam = eigenvalue_array(grid)
     nonlinear, _ = _explicit_parts(coeffs, grid, params, noise, trunc,
-                                   include_correction=True)
+                                   Workspace(grid), include_correction=True)
     return {
         "laplacian": params.beta1 * (-lam) * coeffs,
         "biharmonic": -params.beta2 * lam * lam * coeffs,

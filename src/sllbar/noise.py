@@ -16,8 +16,11 @@ grid, dense h_j or per-mode G_j, a zero entry of k_j being a scalar
 (:func:`_operator_parts`). At d = 1 the step keeps the padded-grid route
 (:func:`_diffusion_coeffs`, :func:`_correction_coeffs`) until the benchmark
 re-pins the per-step counts ``bench/tests/test_counts.py`` holds for it; that
-route also stays the weak-form residual's own pairing. The family must satisfy
-the square-summability condition ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the
+route also stays the weak-form residual's own pairing, and writes into the
+:class:`~sllbar.grid.Workspace` its caller passes (in a step, the run's
+``StepKernel`` workspace). The Philox generator of :func:`sample_increments`
+is the package's only per-thread state. The family must satisfy the
+square-summability condition ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the
 finite truncation reports its C_h so configured tail bounds can be checked.
 """
 
@@ -33,6 +36,7 @@ import numpy as np
 
 from .grid import (
     Grid,
+    Workspace,
     _transform,
     analyze,
     check_mode_index,
@@ -41,7 +45,6 @@ from .grid import (
     eigenvalue_array,
     sobolev_norm,
     synthesize,
-    workspace,
 )
 
 
@@ -184,25 +187,26 @@ def check_noise_condition(noise: NoiseModel) -> float:
 
 
 def _diffusion_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
-                      j: int) -> np.ndarray:
+                      j: int, ws: Workspace) -> np.ndarray:
     """Coefficients of ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)`` from u's values.
 
-    The cross product is written into this thread's ``workspace(grid).prod``.
+    The cross product is written into ``ws.prod``.
     """
-    cross = cross3(u_vals, noise.h_phys[j], out=workspace(grid).prod)
+    cross = cross3(u_vals, noise.h_phys[j], out=ws.prod)
     return noise.h_minus_lap[j] - analyze(grid, cross)
 
 
-def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel) -> np.ndarray:
+def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
+                       ws: Workspace) -> np.ndarray:
     """Coefficients of the Ito correction ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 
-    Each G_j's values are written into this thread's ``workspace(grid).lap``
-    and each cross product into its ``prod``.
+    Each G_j's values are written into ``ws.lap`` and each cross product into
+    ``ws.prod``.
     """
-    ws = workspace(grid)
     acc = np.zeros((3, *grid.modes))
     for j in range(noise.J):
-        G_vals = synthesize(grid, _diffusion_coeffs(grid, u_vals, noise, j), out=ws.lap)
+        G_vals = synthesize(grid, _diffusion_coeffs(grid, u_vals, noise, j, ws),
+                            out=ws.lap)
         acc += analyze(grid, cross3(G_vals, noise.h_phys[j], out=ws.prod))
     return -0.5 * acc
 

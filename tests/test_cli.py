@@ -241,6 +241,14 @@ class TestExitCodes:
 
 
 class TestCheck:
+    def test_blowup_at_t0_exits_3(self, tmp_path, capsys):
+        # u0's H^1 norm is about 0.35, so the energy-balance run stops at t = 0
+        code, out = run_text(tmp_path, "check",
+                             BASE.replace("t_end = 0.5", "t_end = 0.5\nblowup_k = 0.05"))
+        assert code == 3
+        assert not (out / "report.json").exists()
+        assert "blow-up: the energy-balance run stopped at t=0" in capsys.readouterr().err
+
     def test_identity_table_and_noise_condition(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         assert run_command(["check", "--config", cfg_file,
@@ -285,6 +293,14 @@ class TestEnsemble:
         report = strict_json(out / "report.json")
         assert report["h2_growth"]["b"] == 0.0
         assert report["h2_growth"]["curvature_ratio"] is None
+
+    def test_blowup_at_t0_exits_3(self, tmp_path, capsys):
+        # u0's H^1 norm is about 0.35, so every path stops at t = 0
+        code, out = run_text(tmp_path, "ensemble",
+                             BASE.replace("t_end = 0.5", "t_end = 0.5\nblowup_k = 0.05"))
+        assert code == 3
+        assert not (out / "report.json").exists()
+        assert "blow-up: all 3 paths stopped at t=0" in capsys.readouterr().err
 
     def test_report_contents(self, cfg_file, tmp_path):
         out = tmp_path / "out"

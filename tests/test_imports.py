@@ -1,5 +1,6 @@
-"""Import hygiene: every name a package module imports is used, and the
-CLI's import path loads neither scipy, the process pool nor numpy.random.
+"""Import hygiene: every name a package module imports is used, only the
+noise module imports ``threading``, and the CLI's import path loads neither
+scipy, the process pool nor numpy.random.
 
 No linter is a dependency, so the check parses each module with ``ast``.
 ``__init__.py`` is skipped because its imports are the public re-exports.
@@ -45,6 +46,27 @@ def test_detector_flags_an_unused_name():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     assert unused_imports((PACKAGE / name).read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules ``source`` imports."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    return {name.split(".")[0] for name in names}
+
+
+def test_only_noise_imports_threading():
+    """The Philox generator of ``noise.sample_increments`` is the package's one
+    per-thread state; step buffers belong to the run's kernel, so no per-thread
+    array cache may come back unnoticed."""
+    assert imported_modules("import threading.x as t\nfrom threading import local\n"
+                            "from .grid import Grid\n") == {"threading"}
+    users = [name for name in MODULES + ["__init__.py"]
+             if "threading" in imported_modules((PACKAGE / name).read_text())]
+    assert users == ["noise.py"]
 
 
 def cli_import_modules() -> list[str]:

@@ -12,6 +12,7 @@ import sllbar.model
 import sllbar.noise
 from sllbar.grid import (
     Grid,
+    Workspace,
     constant_field,
     eigenmode_field,
     eigenvalue_array,
@@ -23,6 +24,7 @@ from sllbar.integrator import (
     ConfigurationError,
     _explicit_parts,
     SolverConfig,
+    StepKernel,
     heun_strat_step,
     imex_em_step,
     linear_factor,
@@ -87,28 +89,50 @@ class TestLinearFactor:
             linear_factor(np.array([0.0, 1.0, 4.0]), 0.2, p)
 
 
+class TestStepKernel:
+    def test_denominator_raises_at_build(self):
+        p = ModelParams(-50.0, 0.0001, TINY, TINY, TINY)
+        with pytest.raises(ConfigurationError, match="denominator"):
+            StepKernel(p, NoiseModel.empty(G4), TruncationConfig.off(), 0.1)
+        # the explicit scheme has no divisor to check
+        StepKernel(p, NoiseModel.empty(G4), TruncationConfig.off(), 0.1, "heun_strat")
+
+    def test_unknown_scheme_and_wrong_step_rejected(self):
+        noise, trunc = NoiseModel.empty(G4), TruncationConfig.off()
+        with pytest.raises(ConfigurationError, match="unknown scheme"):
+            StepKernel(linear_params(), noise, trunc, 0.1, "euler")
+        u0 = eigenmode_field(G4, (1,), (1.0, 0.0, 0.0))
+        heun = StepKernel(linear_params(), noise, trunc, 0.1, "heun_strat")
+        imex = StepKernel(linear_params(), noise, trunc, 0.1)
+        with pytest.raises(TypeError):
+            imex_em_step(heun, u0, np.zeros(0))
+        with pytest.raises(TypeError):
+            heun_strat_step(imex, u0, np.zeros(0))
+
+
 class TestImexStep:
     def test_single_mode_decay(self):
         u0 = eigenmode_field(G4, (1,), (1.0, 0.0, 0.0))
         inc = sample_increments(0, 0, 0, 0, 0.1)
-        nxt = imex_em_step(u0, G4, linear_params(), NoiseModel.empty(G4),
-                           TruncationConfig.off(), inc.values, 0.1)
+        kernel = StepKernel(linear_params(), NoiseModel.empty(G4),
+                            TruncationConfig.off(), 0.1)
+        nxt = imex_em_step(kernel, u0, inc.values)
         assert nxt[0, 1] == pytest.approx(1 / 1.2, rel=1e-14)
 
     def test_zero_is_equilibrium(self):
         u0 = constant_field(G4, (0, 0, 0))
         inc = sample_increments(0, 0, 0, 0, 0.1)
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
-        nxt = imex_em_step(u0, G4, p, NoiseModel.empty(G4),
-                           TruncationConfig.off(), inc.values, 0.1)
+        kernel = StepKernel(p, NoiseModel.empty(G4), TruncationConfig.off(), 0.1)
+        nxt = imex_em_step(kernel, u0, inc.values)
         assert np.abs(nxt).max() == 0.0
 
     def test_unit_constant_is_equilibrium(self):
         u0 = constant_field(G4, (0.0, 1.0, 0.0))
         inc = sample_increments(0, 0, 0, 0, 0.1)
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
-        nxt = imex_em_step(u0, G4, p, NoiseModel.empty(G4),
-                           TruncationConfig.off(), inc.values, 0.1)
+        kernel = StepKernel(p, NoiseModel.empty(G4), TruncationConfig.off(), 0.1)
+        nxt = imex_em_step(kernel, u0, inc.values)
         assert np.abs(nxt - u0).max() < 1e-13
 
 
@@ -148,8 +172,9 @@ class TestStepPlan:
         u = random_field(grid, RNG, amplitude=0.3)
         dW = RNG.standard_normal(J) * math.sqrt(1e-3)
         params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
+        kernel = StepKernel(params, noise, TruncationConfig.on(0.5), 1e-3)
         counts = count_calls(monkeypatch)
-        out = imex_em_step(u, grid, params, noise, TruncationConfig.on(0.5), dW, 1e-3)
+        out = imex_em_step(kernel, u, dW)
         assert np.isfinite(out).all()
         assert counts == {"synthesize": 2, "analyze": 2, "cross3": 1,
                           "_diffusion_coeffs": 0, "_correction_coeffs": 0}
@@ -182,8 +207,8 @@ class TestHeunStep:
         p = ModelParams(TINY, TINY, TINY, TINY, TINY)
         u0 = constant_field(grid, (0, 0, 0))
         inc = sample_increments(3, 0, 0, 1, 0.05)
-        nxt = heun_strat_step(u0, grid, p, nm, TruncationConfig.off(),
-                              inc.values, 0.05)
+        kernel = StepKernel(p, nm, TruncationConfig.off(), 0.05, "heun_strat")
+        nxt = heun_strat_step(kernel, u0, inc.values)
         expected = c * inc.values[0]
         assert np.abs(nxt - expected).max() < 1e-14
 
@@ -192,12 +217,13 @@ def heun_reference(u, grid, params, noise, trunc, dW, dt):
     """The Heun step as a loop over modes, each G_j from ``_diffusion_coeffs``."""
     lam = eigenvalue_array(grid)
     linear = -params.beta1 * lam - params.beta2 * lam * lam
+    ws = Workspace(grid)
 
     def drift_and_diffusion(v):
-        terms, _ = _explicit_parts(v, grid, params, noise, trunc, False)
+        terms, _ = _explicit_parts(v, grid, params, noise, trunc, ws, False)
         vals = synthesize(grid, v)
         return (sum(terms.values()) + linear * v,
-                [_diffusion_coeffs(grid, vals, noise, j) for j in range(noise.J)])
+                [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)])
 
     a0, G0 = drift_and_diffusion(u)
     pred = u + dt * a0
@@ -228,7 +254,7 @@ def test_heun_step_matches_per_mode_reference(grid, indices):
     dW = RNG.standard_normal(noise.J) * math.sqrt(1e-5)
     params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
     trunc = TruncationConfig.on(0.5)
-    got = heun_strat_step(u, grid, params, noise, trunc, dW, 1e-5)
+    got = heun_strat_step(StepKernel(params, noise, trunc, 1e-5, "heun_strat"), u, dW)
     ref = heun_reference(u, grid, params, noise, trunc, dW, 1e-5)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -413,13 +439,13 @@ def reference_record(u0, params, noise, cfg, path=0):
     """
     grid = noise.grid
     step = imex_em_step if cfg.scheme == "imex_em_ito" else heun_strat_step
+    kernel = StepKernel(params, noise, cfg.truncation, cfg.dt, cfg.scheme)
     states = [u0.copy()]
     with np.errstate(all="ignore"):
         for m in range(cfg.n_steps):
             inc = coupled_increments(cfg.seed, path, m, noise.J, cfg.dt,
                                      cfg.substeps)
-            states.append(step(states[-1], grid, params, noise,
-                               cfg.truncation, inc.values, cfg.dt))
+            states.append(step(kernel, states[-1], inc.values))
         h1 = [sobolev_norm(grid, u, 1) for u in states]
     nonfinite = [m > 0 and not np.isfinite(c).all() for m, c in enumerate(states)]
     stops = [m for m in range(cfg.n_steps + 1)

@@ -16,7 +16,7 @@ from sllbar.grid import (
     sobolev_norm,
     synthesize,
 )
-from sllbar.integrator import imex_em_step, linear_factor
+from sllbar.integrator import StepKernel, imex_em_step, linear_factor
 from sllbar.model import (
     ModelParams,
     TruncationConfig,
@@ -311,5 +311,5 @@ class TestDriftParity:
                         ("penalty", "precession", "nonlocal", "ito_correction"))
         expected = (u + dt * nonlinear) / linear_factor(
             eigenvalue_array(grid), dt, p)
-        step = imex_em_step(u, grid, p, noise, trunc, np.zeros(noise.J), dt)
+        step = imex_em_step(StepKernel(p, noise, trunc, dt), u, np.zeros(noise.J))
         assert rel_gap(step, expected) < 1e-13

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sllbar.grid import (
     Grid,
+    Workspace,
     analyze,
     constant_field,
     cross3,
@@ -41,13 +42,13 @@ G8 = Grid(1, (np.pi,), (8,))
 
 def diffusion(u, noise, j):
     """Coefficients of G_j(u) on G8, from the function the steppers call."""
-    return _diffusion_coeffs(G8, synthesize(G8, u), noise, j)
+    return _diffusion_coeffs(G8, synthesize(G8, u), noise, j, Workspace(G8))
 
 
 def correction(u, noise):
     """Coefficients of the Ito correction on G8, from the function the steppers
     call."""
-    return _correction_coeffs(G8, synthesize(G8, u), noise)
+    return _correction_coeffs(G8, synthesize(G8, u), noise, Workspace(G8))
 
 
 def eigenmode_spec(*modes):
@@ -402,7 +403,8 @@ def test_operator_route_matches_transform_route(case, seed):
     rng = np.random.default_rng(seed)
     u = random_field(grid, rng)
     vals = synthesize(grid, u)
-    Gs = [_diffusion_coeffs(grid, vals, noise, j) for j in range(noise.J)]
+    ws = Workspace(grid)
+    Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
     for dW in [rng.standard_normal(noise.J), *np.eye(noise.J)]:
         inc, corr = _operator_parts(noise, u, dW, include_correction=True)
         if noise.J == 0:
@@ -411,7 +413,7 @@ def test_operator_route_matches_transform_route(case, seed):
         ref = sum(G * w for G, w in zip(Gs, dW))
         scale = sum(np.abs(G * w) for G, w in zip(Gs, dW)).max()
         assert np.abs(inc - ref).max() <= 1e-12 * scale
-        ref = _correction_coeffs(grid, vals, noise)
+        ref = _correction_coeffs(grid, vals, noise, ws)
         assert np.abs(corr - ref).max() <= 1e-12 * np.abs(ref).max()
     assert _operator_parts(noise, u, np.ones(noise.J), include_correction=False)[1] is None
     assert _operator_parts(noise, u, None, include_correction=True)[0] is None

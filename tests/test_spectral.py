@@ -7,6 +7,7 @@ import pytest
 
 from sllbar.grid import (
     Grid,
+    Workspace,
     _transform,
     analyze,
     collocation_points,
@@ -22,10 +23,10 @@ from sllbar.grid import (
     sobolev_norm,
     sobolev_norms,
     synthesize,
-    workspace,
 )
-from sllbar.integrator import _sample_norms
-from sllbar.model import cubic_field, precession
+from sllbar.integrator import StepKernel, _sample_norms
+from sllbar.model import ModelParams, TruncationConfig, cubic_field, precession
+from sllbar.noise import NoiseModel
 
 RNG = np.random.default_rng(20240817)
 
@@ -377,14 +378,14 @@ class TestNorms:
                                                            rel=1e-13)
 
     def test_unsupported_p(self):
-        # p is checked before u is synthesized into this thread's workspace
+        # p is checked before u is synthesized into the given workspace
         grid = Grid(1, (1.0,), (4,))
-        ws = workspace(grid)
+        ws = Workspace(grid)
         arrays = (ws.vals, ws.lap, ws.prod)
         for arr in arrays:
             arr.fill(7.0)
         with pytest.raises(ValueError):
-            lp_norm(grid, random_field(grid, RNG), 3)
+            lp_norm(grid, random_field(grid, RNG), 3, ws)
         assert all((arr == 7.0).all() for arr in arrays)
 
     @pytest.mark.parametrize("grid", grids_for_dims())
@@ -412,7 +413,9 @@ class TestNorms:
         grad = sobolev_norm(grid, u, 1, seminorm=True)
         expected = (sobolev_norm(grid, u, 0), lp_norm(grid, u, 4), h1,
                     sobolev_norm(grid, u, 2), sobolev_norm(grid, u, 3), grad, grad)
-        got = _sample_norms(grid, u, h1)
+        kernel = StepKernel(ModelParams(1.0, 1.0, 1.0, 1.0, 1.0),
+                            NoiseModel.empty(grid), TruncationConfig.off(), 0.01)
+        got = _sample_norms(kernel, u, h1)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 

@@ -1,27 +1,23 @@
-"""The time step reuses per-grid padded-grid buffers: it allocates no
-padded-grid array, returns arrays that no later call overwrites, and gives
-the same bits in any thread."""
+"""A run's step kernel owns its padded-grid buffers: a warm step allocates
+no padded-grid array, returns arrays that no later call overwrites, gives the
+same bits in any thread, and its buffers are freed with the kernel."""
 
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from sllbar.grid import (
     Grid,
+    Workspace,
     analyze,
     gradient_values,
     random_field,
     synthesize,
-    workspace,
 )
-from sllbar.integrator import (
-    _explicit_parts,
-    _sample_norms,
-    heun_strat_step,
-    imex_em_step,
-)
+from sllbar.integrator import StepKernel, _explicit_parts, _sample_norms
 from sllbar.model import ModelParams, TruncationConfig
 from sllbar.noise import build_noise_modes
 
@@ -45,13 +41,17 @@ def state(grid, seed):
     return random_field(grid, np.random.default_rng(seed), amplitude=0.3)
 
 
-def steps(coeffs, grid, noise, scheme, n):
+def kernel(noise, scheme="imex_em_ito"):
     # the explicit biharmonic of heun_strat needs a far smaller step
-    dt = 1e-3 if scheme is imex_em_step else 1e-5
+    dt = 1e-3 if scheme == "imex_em_ito" else 1e-5
+    return StepKernel(PARAMS, noise, TRUNC, dt, scheme)
+
+
+def steps(coeffs, kern, n):
     rng = np.random.default_rng(11)
     for _ in range(n):
-        dW = rng.standard_normal(noise.J) * np.sqrt(dt)
-        coeffs = scheme(coeffs, grid, PARAMS, noise, TRUNC, dW, dt)
+        dW = rng.standard_normal(kern.noise.J) * np.sqrt(kern.dt)
+        coeffs = kern.stepper(kern, coeffs, dW)
     return coeffs
 
 
@@ -62,13 +62,13 @@ def test_warm_step_allocates_less_than_one_padded_field():
     for grid in (Grid(2, (np.pi, np.pi), (8, 8), pad_factor=8),
                  Grid(3, (np.pi, 1.0, 2.5), (4, 4, 4), pad_factor=4)):
         assert np.empty((3, *grid.padded)).nbytes == field_bytes
-        noise = two_mode_noise(grid)
+        kern = kernel(two_mode_noise(grid))  # built before tracing starts
         coeffs = state(grid, 1)
-        steps(coeffs, grid, noise, imex_em_step, 1)  # warm the caches and buffers
+        steps(coeffs, kern, 1)  # warm the caches
         tracemalloc.start()
         try:
-            steps(coeffs, grid, noise, imex_em_step, 1)
-            _sample_norms(grid, coeffs, 1.0)
+            steps(coeffs, kern, 1)
+            _sample_norms(kern, coeffs, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -80,10 +80,11 @@ def test_returned_arrays_survive_the_next_call(include_correction):
     grid = Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))
     noise = two_mode_noise(grid)
     dW = np.array([0.03, -0.02])
-    terms, inc = _explicit_parts(state(grid, 1), grid, PARAMS, noise, TRUNC,
+    ws = Workspace(grid)
+    terms, inc = _explicit_parts(state(grid, 1), grid, PARAMS, noise, TRUNC, ws,
                                  include_correction, dW)
     kept = ({k: v.copy() for k, v in terms.items()}, inc.copy())
-    _explicit_parts(state(grid, 2), grid, PARAMS, noise, TRUNC,
+    _explicit_parts(state(grid, 2), grid, PARAMS, noise, TRUNC, ws,
                     include_correction, dW)
     assert terms.keys() == kept[0].keys()
     for name, arr in terms.items():
@@ -101,10 +102,11 @@ def test_warm_step_peak_does_not_grow_with_the_mode_count():
         noise = build_noise_modes({"family": "eigenmode", "modes": [
             {"sigma": 0.1, "index": (j % 3, j // 3, 1), "direction": (1.0, j, 0.5)}
             for j in range(J)]}, grid)
-        steps(coeffs, grid, noise, imex_em_step, 1)  # warm the caches
+        kern = kernel(noise)  # built before tracing starts
+        steps(coeffs, kern, 1)  # warm the caches
         tracemalloc.start()
         try:
-            steps(coeffs, grid, noise, imex_em_step, 1)
+            steps(coeffs, kern, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -143,31 +145,32 @@ def test_synthesize_rejects_unusable_out(out):
         synthesize(grid, state(grid, 5), out=out)
 
 
-@pytest.mark.parametrize("scheme", [imex_em_step, heun_strat_step],
+@pytest.mark.parametrize("scheme", ["imex_em_ito", "heun_strat"],
                          ids=["imex", "heun"])
 def test_step_does_not_depend_on_earlier_steps(scheme):
     grid = Grid(2, (np.pi, 2.0), (6, 5))
-    noise = two_mode_noise(grid)
-    first = steps(state(grid, 6), grid, noise, scheme, 3)
+    kern = kernel(two_mode_noise(grid), scheme)
+    first = steps(state(grid, 6), kern, 3)
     assert np.isfinite(first).all()
-    steps(state(grid, 7), grid, noise, scheme, 2)  # dirties the workspace
-    assert np.array_equal(first, steps(state(grid, 6), grid, noise, scheme, 3))
+    steps(state(grid, 7), kern, 2)  # dirties the workspace
+    assert np.array_equal(first, steps(state(grid, 6), kern, 3))
 
 
-@pytest.mark.parametrize("scheme", [imex_em_step, heun_strat_step],
+@pytest.mark.parametrize("scheme", ["imex_em_ito", "heun_strat"],
                          ids=["imex", "heun"])
 def test_threads_match_serial_steps(scheme):
     grid = Grid(2, (np.pi, 2.0), (8, 6))
     noise = two_mode_noise(grid)
     starts = [state(grid, 8), state(grid, 9)]
-    serial = [steps(c, grid, noise, scheme, 20) for c in starts]
+    serial = [steps(c, kernel(noise, scheme), 20) for c in starts]
     assert all(np.isfinite(c).all() for c in serial)
     results = [None, None]
     barrier = threading.Barrier(2)
 
     def run(i):
+        kern = kernel(noise, scheme)  # one kernel per thread
         barrier.wait()
-        results[i] = steps(starts[i], grid, noise, scheme, 20)
+        results[i] = steps(starts[i], kern, 20)
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for t in threads:
@@ -178,17 +181,25 @@ def test_threads_match_serial_steps(scheme):
         assert got.tobytes() == ref.tobytes()
 
 
-def test_workspace_is_per_thread_and_per_grid():
+def test_kernel_workspace_is_freed_with_the_kernel():
     grid = Grid(2, (np.pi, 2.0), (8, 6))
-    ws = workspace(grid)
-    assert workspace(Grid(2, (np.pi, 2.0), (8, 6))) is ws
-    assert workspace(grid.with_modes((8, 5))) is not ws
-    assert ws.vals.shape == ws.lap.shape == ws.prod.shape == (3, 16, 12)
-    other = []
-    t = threading.Thread(target=lambda: other.append(workspace(grid)))
-    t.start()
-    t.join()
-    assert other[0] is not ws
+    kern = kernel(two_mode_noise(grid))
+    steps(state(grid, 10), kern, 2)
+    ws = weakref.ref(kern.ws)
+    assert ws().vals.shape == ws().lap.shape == ws().prod.shape == (3, 16, 12)
+    del kern
+    assert ws() is None
+
+
+def test_kernels_on_equal_grids_share_no_buffer():
+    noise = two_mode_noise(Grid(2, (np.pi, 2.0), (8, 6)))
+    kernels = [kernel(noise), kernel(noise),
+               kernel(two_mode_noise(Grid(2, (np.pi, 2.0), (8, 6))))]
+    assert kernels[0].grid == kernels[2].grid and kernels[0].grid is not kernels[2].grid
+    buffers = [arr for k in kernels for arr in (k.ws.vals, k.ws.lap, k.ws.prod)]
+    for i, a in enumerate(buffers):
+        for b in buffers[i + 1:]:
+            assert not np.may_share_memory(a, b)
 
 
 def test_grid_hash_is_stable_and_matches_equality():
@@ -199,10 +210,9 @@ def test_grid_hash_is_stable_and_matches_equality():
 
 
 def test_grid_comparisons_do_not_grow_with_steps(monkeypatch):
-    # noise and u0 built on grid a; a distinct grid b equal to a does the steps,
-    # so a per-step constant looked up by Grid would compare b with a each time
+    # u0 built on grid a; the noise, and so the kernel, on a distinct grid b
+    # equal to a, so a per-step constant looked up by Grid would compare b with a
     a = Grid(1, (np.pi,), (16,))
-    noise = two_mode_noise(a)
     coeffs = state(a, 12)
     eq_calls = []
     dataclass_eq = Grid.__eq__
@@ -216,8 +226,9 @@ def test_grid_comparisons_do_not_grow_with_steps(monkeypatch):
     for n in (5, 20):
         b = Grid(1, (np.pi,), (16,))
         assert b == a and b is not a
+        kern = kernel(two_mode_noise(b))
         eq_calls.clear()
-        assert np.isfinite(steps(coeffs, b, noise, imex_em_step, n)).all()
+        assert np.isfinite(steps(coeffs, kern, n)).all()
         counts.append(len(eq_calls))
     assert counts[0] == counts[1]
 

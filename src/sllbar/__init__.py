@@ -8,7 +8,7 @@ from .grid import (
     constant_field,
     eigenmode_field,
     embed,
-    lp_norm,
+    l4_norm,
     random_field,
     sobolev_norm,
 )

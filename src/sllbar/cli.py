@@ -150,12 +150,14 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 def _cmd_invariant(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     exp = cfg.experiment
-    try:  # before any path is stepped; n_steps * dt has the bits of stats.horizon
-        windows = invariant_windows(cfg.solver.n_steps * cfg.solver.dt, exp.burn_in,
-                                    exp.windows or None)
+    n, every = cfg.solver.n_steps, cfg.solver.record_every
+    try:  # before any path is stepped, on the record grid of a full-horizon run
+        windows = invariant_windows(np.minimum(np.arange(0, n + every, every), n)
+                                    * cfg.solver.dt, exp.burn_in, exp.windows or None)
     except ValueError as exc:
-        key = "windows" if exp.windows else "burn_in"
-        raise ConfigError(f"experiment.{key}: {exc}") from exc
+        key = ("experiment.windows" if exp.windows else "solver.record_every"
+               if "no samples" in str(exc) else "experiment.burn_in")
+        raise ConfigError(f"{key}: {exc}") from exc
     stats = _run_paths(cfg)
     if stats.blowup_count:
         raise BlowupAbort(

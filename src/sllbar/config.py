@@ -47,6 +47,10 @@ class ExperimentConfig:
             raise ValueError("ensemble_m: must be >= 1")
         if self.workers < 1:
             raise ValueError("workers: must be >= 1")
+        if any(p < 1 for p in self.moment_powers):
+            raise ValueError("moment_powers: each must be >= 1")
+        if any(r < 0 for r in self.tightness_r):
+            raise ValueError("tightness_r: each must be >= 0")
         if any(len(w) != 2 or w[0] >= w[1] for w in self.windows or ()):
             raise ValueError("windows: each window must be t0:t1 with t0 < t1")
         if self.dt_halvings < 0:

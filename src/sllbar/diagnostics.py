@@ -26,7 +26,7 @@ from .grid import (
     eigenvalue_array,
     embed,
     gradient_values,
-    lp_norm,
+    l4_norm,
     quad_weight,
     sobolev_norm,
     synthesize,
@@ -141,7 +141,7 @@ def energy_balance_l2(traj: TrajectoryRecord,
             ddt
             + params.beta1 * sobolev_norm(grid, u, 1, seminorm=True) ** 2
             + params.beta2 * sobolev_norm(grid, u, 2, seminorm=True) ** 2
-            + params.beta3 * lp_norm(grid, u, 4, ws) ** 4
+            + params.beta3 * l4_norm(grid, u, ws) ** 4
             - params.beta3 * sobolev_norm(grid, u, 0) ** 2
             + params.beta5 * theta * (2.0 * cross_sq + mixed_sq)
         )

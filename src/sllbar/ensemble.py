@@ -295,9 +295,11 @@ class WindowReport:
     window_ses: list[float]
 
 
-def invariant_windows(T: float, burn_in: float, windows=None) -> list[tuple]:
-    """The windows of :func:`invariant_average` on [0, T] (default [T/4, T/2]
-    and [T/2, T]); raises unless 2 burn_in <= T and each is in [burn_in, T]."""
+def invariant_windows(times: np.ndarray, burn_in: float, windows=None) -> list[tuple]:
+    """The windows of :func:`invariant_average` on [0, T], T = ``times[-1]``
+    (default [T/4, T/2] and [T/2, T]); raises unless 2 burn_in <= T and each
+    is in [burn_in, T] and holds a left endpoint of the recorded ``times``."""
+    T = float(times[-1])
     if T < 2 * burn_in:
         raise ValueError(f"horizon {T} must be at least twice the burn-in {burn_in}")
     windows = [(T / 4.0, T / 2.0), (T / 2.0, T)] if windows is None else list(windows)
@@ -306,6 +308,8 @@ def invariant_windows(T: float, burn_in: float, windows=None) -> list[tuple]:
             raise ValueError(f"window start {t0} precedes burn-in {burn_in}")
         if t1 > T + 1e-12:
             raise ValueError(f"window end {t1} exceeds horizon {T}")
+        if not ((times[:-1] >= t0) & (times[:-1] < t1)).any():
+            raise ValueError(f"window ({t0}, {t1}) contains no samples")
     return windows
 
 
@@ -327,15 +331,13 @@ def invariant_average(stats: EnsembleStats, observable: str | int,
         observable = list(stats.obs)[observable]
     if observable not in stats.obs:
         raise KeyError(f"observable {observable!r} not recorded")
-    windows = invariant_windows(stats.horizon, burn_in, windows)
+    windows = invariant_windows(stats.times, burn_in, windows)
     left = stats.times[:-1]  # each interval's left endpoint
     series = stats.obs[observable][:, :-1]  # (M, S - 1)
 
     means, ses = [], []
     for t0, t1 in windows:
         mask = (left >= t0) & (left < t1)
-        if mask.sum() == 0:
-            raise ValueError(f"window ({t0}, {t1}) contains no samples")
         w = stats.weights[mask]
         m, se = _scalar_mean_se((series[:, mask] * w).sum(axis=1) / w.sum())
         means.append(m)

@@ -44,7 +44,7 @@ Memory
 ------
 A time step writes padded-grid values, products and |u|^2 into the
 :class:`Workspace` its run's ``integrator.StepKernel`` owns, so the buffers
-live exactly as long as the run; :func:`lp_norm` writes into a given
+live exactly as long as the run; :func:`l4_norm` writes into a given
 workspace or a fresh one. This module keeps no per-thread state. Every
 transform pass but the last writes into a fresh array that the next pass
 reads and drops, and :func:`cross3` uses the rows of ``out`` as its scratch
@@ -246,7 +246,7 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 class Workspace:
-    """Padded-grid arrays a time step or :func:`lp_norm` writes, reused by the next.
+    """Padded-grid arrays a time step or :func:`l4_norm` writes, reused by the next.
 
     A run's ``integrator.StepKernel`` owns one, and it is freed with the
     kernel; two workspaces never share a buffer, so each thread or run that
@@ -352,36 +352,20 @@ def sobolev_norms(grid: Grid, coeffs: np.ndarray, orders) -> list[float]:
     return norms
 
 
-def lp_norm(grid: Grid, coeffs: np.ndarray, p, ws: Workspace | None = None) -> float:
-    """L^p norm by quadrature, p in {2, 4, inf}, written into ``ws`` when it
-    is given and into a fresh :class:`Workspace` otherwise.
-
-    For retained-mode fields the midpoint rule is exact at p = 2 and, with
-    pad_factor 2, at p = 4 as well. The infinity norm is the max over nodes
-    of the Euclidean magnitude of the 3-vector.
-    """
-    if p not in (2, 4, math.inf, "inf"):
-        raise ValueError(f"unsupported p {p!r}")
-    if ws is None:
-        ws = Workspace(grid)
+def l4_norm(grid: Grid, coeffs: np.ndarray, ws: Workspace | None = None) -> float:
+    """L^4 norm by quadrature (exact for retained-mode fields at pad_factor 2),
+    written into ``ws`` or a fresh :class:`Workspace`; L^2 is ``sobolev_norm``."""
+    ws = Workspace(grid) if ws is None else ws
     vals = synthesize(grid, coeffs, out=ws.vals)
     mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0, out=ws.lap[0])
     w = quad_weight(grid)
-    if p == 2:
-        return math.sqrt(float(mag2.sum()) * w)
-    if p == 4:
-        return float(np.multiply(mag2, mag2, out=ws.prod[0]).sum() * w) ** 0.25
-    return math.sqrt(float(mag2.max()))
+    return float(np.multiply(mag2, mag2, out=ws.prod[0]).sum() * w) ** 0.25
 
 
 def constant_field(grid: Grid, vector) -> np.ndarray:
     """Spatially constant field with the given 3-vector value."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (3,):
-        raise ValueError("vector must have 3 components")
-    coeffs = np.zeros((3, *grid.modes))
-    coeffs[(slice(None),) + (0,) * grid.dim] = vector * math.sqrt(grid.volume)
-    return coeffs
+    return eigenmode_field(grid, (0,) * grid.dim,
+                           np.asarray(vector, dtype=float) * math.sqrt(grid.volume))
 
 
 def check_mode_index(grid: Grid, index) -> tuple[int, ...]:

@@ -43,7 +43,7 @@ from .grid import (
     analyze,
     cross3,
     eigenvalue_array,
-    lp_norm,
+    l4_norm,
     sobolev_norm,
     sobolev_norms,
     synthesize,
@@ -256,7 +256,7 @@ def _sample_norms(kernel: StepKernel, coeffs: np.ndarray, h1: float) -> tuple[fl
     l2, grad, h2, h3 = sobolev_norms(
         kernel.grid, coeffs, ((0, False), (1, True), (2, False), (3, False)))
     # theta argument: the same quantity the truncation reads
-    return (l2, lp_norm(kernel.grid, coeffs, 4, kernel.ws), h1, h2, h3, grad, grad)
+    return (l2, l4_norm(kernel.grid, coeffs, kernel.ws), h1, h2, h3, grad, grad)
 
 
 def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,

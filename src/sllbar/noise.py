@@ -21,7 +21,7 @@ route also stays the weak-form residual's own pairing, and writes into the
 ``StepKernel`` workspace). The Philox generator of :func:`sample_increments`
 is the package's only per-thread state. The family must satisfy the
 square-summability condition ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the
-finite truncation reports its C_h so configured tail bounds can be checked.
+finite truncation reports its C_h (closed form) so tail bounds can be checked.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .grid import (
     cross3,
     eigenmode_field,
     eigenvalue_array,
-    sobolev_norm,
     synthesize,
 )
 
@@ -56,10 +55,11 @@ class NoiseTailWarning(UserWarning):
 class NoiseModel:
     """Immutable eigenmode family ``h_j = e_{k_j}(x) a_j``, stored per mode as
     read-only ``(J, d)`` int ``index`` (k_j), ``(J, 3)`` ``amplitude`` (a_j =
-    sigma_j v_j) and ``h_minus_lap_k`` (h_j - Lap h_j at k_j), with C_h. Dense
-    ``h`` and ``lap_h`` are built on each read; the dense ``h_minus_lap`` and
-    ``h_phys`` of the d = 1 route and the d >= 2 :attr:`_groups` on first use
-    and kept (a sparse write per step would cost the d = 1 route more)."""
+    sigma_j v_j) and ``h_minus_lap_k`` (h_j - Lap h_j at k_j), with C_h = sum_j
+    (1 + lambda_{k_j})^3 |a_j|^2. Dense ``h`` is built on each read; the d = 1
+    route's dense ``h_minus_lap`` (from the rows) and ``h_phys`` and the d >= 2
+    :attr:`_groups` on first use and kept (a sparse write per step would cost
+    the d = 1 route more)."""
 
     grid: Grid
     index: np.ndarray
@@ -74,9 +74,10 @@ class NoiseModel:
         self.amplitude = np.array(self.amplitude, dtype=float).reshape(-1, 3)
         if len(self.index) != len(self.amplitude):
             raise ValueError("index and amplitude must hold one row per mode")
-        self.C_h = float(sum(sobolev_norm(self.grid, hj, 3) ** 2 for hj in self.h))
         lam = eigenvalue_array(self.grid)[tuple(self.index.T)][:, None]
-        self.h_minus_lap_k = self.amplitude - self.amplitude * -lam  # as h - lap_h
+        self.h_minus_lap_k = self.amplitude - self.amplitude * -lam  # h - Lap h
+        self.C_h = float(sum(np.power(1.0 + lam[:, 0], 3.0)  # |h_j|_{H^3}^2
+                             * np.add.reduce(self.amplitude ** 2, axis=1)))
         for arr in (self.index, self.amplitude, self.h_minus_lap_k):
             arr.setflags(write=False)
 
@@ -89,13 +90,10 @@ class NoiseModel:
         return [eigenmode_field(self.grid, k, a)
                 for k, a in zip(self.index, self.amplitude)]
 
-    @property
-    def lap_h(self) -> list[np.ndarray]:
-        return [hj * -eigenvalue_array(self.grid) for hj in self.h]
-
     @cached_property
     def h_minus_lap(self) -> list[np.ndarray]:
-        return [hj - lh for hj, lh in zip(self.h, self.lap_h)]
+        return [eigenmode_field(self.grid, k, row)
+                for k, row in zip(self.index, self.h_minus_lap_k)]
 
     @classmethod
     def empty(cls, grid: Grid) -> "NoiseModel":

@@ -339,6 +339,21 @@ class TestEnsemble:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+class TestExperimentValues:
+    @pytest.mark.parametrize("command,edit,key", [
+        ("ensemble", ("moment_powers = 1, 2", "moment_powers = 1, 0.5"), "moment_powers"),
+        ("invariant", ("tightness_r = 0.5, 1, 2", "tightness_r = 0.5, -1"),
+         "tightness_r"),
+    ])
+    def test_bad_value_exits_2_at_parse_time(self, tmp_path, capsys, command, edit,
+                                             key):
+        code, out = run_text(tmp_path, command, BASE.replace(*edit))
+        assert code == 2
+        assert f"configuration error: experiment.{key}: each must be" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestInvariant:
     def test_windows_and_tightness(self, cfg_file, tmp_path):
         out = tmp_path / "out"
@@ -368,6 +383,20 @@ class TestInvariant:
                             "--output-dir", str(out), "--quiet"]) == 2
         assert f"configuration error: experiment.{key}:" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_window_without_a_sample_exits_2_before_any_path(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # samples at t = 0, 0.3 and 0.5: the default window [0.125, 0.25) holds none
+        def no_paths(*args, **kwargs):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(sllbar.cli, "run_ensemble", no_paths)
+        code, out = run_text(tmp_path, "invariant",
+                             BASE.replace("record_every = 5", "record_every = 30"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: solver.record_every: window (0.125, 0.25)" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_simulate_and_ensemble_ignore_the_windows(self, tmp_path):
         cfg = tmp_path / "short.cfg"

@@ -285,6 +285,8 @@ class TestExperimentChecks:
         ({"refine_levels": (8, 8)}, "refine_levels"),
         ({"refine_levels": (0, 16)}, "refine_levels"),
         ({"refine_levels": (-4,)}, "refine_levels"),
+        ({"moment_powers": (1.0, 0.5)}, "moment_powers"),
+        ({"tightness_r": (1.0, -1.0)}, "tightness_r"),
     ])
     def test_library_rejects(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field}: "):

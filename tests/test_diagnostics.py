@@ -21,7 +21,7 @@ from sllbar.grid import (
     analyze,
     constant_field,
     eigenmode_field,
-    lp_norm,
+    l4_norm,
     random_field,
     sobolev_norm,
     synthesize,
@@ -195,7 +195,7 @@ class TestEnergyBalance:
                     ddt
                     + p.beta1 * sobolev_norm(G8, u, 1, seminorm=True) ** 2
                     + p.beta2 * sobolev_norm(G8, u, 2, seminorm=True) ** 2
-                    + p.beta3 * lp_norm(G8, u, 4) ** 4
+                    + p.beta3 * l4_norm(G8, u) ** 4
                     - p.beta3 * sobolev_norm(G8, u, 0) ** 2
                     - p.beta5 * theta_of[m] * identity_cubic_ibp(G8, u)[0]
                 ) / normalization)

@@ -363,6 +363,9 @@ class TestInvariantAverage:
             invariant_average(stats, 0, burn_in=0.1, windows=[(0.5, 1.5)])
         with pytest.raises(ValueError):
             invariant_average(stats, 0, burn_in=0.2, windows=[(0.1, 0.5)])
+        with pytest.raises(ValueError, match="contains no samples"):
+            # samples every 0.04: none in [0.5, 0.51)
+            invariant_average(stats, 0, burn_in=0.1, windows=[(0.5, 0.51)])
 
     def test_missing_observable(self):
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=4)

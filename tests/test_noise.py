@@ -90,12 +90,24 @@ class TestBuild:
         # sigma^2 (1+lambda)^3: 1*8 + 0.25*125
         assert nm.C_h == pytest.approx(39.25, rel=1e-12)
 
-    def test_lap_h_precomputed_exactly(self):
+    def test_c_h_is_the_closed_form_at_d3(self):
+        # on [0, pi]^3 each 1 + lambda_k is an integer, so its cube is exact
+        # and the oracle rounds only where the closed form does
+        grid = Grid(3, (np.pi,) * 3, (4, 4, 4))
+        nm = build_noise_modes(eigenmode_spec(*D3_KERNEL_FAMILY), grid)
+        lam = eigenvalue_array(grid)
+        expected = 0.0
+        for k, (a0, a1, a2) in zip(nm.index, nm.amplitude.tolist()):
+            expected += (1.0 + lam[tuple(k)]) ** 3 * (a0 * a0 + a1 * a1 + a2 * a2)
+        assert nm.C_h == expected
+
+    def test_h_minus_lap_precomputed_exactly(self):
         nm = build_noise_modes(
             eigenmode_spec({"sigma": 1.0, "index": (2,), "direction": (1, 0, 0)}),
             G8,
         )
-        assert np.array_equal(nm.lap_h[0], -eigenvalue_array(G8) * nm.h[0])
+        h = nm.h[0]
+        assert nm.h_minus_lap[0].tobytes() == (h - -eigenvalue_array(G8) * h).tobytes()
 
     def test_mode_outside_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -245,7 +257,7 @@ class TestDiffusionApply:
             G8,
         )
         G = diffusion(np.zeros((3, 8)), nm, 0)
-        expected = nm.h[0] - nm.lap_h[0]
+        expected = nm.h[0] - -eigenvalue_array(G8) * nm.h[0]
         assert np.abs(G - expected).max() < 1e-13
 
     def test_constant_h_and_u(self):
@@ -264,7 +276,7 @@ class TestDiffusionApply:
         )
         u = eigenmode_field(G8, (1,), (0.0, 0.0, 2.0))  # u parallel to h pointwise
         G = diffusion(u, nm, 0)
-        expected = nm.h[0] - nm.lap_h[0]
+        expected = nm.h[0] - -eigenvalue_array(G8) * nm.h[0]
         assert np.abs(G - expected).max() < 1e-12
 
     def test_affine_in_u(self):
@@ -340,7 +352,7 @@ class TestItoCorrection:
         )
         u = 1.8 * nm.h[0]  # parallel pointwise
         got = correction(u, nm)
-        additive = nm.h[0] - nm.lap_h[0]
+        additive = nm.h[0] - -eigenvalue_array(G8) * nm.h[0]
         expected = -0.5 * analyze(G8, cross3(synthesize(G8, additive), nm.h_phys[0]))
         assert np.abs(got - expected).max() < 1e-12
 

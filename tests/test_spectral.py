@@ -7,7 +7,6 @@ import pytest
 
 from sllbar.grid import (
     Grid,
-    Workspace,
     _transform,
     analyze,
     collocation_points,
@@ -17,7 +16,7 @@ from sllbar.grid import (
     eigenvalue_array,
     embed,
     gradient_values,
-    lp_norm,
+    l4_norm,
     quad_weight,
     random_field,
     sobolev_norm,
@@ -343,7 +342,7 @@ class TestNorms:
     @pytest.mark.parametrize("shape", [(3, 1), (2, 5)], ids=["one_mode", "two_rows"])
     @pytest.mark.parametrize("norm", [
         lambda g, c: sobolev_norm(g, c, 0), lambda g, c: sobolev_norm(g, c, 1),
-        lambda g, c: lp_norm(g, c, 2)], ids=["L2", "H1", "lp_L2"])
+        lambda g, c: l4_norm(g, c)], ids=["L2", "H1", "L4"])
     def test_wrong_shape_rejected(self, norm, shape):
         """A (3, 1) array once broadcast its one mode against all five
         weights and read 10.2469 in H^1; a (2, 5) one read 8.37."""
@@ -360,33 +359,8 @@ class TestNorms:
         grid = Grid(1, (2.0,), (4,))
         a = 0.9
         u = constant_field(grid, (a, 0.0, 0.0))
-        assert lp_norm(grid, u, 4) == pytest.approx((a**4 * grid.volume) ** 0.25,
-                                                    rel=1e-13)
-
-    def test_l2_quadrature_matches_spectral(self):
-        grid = Grid(2, (np.pi, 2.0), (5, 6))
-        u = random_field(grid, RNG)
-        assert lp_norm(grid, u, 2) == pytest.approx(sobolev_norm(grid, u, 0), rel=1e-10)
-
-    def test_linf_of_cos(self):
-        grid = Grid(1, (np.pi,), (8,))
-        amp = 1 / math.sqrt(2 / np.pi)
-        u = eigenmode_field(grid, (1,), (amp, 0.0, 0.0))
-        # max over midpoint nodes; the first node sits near but not at x=0
-        x = collocation_points(grid)[0]
-        assert lp_norm(grid, u, math.inf) == pytest.approx(np.abs(np.cos(x)).max(),
-                                                           rel=1e-13)
-
-    def test_unsupported_p(self):
-        # p is checked before u is synthesized into the given workspace
-        grid = Grid(1, (1.0,), (4,))
-        ws = Workspace(grid)
-        arrays = (ws.vals, ws.lap, ws.prod)
-        for arr in arrays:
-            arr.fill(7.0)
-        with pytest.raises(ValueError):
-            lp_norm(grid, random_field(grid, RNG), 3, ws)
-        assert all((arr == 7.0).all() for arr in arrays)
+        assert l4_norm(grid, u) == pytest.approx((a**4 * grid.volume) ** 0.25,
+                                                 rel=1e-13)
 
     @pytest.mark.parametrize("grid", grids_for_dims())
     def test_norms_match_the_plain_sums_bitwise(self, grid):
@@ -411,7 +385,7 @@ class TestNorms:
         u = random_field(grid, RNG)
         h1 = sobolev_norm(grid, u, 1)
         grad = sobolev_norm(grid, u, 1, seminorm=True)
-        expected = (sobolev_norm(grid, u, 0), lp_norm(grid, u, 4), h1,
+        expected = (sobolev_norm(grid, u, 0), l4_norm(grid, u), h1,
                     sobolev_norm(grid, u, 2), sobolev_norm(grid, u, 3), grad, grad)
         kernel = StepKernel(ModelParams(1.0, 1.0, 1.0, 1.0, 1.0),
                             NoiseModel.empty(grid), TruncationConfig.off(), 0.01)
@@ -457,7 +431,7 @@ class TestFieldHelpers:
         grid = Grid(1, (1.0,), (4,))
         zero = np.zeros((3, 4))
         assert [sobolev_norm(grid, zero, s) for s in range(4)] == [0.0] * 4
-        assert [lp_norm(grid, zero, p) for p in (2, 4, math.inf)] == [0.0] * 3
+        assert l4_norm(grid, zero) == 0.0
 
     def test_embed_preserves_values(self):
         coarse = Grid(1, (np.pi,), (5,))

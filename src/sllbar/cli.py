@@ -15,7 +15,8 @@ writes its CSV and snapshot files through :mod:`sllbar.io`, and returns
 the report skeleton, writes ``report.json`` and prints ``<summary>, outputs
 in <dir>`` unless ``--quiet``.
 
-Exit codes: 0 success, 2 configuration error, 3 fatal blow-up inside a
+Exit codes: 0 success, 2 configuration error (an output directory this call
+made is removed again while it is empty), 3 fatal blow-up inside a
 study (``BlowupAbort``, also when ``ensemble`` or ``check`` stops at t = 0),
 4 I/O error. For ``simulate`` a blow-up stop is data, not an error.
 """
@@ -87,12 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare_output_dir(path: str, force: bool) -> Path:
-    out = Path(path)
+def _prepare_output_dir(out: Path, force: bool) -> None:
     if out.exists() and any(out.iterdir()) and not force:
         raise OSError(f"output directory {out} is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _stop_events(reasons, times) -> list[dict]:
@@ -265,11 +264,13 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    out = Path(args.output_dir)
+    fresh = not out.exists()
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
-        out = _prepare_output_dir(args.output_dir, args.force)
+        _prepare_output_dir(out, args.force)
         body, summary = _COMMANDS[args.command](cfg, out)
         write_report_json({**report_skeleton(cfg.echo()), **body}, out / "report.json")
         if not args.quiet:
@@ -277,6 +278,8 @@ def run_command(argv) -> int:
         return 0
     except (ConfigError, ConfigurationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        if fresh and out.is_dir() and not any(out.iterdir()):
+            out.rmdir()  # made by this call, and nothing was written
         return 2
     except BlowupAbort as exc:
         print(f"blow-up: {exc}", file=sys.stderr)

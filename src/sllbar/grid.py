@@ -47,8 +47,11 @@ A time step writes padded-grid values, products and |u|^2 into the
 live exactly as long as the run; :func:`l4_norm` writes into a given
 workspace or a fresh one. This module keeps no per-thread state. Every
 transform pass but the last writes into a fresh array that the next pass
-reads and drops, and :func:`cross3` uses the rows of ``out`` as its scratch
-and allocates one component-sized temporary. At d >= 2 the noise touches no
+reads and drops. :func:`cross3` of two cyclic ``(5, ...)`` operands (at d = 1:
+u, Lap u and each G_j in the workspace's spare rows, and ``h_phys``) takes one
+``(3, ...)`` temporary; of other operands, as at d >= 2, whose steps leave the
+spare rows untouched, it uses ``out``'s rows as scratch and one component-sized
+temporary. At d >= 2 the noise touches no
 padded-grid array: it applies N x N matrices to coefficient arrays only along
 the axes a mode excites (a zero axis is a scalar), its correction P_k^2 to u
 directly, and the noise model stores per-mode vectors. :func:`synthesize` and
@@ -213,18 +216,25 @@ def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
 
 
 def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Cross product of two ``(3, ...)`` arrays of equal shape along axis 0.
+    """Cross product along axis 0 of two operands with equal trailing shapes.
 
-    Written into ``out`` when it is given, which must have that shape and
-    share no memory with ``a`` or ``b``; a fresh array otherwise. Beyond
-    ``out``, a call allocates one component-sized temporary.
+    Each operand is ``(3, ...)`` or cyclic ``(5, ...)``, rows 3-4 repeating rows
+    0-1 (:func:`cyclic`). Two cyclic operands take three ufunc calls, ``a[1:4]
+    b[2:5] - a[2:5] b[1:4]``; otherwise rows 0-2 go row by row. Both give the
+    same bits. The ``(3, ...)`` result goes into ``out`` when it is given, which
+    must share no memory with ``a`` or ``b``; a fresh array otherwise. Other
+    shapes raise ``ValueError`` before any write.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"cross3 shapes differ: {a.shape} vs {b.shape}")
+    sa, sb = a.shape, b.shape  # each read of .shape builds a new tuple
+    if sa[1:] != sb[1:]:
+        raise ValueError(f"cross3 shapes differ: {sa} vs {sb}")
+    if sa[:1] not in ((3,), (5,)) or sb[:1] not in ((3,), (5,)):
+        raise ValueError(f"cross3 operands need 3 or 5 rows: {sa} vs {sb}")
+    shape = (3, *sa[1:])
     if out is None:
-        out = np.empty(a.shape)
-    elif out.shape != a.shape:
-        raise ValueError(f"cross3 out shape {out.shape}, expected {a.shape}")
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"cross3 out shape {out.shape}, expected {shape}")
     else:
         # arrays that each own their data are distinct allocations, so the
         # slower may_share_memory calls run only when one of them is a view
@@ -232,6 +242,10 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
         if out is a or out is b or not owned and (
                 np.may_share_memory(out, a) or np.may_share_memory(out, b)):
             raise ValueError("cross3 out shares memory with an input")
+    if len(a) == len(b) == 5:
+        np.multiply(a[1:4], b[2:5], out)
+        out -= np.multiply(a[2:5], b[1:4])
+        return out
     # indexing beats unpacking; out[0], which a and b cannot share, is the
     # scratch of rows 2 and 1
     a0, a1, a2, b0, b1, b2 = a[0], a[1], a[2], b[0], b[1], b[2]
@@ -256,13 +270,23 @@ class Workspace:
     pointwise product u |u|^2 and then every cross product. The padded-grid
     noise helpers (``noise._diffusion_coeffs``, ``noise._correction_coeffs``)
     write into the workspace they are given, so the u values handed to them
-    must not be its ``lap`` or ``prod``.
+    must not be its ``lap`` or ``prod``. ``vals`` and ``lap`` are the leading
+    ``(3, *padded)`` rows of ``(5, *padded)`` storage, whose spare rows
+    :func:`cyclic` fills; a step that never does so never touches their pages.
     """
 
     def __init__(self, grid: Grid):
-        self.vals = np.empty(grid.values_shape)
-        self.lap = np.empty(grid.values_shape)
+        self.vals = np.empty((5, *grid.padded))[:3]
+        self.lap = np.empty((5, *grid.padded))[:3]
         self.prod = np.empty(grid.values_shape)
+
+
+def cyclic(rows: np.ndarray) -> np.ndarray:
+    """The cyclic ``(5, ...)`` storage of a :class:`Workspace` ``vals`` or
+    ``lap`` view, its rows 0 and 1 copied into the spare rows 3 and 4."""
+    full = rows.base
+    full[3:] = full[:2]
+    return full
 
 
 def collocation_points(grid: Grid) -> tuple[np.ndarray, ...]:

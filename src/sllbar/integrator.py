@@ -42,6 +42,7 @@ from .grid import (
     Workspace,
     analyze,
     cross3,
+    cyclic,
     eigenvalue_array,
     l4_norm,
     sobolev_norm,
@@ -196,8 +197,9 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     ``include_correction`` is set and J > 0, ``ito_correction`` to coefficient
     arrays; ``increment`` is ``sum_j G_j(u) dW_j``, None without ``dW`` or if
     J = 0. The linear part is not included. Padded-grid values, products and
-    |u|^2 (in ``lap[0]``) go into the workspace ``ws``; every returned array
-    is freshly allocated.
+    |u|^2 (in ``lap[0]``) go into the workspace ``ws``, at d = 1 with the
+    values of u and Lap u in :func:`~sllbar.grid.cyclic` form; every returned
+    array is freshly allocated.
     """
     neg_lam = grid._neg_eigenvalues
     vals = synthesize(grid, coeffs, out=ws.vals)
@@ -206,6 +208,8 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     cubic = analyze(grid, np.multiply(vals, mag2, out=ws.prod))
     lap_vals = synthesize(grid, neg_lam * coeffs, out=ws.lap)
     theta = truncation_scale(grid, coeffs, trunc)
+    if grid.dim == 1:  # every product of the d = 1 route runs cyclic
+        vals, lap_vals = cyclic(vals), cyclic(lap_vals)
     terms = {
         "penalty": params.beta3 * (coeffs - cubic),
         "precession": -params.beta4 * analyze(grid, cross3(vals, lap_vals,

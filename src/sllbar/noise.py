@@ -15,10 +15,11 @@ correction; at d >= 2 both are formed in coefficient space, with no padded
 grid, dense h_j or per-mode G_j, a zero entry of k_j being a scalar
 (:func:`_operator_parts`). At d = 1 the step keeps the padded-grid route
 (:func:`_diffusion_coeffs`, :func:`_correction_coeffs`) until the benchmark
-re-pins the per-step counts ``bench/tests/test_counts.py`` holds for it; that
-route also stays the weak-form residual's own pairing, and writes into the
-:class:`~sllbar.grid.Workspace` its caller passes (in a step, the run's
-``StepKernel`` workspace). The Philox generator of :func:`sample_increments`
+re-pins the per-step counts ``bench/tests/test_counts.py`` holds for it; its
+products take cyclic :func:`~sllbar.grid.cross3` operands, ``h_phys`` among
+them. That route also stays the weak-form residual's own pairing, and writes
+into the :class:`~sllbar.grid.Workspace` its caller passes (in a step, the
+run's ``StepKernel`` workspace). The Philox generator of :func:`sample_increments`
 is the package's only per-thread state. The family must satisfy the
 square-summability condition ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the
 finite truncation reports its C_h (closed form) so tail bounds can be checked.
@@ -41,6 +42,7 @@ from .grid import (
     analyze,
     check_mode_index,
     cross3,
+    cyclic,
     eigenmode_field,
     eigenvalue_array,
     synthesize,
@@ -101,9 +103,14 @@ class NoiseModel:
 
     @cached_property
     def h_phys(self) -> list[np.ndarray]:
-        """Padded-grid values of each h_j for the d=1 route; built by the
-        transform itself, so they add no ``synthesize`` call to a step."""
-        return [_transform(hj, self.grid._axis_matrices[1]) for hj in self.h]
+        """Read-only padded-grid values of each h_j for the d=1 route, in the
+        cyclic ``(5, *padded)`` form of :func:`~sllbar.grid.cross3`; built by
+        the transform itself, so they add no ``synthesize`` call to a step."""
+        rows = [_transform(hj, self.grid._axis_matrices[1])[[0, 1, 2, 0, 1]]
+                for hj in self.h]
+        for vals in rows:
+            vals.setflags(write=False)
+        return rows
 
     @cached_property
     def _groups(self) -> list[tuple]:
@@ -198,14 +205,14 @@ def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
                        ws: Workspace) -> np.ndarray:
     """Coefficients of the Ito correction ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 
-    Each G_j's values are written into ``ws.lap`` and each cross product into
-    ``ws.prod``.
+    Each G_j's values are written into ``ws.lap`` in cyclic form and each
+    cross product into ``ws.prod``.
     """
     acc = np.zeros((3, *grid.modes))
     for j in range(noise.J):
         G_vals = synthesize(grid, _diffusion_coeffs(grid, u_vals, noise, j, ws),
                             out=ws.lap)
-        acc += analyze(grid, cross3(G_vals, noise.h_phys[j], out=ws.prod))
+        acc += analyze(grid, cross3(cyclic(G_vals), noise.h_phys[j], out=ws.prod))
     return -0.5 * acc
 
 
@@ -261,29 +268,27 @@ def sample_increments(seed: int, path: int, step: int, J: int,
     The Philox counter is keyed on (path, step); mode j takes the j-th draw
     of that stream, so the value for a given (seed, path, j, step) never
     depends on J or on evaluation order, and parallel schedules cannot
-    change results. Each thread reuses one generator and one state dict; each
-    call writes key and counter into the dict and resets the whole state
-    (key, counter and buffered bits) from it, which gives the same values as
-    a freshly built ``Generator(Philox(key=seed, counter=[0x5757, path,
-    step, 0]))``.
+    change results. Each thread keeps one ``(generator, state dict, counter
+    list, key list)`` tuple; each call writes path, step and seed into the
+    lists the dict holds and resets the whole state (key, counter and
+    buffered bits) from it, which gives the same values as a freshly built
+    ``Generator(Philox(key=seed, counter=[0x5757, path, step, 0]))``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if J == 0:
         return WienerIncrement(step, np.zeros(0))
-    if not hasattr(_PHILOX, "gen"):
-        _PHILOX.gen = np.random.Generator(np.random.Philox(0))
-        _PHILOX.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [_STREAM_WIENER, 0, 0, 0], "key": [0, 0]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-    inner = _PHILOX.state["state"]
-    inner["counter"][1:3] = int(path), int(step)
-    inner["key"][0] = int(seed)
-    _PHILOX.gen.bit_generator.state = _PHILOX.state
-    values = _PHILOX.gen.standard_normal(J) * math.sqrt(dt)
-    return WienerIncrement(step, values)
+    try:
+        gen, state, counter, key = _PHILOX.keyed
+    except AttributeError:
+        counter, key = [_STREAM_WIENER, 0, 0, 0], [0, 0]
+        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        gen = np.random.Generator(np.random.Philox(0))
+        _PHILOX.keyed = gen, state, counter, key
+    counter[1], counter[2], key[0] = int(path), int(step), int(seed)
+    gen.bit_generator.state = state
+    return WienerIncrement(step, gen.standard_normal(J) * math.sqrt(dt))
 
 
 def coupled_increments(seed: int, path: int, step: int, J: int, dt: float,

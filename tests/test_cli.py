@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +416,41 @@ class TestConverge:
         gaps = report["dt_study"]["mean_l2_gap_to_next_level"]
         assert len(gaps) == 2 and gaps[0] > gaps[1]
         assert "4->8" in report["refinement_gaps"]
+
+
+ANNOTATED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "annotated.cfg"
+
+
+class TestConfigErrorsLeaveNoDirectory:
+    """A config that a command rejects before stepping leaves no output
+    directory behind, but never removes one the user already had."""
+
+    @pytest.mark.parametrize("command,old,new", [
+        ("invariant", "record_every = 10", "record_every = 600"),
+        ("converge", "refine_levels = 8, 16, 32", "refine_levels = 16, 8, 32"),
+    ], ids=["invariant_window_without_sample", "converge_parse_time"])
+    def test_fresh_directory_removed(self, tmp_path, capsys, command, old, new):
+        text = ANNOTATED.read_text()
+        assert old in text
+        code, out = run_text(tmp_path, command, text.replace(old, new))
+        assert code == 2
+        assert "configuration error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_converge_level_check_removes_fresh_directory(self, tmp_path, capsys):
+        # the coarsest refine level is checked after the directory is made
+        text = TestConvergeConfigChecks.grid_sized_snapshot(tmp_path)
+        code, out = run_text(tmp_path, "converge", text)
+        assert code == 2
+        assert "experiment.refine_levels: level 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_existing_empty_directory_survives(self, tmp_path):
+        text = ANNOTATED.read_text().replace("record_every = 10", "record_every = 600")
+        (tmp_path / "out").mkdir()
+        code, out = run_text(tmp_path, "invariant", text)
+        assert code == 2
+        assert out.is_dir() and not any(out.iterdir())
 
 
 def run_text(tmp_path, command, text):

@@ -1,14 +1,22 @@
 """``grid.cross3`` against the body it replaced: the same bits from the same
-six multiplies and three subtractions, and the same checks on ``out``."""
+six multiplies and three subtractions, in the row-wise and the cyclic form,
+and the same checks on its operands and ``out``."""
 
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sllbar.grid
+import sllbar.integrator
+import sllbar.noise
+from sllbar.config import parse_config
 from sllbar.grid import cross3
+from sllbar.integrator import run_trajectory
 
 
 def cross3_oracle(a, b, out=None):
@@ -65,6 +73,95 @@ def test_bitwise_equal_to_oracle(shape, layout_a, layout_b, out_kind, seed):
         got = out
     assert got.tobytes() == expected.tobytes()
     assert np.array_equal(a, a_kept) and np.array_equal(b, b_kept)
+
+
+def as_cyclic(a, layout):
+    """The cyclic ``(5, ...)`` form of a ``(3, ...)`` array: rows 3 and 4
+    repeat rows 0 and 1, C-contiguous or every other entry of a larger array."""
+    if layout == "contiguous":
+        return np.concatenate((a, a[:2]))
+    big = np.empty((5, *a.shape[1:], 2))
+    big[..., 0], big[..., 1] = a[[0, 1, 2, 0, 1]], np.nan
+    return big[..., 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SHAPES, LAYOUTS, LAYOUTS, st.sampled_from(["both", "a", "b"]),
+       st.sampled_from(["contiguous", "every_other"]),
+       st.sampled_from([None, "fresh", "strided"]), SEEDS)
+def test_cyclic_and_mixed_operands_match_the_oracle(shape, layout_a, layout_b, cyclic,
+                                                    cyclic_layout, out_kind, seed):
+    rng = np.random.default_rng(seed)
+    a3, b3 = operand(rng, shape, layout_a), operand(rng, shape, layout_b)
+    a = as_cyclic(a3, cyclic_layout) if cyclic in ("both", "a") else a3
+    b = as_cyclic(b3, cyclic_layout) if cyclic in ("both", "b") else b3
+    a_kept, b_kept = a.copy(), b.copy()
+    expected = cross3_oracle(a3, b3)
+    if out_kind is None:
+        got = cross3(a, b)
+        assert got.flags.owndata and got.shape == a3.shape
+    else:
+        out = (np.empty(a3.shape) if out_kind == "fresh"
+               else np.empty((3, *shape, 2))[..., 0])
+        assert cross3(a, b, out=out) is out
+        got = out
+    assert got.tobytes() == expected.tobytes()
+    assert a.tobytes() == a_kept.tobytes() and b.tobytes() == b_kept.tobytes()
+
+
+@pytest.mark.parametrize("rows_a, rows_b", [(4, 4), (2, 2), (3, 4), (5, 2), (1, 3),
+                                            (6, 5)])
+def test_operands_without_3_or_5_rows_raise_before_writing(rows_a, rows_b):
+    out = np.full((3, 8), 7.0)
+    with pytest.raises(ValueError, match="3 or 5 rows"):
+        cross3(np.ones((rows_a, 8)), np.ones((rows_b, 8)), out=out)
+    with pytest.raises(ValueError, match="3 or 5 rows"):
+        cross3(np.ones((rows_a, 8)), np.ones((rows_b, 8)))
+    assert (out == 7.0).all()
+
+
+@pytest.mark.parametrize("rows_a, rows_b", [(5, 5), (3, 5), (5, 3)])
+def test_cyclic_operands_check_trailing_shapes_and_out(rows_a, rows_b):
+    a, b = np.ones((rows_a, 8)), np.ones((rows_b, 8))
+    out = np.full((5, 8), 7.0)
+    with pytest.raises(ValueError, match="cross3 out shape"):
+        cross3(a, b, out=out)
+    with pytest.raises(ValueError, match="cross3 shapes differ"):
+        cross3(a, b[:, :-1], out=out[:3])
+    with pytest.raises(ValueError, match="shares memory"):
+        cross3(a, b, out=a[:3] if rows_a == 5 else b[:3])
+    assert (out == 7.0).all()
+    assert cross3(a, b).shape == (3, 8)
+
+
+def test_zero_dim_operands_raise():
+    with pytest.raises(ValueError, match="3 or 5 rows"):
+        cross3(np.float64(1.0), np.float64(2.0))
+
+
+ANNOTATED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "annotated.cfg"
+
+
+@pytest.mark.parametrize("scheme", ["imex_em_ito", "heun_strat"])
+def test_d1_trajectory_is_bitwise_the_row_wise_oracle_on_rows_0_to_2(monkeypatch,
+                                                                     scheme):
+    """Every cyclic product of a d = 1 run, replaced by the oracle on the
+    leading three rows, gives the same final state and norms."""
+    cfg = parse_config(ANNOTATED)
+    solver = replace(cfg.solver, t_end=40 * cfg.solver.dt, scheme=scheme)
+
+    def run():
+        return run_trajectory(cfg.build_initial(), cfg.params, cfg.build_noise(), solver)
+
+    fast = run()
+    for mod in (sllbar.grid, sllbar.noise, sllbar.integrator):
+        monkeypatch.setattr(mod, "cross3",
+                            lambda a, b, out=None: cross3_oracle(a[:3], b[:3], out))
+    slow = run()
+    assert fast.grid.dim == 1 and fast.stop_reason == slow.stop_reason
+    assert fast.final.tobytes() == slow.final.tobytes()
+    for key, col in fast.norms.items():
+        assert col.tobytes() == slow.norms[key].tobytes(), key
 
 
 @settings(max_examples=60, deadline=None)

@@ -179,6 +179,40 @@ class TestStepPlan:
         assert counts == {"synthesize": 2, "analyze": 2, "cross3": 1,
                           "_diffusion_coeffs": 0, "_correction_coeffs": 0}
 
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["imex_em_ito", "heun_strat"])
+    @pytest.mark.parametrize("grid", [Grid(1, (np.pi,), (7,)),
+                                      Grid(2, (np.pi, 2.0), (6, 5)),
+                                      Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))],
+                             ids=["d1", "d2", "d3"])
+    def test_cross3_operands_are_cyclic_at_d1_only(self, monkeypatch, grid, scheme, J):
+        """At d = 1 every product of a step, 1 + 3J (IMEX) or 2 (1 + J) (Heun),
+        takes two cyclic (5, ...) operands; at d >= 2 the one product per
+        stage takes (3, ...) operands."""
+        index = [((j % 2 + 1, j // 2) + (1,))[:grid.dim] for j in range(J)]
+        noise = build_noise_modes({"family": "eigenmode", "modes": [
+            {"sigma": 0.1, "index": k, "direction": (1.0, j, 0.0)}
+            for j, k in enumerate(index)]}, grid)
+        kernel = StepKernel(ModelParams(0.5, 1.0, 1.0, 1.0, 1.0), noise,
+                            TruncationConfig.on(0.5), 1e-3, scheme)
+        rows = []
+
+        def recording(a, b, out=None, _fn=sllbar.grid.cross3):
+            rows.append((len(a), len(b)))
+            return _fn(a, b, out)
+
+        for mod in (sllbar.grid, sllbar.noise, sllbar.integrator):
+            monkeypatch.setattr(mod, "cross3", recording)
+        u = random_field(grid, RNG, amplitude=0.3)
+        out = kernel.stepper(kernel, u, RNG.standard_normal(J) * math.sqrt(1e-3))
+        assert np.isfinite(out).all()
+        stages = 1 if scheme == "imex_em_ito" else 2
+        if grid.dim == 1:
+            per_stage = 1 + 3 * J if scheme == "imex_em_ito" else 1 + J
+            assert rows == [(5, 5)] * (stages * per_stage)
+        else:
+            assert rows == [(3, 3)] * stages
+
 
 class TestHeunStep:
     def test_deterministic_second_order(self):

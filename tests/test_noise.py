@@ -14,6 +14,7 @@ from sllbar.grid import (
     analyze,
     constant_field,
     cross3,
+    cyclic,
     eigenmode_field,
     eigenvalue_array,
     gradient_values,
@@ -22,8 +23,8 @@ from sllbar.grid import (
     sobolev_norm,
     synthesize,
 )
-from sllbar.integrator import SolverConfig, run_trajectory
-from sllbar.model import ModelParams
+from sllbar.integrator import SolverConfig, _explicit_parts, run_trajectory
+from sllbar.model import ModelParams, TruncationConfig
 from sllbar.noise import (
     NoiseModel,
     NoiseTailWarning,
@@ -172,8 +173,12 @@ class TestStorage:
             {"sigma": 0.5, "index": (2,), "direction": (0, 1, 0)}), G8)
         assert "h_phys" not in vars(nm)
         vals = nm.h_phys
-        assert vals[0].tobytes() == synthesize(G8, nm.h[0]).tobytes()
+        assert vals[0][:3].tobytes() == synthesize(G8, nm.h[0]).tobytes()
         assert nm.h_phys is vals
+        # cyclic form: rows 3-4 repeat rows 0-1, and the rows are read-only
+        assert vals[0].shape == (5, *G8.padded)
+        assert vals[0][3:].tobytes() == vals[0][:2].tobytes()
+        assert not vals[0].flags.writeable
 
     def test_d3_imex_run_never_builds_h_phys(self):
         grid = Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))
@@ -303,7 +308,7 @@ class TestDiffusionApply:
         for _ in range(10):
             u = random_field(G8, RNG)
             vals = synthesize(G8, u)
-            cross = np.cross(vals, nm.h_phys[0], axis=0)
+            cross = np.cross(vals, nm.h_phys[0][:3], axis=0)
             val = float((cross * vals).sum()) * quad_weight(G8)
             assert abs(val) < 1e-12 * max(1.0, sobolev_norm(G8, u, 0) ** 2)
 
@@ -366,10 +371,11 @@ D3_KERNEL_FAMILY = [
 
 
 @st.composite
-def noise_cases(draw):
-    """A d = 2 or 3 grid with unequal axes and an eigenmode family on it whose
-    indices may repeat and may hold zeros (J may be 0)."""
-    d = draw(st.sampled_from([2, 3]))
+def noise_cases(draw, dims=(2, 3)):
+    """A grid of a dimension in ``dims`` (d = 2 or 3 by default) with unequal
+    axes and an eigenmode family on it whose indices may repeat and may hold
+    zeros (J may be 0)."""
+    d = draw(st.sampled_from(dims))
     modes = draw(st.lists(st.integers(1, 6), min_size=d, max_size=d, unique=True))
     lengths = draw(st.lists(st.floats(1.0, 3.0), min_size=d, max_size=d,
                             unique=True))
@@ -429,6 +435,44 @@ def test_operator_route_matches_transform_route(case, seed):
         assert np.abs(corr - ref).max() <= 1e-12 * np.abs(ref).max()
     assert _operator_parts(noise, u, np.ones(noise.J), include_correction=False)[1] is None
     assert _operator_parts(noise, u, None, include_correction=True)[0] is None
+
+
+@st.composite
+def identity_cases(draw):
+    """:func:`noise_cases` at d = 1, 2 or 3, with two modes on one drawn k and
+    a third on k with its first entry zeroed always in the family."""
+    grid, family = draw(noise_cases(dims=(1, 2, 3)))
+    k = tuple(draw(st.integers(0, N - 1)) for N in grid.modes)
+    return grid, family + [
+        {"sigma": 0.5, "index": k, "direction": (1, 2, 3)},
+        {"sigma": 0.8, "index": k, "direction": (0, 1, -1)},
+        {"sigma": 0.3, "index": (0, *k[1:]), "direction": (1, 0, 1)}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity_cases(), st.integers(0, 2**32 - 1))
+@example((Grid(1, (2.0,), (5,), 2.5), [
+    {"sigma": 1.1, "index": (4,), "direction": (1, -1, 0)}]), 0)
+def test_noise_identities_hold_per_state(case, seed):
+    """-u x h_j keeps |u| pointwise, so every state u satisfies (u, L_j u) = 0
+    and 2 (u, corr(u)) + sum_j |L_j u|^2 = 0, where L_j u = G_j(u) - (h_j -
+    Lap h_j) comes from the transform pairing and corr is the step's Ito
+    correction; both hold to 1e-12 relative. At d = 1 the pairing and the
+    correction take cyclic operands, as in the step."""
+    grid, family = case
+    noise = build_noise_modes(eigenmode_spec(*family), grid)
+    u = random_field(grid, np.random.default_rng(seed))
+    ws = Workspace(grid)
+    vals = cyclic(synthesize(grid, u, out=ws.vals))
+    Ls = [_diffusion_coeffs(grid, vals, noise, j, ws) - noise.h_minus_lap[j]
+          for j in range(noise.J)]
+    terms, _ = _explicit_parts(u, grid, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0), noise,
+                               TruncationConfig.off(), Workspace(grid), True)
+    u_norm = math.sqrt(np.vdot(u, u))
+    for L in Ls:
+        assert abs(np.vdot(u, L)) <= 1e-12 * u_norm * math.sqrt(np.vdot(L, L))
+    energy = sum(np.vdot(L, L) for L in Ls)
+    assert abs(2 * np.vdot(u, terms["ito_correction"]) + energy) <= 1e-12 * energy
 
 
 @pytest.mark.parametrize("grid", [Grid(3, (1.0, 2.0, 3.0), (3, 4, 5)),

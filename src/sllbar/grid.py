@@ -26,14 +26,14 @@ Conventions
 Transforms
 ----------
 There is one transform: per-axis orthonormal DCT-II / DST-II matrices
-(``Grid._axis_matrices``) applied one axis at a time by :func:`_transform`.
-Each pass contracts the leading spatial axis in one GEMM and appends the
-result as the trailing axis, so after d passes the axes are back in order
-without any transposed copy; at d=1 the one pass is ``np.dot(arr, mat.T)``,
-the bits of ``arr @ mat.T`` at less per-call cost. A synthesis or analysis
-costs O(M^(d+1)) for ``M`` padded nodes per axis, and the matrices of one
-axis take ``3 M N`` doubles. They, the eigenvalues and the Sobolev weights
-are built once per Grid instance and read from it as attributes.
+(``Grid._axis_matrices``) applied one axis at a time. At d=1 a synthesis or
+analysis is one ``np.dot`` on the Grid's transposed views (``Grid._axis0_t``),
+the bits of ``arr @ mat.T`` for less. :func:`_transform` runs d >= 2,
+``gradient_values`` and ``NoiseModel.h_phys``; each pass contracts the leading
+spatial axis in one GEMM and appends the result as the trailing axis, with no
+transposed copy. A transform costs O(M^(d+1)) for ``M`` padded nodes per axis.
+The matrices (``3 M N`` doubles per axis), the eigenvalues and the Sobolev
+weights are built once per Grid instance and read from it as attributes.
 The matrices are the basis and its derivative evaluated at the midpoint
 nodes, built in closed form with numpy after an exact integer reduction of
 the phase (:func:`_cos_phase`); they agree with scipy's orthonormal
@@ -166,6 +166,11 @@ class Grid:
             out.append((analysis, synthesis, deriv))
         return tuple(zip(*out))
 
+    @cached_property
+    def _axis0_t(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views ``(analysis[0].T, synthesis[0].T)``: d=1 right operands."""
+        return self._axis_matrices[0][0].T, self._axis_matrices[1][0].T
+
 
 def _cos_phase(phase: np.ndarray, M: int) -> np.ndarray:
     """``cos(pi * phase / (2M))`` for an integer array ``phase``.
@@ -200,11 +205,11 @@ def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
     The result is C-contiguous: ``out`` when it is given, a fresh array
     otherwise. At d=2 and 3 every pass but the last writes into a fresh
     array, which the next pass reads and drops.
-    At d=1 a plain ``np.dot`` is kept: the cycling pass would round
-    differently there, and ``np.dot`` gives the bits of ``@`` for less.
+    At d=1 it is one ``np.dot`` on the transposed matrix, as in :func:`synthesize`
+    and :func:`analyze`: the cycling pass would round differently there.
     """
     if arr.ndim == 2:
-        return np.dot(arr, mats[0].T) if out is None else np.dot(arr, mats[0].T, out)
+        return np.dot(arr, mats[0].T, out)
     last = len(mats) - 1
     for i, mat in enumerate(mats):
         n, rest = arr.shape[1], arr.shape[2:]
@@ -226,9 +231,9 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     shapes raise ``ValueError`` before any write.
     """
     sa, sb = a.shape, b.shape  # each read of .shape builds a new tuple
-    if sa[1:] != sb[1:]:
+    if sa != sb and sa[1:] != sb[1:]:  # equal shapes skip b's checks
         raise ValueError(f"cross3 shapes differ: {sa} vs {sb}")
-    if sa[:1] not in ((3,), (5,)) or sb[:1] not in ((3,), (5,)):
+    if sa[:1] not in ((3,), (5,)) or sa != sb and sb[:1] not in ((3,), (5,)):
         raise ValueError(f"cross3 operands need 3 or 5 rows: {sa} vs {sb}")
     shape = (3, *sa[1:])
     if out is None:
@@ -298,7 +303,7 @@ def collocation_points(grid: Grid) -> tuple[np.ndarray, ...]:
 
 def quad_weight(grid: Grid) -> float:
     """Quadrature weight of one padded-grid node (midpoint rule)."""
-    return float(np.prod([L / M for L, M in zip(grid.lengths, grid.padded)]))
+    return math.prod([L / M for L, M in zip(grid.lengths, grid.padded)])
 
 
 def synthesize(grid: Grid, coeffs: np.ndarray,
@@ -313,7 +318,8 @@ def synthesize(grid: Grid, coeffs: np.ndarray,
                             or not out.flags.c_contiguous):
         raise ValueError(f"synthesize out must be a C-contiguous float64 array of "
                          f"shape {grid.values_shape}, got {out.dtype} {out.shape}")
-    return _transform(coeffs, grid._axis_matrices[1], out)
+    return (np.dot(coeffs, grid._axis0_t[1], out) if grid.dim == 1
+            else _transform(coeffs, grid._axis_matrices[1], out))
 
 
 def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -322,7 +328,8 @@ def analyze(grid: Grid, values: np.ndarray) -> np.ndarray:
     The truncation composes the analysis with the Galerkin projection onto
     the retained-mode span.
     """
-    return _transform(values, grid._axis_matrices[0])
+    return (np.dot(values, grid._axis0_t[0]) if grid.dim == 1
+            else _transform(values, grid._axis_matrices[0]))
 
 
 def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
@@ -342,6 +349,8 @@ def gradient_values(grid: Grid, coeffs: np.ndarray) -> list[np.ndarray]:
 def _sobolev_weight(grid: Grid, s: float, seminorm: bool) -> np.ndarray:
     weight = grid._sobolev.get((s, seminorm))  # read every step
     if weight is None:
+        if s < 0:
+            raise ValueError("s must be >= 0")
         lam = grid._eigenvalues
         weight = grid._sobolev[s, seminorm] = (
             np.power(lam, s) if seminorm else np.power(1.0 + lam, s))
@@ -364,16 +373,17 @@ def sobolev_norms(grid: Grid, coeffs: np.ndarray, orders) -> list[float]:
     order, with ``|c_k|^2`` formed once for all of them."""
     if coeffs.shape != grid.field_shape:
         raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
-    # np.add.reduce is what .sum() runs, without its Python wrapper
-    mag2 = np.add.reduce(coeffs * coeffs, axis=0)
-    norms = []
-    for s, seminorm in orders:
-        if s < 0:
-            raise ValueError("s must be >= 0")
-        terms = mag2 if s == 0 else (
-            _sobolev_weight(grid, float(s), bool(seminorm)) * mag2)
-        norms.append(math.sqrt(float(np.add.reduce(terms, axis=None))))
-    return norms
+    return _weighted_norms(coeffs, [
+        None if s == 0 else _sobolev_weight(grid, float(s), bool(seminorm))
+        for s, seminorm in orders])
+
+
+def _weighted_norms(coeffs: np.ndarray, weights) -> list[float]:
+    """``(sum_k w_k |c_k|^2)^(1/2)`` for each ``w`` of ``weights``, None meaning 1."""
+    sq = coeffs * coeffs
+    mag2 = sq[0] + sq[1] + sq[2]  # the bits of np.add.reduce over axis 0, sooner
+    return [math.sqrt(float(np.add.reduce(mag2 if w is None else w * mag2, axis=None)))
+            for w in weights]
 
 
 def l4_norm(grid: Grid, coeffs: np.ndarray, ws: Workspace | None = None) -> float:

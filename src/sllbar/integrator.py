@@ -19,7 +19,8 @@ sum_j G_j(u) dW_j are assembled in :func:`_explicit_parts`, which each stage
 calls once; :func:`sllbar.model.drift_terms` is a view of the same drift
 arrays. The increment and the Ito correction come from the
 coefficient-space operators of :mod:`sllbar.noise` at d >= 2, and from the
-padded-grid route at d = 1, whose per-step counts the benchmark pins.
+padded-grid route at d = 1, whose per-step counts the benchmark pins. The
+steps sum in place, in the order (and so with the bits) of the plain sums.
 
 :func:`run_trajectory` decides the discrete stopping time tau in one loop.
 The H^1 norm is checked against ``blowup_K`` at every step from t = 0, the
@@ -33,19 +34,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 
 import numpy as np
 
 from .grid import (
     Grid,
     Workspace,
+    _sobolev_weight,
+    _weighted_norms,
     analyze,
     cross3,
     cyclic,
     eigenvalue_array,
     l4_norm,
-    sobolev_norm,
     sobolev_norms,
     synthesize,
 )
@@ -203,8 +204,9 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     """
     neg_lam = grid._neg_eigenvalues
     vals = synthesize(grid, coeffs, out=ws.vals)
-    mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0,
-                         out=ws.lap[0])  # .sum(axis=0) without its Python wrapper
+    sq = np.multiply(vals, vals, out=ws.prod)
+    mag2 = np.add(sq[0], sq[1], out=ws.lap[0])
+    mag2 += sq[2]  # (u0^2 + u1^2) + u2^2: the bits of add.reduce over axis 0
     cubic = analyze(grid, np.multiply(vals, mag2, out=ws.prod))
     lap_vals = synthesize(grid, neg_lam * coeffs, out=ws.lap)
     theta = truncation_scale(grid, coeffs, trunc)
@@ -217,9 +219,11 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
         "nonlocal": (params.beta5 * theta) * neg_lam * cubic,
     }
     if grid.dim == 1:
-        inc = None if dW is None or not noise.J else reduce(np.add, (
-            _diffusion_coeffs(grid, vals, noise, j, ws) * dW[j]
-            for j in range(noise.J)))
+        inc = None
+        if dW is not None and noise.J:
+            inc = _diffusion_coeffs(grid, vals, noise, 0, ws) * dW[0]
+            for j in range(1, noise.J):
+                inc += _diffusion_coeffs(grid, vals, noise, j, ws) * dW[j]
         corr = (_correction_coeffs(grid, vals, noise, ws)
                 if include_correction and noise.J > 0 else None)
     else:
@@ -229,10 +233,21 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     return terms, inc
 
 
+def _drift_sum(terms: dict[str, np.ndarray]) -> np.ndarray:
+    """The terms summed left to right in dict order, into a fresh array."""
+    first, second, *rest = terms.values()
+    acc = first + second
+    for term in rest:
+        acc += term
+    return acc
+
+
 def imex_em_step(kernel: StepKernel, coeffs: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """One semi-implicit Euler-Maruyama step on the Ito form."""
     terms, inc = kernel.parts(coeffs, True, dW)
-    acc = coeffs + kernel.dt * reduce(np.add, terms.values())
+    acc = _drift_sum(terms)
+    acc *= kernel.dt
+    acc += coeffs
     if inc is not None:
         acc += inc
     acc /= kernel.divisor
@@ -243,12 +258,14 @@ def heun_strat_step(kernel: StepKernel, coeffs: np.ndarray, dW: np.ndarray) -> n
     """One explicit Stratonovich Heun step (predictor-corrector)."""
     dt, linear = kernel.dt, kernel.symbol
     terms0, inc0 = kernel.parts(coeffs, False, dW)
-    a0 = reduce(np.add, terms0.values()) + linear * coeffs
+    a0 = _drift_sum(terms0)
+    a0 += linear * coeffs
     pred = coeffs + dt * a0
     if inc0 is not None:
         pred += inc0
     terms1, inc1 = kernel.parts(pred, False, dW)
-    a1 = reduce(np.add, terms1.values()) + linear * pred
+    a1 = _drift_sum(terms1)
+    a1 += linear * pred
     out = coeffs + 0.5 * dt * (a0 + a1)
     if inc0 is not None:
         out += 0.5 * (inc0 + inc1)
@@ -287,6 +304,7 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
                                  f"the noise model grid {grid.field_shape}")
     dt, n_steps = config.dt, config.n_steps
     kernel = StepKernel(params, noise, config.truncation, dt, config.scheme)
+    h1_weight = (_sobolev_weight(grid, 1.0, False),)  # sobolev_norm(grid, u, 1)
 
     sample_steps: list[int] = []
     norm_rows: list[tuple[float, ...]] = []
@@ -298,7 +316,7 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
     stop_reason = None
     m = 0
     while True:
-        h1 = sobolev_norm(grid, u, 1)
+        (h1,) = _weighted_norms(u, h1_weight)
         if m and not math.isfinite(h1) and not np.isfinite(u).all():
             stop_reason = STOP_NONFINITE
         elif h1 > config.blowup_K:

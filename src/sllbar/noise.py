@@ -208,12 +208,13 @@ def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
     Each G_j's values are written into ``ws.lap`` in cyclic form and each
     cross product into ``ws.prod``.
     """
-    acc = np.zeros((3, *grid.modes))
+    acc = np.zeros((3, *grid.modes))  # not the first term: 0.0 + -0.0 is +0.0
     for j in range(noise.J):
         G_vals = synthesize(grid, _diffusion_coeffs(grid, u_vals, noise, j, ws),
                             out=ws.lap)
         acc += analyze(grid, cross3(cyclic(G_vals), noise.h_phys[j], out=ws.prod))
-    return -0.5 * acc
+    acc *= -0.5
+    return acc
 
 
 def _tensor_apply(B: np.ndarray, arr: np.ndarray, mats) -> np.ndarray:
@@ -242,7 +243,7 @@ def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None
     for at, _, axes, js, cK, cQ in noise._groups:
         if inc is not None:
             inc[at] += dW[js] @ noise.h_minus_lap_k[js]
-            B = np.tensordot(dW[js], cK, 1)
+            B = np.dot(dW[js], cK.reshape(len(js), 9)).reshape(3, 3)
             inc += _tensor_apply(B, coeffs, ((ax, Pt) for ax, Pt, _ in axes))
         if acc is not None:
             acc += _tensor_apply(cQ, coeffs, ((ax, P2t) for ax, _, P2t in axes))

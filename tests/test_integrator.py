@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ import sllbar.noise
 from sllbar.grid import (
     Grid,
     Workspace,
+    analyze,
     constant_field,
+    cross3,
+    cyclic,
     eigenmode_field,
     eigenvalue_array,
     random_field,
@@ -291,6 +295,68 @@ def test_heun_step_matches_per_mode_reference(grid, indices):
     got = heun_strat_step(StepKernel(params, noise, trunc, 1e-5, "heun_strat"), u, dW)
     ref = heun_reference(u, grid, params, noise, trunc, dW, 1e-5)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def reference_parts(kernel, coeffs, include_correction, dW):
+    """``kernel.parts`` with the d = 1 increment and Ito correction summed
+    again by ``functools.reduce``, the plain sums the in-place ones replace."""
+    terms, inc = kernel.parts(coeffs, include_correction, dW)
+    grid, noise, ws = kernel.grid, kernel.noise, Workspace(kernel.grid)
+    if grid.dim == 1 and noise.J:
+        vals = cyclic(synthesize(grid, coeffs, out=ws.vals))
+        Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
+        inc = reduce(np.add, (G * dW[j] for j, G in enumerate(Gs)))
+        if include_correction:
+            terms["ito_correction"] = -0.5 * reduce(np.add, (
+                analyze(grid, cross3(cyclic(synthesize(grid, G, out=ws.lap)),
+                                     noise.h_phys[j], out=ws.prod))
+                for j, G in enumerate(Gs)), np.zeros(grid.field_shape))
+    return terms, inc
+
+
+def reference_step(kernel, coeffs, dW):
+    """Both schemes' steps from :func:`reference_parts`, summed by ``reduce``
+    into fresh arrays."""
+    if kernel.divisor is not None:
+        terms, inc = reference_parts(kernel, coeffs, True, dW)
+        acc = coeffs + kernel.dt * reduce(np.add, terms.values())
+        if inc is not None:
+            acc = acc + inc
+        return acc / kernel.divisor
+    dt, linear = kernel.dt, kernel.symbol
+    terms0, inc0 = reference_parts(kernel, coeffs, False, dW)
+    a0 = reduce(np.add, terms0.values()) + linear * coeffs
+    pred = coeffs + dt * a0
+    if inc0 is not None:
+        pred = pred + inc0
+    terms1, inc1 = reference_parts(kernel, pred, False, dW)
+    a1 = reduce(np.add, terms1.values()) + linear * pred
+    out = coeffs + 0.5 * dt * (a0 + a1)
+    if inc0 is not None:
+        out = out + 0.5 * (inc0 + inc1)
+    return out
+
+
+@pytest.mark.parametrize("J", [0, 2])
+@pytest.mark.parametrize("scheme", ["imex_em_ito", "heun_strat"])
+@pytest.mark.parametrize("grid", [Grid(1, (np.pi,), (9,)),
+                                  Grid(2, (np.pi, 2.0), (6, 5)),
+                                  Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))],
+                         ids=["d1", "d2", "d3"])
+def test_step_is_bitwise_the_plain_reference_sum(grid, scheme, J):
+    """The steps' in-place sums give the bits of the plain ``reduce`` sums,
+    for both schemes, over 5 steps of a nonzero field."""
+    noise = build_noise_modes({"family": "eigenmode", "modes": [
+        {"sigma": 0.3, "index": (1 + j,) + (j,) * (grid.dim - 1),
+         "direction": (1.0, -0.5 * j, 0.5)} for j in range(J)]}, grid)
+    kernel = StepKernel(ModelParams(0.5, 1.0, 1.0, 1.0, 1.0), noise,
+                        TruncationConfig.on(0.5), 1e-3, scheme)
+    u = random_field(grid, RNG, amplitude=0.3)
+    for _ in range(5):
+        dW = RNG.standard_normal(J) * math.sqrt(1e-3)
+        ref = reference_step(kernel, u, dW)
+        u = kernel.stepper(kernel, u, dW)
+        assert u.tobytes() == ref.tobytes()
 
 
 class TestRunTrajectory:

@@ -161,6 +161,28 @@ def test_d1_transform_matches_plain_product_bitwise(pad):
             assert out.tobytes() == ref, (N, mat.shape)
 
 
+@pytest.mark.parametrize("pad", [1, 1.5, 2, 2.5, 3])
+@pytest.mark.parametrize("N", [1, 2, 7, 16, 33, 64])
+def test_d1_synthesize_and_analyze_match_plain_product_bitwise(N, pad):
+    """At d=1 ``synthesize`` and ``analyze`` are one ``np.dot`` on the Grid's
+    transposed views ``_axis0_t``; they must give the bits of ``c @ S.T`` and
+    ``v @ A.T``. The views are read-only and share the matrices' memory."""
+    grid = Grid(1, (np.pi,), (N,), pad)
+    (A,), (S,), _ = grid._axis_matrices
+    for view, mat in zip(grid._axis0_t, (A, S)):
+        assert not view.flags.writeable
+        assert np.shares_memory(view, mat)
+        assert view.shape == mat.T.shape and view.strides == mat.T.strides
+    c = random_field(grid, RNG)
+    ref = (c @ S.T).tobytes()
+    out = np.empty(grid.values_shape)
+    assert synthesize(grid, c).tobytes() == ref
+    assert synthesize(grid, c, out=out) is out
+    assert out.tobytes() == ref
+    v = RNG.standard_normal(grid.values_shape)
+    assert analyze(grid, v).tobytes() == (v @ A.T).tobytes()
+
+
 class TestReferenceSeries:
     """The transform matrices against the directly summed cosine series.
 
@@ -354,6 +376,22 @@ class TestNorms:
         grid = Grid(1, (1.0,), (4,))
         with pytest.raises(ValueError):
             sobolev_norm(grid, random_field(grid, RNG), -1.0)
+
+    @pytest.mark.parametrize("grid", grids_for_dims(), ids=["d1", "d2", "d3"])
+    def test_norms_are_bitwise_the_plain_reduction(self, grid):
+        """``sobolev_norms`` sums |c_k|^2 row by row; it must give the bits of
+        the plain ``np.add.reduce`` over the component axis, over magnitudes
+        from 1e-100 to 1e100."""
+        orders = ((0, False), (1, False), (1, True), (2, False), (3, False))
+        lam = eigenvalue_array(grid)
+        for _ in range(20):
+            c = RNG.standard_normal(grid.field_shape) * 10.0 ** RNG.integers(
+                -100, 100, grid.field_shape)
+            mag2 = np.add.reduce(c * c, axis=0)
+            plain = [math.sqrt(float(np.add.reduce(
+                mag2 * (lam ** s if semi else (1.0 + lam) ** s), axis=None)))
+                for s, semi in orders]
+            assert sobolev_norms(grid, c, orders) == plain
 
     def test_l4_of_constant(self):
         grid = Grid(1, (2.0,), (4,))

@@ -42,6 +42,7 @@ from .diagnostics import (
 from .ensemble import (
     MIN_GROWTH_SAMPLES,
     EnsembleStats,
+    WindowError,
     h2_time_average,
     invariant_average,
     invariant_windows,
@@ -153,9 +154,11 @@ def _cmd_invariant(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     try:  # before any path is stepped, on the record grid of a full-horizon run
         windows = invariant_windows(np.minimum(np.arange(0, n + every, every), n)
                                     * cfg.solver.dt, exp.burn_in, exp.windows or None)
-    except ValueError as exc:
-        key = ("experiment.windows" if exp.windows else "solver.record_every"
-               if "no samples" in str(exc) else "experiment.burn_in")
+    except WindowError as exc:  # with no windows set, a default window failed
+        key = {"horizon": "experiment.burn_in",
+               "range": "experiment.windows" if exp.windows else "experiment.burn_in",
+               "empty": "experiment.windows" if exp.windows else "solver.record_every",
+               }[exc.reason]
         raise ConfigError(f"{key}: {exc}") from exc
     stats = _run_paths(cfg)
     if stats.blowup_count:

@@ -190,6 +190,9 @@ _KEYS = {
     "observable.": {"kind": str.strip, "index": _ints, "component": int,
                     "scale": _float, "space": str.strip, "cap": _float},
 }
+# the observable keys each kind reads; any other is rejected, as for initial
+_OBSERVABLE_READS = {"tanh_mode": ("index", "component", "scale"),
+                     "exp_neg_l2": ("scale",), "clip_norm": ("space", "cap")}
 
 
 def _section(parser: configparser.ConfigParser, name: str, schema: dict | None = None,
@@ -337,6 +340,11 @@ def parse_config(path: str) -> RunConfig:
     observables = []
     for name in _numbered_sections(parser, "observable."):
         sec = _section(parser, name, _KEYS["observable."], required=("kind",))
+        # an unknown kind reads every key here, and Observable names the kind
+        reads = _OBSERVABLE_READS.get(sec["kind"], _KEYS["observable."])
+        for key in parser[name]:  # in file order, as _section names an unknown key
+            if key not in (*reads, "kind"):
+                raise ConfigError(f"{name}.{key}: not read by kind {sec['kind']!r}")
         if "index" in sec:
             sec["mode_index"] = sec.pop("index")
         obs = _made(f"{name}: ", Observable, **sec)

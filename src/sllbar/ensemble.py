@@ -295,21 +295,33 @@ class WindowReport:
     window_ses: list[float]
 
 
+class WindowError(ValueError):
+    """An :func:`invariant_windows` failure; ``reason`` is ``"horizon"`` (T
+    below twice the burn-in), ``"range"`` (a window outside [burn_in, T]) or
+    ``"empty"`` (a window without a sample)."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
+
+
 def invariant_windows(times: np.ndarray, burn_in: float, windows=None) -> list[tuple]:
     """The windows of :func:`invariant_average` on [0, T], T = ``times[-1]``
-    (default [T/4, T/2] and [T/2, T]); raises unless 2 burn_in <= T and each
-    is in [burn_in, T] and holds a left endpoint of the recorded ``times``."""
+    (default [T/4, T/2] and [T/2, T]); raises :class:`WindowError` unless 2
+    burn_in <= T and each is in [burn_in, T] and holds a left endpoint of the
+    recorded ``times``."""
     T = float(times[-1])
     if T < 2 * burn_in:
-        raise ValueError(f"horizon {T} must be at least twice the burn-in {burn_in}")
+        raise WindowError("horizon",
+                          f"horizon {T} must be at least twice the burn-in {burn_in}")
     windows = [(T / 4.0, T / 2.0), (T / 2.0, T)] if windows is None else list(windows)
     for t0, t1 in windows:
         if t0 < burn_in:
-            raise ValueError(f"window start {t0} precedes burn-in {burn_in}")
+            raise WindowError("range", f"window start {t0} precedes burn-in {burn_in}")
         if t1 > T + 1e-12:
-            raise ValueError(f"window end {t1} exceeds horizon {T}")
+            raise WindowError("range", f"window end {t1} exceeds horizon {T}")
         if not ((times[:-1] >= t0) & (times[:-1] < t1)).any():
-            raise ValueError(f"window ({t0}, {t1}) contains no samples")
+            raise WindowError("empty", f"window ({t0}, {t1}) contains no samples")
     return windows
 
 

@@ -386,12 +386,20 @@ def _weighted_norms(coeffs: np.ndarray, weights) -> list[float]:
             for w in weights]
 
 
+def _mag2(vals: np.ndarray, ws: Workspace) -> np.ndarray:
+    """|u|^2 of u's padded-grid values ``vals``, into ``ws.lap[0]``, with u.u in
+    ``ws.prod``: (u0^2 + u1^2) + u2^2, the bits of np.add.reduce over axis 0."""
+    sq = np.multiply(vals, vals, out=ws.prod)
+    mag2 = np.add(sq[0], sq[1], out=ws.lap[0])
+    mag2 += sq[2]
+    return mag2
+
+
 def l4_norm(grid: Grid, coeffs: np.ndarray, ws: Workspace | None = None) -> float:
     """L^4 norm by quadrature (exact for retained-mode fields at pad_factor 2),
     written into ``ws`` or a fresh :class:`Workspace`; L^2 is ``sobolev_norm``."""
     ws = Workspace(grid) if ws is None else ws
-    vals = synthesize(grid, coeffs, out=ws.vals)
-    mag2 = np.add.reduce(np.multiply(vals, vals, out=ws.prod), axis=0, out=ws.lap[0])
+    mag2 = _mag2(synthesize(grid, coeffs, out=ws.vals), ws)
     w = quad_weight(grid)
     return float(np.multiply(mag2, mag2, out=ws.prod[0]).sum() * w) ** 0.25
 

@@ -40,6 +40,7 @@ import numpy as np
 from .grid import (
     Grid,
     Workspace,
+    _mag2,
     _sobolev_weight,
     _weighted_norms,
     analyze,
@@ -204,10 +205,7 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     """
     neg_lam = grid._neg_eigenvalues
     vals = synthesize(grid, coeffs, out=ws.vals)
-    sq = np.multiply(vals, vals, out=ws.prod)
-    mag2 = np.add(sq[0], sq[1], out=ws.lap[0])
-    mag2 += sq[2]  # (u0^2 + u1^2) + u2^2: the bits of add.reduce over axis 0
-    cubic = analyze(grid, np.multiply(vals, mag2, out=ws.prod))
+    cubic = analyze(grid, np.multiply(vals, _mag2(vals, ws), out=ws.prod))
     lap_vals = synthesize(grid, neg_lam * coeffs, out=ws.lap)
     theta = truncation_scale(grid, coeffs, trunc)
     if grid.dim == 1:  # every product of the d = 1 route runs cyclic

@@ -11,18 +11,17 @@ drift ``-1/2 sum_j Pi(G_j(u) x h_j)``.
 
 Every family is built from Neumann eigenmodes, ``h_j = sigma_j e_k(x) v_j``,
 stored per mode. A step takes one increment ``sum_j G_j(u) dW_j`` and the
-correction; at d >= 2 both are formed in coefficient space, with no padded
-grid, dense h_j or per-mode G_j, a zero entry of k_j being a scalar
-(:func:`_operator_parts`). At d = 1 the step keeps the padded-grid route
-(:func:`_diffusion_coeffs`, :func:`_correction_coeffs`) until the benchmark
-re-pins the per-step counts ``bench/tests/test_counts.py`` holds for it; its
-products take cyclic :func:`~sllbar.grid.cross3` operands, ``h_phys`` among
-them. That route also stays the weak-form residual's own pairing, and writes
-into the :class:`~sllbar.grid.Workspace` its caller passes (in a step, the
-run's ``StepKernel`` workspace). The Philox generator of :func:`sample_increments`
-is the package's only per-thread state. The family must satisfy the
-square-summability condition ``sum_j |h_j|_{H^3}^2 <= C_h < infinity``; the
-finite truncation reports its C_h (closed form) so tail bounds can be checked.
+correction. At d >= 2 both are formed from the rows in coefficient space
+(:func:`_operator_parts`), with no padded grid, dense h_j or per-mode G_j:
+the product with e_k is a tensor product of exact cosine product rules
+(:func:`_product_rule`). At d = 1 the step keeps the padded-grid route
+(:func:`_diffusion_coeffs`, :func:`_correction_coeffs`, on cyclic
+:func:`~sllbar.grid.cross3` operands) until the benchmark re-pins the counts
+``bench/tests/test_counts.py`` holds for it; it is also the weak-form
+residual's own pairing, and writes into the :class:`~sllbar.grid.Workspace`
+its caller passes. The Philox generator of :func:`sample_increments` is the
+package's only per-thread state. The family must satisfy ``sum_j
+|h_j|_{H^3}^2 <= C_h < infinity``; its closed-form C_h is reported.
 """
 
 from __future__ import annotations
@@ -58,10 +57,9 @@ class NoiseModel:
     """Immutable eigenmode family ``h_j = e_{k_j}(x) a_j``, stored per mode as
     read-only ``(J, d)`` int ``index`` (k_j), ``(J, 3)`` ``amplitude`` (a_j =
     sigma_j v_j) and ``h_minus_lap_k`` (h_j - Lap h_j at k_j), with C_h = sum_j
-    (1 + lambda_{k_j})^3 |a_j|^2. Dense ``h`` is built on each read; the d = 1
-    route's dense ``h_minus_lap`` (from the rows) and ``h_phys`` and the d >= 2
-    :attr:`_groups` on first use and kept (a sparse write per step would cost
-    the d = 1 route more)."""
+    (1 + lambda_{k_j})^3 |a_j|^2. The d = 1 route's dense ``h_minus_lap`` and
+    ``h_phys`` and the d >= 2 :attr:`_groups` are built from the rows on first
+    use and kept (a sparse write per step would cost the d = 1 route more)."""
 
     grid: Grid
     index: np.ndarray
@@ -87,11 +85,6 @@ class NoiseModel:
     def J(self) -> int:
         return len(self.index)
 
-    @property
-    def h(self) -> list[np.ndarray]:
-        return [eigenmode_field(self.grid, k, a)
-                for k, a in zip(self.index, self.amplitude)]
-
     @cached_property
     def h_minus_lap(self) -> list[np.ndarray]:
         return [eigenmode_field(self.grid, k, row)
@@ -106,8 +99,9 @@ class NoiseModel:
         """Read-only padded-grid values of each h_j for the d=1 route, in the
         cyclic ``(5, *padded)`` form of :func:`~sllbar.grid.cross3`; built by
         the transform itself, so they add no ``synthesize`` call to a step."""
-        rows = [_transform(hj, self.grid._axis_matrices[1])[[0, 1, 2, 0, 1]]
-                for hj in self.h]
+        rows = [_transform(eigenmode_field(self.grid, k, a),
+                           self.grid._axis_matrices[1])[[0, 1, 2, 0, 1]]
+                for k, a in zip(self.index, self.amplitude)]
         for vals in rows:
             vals.setflags(write=False)
         return rows
@@ -117,20 +111,19 @@ class NoiseModel:
         """Read-only ``(at, c, axes, js, cK, cQ)`` per distinct k, in order of
         first appearance; ``at`` indexes k, ``js`` the modes with k_j = k.
         M_k, Pi of the product with e_k, is the tensor product of the per-axis
-        ``P_{k_i} = A diag(phi_{k_i}(x)) S``. P_0 is L_i^{-1/2} I, so M_k is
-        ``c = prod_{k_i = 0} L_i^{-1/2}`` times the P of ``axes``: one ``(axis,
-        P^T, (P^2)^T)`` per k_i != 0, transposed so no pass is an ``X @ P.T``
-        GEMM, whose BLAS code (64 KB) no other pass of a step maps. ``cK[i] w =
-        c a_j x w`` (j = js[i]) and ``cQ = c^2 Q_k`` act on the component axis."""
-        analysis, synthesis, _ = self.grid._axis_matrices
+        :func:`_product_rule` matrices P_{k_i}. P_0 is L_i^{-1/2} I, so M_k is
+        ``c = prod_{k_i = 0} L_i^{-1/2}`` times one ``(axis, P, P^2)`` per k_i
+        != 0; P is its own transpose, so no pass is an ``X @ P.T`` GEMM, whose
+        BLAS code (64 KB) no other pass of a step maps. ``cK[i] w = c a_j x w``
+        (j = js[i]) and ``cQ = c^2 Q_k`` act on the component axis."""
         members: dict[tuple[int, ...], list[int]] = {}
         for j, k in enumerate(map(tuple, self.index.tolist())):
             members.setdefault(k, []).append(j)
         groups = []
         for k, js in members.items():
             c = math.prod(L ** -0.5 for L, ki in zip(self.grid.lengths, k) if not ki)
-            axes = tuple((ax, Pt, Pt @ Pt) for ax, ki in enumerate(k) if ki for Pt in
-                         [(synthesis[ax].T * synthesis[ax][:, ki]) @ analysis[ax].T])
+            axes = tuple((ax, P, P @ P) for ax, ki in enumerate(k) if ki for P in
+                         [_product_rule(self.grid.modes[ax], self.grid.lengths[ax], ki)])
             js = np.array(js)
             cK = c * np.stack([np.cross(a, np.eye(3)).T for a in self.amplitude[js]])
             cQ = sum(Kj @ Kj for Kj in cK)
@@ -138,6 +131,17 @@ class NoiseModel:
                 arr.setflags(write=False)
             groups.append(((slice(None), *k), c, axes, js, cK, cQ))
         return groups
+
+
+def _product_rule(N: int, L: float, k: int) -> np.ndarray:
+    """``P[n, m] = (e_n, e_k e_m)`` on [0, L], n, m < N: cos a cos b = (cos(a + b)
+    + cos(a - b)) / 2, taken twice, leaves (L/4) c_k c_n c_m times the number of
+    signs (s, t) with n + s k + t m = 0, c_0 = L^{-1/2}, c_{n>=1} = (2/L)^{1/2}.
+    Exact at any pad factor; bitwise symmetric, as ``c_n c_m`` is one product."""
+    n = np.arange(N)
+    c = np.where(n > 0, math.sqrt(2 / L), L ** -0.5)
+    count = sum(n[:, None] + s * k + t * n == 0 for s in (1, -1) for t in (1, -1))
+    return (L / 4 * c[k]) * np.multiply.outer(c, c) * count
 
 
 def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
@@ -182,12 +186,8 @@ def check_noise_condition(noise: NoiseModel) -> float:
     """The build-time ``C_h = sum_j |h_j|_{H^3}^2``; warn if it exceeds a
     configured bound."""
     if noise.c_h_bound is not None and noise.C_h > noise.c_h_bound:
-        warnings.warn(
-            f"noise condition sum {noise.C_h:.6g} exceeds configured bound "
-            f"{noise.c_h_bound:.6g}",
-            NoiseTailWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"noise condition sum {noise.C_h:.6g} exceeds configured bound "
+                      f"{noise.c_h_bound:.6g}", NoiseTailWarning, stacklevel=2)
     return noise.C_h
 
 
@@ -244,9 +244,9 @@ def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None
         if inc is not None:
             inc[at] += dW[js] @ noise.h_minus_lap_k[js]
             B = np.dot(dW[js], cK.reshape(len(js), 9)).reshape(3, 3)
-            inc += _tensor_apply(B, coeffs, ((ax, Pt) for ax, Pt, _ in axes))
+            inc += _tensor_apply(B, coeffs, ((ax, P) for ax, P, _ in axes))
         if acc is not None:
-            acc += _tensor_apply(cQ, coeffs, ((ax, P2t) for ax, _, P2t in axes))
+            acc += _tensor_apply(cQ, coeffs, ((ax, P2) for ax, _, P2 in axes))
     return inc, None if acc is None else 0.5 * acc
 
 

@@ -312,7 +312,7 @@ def test_08_galerkin_refinement_d2():
 def growth_stats():
     grid, params, noise, u0 = small_data_setting()
     cfg = SolverConfig(dt=0.01, t_end=50.0, record_every=10, seed=101)
-    return run_ensemble(u0, params, noise, cfg, 32)
+    return run_ensemble(u0, params, noise, cfg, 32, workers=2)
 
 
 def test_09_h2_time_average_growth(growth_stats):
@@ -328,7 +328,7 @@ def test_09_h2_time_average_growth(growth_stats):
 def tightness_stats():
     grid, params, noise, u0 = small_data_setting()
     cfg = SolverConfig(dt=0.01, t_end=100.0, record_every=10, seed=102)
-    return run_ensemble(u0, params, noise, cfg, 32)
+    return run_ensemble(u0, params, noise, cfg, 32, workers=2)
 
 
 def test_10_tightness(tightness_stats):
@@ -362,7 +362,7 @@ def invariant_runs():
     for u0, seed in ((u0a, 201), (u0b, 202)):
         cfg = SolverConfig(dt=0.01, t_end=T, record_every=20, seed=seed)
         stats = run_ensemble(u0, params, noise, cfg, 16,
-                             observables=OBSERVABLE_CATALOG)
+                             observables=OBSERVABLE_CATALOG, workers=2)
         assert stats.blowup_count == 0
         out.append(stats)
     return out

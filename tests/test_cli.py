@@ -369,7 +369,8 @@ class TestInvariant:
     @pytest.mark.parametrize("edit,key", [
         (("t_end = 0.5", "t_end = 0.2"), "burn_in"),  # default start 0.05 < 0.1
         (("burn_in = 0.1", "burn_in = 0.1\nwindows = 0.1:0.3, 0.3:0.6"), "windows"),
-    ], ids=["default_before_burn_in", "explicit_past_t_end"])
+        (("burn_in = 0.1", "burn_in = 0.3\nwindows = 0.3:0.4, 0.4:0.5"), "burn_in"),
+    ], ids=["default_before_burn_in", "explicit_past_t_end", "explicit_burn_in_too_long"])
     def test_bad_windows_exit_2_before_any_path(self, tmp_path, capsys, monkeypatch,
                                                 edit, key):
         cfg = tmp_path / "bad.cfg"
@@ -398,6 +399,14 @@ class TestInvariant:
         err = capsys.readouterr().err
         assert "configuration error: solver.record_every: window (0.125, 0.25)" in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_observable_key_its_kind_never_reads_exits_2(self, tmp_path, capsys):
+        code, out = run_text(tmp_path, "invariant", BASE.replace(
+            "scale = 2.0", "scale = 2.0\ncap = 0.001\nspace = H1\nindex = 7"))
+        assert code == 2
+        assert ("configuration error: observable.1.cap: not read by kind 'exp_neg_l2'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_simulate_and_ensemble_ignore_the_windows(self, tmp_path):
         cfg = tmp_path / "short.cfg"

@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 from sllbar.cli import run_command
-from sllbar.config import _KEYS, ConfigError, ExperimentConfig, parse_config
-from sllbar.ensemble import Observable
+from sllbar.config import (
+    _KEYS,
+    _OBSERVABLE_READS,
+    ConfigError,
+    ExperimentConfig,
+    parse_config,
+)
+from sllbar.ensemble import OBSERVABLE_KINDS, Observable
 from sllbar.grid import Grid, sobolev_norm
 from sllbar.integrator import ConfigurationError, SolverConfig
 from sllbar.model import ModelParams, TruncationConfig
@@ -274,6 +280,35 @@ class TestRejections:
             parse_config(write(tmp_path, bad))
 
 
+    @pytest.mark.parametrize("observable, message", [
+        ("kind = exp_neg_l2\ncap = 0.001\nspace = H1\nindex = 7",
+         "observable.1.cap: not read by kind 'exp_neg_l2'"),
+        ("kind = exp_neg_l2\nscale = 2.0\ncomponent = 1",
+         "observable.1.component: not read by kind 'exp_neg_l2'"),
+        ("kind = clip_norm\nscale = 2.0",
+         "observable.1.scale: not read by kind 'clip_norm'"),
+        ("kind = clip_norm\nspace = H1\nindex = 1",
+         "observable.1.index: not read by kind 'clip_norm'"),
+        ("kind = tanh_mode\nindex = 1\ncap = 3.0",
+         "observable.1.cap: not read by kind 'tanh_mode'"),
+        ("kind = tanh_mode\nindex = 1\nspace = L2",
+         "observable.1.space: not read by kind 'tanh_mode'"),
+    ], ids=["cap_space_index_under_exp_neg_l2", "component_under_exp_neg_l2",
+            "scale_under_clip_norm", "index_under_clip_norm", "cap_under_tanh_mode",
+            "space_under_tanh_mode"])
+    def test_observable_input_the_kind_never_reads(self, tmp_path, observable, message):
+        """Such input used to parse, and the report echoed it as if it took effect;
+        the first such key in file order is named."""
+        bad = MINIMAL + f"\n[observable.1]\n{observable}\n"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(write(tmp_path, bad))
+
+    def test_unknown_observable_kind_is_named(self, tmp_path):
+        bad = MINIMAL + "\n[observable.1]\nkind = l1\ncap = 3.0\n"
+        with pytest.raises(ConfigError, match="^observable.1: unknown observable kind 'l1'$"):
+            parse_config(write(tmp_path, bad))
+
+
 class TestExperimentChecks:
     @pytest.mark.parametrize("kwargs, field", [
         ({"ensemble_m": 0}, "ensemble_m"),
@@ -508,6 +543,12 @@ class TestSchema:
         has no key."""
         keys = {renamed.get(key, key) for key in _KEYS[section]}
         assert keys == {f.name for f in fields(cls) if f.init} - set(not_keys)
+
+    def test_observable_reads_cover_every_kind(self):
+        """``config._OBSERVABLE_READS`` names each kind's keys from the schema."""
+        assert set(_OBSERVABLE_READS) == set(OBSERVABLE_KINDS)
+        for keys in _OBSERVABLE_READS.values():
+            assert set(keys) < set(_KEYS["observable."]) - {"kind"}
 
     def test_annotated_example_names_every_key(self):
         """The README points to annotated.cfg as the format's documentation,

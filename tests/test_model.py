@@ -260,7 +260,8 @@ def correction_reference(grid, u, noise):
     lam = eigenvalue_array(grid)
     vals = synthesize(grid, u)
     total = np.zeros_like(u)
-    for h in noise.h:
+    for k, a in zip(noise.index, noise.amplitude):
+        h = eigenmode_field(grid, k, a)
         h_vals = synthesize(grid, h)
         G = analyze(grid, -np.cross(vals, h_vals, axis=0)) + h + lam * h
         total += analyze(grid, np.cross(synthesize(grid, G), h_vals, axis=0))

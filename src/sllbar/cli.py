@@ -186,7 +186,8 @@ def _cmd_invariant(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 def _cmd_converge(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     exp = cfg.experiment
     levels = list(exp.refine_levels)
-    if levels:  # parse_config reads a snapshot on the grid only: check it here
+    # parse_config built every other initial type on the coarsest level
+    if levels and cfg.initial_spec.get("type") == "snapshot":
         try:
             cfg.build_initial(cfg.grid.with_modes((levels[0],) * cfg.grid.dim))
         except ConfigError as exc:
@@ -196,7 +197,8 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     # dt-halving self-convergence with one shared Brownian path per MC path
     halvings = exp.dt_halvings
     diffs = strong_convergence_gaps(cfg.build_initial(), cfg.params, cfg.build_noise(),
-                                    cfg.solver, halvings=halvings, paths=exp.ensemble_m)
+                                    cfg.solver, halvings=halvings, paths=exp.ensemble_m,
+                                    workers=exp.workers)
     body = {"dt_study": {
         "dts": [cfg.solver.dt / 2**k for k in range(halvings)],
         "mean_l2_gap_to_next_level": diffs,
@@ -206,11 +208,9 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
     # Galerkin refinement gaps with frozen noise keys
     gaps = body["refinement_gaps"] = {}
+    args = (cfg.build_initial, cfg.params, cfg.build_noise, cfg.solver, cfg.grid)
     for nc, nf in zip(levels[:-1], levels[1:]):
-        gaps[f"{nc}->{nf}"] = refinement_gap(
-            cfg.build_initial, cfg.params, cfg.build_noise, cfg.solver,
-            cfg.grid, nc, nf,
-        )
+        gaps[f"{nc}->{nf}"] = refinement_gap(*args, nc, nf)
     return body, f"converge: dt gaps {['%.3e' % d for d in diffs]}, refinement {gaps}"
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .ensemble import Observable
 from .grid import Grid, check_mode_index, constant_field, eigenmode_field, embed
-from .integrator import SolverConfig
+from .integrator import MIN_PAD_FACTOR, SolverConfig
 from .io import jsonable
 from .model import ModelParams, TruncationConfig
 from .noise import NoiseModel, build_noise_modes
@@ -274,9 +274,9 @@ def parse_config(path: str) -> RunConfig:
     for key in ("lengths", "modes"):
         if sec["dim"] in (2, 3) and len(sec[key]) == 1:
             sec[key] *= sec["dim"]
-    if sec.get("pad_factor", 2.0) < 2:
-        raise ConfigError("grid.pad_factor: must be >= 2; a coarser padded grid "
-                          "aliases the cubic terms")
+    if sec.get("pad_factor", MIN_PAD_FACTOR) < MIN_PAD_FACTOR:
+        raise ConfigError(f"grid.pad_factor: must be >= {MIN_PAD_FACTOR}; a coarser "
+                          "padded grid aliases the cubic terms")
     grid = _made("grid: ", Grid, **sec)
 
     params = _made("params.", ModelParams,

@@ -31,13 +31,8 @@ from .grid import (
     sobolev_norm,
     synthesize,
 )
-from .integrator import (
-    STOP_COMPLETED,
-    BlowupAbort,
-    SolverConfig,
-    TrajectoryRecord,
-    run_trajectory,
-)
+from .ensemble import run_trajectories
+from .integrator import STOP_COMPLETED, BlowupAbort, SolverConfig, TrajectoryRecord
 from .model import ModelParams, cubic_field, precession, truncation_scale
 from .noise import (NoiseModel, coupled_increments, _correction_coeffs,
                     _diffusion_coeffs)
@@ -243,35 +238,36 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
 
 def strong_convergence_gaps(u0: np.ndarray, params: ModelParams,
                             noise: NoiseModel, config: SolverConfig,
-                            halvings: int = 3, paths: int = 8) -> list[float]:
+                            halvings: int = 3, paths: int = 8,
+                            workers: int = 1) -> list[float]:
     """Mean L^2 gap at t_end between successive dt-halved runs.
 
     All levels share one Brownian path per Monte Carlo path via base-step
     increment coupling; the returned list has one entry per halving and
-    decreases for a convergent scheme (strong order >= 1/2 here).
+    decreases for a convergent scheme (strong order >= 1/2 here). Each (level,
+    path) run is a :func:`~sllbar.ensemble.run_trajectories` job on up to
+    ``workers`` processes; the gaps are the same at any count.
     """
     if halvings < 0:
         raise ValueError(f"halvings must be >= 0, got {halvings}")
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
-    gaps = np.zeros(halvings)
-    for path in range(paths):
-        finals = []
-        for k in range(halvings + 1):
-            cfg = replace(config, dt=config.dt / 2**k,
-                          substeps=config.substeps * 2 ** (halvings - k),
-                          record_every=10**9, snapshot_every=None)
-            rec = run_trajectory(u0, params, noise, cfg, path=path)
-            if rec.stop_reason != STOP_COMPLETED:
-                raise BlowupAbort(
-                    f"path {path} at dt={cfg.dt:g} stopped early: {rec.stop_reason}"
-                )
-            finals.append(rec.final)
-        for k in range(halvings):
-            gaps[k] += float(
-                np.sqrt(((finals[k] - finals[k + 1]) ** 2).sum())
-            )
-    return list(gaps / paths)
+    levels = [replace(config, dt=config.dt / 2**k, record_every=10**9,
+                      snapshot_every=None, substeps=config.substeps * 2 ** (halvings - k))
+              for k in range(halvings + 1)]
+    records = run_trajectories([(u0, params, noise, cfg, path, ())
+                                for cfg in levels for path in range(paths)], workers)
+    for rec in records:
+        if rec.stop_reason != STOP_COMPLETED:
+            raise BlowupAbort(f"path {rec.path} at dt={rec.config.dt:g} stopped "
+                              f"early: {rec.stop_reason}")
+    gaps = []
+    for k in range(halvings):  # in path order: np.sum's pairwise order moves bits
+        total = 0.0
+        for a, b in zip(records[k * paths:(k + 1) * paths], records[(k + 1) * paths:]):
+            total += float(np.sqrt(((a.final - b.final) ** 2).sum()))
+        gaps.append(total / paths)
+    return gaps
 
 
 def refinement_gap(u0_builder: Callable[[Grid], np.ndarray],
@@ -281,27 +277,20 @@ def refinement_gap(u0_builder: Callable[[Grid], np.ndarray],
                    n_coarse: int, n_fine: int, path: int = 0) -> float:
     """Sup over sampled times of the L^2 gap between two resolutions.
 
-    Both runs consume identical increment keys; the coarse solution is
-    embedded into the fine mode set for the comparison. The noise family
-    must be representable on the coarse grid (the builder raises otherwise),
-    and both runs must reach ``t_end`` (:class:`BlowupAbort` otherwise).
+    Both runs consume identical increment keys, in this process; the coarse
+    solution is embedded into the fine mode set for the comparison. The noise
+    family must be representable on the coarse grid (the builder raises
+    otherwise), and both runs must reach ``t_end`` (:class:`BlowupAbort` otherwise).
     """
     if n_coarse >= n_fine:
         raise ValueError("n_coarse must be smaller than n_fine")
-    gaps = []
-    records = []
-    for n in (n_coarse, n_fine):
-        grid = box.with_modes((n,) * box.dim)
-        cfg = replace(config, snapshot_every=config.record_every)
-        rec = run_trajectory(u0_builder(grid), params, noise_builder(grid), cfg,
-                             path=path)
+    grids = [box.with_modes((n,) * box.dim) for n in (n_coarse, n_fine)]
+    cfg = replace(config, snapshot_every=config.record_every)
+    coarse, fine = run_trajectories([(u0_builder(g), params, noise_builder(g), cfg,
+                                      path, ()) for g in grids])
+    for rec in (coarse, fine):
         if rec.stop_reason != STOP_COMPLETED:
-            raise BlowupAbort(
-                f"run at N={n} stopped early at t={rec.stop_time:g}: {rec.stop_reason}")
-        records.append(rec)
-    coarse, fine = records
-    fine_grid = fine.grid
-    for cs, fs in zip(coarse.snapshots, fine.snapshots):
-        cf = embed(coarse.grid, cs, fine_grid)
-        gaps.append(float(np.sqrt(((cf - fs) ** 2).sum())))
-    return max(gaps)
+            raise BlowupAbort(f"run at N={rec.grid.modes[0]} stopped early at "
+                              f"t={rec.stop_time:g}: {rec.stop_reason}")
+    return max(float(np.sqrt(((embed(coarse.grid, cs, fine.grid) - fs) ** 2).sum()))
+               for cs, fs in zip(coarse.snapshots, fine.snapshots))

@@ -166,32 +166,39 @@ def _run_one(args) -> TrajectoryRecord:
         raise ConfigurationError(f"path {path}: {exc}") from exc
 
 
+def run_trajectories(jobs: list, workers: int = 1) -> list[TrajectoryRecord]:
+    """A study's trajectory records in job order; its one place of scheduling.
+
+    A job, ``(u0, params, noise, config, path, observables)``, is one
+    :func:`_run_one` call: in process if ``min(workers, len(jobs), os.cpu_count())``
+    is 1, else on a pool of that many; the records are the same either way."""
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_run_one(job) for job in jobs]
+    # imported here: the pool's modules would add to every CLI start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_one, jobs))
+
+
 def run_ensemble(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
                  config: SolverConfig, M: int, observables=(),
                  workers: int = 1) -> EnsembleStats:
     """M independent trajectories with path-keyed increments.
 
-    Any worker count yields the same statistics bitwise; records are
-    aggregated in path order. The pool holds at most
-    ``min(workers, M, os.cpu_count())`` processes. Early-stopped paths are
-    kept and reported through ``stop_reasons`` / ``blowup_count``; their
-    recorded series must share one sample grid, so :class:`BlowupAbort` is
-    raised unless every path stops at the same time.
+    The paths are M :func:`run_trajectories` jobs on up to ``workers``
+    processes, and any count yields the same statistics bitwise; records are
+    aggregated in path order. Early-stopped paths are kept and reported
+    through ``stop_reasons`` / ``blowup_count``; their recorded series must
+    share one sample grid, so :class:`BlowupAbort` is raised unless every
+    path stops at the same time.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     observables = tuple(observables)
-    jobs = [(u0, params, noise, config, p, observables) for p in range(M)]
-    workers = min(workers, M, os.cpu_count() or 1)
-    if workers <= 1:
-        records = [_run_one(job) for job in jobs]
-    else:
-        # imported here: the pool's modules would add to every CLI start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, jobs))
-
+    records = run_trajectories(
+        [(u0, params, noise, config, p, observables) for p in range(M)], workers)
     if len({r.stop_time for r in records}) != 1:
         bad = [p for p, r in enumerate(records) if r.stop_reason != STOP_COMPLETED]
         raise BlowupAbort(

@@ -66,6 +66,7 @@ class ConfigurationError(ValueError):
 
 
 DENOMINATOR_FLOOR = 1e-8
+MIN_PAD_FACTOR = 2  # a coarser padded grid aliases the cubic products
 
 STOP_COMPLETED = "completed"
 STOP_BLOWUP = "blowup_K"
@@ -170,6 +171,9 @@ class StepKernel:
                  trunc: TruncationConfig, dt: float, scheme: str = "imex_em_ito"):
         self.grid, self.params, self.noise, self.trunc, self.dt = (
             noise.grid, params, noise, trunc, dt)
+        if self.grid.pad_factor < MIN_PAD_FACTOR:
+            raise ConfigurationError(f"pad_factor {self.grid.pad_factor:g} is below "
+                                     f"{MIN_PAD_FACTOR}: the padded products alias")
         lam = eigenvalue_array(self.grid)
         self.divisor = self.symbol = None
         if scheme == "imex_em_ito":
@@ -292,9 +296,9 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
     serves the stop check and the record, and u is scanned for nonfinite
     entries only when that norm is not finite, as it is for every nonfinite
     u (a finite u whose norm overflows stops as ``blowup_K``).
-    Configuration problems (implicit denominator too small) surface before
-    any stepping, when the run's :class:`StepKernel` is built. Identical
-    inputs give bitwise-identical records.
+    Configuration problems (implicit denominator too small, pad factor below
+    ``MIN_PAD_FACTOR``) surface before any stepping, when the run's
+    :class:`StepKernel` is built. Identical inputs give bitwise-identical records.
     """
     grid = noise.grid
     if u0.shape != grid.field_shape:

@@ -23,6 +23,7 @@ from sllbar.ensemble import (
     h2_time_average,
     invariant_average,
     run_ensemble,
+    run_trajectories,
     tightness_statistic,
 )
 from sllbar.grid import (
@@ -143,18 +144,17 @@ def test_05_ito_stratonovich_equivalence():
 
     start = time.perf_counter()
     sup_gap = np.zeros(halvings + 1)
-    for path in range(M):
-        for k in range(halvings + 1):
-            dt = dt0 / 2**k
-            common = dict(dt=dt, t_end=t_end, seed=21, record_every=10**6,
-                          substeps=2 ** (halvings - k),
-                          snapshot_every=int(round(0.04 / dt)))
-            em = run_trajectory(u0, params, noise,
-                                SolverConfig(scheme="imex_em_ito", **common),
-                                path=path)
-            he = run_trajectory(u0, params, noise,
-                                SolverConfig(scheme="heun_strat", **common),
-                                path=path)
+    for k in range(halvings + 1):
+        dt = dt0 / 2**k
+        common = dict(dt=dt, t_end=t_end, seed=21, record_every=10**6,
+                      substeps=2 ** (halvings - k),
+                      snapshot_every=int(round(0.04 / dt)))
+        # the M Ito runs, then the M Stratonovich runs, on one pool
+        records = run_trajectories(
+            [(u0, params, noise, SolverConfig(scheme=scheme, **common), path, ())
+             for scheme in ("imex_em_ito", "heun_strat") for path in range(M)],
+            workers=2)
+        for em, he in zip(records[:M], records[M:]):  # in path order
             diff = em.snapshots - he.snapshots
             sup_gap[k] += np.sqrt((diff**2).sum(axis=(1, 2))).max()
     sup_gap /= M

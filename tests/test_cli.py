@@ -426,6 +426,20 @@ class TestConverge:
         assert len(gaps) == 2 and gaps[0] > gaps[1]
         assert "4->8" in report["refinement_gaps"]
 
+    def test_outputs_identical_at_one_and_two_workers(self, tmp_path):
+        outs = []
+        for workers in (1, 2):
+            f = tmp_path / f"w{workers}.cfg"
+            f.write_text(BASE.replace("ensemble_m = 3",
+                                      f"ensemble_m = 3\nworkers = {workers}"))
+            outs.append(tmp_path / f"out{workers}")
+            assert run_command(["converge", "--config", str(f),
+                                "--output-dir", str(outs[-1]), "--quiet"]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 ANNOTATED = Path(__file__).resolve().parents[1] / "demos" / "configs" / "annotated.cfg"
 

@@ -1,6 +1,7 @@
 """Identity residuals, energy balance, weak forms, refinement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -394,6 +395,27 @@ class TestStrongConvergenceGaps:
         with pytest.raises(BlowupAbort, match="stopped early: blowup_K"):
             strong_convergence_gaps(u0, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0),
                                     small_noise(G8), cfg, halvings=1, paths=1)
+
+    def test_unstable_coarse_level_aborts_naming_path_and_dt(self):
+        """Explicit Heun at dt = 1.6e-3 is unstable for the top mode of N = 8
+        (b2 lam^2 dt = 3.8 > 2) and stable at the halved dt, where the same
+        run completes; the coarse level's stop still aborts the study."""
+        u0 = constant_field(G8, (0.2, 0, 0)) + eigenmode_field(G8, (7,), (0, 0.01, 0))
+        p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
+        cfg = SolverConfig(dt=0.0016, t_end=0.16, scheme="heun_strat", blowup_K=10.0)
+        assert strong_convergence_gaps(u0, p, small_noise(G8), replace(cfg, dt=0.0008),
+                                       halvings=0, paths=2) == []
+        with pytest.raises(BlowupAbort,
+                           match="^path 0 at dt=0.0016 stopped early: blowup_K$"):
+            strong_convergence_gaps(u0, p, small_noise(G8), cfg, halvings=1, paths=2)
+
+    def test_same_gaps_at_any_worker_count(self):
+        u0 = constant_field(G8, (0.2, 0, 0)) + eigenmode_field(G8, (2,), (0, 0.3, 0))
+        args = (u0, ModelParams(0.5, 1.0, 1.0, 1.0, 1.0), small_noise(G8, sigma=0.2),
+                SolverConfig(dt=0.01, t_end=0.1, seed=5))
+        one = strong_convergence_gaps(*args, halvings=2, paths=3)
+        assert len(one) == 2 and one[0] > 0.0
+        assert strong_convergence_gaps(*args, halvings=2, paths=3, workers=2) == one
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"paths": 0}, "paths must be >= 1"),

@@ -15,10 +15,11 @@ from sllbar.ensemble import (
     invariant_average,
     moment_estimates,
     run_ensemble,
+    run_trajectories,
     tightness_statistic,
 )
 from sllbar.grid import Grid, constant_field, eigenmode_field, sobolev_norm
-from sllbar.integrator import BlowupAbort, SolverConfig
+from sllbar.integrator import BlowupAbort, SolverConfig, run_trajectory
 from sllbar.model import ModelParams
 from sllbar.noise import NoiseModel, build_noise_modes
 
@@ -205,6 +206,28 @@ class TestRunEnsemble:
                              NoiseModel.empty(G8), cfg, M, workers=workers)
         assert sizes == [expected]
         assert stats.M == M
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_trajectories_is_one_run_per_job_in_job_order(self, workers):
+        """Jobs mixing two configs and three paths come back in job order,
+        each record bitwise the record of its own run_trajectory call."""
+        u0 = constant_field(G8, (0.1, 0.0, 0.0)) + eigenmode_field(G8, (1,), (0, 0.2, 0))
+        nm, obs = small_noise(G8, sigma=0.2), (Observable("exp_neg_l2"),)
+        cfgs = (self.config(record_every=2),
+                SolverConfig(dt=0.005, t_end=0.1, seed=5, substeps=2, snapshot_every=4))
+        jobs = [(u0, full_params(), nm, cfg, path, obs)
+                for path in (2, 0, 1) for cfg in cfgs]
+        records = run_trajectories(jobs, workers=workers)
+        assert len(records) == len(jobs)
+        for (*args, path, observables), rec in zip(jobs, records):
+            ref = run_trajectory(*args, path=path, observables=observables)
+            assert (rec.path, rec.config, rec.stop_reason, rec.stop_time) == (
+                ref.path, ref.config, ref.stop_reason, ref.stop_time)
+            for a, b in ((rec.final, ref.final), (rec.times, ref.times),
+                         (rec.snapshots, ref.snapshots),
+                         *((rec.norms[k], ref.norms[k]) for k in ref.norms),
+                         *((rec.obs[k], ref.obs[k]) for k in ref.obs)):
+                assert np.array_equal(a, b)
 
     def test_blowup_paths_counted(self):
         # immediate threshold crossing: every path stops at t=0 uniformly

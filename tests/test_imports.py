@@ -87,7 +87,7 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_loads_no_process_pool():
     """Only ``workers > 1`` needs the pool, which brings in multiprocessing,
-    socket, subprocess and logging; ``run_ensemble`` imports it there."""
+    socket, subprocess and logging; ``run_trajectories`` imports it there."""
     loaded = cli_import_modules()
     assert [m for m in loaded if m.startswith("concurrent.futures")] == []
 

@@ -101,6 +101,21 @@ class TestStepKernel:
         # the explicit scheme has no divisor to check
         StepKernel(p, NoiseModel.empty(G4), TruncationConfig.off(), 0.1, "heun_strat")
 
+    @pytest.mark.parametrize("pad_factor", [1.0, 1.25, 1.5])
+    def test_pad_factor_below_two_raises(self, pad_factor):
+        """A padded grid coarser than 2N aliases the products. At pad factor
+        1.25 this run once completed, its final state off the pad-2 run's by
+        1.8e-3 of its largest entry."""
+        g = Grid(1, (np.pi,), (8,), pad_factor=pad_factor)
+        noise = build_noise_modes({"family": "eigenmode", "modes": [
+            {"sigma": 0.5, "index": (5,), "direction": (1, 0, 0)}]}, g)
+        u0 = (constant_field(g, (0.3, 0, 0)) + eigenmode_field(g, (5,), (0, 0.6, 0))
+              + eigenmode_field(g, (6,), (0, 0, 0.6)))
+        with pytest.raises(ConfigurationError,
+                           match=f"^pad_factor {pad_factor:g} is below 2: .* alias"):
+            run_trajectory(u0, ModelParams(0.5, 1, 1, 1, 1), noise,
+                           SolverConfig(dt=0.001, t_end=0.05, seed=3))
+
     def test_unknown_scheme_and_wrong_step_rejected(self):
         noise, trunc = NoiseModel.empty(G4), TruncationConfig.off()
         with pytest.raises(ConfigurationError, match="unknown scheme"):

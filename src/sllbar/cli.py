@@ -184,15 +184,20 @@ def _cmd_invariant(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 
 def _cmd_converge(cfg: RunConfig, out: Path) -> tuple[dict, str]:
+    """dt-halving gaps on the config's grid, then refinement gaps between
+    successive ``refine_levels``. Each level's noise model and initial field
+    are built once, noise first, before the dt study, so a level that cannot
+    hold them stops the run as a configuration error before any stepping. The
+    level on the config's grid reuses the parsed ones."""
     exp = cfg.experiment
-    levels = list(exp.refine_levels)
-    # parse_config built every other initial type on the coarsest level
-    if levels and cfg.initial_spec.get("type") == "snapshot":
+    levels = []
+    for n in exp.refine_levels:
+        grid = cfg.grid.with_modes((n,) * cfg.grid.dim)
         try:
-            cfg.build_initial(cfg.grid.with_modes((levels[0],) * cfg.grid.dim))
-        except ConfigError as exc:
-            raise ConfigError(
-                f"experiment.refine_levels: level {levels[0]}: {exc}") from exc
+            noise = cfg.build_noise(grid)
+            levels.append((n, (cfg.build_initial(grid), noise)))
+        except ValueError as exc:  # a ConfigError too, such as a finer snapshot
+            raise ConfigError(f"experiment.refine_levels: level {n}: {exc}") from exc
 
     # dt-halving self-convergence with one shared Brownian path per MC path
     halvings = exp.dt_halvings
@@ -208,9 +213,8 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
     # Galerkin refinement gaps with frozen noise keys
     gaps = body["refinement_gaps"] = {}
-    args = (cfg.build_initial, cfg.params, cfg.build_noise, cfg.solver, cfg.grid)
-    for nc, nf in zip(levels[:-1], levels[1:]):
-        gaps[f"{nc}->{nf}"] = refinement_gap(*args, nc, nf)
+    for (nc, coarse), (nf, fine) in zip(levels[:-1], levels[1:]):
+        gaps[f"{nc}->{nf}"] = refinement_gap(coarse, fine, cfg.params, cfg.solver)
     return body, f"converge: dt gaps {['%.3e' % d for d in diffs]}, refinement {gaps}"
 
 

@@ -353,15 +353,6 @@ def parse_config(path: str) -> RunConfig:
         observables.append(obs)
     experiment = _made("experiment.", ExperimentConfig, observables=tuple(observables),
                        **_section(parser, "experiment"))
-    # converge builds both on every refine level; fail here, not after its dt
-    # study. Only converge itself reads a snapshot there (see _cmd_converge).
-    if experiment.refine_levels:
-        coarse = grid.with_modes((experiment.refine_levels[0],) * grid.dim)
-        where = f"experiment.refine_levels: level {coarse.modes[0]}: "
-        _made(where, build_noise_modes, noise_spec, coarse)
-        if itype != "snapshot":
-            _made(where, build_initial, initial_spec, coarse)
-
     return RunConfig(grid=grid, params=params, solver=solver, noise_spec=noise_spec,
                      initial_spec=initial_spec, experiment=experiment, noise=noise,
                      initial=u0)

@@ -13,7 +13,6 @@ These turn the structural facts the scheme relies on into numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -58,10 +57,9 @@ def identity_cross(grid: Grid, coeffs: np.ndarray) -> float:
     return num / denom
 
 
-def _gradient_quadratics(grid: Grid, coeffs: np.ndarray):
-    """Quadrature values of |u.grad u|^2 and |u|^2 |grad u|^2."""
-    vals = synthesize(grid, coeffs)
-    grads = gradient_values(grid, coeffs)
+def _gradient_quadratics(grid: Grid, vals: np.ndarray, grads: list[np.ndarray]):
+    """Quadrature values of |u.grad u|^2 and |u|^2 |grad u|^2 from the
+    padded-grid values of u and of its gradient."""
     w = quad_weight(grid)
     mag2 = (vals * vals).sum(axis=0)
     u_dot_grad_sq = np.zeros(grid.padded)
@@ -84,7 +82,7 @@ def identity_cubic_gradient(grid: Grid,
     gu = gradient_values(grid, coeffs)
     w = quad_weight(grid)
     lhs = float(sum((a * b).sum() for a, b in zip(gw, gu)) * w)
-    cross_sq, mixed_sq = _gradient_quadratics(grid, coeffs)
+    cross_sq, mixed_sq = _gradient_quadratics(grid, synthesize(grid, coeffs), gu)
     rhs = 2.0 * cross_sq + mixed_sq
     residual = (lhs - rhs) / max(1.0, abs(lhs))
     return lhs, rhs, residual
@@ -96,7 +94,8 @@ def identity_cubic_ibp(grid: Grid,
     lap_cubic = synthesize(grid, -eigenvalue_array(grid) * cubic_field(grid, coeffs))
     u_vals = synthesize(grid, coeffs)
     lhs = float((lap_cubic * u_vals).sum() * quad_weight(grid))
-    cross_sq, mixed_sq = _gradient_quadratics(grid, coeffs)
+    cross_sq, mixed_sq = _gradient_quadratics(grid, u_vals,
+                                              gradient_values(grid, coeffs))
     rhs = -2.0 * cross_sq - mixed_sq
     residual = (lhs - rhs) / max(1.0, abs(lhs))
     return lhs, rhs, residual
@@ -129,7 +128,8 @@ def energy_balance_l2(traj: TrajectoryRecord,
     sup_l2 = max(sobolev_norm(grid, u, 0) for u in states)
     for m in range(len(states) - 1):
         u = states[m]
-        cross_sq, mixed_sq = _gradient_quadratics(grid, u)
+        cross_sq, mixed_sq = _gradient_quadratics(grid, synthesize(grid, u),
+                                                  gradient_values(grid, u))
         theta = truncation_scale(grid, u, trunc)
         ddt = (half_l2_sq[m + 1] - half_l2_sq[m]) / spacing
         residuals[m] = (
@@ -270,27 +270,28 @@ def strong_convergence_gaps(u0: np.ndarray, params: ModelParams,
     return gaps
 
 
-def refinement_gap(u0_builder: Callable[[Grid], np.ndarray],
-                   params: ModelParams,
-                   noise_builder: Callable[[Grid], NoiseModel],
-                   config: SolverConfig, box: Grid,
-                   n_coarse: int, n_fine: int, path: int = 0) -> float:
+def refinement_gap(coarse: tuple[np.ndarray, NoiseModel],
+                   fine: tuple[np.ndarray, NoiseModel], params: ModelParams,
+                   config: SolverConfig, path: int = 0) -> float:
     """Sup over sampled times of the L^2 gap between two resolutions.
 
-    Both runs consume identical increment keys, in this process; the coarse
-    solution is embedded into the fine mode set for the comparison. The noise
-    family must be representable on the coarse grid (the builder raises
-    otherwise), and both runs must reach ``t_end`` (:class:`BlowupAbort` otherwise).
+    ``coarse`` and ``fine`` are built ``(u0, noise)`` levels, each on its
+    noise model's grid; the fine grid is the coarse one's box with more modes
+    on every axis. Both runs consume identical increment keys, in this
+    process; the coarse solution is embedded into the fine mode set for the
+    comparison. Both runs must reach ``t_end`` (:class:`BlowupAbort` otherwise).
     """
-    if n_coarse >= n_fine:
-        raise ValueError("n_coarse must be smaller than n_fine")
-    grids = [box.with_modes((n,) * box.dim) for n in (n_coarse, n_fine)]
+    grids = coarse[1].grid, fine[1].grid
+    if grids[0].with_modes(grids[1].modes) != grids[1] or any(
+            nc >= nf for nc, nf in zip(grids[0].modes, grids[1].modes)):
+        raise ValueError("the fine level must be the coarse level's box with more "
+                         "modes on every axis")
     cfg = replace(config, snapshot_every=config.record_every)
-    coarse, fine = run_trajectories([(u0_builder(g), params, noise_builder(g), cfg,
-                                      path, ()) for g in grids])
-    for rec in (coarse, fine):
+    runs = run_trajectories([(u0, params, noise, cfg, path, ())
+                             for u0, noise in (coarse, fine)])
+    for rec in runs:
         if rec.stop_reason != STOP_COMPLETED:
             raise BlowupAbort(f"run at N={rec.grid.modes[0]} stopped early at "
                               f"t={rec.stop_time:g}: {rec.stop_reason}")
-    return max(float(np.sqrt(((embed(coarse.grid, cs, fine.grid) - fs) ** 2).sum()))
-               for cs, fs in zip(coarse.snapshots, fine.snapshots))
+    return max(float(np.sqrt(((embed(grids[0], cs, grids[1]) - fs) ** 2).sum()))
+               for cs, fs in zip(runs[0].snapshots, runs[1].snapshots))

@@ -276,10 +276,10 @@ def test_08_galerkin_refinement():
     def noise(grid):
         return two_mode_noise(grid, sigma=0.5)
 
-    gaps = [
-        refinement_gap(u0, params, noise, cfg, box, nc, nf)
-        for nc, nf in ((16, 32), (32, 64), (64, 128))
-    ]
+    levels = [(u0(g), noise(g)) for g in
+              (box.with_modes((n,)) for n in (16, 32, 64, 128))]
+    gaps = [refinement_gap(coarse, fine, params, cfg)
+            for coarse, fine in zip(levels, levels[1:])]
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -301,10 +301,10 @@ def test_08_galerkin_refinement_d2():
             {"sigma": 0.5, "index": (0, 2), "direction": (0, 0, 1)},
         ]}, grid)
 
-    gaps = [
-        refinement_gap(u0, params, noise, cfg, box, nc, nf)
-        for nc, nf in ((4, 8), (8, 16), (16, 32))
-    ]
+    levels = [(u0(g), noise(g)) for g in
+              (box.with_modes((n, n)) for n in (4, 8, 16, 32))]
+    gaps = [refinement_gap(coarse, fine, params, cfg)
+            for coarse, fine in zip(levels, levels[1:])]
     assert gaps[0] > gaps[1] > gaps[2]
 
 

@@ -504,12 +504,24 @@ class TestConvergeConfigChecks:
         assert "configuration error: experiment." in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    def test_initial_mode_outside_coarsest_level(self, tmp_path, capsys):
-        text = (BASE.replace("modes = 8", "modes = 16")
-                .replace("refine_levels = 4, 8", "refine_levels = 4, 16")
-                .replace("type = constant\nvector = 0.2, 0, 0", MODE_6))
-        code, out = run_text(tmp_path, "converge", text)
+    @pytest.fixture
+    def no_dt_study(self, monkeypatch):
+        """Fails the test if converge starts its dt study."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("dt study started")
+
+        monkeypatch.setattr("sllbar.cli.strong_convergence_gaps", no_stepping)
+
+    # each makes a refine level too coarse for the initial or the noise modes
+    INITIAL_MODE_6 = (BASE.replace("modes = 8", "modes = 16")
+                      .replace("refine_levels = 4, 8", "refine_levels = 4, 16")
+                      .replace("type = constant\nvector = 0.2, 0, 0", MODE_6))
+    NOISE_MODE_2 = BASE.replace("refine_levels = 4, 8", "refine_levels = 2, 8")
+
+    def test_initial_mode_outside_coarsest_level(self, tmp_path, capsys, no_dt_study):
+        code, out = run_text(tmp_path, "converge", self.INITIAL_MODE_6)
         assert code == 2
+        assert not (out / "report.json").exists()
         err = capsys.readouterr().err
         assert "configuration error: experiment.refine_levels: level 4: mode index 6" in err
 
@@ -523,12 +535,8 @@ class TestConvergeConfigChecks:
                 .replace("type = constant\nvector = 0.2, 0, 0",
                          f"type = snapshot\npath = {snap}"))
 
-    def test_snapshot_outside_coarsest_level(self, tmp_path, capsys, monkeypatch):
+    def test_snapshot_outside_coarsest_level(self, tmp_path, capsys, no_dt_study):
         """converge reads the snapshot on its coarsest level before the dt study."""
-        def no_stepping(*args, **kwargs):
-            raise AssertionError("dt study started")
-
-        monkeypatch.setattr("sllbar.cli.strong_convergence_gaps", no_stepping)
         code, out = run_text(tmp_path, "converge", self.grid_sized_snapshot(tmp_path))
         assert code == 2
         assert not (out / "report.json").exists()
@@ -536,14 +544,21 @@ class TestConvergeConfigChecks:
         assert ("configuration error: experiment.refine_levels: level 4: "
                 "initial.path: snapshot has more modes than grid") in err
 
-    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "invariant", "check"])
     def test_grid_sized_snapshot_runs_other_commands(self, tmp_path, command):
-        """Only converge builds on the refine levels, so a snapshot too fine
-        for the coarsest one still runs the rest."""
-        text = self.grid_sized_snapshot(tmp_path).replace("t_end = 0.5", "t_end = 0.05")
-        code, out = run_text(tmp_path, command, text)
-        assert code == 0
-        assert (out / "report.json").exists()
+        """Only converge builds on the refine levels, so a snapshot, initial
+        modes or noise modes too fine for the coarsest one still run the rest."""
+        for case, text in (("snapshot", self.grid_sized_snapshot(tmp_path)),
+                           ("initial", self.INITIAL_MODE_6),
+                           ("noise", self.NOISE_MODE_2)):
+            # invariant's default windows need samples in (T/4, T/2) past burn_in
+            text = (text.replace("t_end = 0.5", "t_end = 0.05")
+                    .replace("record_every = 5", "record_every = 1")
+                    .replace("burn_in = 0.1", "burn_in = 0.01"))
+            (tmp_path / case).mkdir()
+            code, out = run_text(tmp_path / case, command, text)
+            assert code == 0, case
+            assert (out / "report.json").exists()
 
     def test_missing_snapshot_is_io_error(self, tmp_path, capsys):
         text = BASE.replace("type = constant\nvector = 0.2, 0, 0",
@@ -551,9 +566,10 @@ class TestConvergeConfigChecks:
         assert run_text(tmp_path, "converge", text)[0] == 4
         assert "I/O error:" in capsys.readouterr().err
 
-    def test_noise_mode_outside_coarsest_level(self, tmp_path, capsys):
-        text = BASE.replace("refine_levels = 4, 8", "refine_levels = 2, 8")
-        assert run_text(tmp_path, "converge", text)[0] == 2
+    def test_noise_mode_outside_coarsest_level(self, tmp_path, capsys, no_dt_study):
+        code, out = run_text(tmp_path, "converge", self.NOISE_MODE_2)
+        assert code == 2
+        assert not (out / "report.json").exists()
         assert "experiment.refine_levels: level 2:" in capsys.readouterr().err
 
 

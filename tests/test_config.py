@@ -132,6 +132,23 @@ class TestBuiltOnce:
         assert cfg.build_initial(coarse).shape == (3, 4)
         assert len(noise_calls) == 2
 
+    STUDY = NOISY.replace("t_end = 1.0", "t_end = 0.1") + (
+        "\n[experiment]\nensemble_m = 2\ndt_halvings = 1\nrefine_levels = 4, 8, 16\n")
+
+    @pytest.mark.parametrize("command,grids", [
+        ("converge", [(8,), (4,), (16,)]),
+        ("ensemble", [(8,)]),
+    ])
+    def test_one_build_per_distinct_grid(self, tmp_path, monkeypatch, command, grids):
+        """parse_config builds on the config's grid only; converge builds each
+        other refine level once, and reuses the parsed objects on level 8."""
+        noise_calls = self.counted(monkeypatch, "build_noise_modes")
+        initial_calls = self.counted(monkeypatch, "build_initial")
+        assert run_command([command, "--config", write(tmp_path, self.STUDY),
+                            "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+        assert [grid.modes for _, grid in noise_calls] == grids
+        assert [grid.modes for _, grid in initial_calls] == grids
+
     def test_kept_initial_field_is_read_only(self):
         u0 = parse_config(str(ANNOTATED)).build_initial()
         with pytest.raises(ValueError, match="read-only"):
@@ -336,44 +353,6 @@ class TestExperimentChecks:
     def test_study_accepted(self):
         exp = ExperimentConfig(dt_halvings=0, refine_levels=(1, 2, 64))
         assert exp.refine_levels == (1, 2, 64)
-
-
-STUDY = MINIMAL + """
-[experiment]
-refine_levels = 4, 8
-"""
-
-
-class TestRefineLevelsBuild:
-    """The noise and the initial data are built on the coarsest refine level
-    at parse time, so converge fails before stepping."""
-
-    def test_initial_mode_outside_coarsest(self, tmp_path):
-        text = STUDY.replace("type = constant\nvector = 0.5, 0, 0",
-                             "type = modes\n[initial.mode.1]\nindex = 6\n"
-                             "amplitude = 0.1, 0, 0")
-        with pytest.raises(ConfigError, match="^experiment.refine_levels: level 4: "
-                                              "mode index 6"):
-            parse_config(write(tmp_path, text))
-
-    def test_noise_mode_outside_coarsest(self, tmp_path):
-        text = STUDY + """
-[noise]
-family = eigenmode
-
-[noise.mode.1]
-sigma = 0.1
-index = 5
-direction = 1, 0, 0
-"""
-        with pytest.raises(ConfigError, match="^experiment.refine_levels: level 4:"):
-            parse_config(write(tmp_path, text))
-
-    def test_fitting_study_accepted(self, tmp_path):
-        text = STUDY.replace("type = constant\nvector = 0.5, 0, 0",
-                             "type = modes\n[initial.mode.1]\nindex = 3\n"
-                             "amplitude = 0.1, 0, 0")
-        assert parse_config(write(tmp_path, text)).experiment.refine_levels == (4, 8)
 
 
 class TestNonFinite:

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sllbar.diagnostics
+import sllbar.grid
+import sllbar.model
 from sllbar.diagnostics import (
     energy_balance_l2,
     identity_cross,
@@ -91,6 +94,30 @@ class TestCubicIdentities:
             u = random_field(grid, RNG)
             assert abs(identity_cubic_gradient(grid, u)[2]) < 1e-8
             assert abs(identity_cubic_ibp(grid, u)[2]) < 1e-8
+
+    @pytest.mark.parametrize("grid", [G8, Grid(2, (np.pi, 1.5), (5, 4)),
+                                      Grid(3, (np.pi, 1.0, 2.5), (3, 4, 2))],
+                             ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("identity,expected", [
+        (identity_cubic_gradient, {"synthesize": 2, "analyze": 1, "gradient_values": 2}),
+        (identity_cubic_ibp, {"synthesize": 3, "analyze": 1, "gradient_values": 1}),
+    ], ids=["gradient", "ibp"])
+    def test_each_transform_of_u_taken_once(self, monkeypatch, grid, identity,
+                                            expected):
+        """Each identity synthesizes u and takes its gradient at most once and
+        hands both to the quadratic terms; the cubic costs one synthesize and
+        one analyze, and its Laplacian or gradient one more transform."""
+        counts = dict.fromkeys(expected, 0)
+        for mod in (sllbar.grid, sllbar.model, sllbar.diagnostics):
+            for name in counts:
+                if hasattr(mod, name):
+                    def counted(*args, _fn=getattr(mod, name), _name=name):
+                        counts[_name] += 1
+                        return _fn(*args)
+
+                    monkeypatch.setattr(mod, name, counted)
+        identity(grid, random_field(grid, RNG))
+        assert counts == expected
 
 
 @st.composite
@@ -300,6 +327,13 @@ class TestWeakForm:
             weak_form_residual(traj, self.params(), nm, phi_index, component)
 
 
+def built_levels(u0, noise, box, *counts):
+    """``(u0(g), noise(g))`` on ``box`` at each mode count, as converge builds
+    its refine levels."""
+    grids = [box.with_modes((n,) * box.dim) for n in counts]
+    return [(u0(g), noise(g)) for g in grids]
+
+
 class TestRefinementGap:
     def test_linear_resolved_coarse(self):
         """Fully resolved linear dynamics: both resolutions evolve the same
@@ -307,19 +341,16 @@ class TestRefinementGap:
         p = ModelParams(1.0, 1.0, TINY, TINY, TINY)
         box = Grid(1, (np.pi,), (4,))
         cfg = SolverConfig(dt=0.01, t_end=0.2, record_every=4)
-        gap = refinement_gap(
-            lambda g: eigenmode_field(g, (2,), (0.5, 0.0, 0.1)),
-            p, lambda g: NoiseModel.empty(g), cfg, box, 4, 8,
-        )
-        assert gap < 1e-10
+        levels = built_levels(lambda g: eigenmode_field(g, (2,), (0.5, 0.0, 0.1)),
+                              NoiseModel.empty, box, 4, 8)
+        assert refinement_gap(*levels, p, cfg) < 1e-10
 
     def test_zero_initial_zero_gap(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
         box = Grid(1, (np.pi,), (4,))
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2)
-        gap = refinement_gap(zeros, p,
-                             lambda g: NoiseModel.empty(g), cfg, box, 4, 8)
-        assert gap == 0.0
+        levels = built_levels(zeros, NoiseModel.empty, box, 4, 8)
+        assert refinement_gap(*levels, p, cfg) == 0.0
 
     def test_gap_decreases_with_resolution(self):
         p = ModelParams(0.5, 0.05, 1.0, 1.0, 0.5)
@@ -328,18 +359,24 @@ class TestRefinementGap:
         u0 = lambda g: constant_field(g, (0.4, 0.0, 0.0)) + eigenmode_field(
             g, (1,), (0.0, 0.4, 0.0)
         )
-        nm = lambda g: small_noise(g, sigma=0.15)
-        g1 = refinement_gap(u0, p, nm, cfg, box, 8, 16)
-        g2 = refinement_gap(u0, p, nm, cfg, box, 16, 32)
+        l8, l16, l32 = built_levels(u0, lambda g: small_noise(g, sigma=0.15), box,
+                                    8, 16, 32)
+        g1 = refinement_gap(l8, l16, p, cfg)
+        g2 = refinement_gap(l16, l32, p, cfg)
         assert g2 < g1
 
     def test_rejects_bad_levels(self):
+        """The fine level must be the coarse level's box with more modes."""
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
         box = Grid(1, (np.pi,), (4,))
         cfg = SolverConfig(dt=0.01, t_end=0.1)
-        with pytest.raises(ValueError):
-            refinement_gap(zeros, p,
-                           lambda g: NoiseModel.empty(g), cfg, box, 8, 8)
+        wider = Grid(1, (2 * np.pi,), (16,))
+        for coarse, fine in (built_levels(zeros, NoiseModel.empty, box, 8, 8),
+                             built_levels(zeros, NoiseModel.empty, box, 16, 8),
+                             built_levels(zeros, NoiseModel.empty, box, 8)
+                             + built_levels(zeros, NoiseModel.empty, wider, 16)):
+            with pytest.raises(ValueError, match="more modes on every axis"):
+                refinement_gap(coarse, fine, p, cfg)
 
     def test_fine_grid_blowup_aborts(self):
         """A top-mode datum is rougher on the fine grid: with blowup_K between
@@ -351,14 +388,13 @@ class TestRefinementGap:
         def top_mode(g):
             return eigenmode_field(g, (g.modes[0] - 1,), (0.1, 0.0, 0.0))
 
-        grids = [box.with_modes((n,)) for n in (4, 8)]
-        h1 = [sobolev_norm(g, top_mode(g), 1) for g in grids]
+        levels = built_levels(top_mode, NoiseModel.empty, box, 4, 8)
+        h1 = [sobolev_norm(noise.grid, u0, 1) for u0, noise in levels]
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2,
                            blowup_K=math.sqrt(h1[0] * h1[1]))
         assert issubclass(BlowupAbort, RuntimeError)
         with pytest.raises(BlowupAbort, match="N=8 stopped early at t=0: blowup_K"):
-            refinement_gap(top_mode, p, lambda g: NoiseModel.empty(g), cfg,
-                           box, 4, 8)
+            refinement_gap(*levels, p, cfg)
 
     def test_both_runs_stopped_at_start_abort(self):
         """With blowup_K below the H^1 norm of u0 both runs stop at t = 0 and
@@ -372,20 +408,18 @@ class TestRefinementGap:
         cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=2,
                            blowup_K=0.5 * sobolev_norm(box, u0(box), 1))
         with pytest.raises(BlowupAbort, match="N=4 stopped early at t=0: blowup_K"):
-            refinement_gap(u0, p, lambda g: NoiseModel.empty(g), cfg, box, 4, 8)
+            refinement_gap(*built_levels(u0, NoiseModel.empty, box, 4, 8), p, cfg)
 
     def test_noise_not_representable_on_coarse(self):
-        p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0)
+        """A noise mode the coarse level does not retain fails when that level
+        is built, before anything runs."""
         box = Grid(1, (np.pi,), (8,))
-        cfg = SolverConfig(dt=0.01, t_end=0.1)
         spec = {"family": "eigenmode", "modes": [
             {"sigma": 0.1, "index": (6,), "direction": (1, 0, 0)},
         ]}
-        with pytest.raises(ValueError):
-            refinement_gap(
-                zeros, p,
-                lambda g: build_noise_modes(spec, g), cfg, box, 4, 8,
-            )
+        assert build_noise_modes(spec, box).J == 1
+        with pytest.raises(ValueError, match="mode index 6"):
+            built_levels(zeros, lambda g: build_noise_modes(spec, g), box, 4, 8)
 
 
 class TestStrongConvergenceGaps:

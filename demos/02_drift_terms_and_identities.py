@@ -18,11 +18,7 @@ from sllbar import (
     sobolev_norm,
     theta_R,
 )
-from sllbar.diagnostics import (
-    identity_cross,
-    identity_cubic_gradient,
-    identity_cubic_ibp,
-)
+from sllbar.diagnostics import identity_cross, identity_cubic
 
 grid = Grid(1, (np.pi,), (16,))
 params = ModelParams(beta1=0.5, beta2=1.0, beta3=1.0, beta4=1.0, beta5=1.0)
@@ -51,13 +47,13 @@ for x in (0.5, 1.0, 1.3, 1.7, 2.0, 2.5):
 # is why the precession term never enters the L2 energy balance.
 print("normalized cross identity:", identity_cross(grid, u))
 
-# Cubic identities: both routes agree at rounding level.
-lhs, rhs, res = identity_cubic_gradient(grid, u)
+# Cubic identities: one pass computes both forms, and each agrees with
+# P = 2|u.grad u|^2 + ||u||grad u||^2 at rounding level.
+(lhs, rhs, res), (lhs_i, rhs_i, res_i) = identity_cubic(grid, u)
 print(f"(grad(|u|^2 u), grad u) = {lhs:.8f};  2|u.grad u|^2 + ||u||grad u||^2"
       f" = {rhs:.8f};  residual = {res:.2e}")
-lhs, rhs, res = identity_cubic_ibp(grid, u)
-print(f"(Lap(|u|^2 u), u) = {lhs:.8f};  -(2|u.grad u|^2 + ...) = {rhs:.8f};"
-      f"  residual = {res:.2e}")
+print(f"(Lap(|u|^2 u), u) = {lhs_i:.8f};  -(2|u.grad u|^2 + ...) = {rhs_i:.8f};"
+      f"  residual = {res_i:.2e}")
 
 # Truncation: far above the gradient norm it is inert; far below it kills
 # the nonlocal term entirely.

@@ -43,8 +43,7 @@ from .diagnostics import (
     ResidualSeries,
     energy_balance_l2,
     identity_cross,
-    identity_cubic_gradient,
-    identity_cubic_ibp,
+    identity_cubic,
     refinement_gap,
     weak_form_residual,
 )

@@ -34,8 +34,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (
     energy_balance_l2,
     identity_cross,
-    identity_cubic_gradient,
-    identity_cubic_ibp,
+    identity_cubic,
     refinement_gap,
     strong_convergence_gaps,
 )
@@ -224,8 +223,8 @@ def _cmd_check(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     rows = []
     for _ in range(20):
         u = random_field(cfg.grid, rng)
-        rows.append((identity_cross(cfg.grid, u), identity_cubic_gradient(cfg.grid, u)[2],
-                     identity_cubic_ibp(cfg.grid, u)[2]))
+        gradient, ibp = identity_cubic(cfg.grid, u)
+        rows.append((identity_cross(cfg.grid, u), gradient[2], ibp[2]))
     write_identities_csv(rows, out / "identities.csv")
 
     # short noise-off run: energy-balance residual series as CSV

@@ -292,22 +292,16 @@ def parse_config(path: str) -> RunConfig:
         sec["blowup_K"] = sec.pop("blowup_k")
     solver = _made("solver: ", SolverConfig, truncation=trunc, **sec)
 
-    # noise
+    # noise; the builder owns the family rules and checks the indices
     noise_spec: dict = {"family": "none", **_section(parser, "noise")}
-    family = noise_spec["family"]
     mode_sections = _numbered_sections(parser, "noise.mode.")
-    if family == "none":
-        if mode_sections:
-            raise ConfigError("noise.family: 'none' but noise.mode.* sections present")
-    elif family == "eigenmode":
-        if not mode_sections:
-            raise ConfigError("noise: family 'eigenmode' needs noise.mode.* sections")
+    if noise_spec["family"] == "eigenmode" and not mode_sections:
+        raise ConfigError("noise: family 'eigenmode' needs noise.mode.* sections")
+    if mode_sections:
         schema = _KEYS["noise.mode."]
         noise_spec["modes"] = [_section(parser, name, schema, required=schema)
                                for name in mode_sections]
-    else:
-        raise ConfigError(f"noise.family: unknown family {family!r}")
-    noise = _made("noise: ", build_noise_modes, noise_spec, grid)  # checks indices
+    noise = _made("noise: ", build_noise_modes, noise_spec, grid)
 
     # initial data; input that the type never reads is rejected
     initial_spec: dict = {"type": "constant", **_section(parser, "initial")}

@@ -4,6 +4,7 @@ These turn the structural facts the scheme relies on into numbers:
 
 * the precession term is L^2-orthogonal to the state,
 * the cubic term satisfies exact gradient / integration-by-parts identities,
+  both read off one :func:`identity_cubic` pass,
 * noise-off trajectories balance the L^2 energy identity to O(dt),
 * trajectories satisfy the weak and very-weak integral formulations against
   basis test functions up to an O(dt) quadrature defect,
@@ -57,8 +58,9 @@ def identity_cross(grid: Grid, coeffs: np.ndarray) -> float:
     return num / denom
 
 
-def _gradient_quadratics(grid: Grid, vals: np.ndarray, grads: list[np.ndarray]):
-    """Quadrature values of |u.grad u|^2 and |u|^2 |grad u|^2 from the
+def _gradient_quadratics(grid: Grid, vals: np.ndarray,
+                         grads: list[np.ndarray]) -> float:
+    """``P = 2 |u.grad u|^2 + | |u| |grad u| |^2`` by quadrature, from the
     padded-grid values of u and of its gradient."""
     w = quad_weight(grid)
     mag2 = (vals * vals).sum(axis=0)
@@ -67,38 +69,29 @@ def _gradient_quadratics(grid: Grid, vals: np.ndarray, grads: list[np.ndarray]):
     for g in grads:
         u_dot_grad_sq += ((vals * g).sum(axis=0)) ** 2
         grad_sq += (g * g).sum(axis=0)
-    return float(u_dot_grad_sq.sum() * w), float((mag2 * grad_sq).sum() * w)
+    return 2.0 * float(u_dot_grad_sq.sum() * w) + float((mag2 * grad_sq).sum() * w)
 
 
-def identity_cubic_gradient(grid: Grid,
-                            coeffs: np.ndarray) -> tuple[float, float, float]:
-    """``(grad(|u|^2 u), grad u) = 2 |u.grad u|^2 + | |u| |grad u| |^2``.
-
-    The left side pairs the spectrally differentiated projected cubic with
-    grad u by quadrature; modes dropped by the projection are orthogonal to
-    the retained gradient modes, so the pairing equals the unprojected one.
+def identity_cubic(grid: Grid, coeffs: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """``(lhs, rhs, residual)`` of the gradient form ``(grad(|u|^2 u), grad u)
+    = P`` and then of the integration by parts ``(Lap(|u|^2 u), u) = -P``,
+    with ``P = 2 |u.grad u|^2 + | |u| |grad u| |^2``. The left sides pair the
+    projected cubic's gradient with grad u, or its Laplacian with u, by
+    quadrature; modes dropped by the projection are orthogonal to the
+    retained ones, so the pairings equal the unprojected ones. The cubic, u's
+    values and grad u are computed once for both forms.
     """
-    gw = gradient_values(grid, cubic_field(grid, coeffs))
+    cubic = cubic_field(grid, coeffs)
+    u_vals = synthesize(grid, coeffs)
     gu = gradient_values(grid, coeffs)
     w = quad_weight(grid)
-    lhs = float(sum((a * b).sum() for a, b in zip(gw, gu)) * w)
-    cross_sq, mixed_sq = _gradient_quadratics(grid, synthesize(grid, coeffs), gu)
-    rhs = 2.0 * cross_sq + mixed_sq
-    residual = (lhs - rhs) / max(1.0, abs(lhs))
-    return lhs, rhs, residual
-
-
-def identity_cubic_ibp(grid: Grid,
-                       coeffs: np.ndarray) -> tuple[float, float, float]:
-    """``(Lap(|u|^2 u), u) = -2 |u.grad u|^2 - | |u| |grad u| |^2``."""
-    lap_cubic = synthesize(grid, -eigenvalue_array(grid) * cubic_field(grid, coeffs))
-    u_vals = synthesize(grid, coeffs)
-    lhs = float((lap_cubic * u_vals).sum() * quad_weight(grid))
-    cross_sq, mixed_sq = _gradient_quadratics(grid, u_vals,
-                                              gradient_values(grid, coeffs))
-    rhs = -2.0 * cross_sq - mixed_sq
-    residual = (lhs - rhs) / max(1.0, abs(lhs))
-    return lhs, rhs, residual
+    p = _gradient_quadratics(grid, u_vals, gu)
+    grad_cubic = gradient_values(grid, cubic)
+    grad_lhs = float(sum((a * b).sum() for a, b in zip(grad_cubic, gu)) * w)
+    lap_cubic = synthesize(grid, -eigenvalue_array(grid) * cubic)
+    ibp_lhs = float((lap_cubic * u_vals).sum() * w)
+    return tuple((lhs, rhs, (lhs - rhs) / max(1.0, abs(lhs)))
+                 for lhs, rhs in ((grad_lhs, p), (ibp_lhs, -p)))
 
 
 def energy_balance_l2(traj: TrajectoryRecord,
@@ -128,17 +121,17 @@ def energy_balance_l2(traj: TrajectoryRecord,
     sup_l2 = max(sobolev_norm(grid, u, 0) for u in states)
     for m in range(len(states) - 1):
         u = states[m]
-        cross_sq, mixed_sq = _gradient_quadratics(grid, synthesize(grid, u),
-                                                  gradient_values(grid, u))
+        l4 = l4_norm(grid, u, ws)  # leaves u's values in ws.vals, read by P
+        p = _gradient_quadratics(grid, ws.vals, gradient_values(grid, u))
         theta = truncation_scale(grid, u, trunc)
         ddt = (half_l2_sq[m + 1] - half_l2_sq[m]) / spacing
         residuals[m] = (
             ddt
             + params.beta1 * sobolev_norm(grid, u, 1, seminorm=True) ** 2
             + params.beta2 * sobolev_norm(grid, u, 2, seminorm=True) ** 2
-            + params.beta3 * l4_norm(grid, u, ws) ** 4
+            + params.beta3 * l4 ** 4
             - params.beta3 * sobolev_norm(grid, u, 0) ** 2
-            + params.beta5 * theta * (2.0 * cross_sq + mixed_sq)
+            + params.beta5 * theta * p
         )
     normalization = max(1.0, sup_l2**2)
     return ResidualSeries(ts[:-1], residuals / normalization, normalization)

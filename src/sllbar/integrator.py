@@ -77,6 +77,11 @@ class BlowupAbort(RuntimeError):
     """A study that needs the full horizon lost paths to early stops."""
 
 
+def _check_dt(dt: float) -> None:
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ConfigurationError("dt must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -90,8 +95,7 @@ class SolverConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ConfigurationError("dt must be positive and finite")
+        _check_dt(self.dt)
         if not self.dt < self.t_end < np.inf:
             raise ConfigurationError("t_end must be finite and exceed dt")
         if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
@@ -143,10 +147,10 @@ def linear_factor(lam, dt: float, params: ModelParams):
     """Implicit per-mode divisor ``1 + dt (b1 lam + b2 lam^2)``.
 
     ``lam`` is one eigenvalue or an array of them; the result has its shape.
-    Raises when any divisor is at or below ``DENOMINATOR_FLOOR``.
+    Raises unless dt is positive and finite, and when any divisor is at or
+    below ``DENOMINATOR_FLOOR``.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    _check_dt(dt)
     factor = 1.0 + dt * (params.beta1 * lam + params.beta2 * lam * lam)
     low = np.min(factor)
     if low <= DENOMINATOR_FLOOR:
@@ -165,10 +169,12 @@ class StepKernel:
     linear part is ``divisor``, the :func:`linear_factor` of ``imex_em_ito``
     (its check raises here), or ``symbol``, the ``-b1 lam - b2 lam^2`` of
     ``heun_strat``; the other is None, so a step of the wrong scheme fails.
+    Either scheme raises unless dt is positive and finite.
     """
 
     def __init__(self, params: ModelParams, noise: NoiseModel,
                  trunc: TruncationConfig, dt: float, scheme: str = "imex_em_ito"):
+        _check_dt(dt)
         self.grid, self.params, self.noise, self.trunc, self.dt = (
             noise.grid, params, noise, trunc, dt)
         if self.grid.pad_factor < MIN_PAD_FACTOR:
@@ -296,14 +302,19 @@ def run_trajectory(u0: np.ndarray, params: ModelParams, noise: NoiseModel,
     serves the stop check and the record, and u is scanned for nonfinite
     entries only when that norm is not finite, as it is for every nonfinite
     u (a finite u whose norm overflows stops as ``blowup_K``).
-    Configuration problems (implicit denominator too small, pad factor below
-    ``MIN_PAD_FACTOR``) surface before any stepping, when the run's
-    :class:`StepKernel` is built. Identical inputs give bitwise-identical records.
+    Configuration problems (two observables with one name, an implicit
+    denominator too small, a pad factor below ``MIN_PAD_FACTOR``) surface
+    before any stepping. Identical inputs give bitwise-identical records.
     """
     grid = noise.grid
     if u0.shape != grid.field_shape:
         raise ConfigurationError(f"initial data shape {u0.shape} does not match "
                                  f"the noise model grid {grid.field_shape}")
+    first = {}
+    for i, psi in enumerate(observables):
+        if first.setdefault(psi.name, i) != i:
+            raise ConfigurationError(f"observables {first[psi.name]} and {i} share "
+                                     f"the name {psi.name!r}")
     dt, n_steps = config.dt, config.n_steps
     kernel = StepKernel(params, noise, config.truncation, dt, config.scheme)
     h1_weight = (_sobolev_weight(grid, 1.0, False),)  # sobolev_norm(grid, u, 1)

@@ -156,27 +156,27 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
 
     Eigenmode entries build ``h_j = sigma_j e_k(x) v_j`` with v_j normalized
     to a unit vector; :func:`sllbar.grid.check_mode_index` checks each index.
+    The ``none`` family takes no modes; an eigenmode family may have none.
     """
-    family = spec.get("family", "none")
-    index, amplitude = [], []
-    if family == "none":
-        pass
-    elif family == "eigenmode":
-        for m, mode in enumerate(spec.get("modes", [])):
-            sigma = float(mode["sigma"])
-            direction = np.asarray(mode["direction"], dtype=float)
-            nrm = float(np.linalg.norm(direction))
-            if nrm == 0.0:
-                raise ValueError(f"noise mode {m}: direction must be nonzero")
-            try:
-                index.append(check_mode_index(grid, np.atleast_1d(mode["index"])))
-                if direction.shape != (3,):
-                    raise ValueError("vector must have 3 components")
-            except ValueError as exc:
-                raise ValueError(f"noise mode {m}: {exc}") from exc
-            amplitude.append(sigma * direction / nrm)
-    else:
+    family, modes = spec.get("family", "none"), spec.get("modes", [])
+    if family not in ("none", "eigenmode"):
         raise ValueError(f"unknown noise family {family!r}")
+    if family == "none" and modes:
+        raise ValueError(f"family 'none' takes no modes, got {len(modes)}")
+    index, amplitude = [], []
+    for m, mode in enumerate(modes):
+        sigma = float(mode["sigma"])
+        direction = np.asarray(mode["direction"], dtype=float)
+        nrm = float(np.linalg.norm(direction))
+        if nrm == 0.0:
+            raise ValueError(f"noise mode {m}: direction must be nonzero")
+        try:
+            index.append(check_mode_index(grid, np.atleast_1d(mode["index"])))
+            if direction.shape != (3,):
+                raise ValueError("vector must have 3 components")
+        except ValueError as exc:
+            raise ValueError(f"noise mode {m}: {exc}") from exc
+        amplitude.append(sigma * direction / nrm)
 
     return NoiseModel(grid, index, amplitude, c_h_bound=spec.get("c_h_bound"),
                       tail_estimate=float(spec.get("tail_estimate", 0.0)))

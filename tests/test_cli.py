@@ -9,6 +9,7 @@ import pytest
 
 import sllbar.cli
 from sllbar.cli import run_command
+from sllbar.config import parse_config
 from sllbar.grid import Grid, eigenmode_field
 from sllbar.io import write_snapshot
 
@@ -185,6 +186,18 @@ class TestExitCodes:
         assert run_command(["ensemble", "--config", str(f),
                             "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
         assert "configuration error: observable.2:" in capsys.readouterr().err
+
+    def test_observables_sharing_a_name_exit_2(self, tmp_path, capsys):
+        """Two observables whose scales ``:g`` prints alike parse, but the run
+        rejects them before writing one column for both."""
+        f = tmp_path / "bad.cfg"
+        f.write_text(BASE + "\n[observable.2]\nkind = exp_neg_l2\nscale = 2.0000001\n")
+        assert len(parse_config(f).experiment.observables) == 2
+        assert run_command(["ensemble", "--config", str(f),
+                            "--output-dir", str(tmp_path / "o"), "--quiet"]) == 2
+        assert ("configuration error: path 0: observables 0 and 1 share the name "
+                "'exp_neg_l2[s=2]'" in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     def test_seed_override_outside_uint64(self, cfg_file, tmp_path, capsys, seed):

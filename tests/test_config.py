@@ -237,6 +237,23 @@ class TestRejections:
         with pytest.raises(ConfigError, match="noise"):
             parse_config(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("family,message", [
+        ("none", "^noise: family 'none' takes no modes, got 1$"),
+        ("eigenmodes", "^noise: unknown noise family 'eigenmodes'$"),
+    ])
+    def test_noise_family_rules_come_from_the_builder(self, tmp_path, capsys,
+                                                      family, message):
+        bad = MINIMAL + (
+            f"\n[noise]\nfamily = {family}\n"
+            "[noise.mode.1]\nsigma = 1.0\nindex = 1\ndirection = 0,0,1\n"
+        )
+        path = write(tmp_path, bad)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        assert run_command(["simulate", "--config", path, "--output-dir",
+                            str(tmp_path / "out"), "--quiet"]) == 2
+        assert "configuration error: noise: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("index_line", [
         "index = 99\n", "index = 0, 1\n", "index = -1\n", "",
     ], ids=["out_of_range", "wrong_length", "negative", "missing"])

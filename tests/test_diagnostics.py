@@ -14,8 +14,7 @@ import sllbar.model
 from sllbar.diagnostics import (
     energy_balance_l2,
     identity_cross,
-    identity_cubic_gradient,
-    identity_cubic_ibp,
+    identity_cubic,
     refinement_gap,
     strong_convergence_gaps,
     weak_form_residual,
@@ -72,16 +71,15 @@ class TestCrossIdentity:
 
 class TestCubicIdentities:
     def test_constant_both_zero(self):
-        lhs, rhs, res = identity_cubic_gradient(G8, constant_field(G8, (0.7, 0.1, 0)))
-        assert abs(lhs) < 1e-13 and abs(rhs) < 1e-13 and abs(res) < 1e-13
+        for lhs, rhs, res in identity_cubic(G8, constant_field(G8, (0.7, 0.1, 0))):
+            assert abs(lhs) < 1e-13 and abs(rhs) < 1e-13 and abs(res) < 1e-13
 
     def test_cos_closed_form(self):
         """u = (cos x, 0, 0): both sides equal 3 pi / 8."""
         u = eigenmode_field(G8, (1,), (COS_AMP, 0.0, 0.0))
-        lhs, rhs, res = identity_cubic_gradient(G8, u)
+        (lhs, rhs, res), (lhs_i, rhs_i, res_i) = identity_cubic(G8, u)
         assert rhs == pytest.approx(3 * np.pi / 8, abs=1e-10)
         assert lhs == pytest.approx(3 * np.pi / 8, abs=1e-10)
-        lhs_i, rhs_i, res_i = identity_cubic_ibp(G8, u)
         assert lhs_i == pytest.approx(-3 * np.pi / 8, abs=1e-10)
         assert rhs_i == pytest.approx(-3 * np.pi / 8, abs=1e-10)
 
@@ -92,32 +90,38 @@ class TestCubicIdentities:
     def test_random_fields(self, grid):
         for _ in range(20):
             u = random_field(grid, RNG)
-            assert abs(identity_cubic_gradient(grid, u)[2]) < 1e-8
-            assert abs(identity_cubic_ibp(grid, u)[2]) < 1e-8
+            for _, _, res in identity_cubic(grid, u):
+                assert abs(res) < 1e-8
 
     @pytest.mark.parametrize("grid", [G8, Grid(2, (np.pi, 1.5), (5, 4)),
                                       Grid(3, (np.pi, 1.0, 2.5), (3, 4, 2))],
                              ids=["d1", "d2", "d3"])
-    @pytest.mark.parametrize("identity,expected", [
-        (identity_cubic_gradient, {"synthesize": 2, "analyze": 1, "gradient_values": 2}),
-        (identity_cubic_ibp, {"synthesize": 3, "analyze": 1, "gradient_values": 1}),
-    ], ids=["gradient", "ibp"])
-    def test_each_transform_of_u_taken_once(self, monkeypatch, grid, identity,
-                                            expected):
-        """Each identity synthesizes u and takes its gradient at most once and
-        hands both to the quadratic terms; the cubic costs one synthesize and
-        one analyze, and its Laplacian or gradient one more transform."""
-        counts = dict.fromkeys(expected, 0)
-        for mod in (sllbar.grid, sllbar.model, sllbar.diagnostics):
-            for name in counts:
-                if hasattr(mod, name):
-                    def counted(*args, _fn=getattr(mod, name), _name=name):
-                        counts[_name] += 1
-                        return _fn(*args)
+    @pytest.mark.parametrize("form", [0, 1], ids=["gradient", "ibp"])
+    def test_each_transform_of_u_taken_once(self, monkeypatch, grid, form):
+        """Either form is read off one pass, which synthesizes u and takes its
+        gradient once and hands both to P and to the pairings; the cubic costs
+        one synthesize and one analyze, and its gradient and its Laplacian one
+        transform each. The gradient form's right side is P, positive on a
+        random field, and the integration-by-parts form's is -P."""
+        counts = count_transforms(monkeypatch)
+        _, rhs, res = identity_cubic(grid, random_field(grid, RNG))[form]
+        assert counts == {"synthesize": 3, "analyze": 1, "gradient_values": 2}
+        assert abs(res) < 1e-8 and (-1) ** form * rhs > 0
 
-                    monkeypatch.setattr(mod, name, counted)
-        identity(grid, random_field(grid, RNG))
-        assert counts == expected
+
+def count_transforms(monkeypatch) -> dict[str, int]:
+    """Calls of ``synthesize``, ``analyze`` and ``gradient_values`` from now
+    on, counted at the grid, model and diagnostics bindings."""
+    counts = dict.fromkeys(("synthesize", "analyze", "gradient_values"), 0)
+    for mod in (sllbar.grid, sllbar.model, sllbar.diagnostics):
+        for name in counts:
+            if hasattr(mod, name):
+                def counted(*args, _fn=getattr(mod, name), _name=name, **kw):
+                    counts[_name] += 1
+                    return _fn(*args, **kw)
+
+                monkeypatch.setattr(mod, name, counted)
+    return counts
 
 
 @st.composite
@@ -139,8 +143,8 @@ def test_exact_identities_on_random_fields(field):
     back = analyze(grid, synthesize(grid, u))
     assert np.abs(back - u).max() <= 1e-12 * np.abs(u).max()
     assert abs(identity_cross(grid, u)) < 1e-12
-    assert abs(identity_cubic_gradient(grid, u)[2]) < 1e-8
-    assert abs(identity_cubic_ibp(grid, u)[2]) < 1e-8
+    for _, _, res in identity_cubic(grid, u):
+        assert abs(res) < 1e-8
 
 
 class TestEnergyBalance:
@@ -199,6 +203,18 @@ class TestEnergyBalance:
         slope = np.polyfit(np.log(dts), np.log(maxima), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.2)
 
+    @pytest.mark.parametrize("grid", [G8, Grid(2, (np.pi, 1.5), (5, 4))],
+                             ids=["d1", "d2"])
+    def test_each_snapshot_transformed_once(self, monkeypatch, grid):
+        """Each balanced snapshot is synthesized once, for its L^4 norm and P
+        together, and differentiated once; nothing is analyzed."""
+        p = self.params()
+        traj = self.run(0.3 * random_field(grid, RNG), p, 0.01, 0.05, grid=grid)
+        counts = count_transforms(monkeypatch)
+        balanced = len(energy_balance_l2(traj, p).values)
+        assert counts == {"synthesize": balanced, "analyze": 0,
+                          "gradient_values": balanced}
+
     def test_truncation_read_from_record(self):
         """A truncation-on run is balanced with theta_R of that run; the
         reference pairs b5 theta with (Lap(|u|^2 u), u) computed spectrally."""
@@ -225,7 +241,7 @@ class TestEnergyBalance:
                     + p.beta2 * sobolev_norm(G8, u, 2, seminorm=True) ** 2
                     + p.beta3 * l4_norm(G8, u) ** 4
                     - p.beta3 * sobolev_norm(G8, u, 0) ** 2
-                    - p.beta5 * theta_of[m] * identity_cubic_ibp(G8, u)[0]
+                    - p.beta5 * theta_of[m] * identity_cubic(G8, u)[1][0]
                 ) / normalization)
             return np.asarray(out)
 

@@ -164,6 +164,20 @@ class TestRunEnsemble:
             run_ensemble(u0, bad, NoiseModel.empty(G8),
                          SolverConfig(dt=0.1, t_end=1.0), 2)
 
+    def test_observables_sharing_a_name_rejected(self):
+        """Equal names would key one column for two observables; an exact
+        duplicate and a scale that ``:g`` rounds to the same name both raise
+        before the first step."""
+        from sllbar.integrator import ConfigurationError
+
+        u0 = constant_field(G8, (0.1, 0.0, 0.0))
+        for second in (Observable("exp_neg_l2"), Observable("exp_neg_l2", scale=1.0000001)):
+            obs = (Observable("exp_neg_l2"), Observable("clip_norm"), second)
+            with pytest.raises(ConfigurationError, match=r"^path 0: observables 0 and 2 "
+                               r"share the name 'exp_neg_l2\[s=1\]'$"):
+                run_ensemble(u0, full_params(), small_noise(G8), self.config(), 2,
+                             observables=obs)
+
     def test_initial_data_off_the_noise_grid_names_path(self):
         from sllbar.integrator import ConfigurationError
 

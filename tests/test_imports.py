@@ -1,8 +1,8 @@
-"""Import hygiene: every name a package module imports is used, only the
-noise module imports ``threading``, and the CLI's import path loads neither
-scipy, the process pool nor numpy.random.
+"""Import hygiene: every name a package module, test or demo imports is
+used, only the noise module imports ``threading``, and the CLI's import path
+loads neither scipy, the process pool nor numpy.random.
 
-No linter is a dependency, so the check parses each module with ``ast``.
+No linter is a dependency, so the check parses each file with ``ast``.
 ``__init__.py`` is skipped because its imports are the public re-exports.
 """
 
@@ -14,8 +14,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sllbar"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sllbar"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# package modules by file name, tests and demos by their folder's path
+CHECKED = {**{name: PACKAGE / name for name in MODULES},
+           **{f"{p.parent.name}/{p.name}": p for folder in ("tests", "demos")
+              for p in sorted((ROOT / folder).glob("*.py"))}}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,9 +48,9 @@ def test_detector_flags_an_unused_name():
     assert unused_imports(source) == ["analyze (line 3)"]
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", CHECKED)
 def test_no_unused_imports(name):
-    assert unused_imports((PACKAGE / name).read_text()) == []
+    assert unused_imports(CHECKED[name].read_text()) == []
 
 
 def imported_modules(source: str) -> set[str]:

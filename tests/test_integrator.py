@@ -92,6 +92,12 @@ class TestLinearFactor:
         with pytest.raises(ConfigurationError, match="lambda=4"):
             linear_factor(np.array([0.0, 1.0, 4.0]), 0.2, p)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_dt_not_positive_and_finite_rejected(self, dt):
+        """A NaN dt once made every divisor NaN."""
+        with pytest.raises(ConfigurationError, match="^dt must be positive and finite$"):
+            linear_factor(np.array([0.0, 1.0]), dt, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0))
+
 
 class TestStepKernel:
     def test_denominator_raises_at_build(self):
@@ -100,6 +106,15 @@ class TestStepKernel:
             StepKernel(p, NoiseModel.empty(G4), TruncationConfig.off(), 0.1)
         # the explicit scheme has no divisor to check
         StepKernel(p, NoiseModel.empty(G4), TruncationConfig.off(), 0.1, "heun_strat")
+
+    @pytest.mark.parametrize("scheme", ["imex_em_ito", "heun_strat"])
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_dt_not_positive_and_finite_rejected(self, scheme, dt):
+        """``SolverConfig``'s dt rule holds for a kernel built directly; the
+        explicit scheme, which has no divisor to check, once took any dt."""
+        with pytest.raises(ConfigurationError, match="^dt must be positive and finite$"):
+            StepKernel(linear_params(), NoiseModel.empty(G4), TruncationConfig.off(),
+                       dt, scheme)
 
     @pytest.mark.parametrize("pad_factor", [1.0, 1.25, 1.5])
     def test_pad_factor_below_two_raises(self, pad_factor):

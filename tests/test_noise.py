@@ -161,6 +161,16 @@ class TestStorage:
         nm = NoiseModel.empty(Grid(3, (1.0, 2.0, 3.0), (2, 3, 4)))
         assert nm.index.shape == (0, 3) and nm.amplitude.shape == (0, 3)
         assert build_noise_modes({"family": "none"}, G8).index.shape == (0, 1)
+        assert build_noise_modes({"family": "none", "modes": []}, G8).J == 0
+        assert build_noise_modes(eigenmode_spec(), G8).J == 0
+
+    def test_family_none_with_modes_rejected(self):
+        """``none`` with modes once built J = 0 and dropped the modes."""
+        with pytest.raises(ValueError, match="^family 'none' takes no modes, got 1$"):
+            build_noise_modes({"family": "none", "modes": [
+                {"sigma": 0.5, "index": (1,), "direction": (1, 0, 0)}]}, G8)
+        with pytest.raises(ValueError, match="^unknown noise family 'white'$"):
+            build_noise_modes({"family": "white"}, G8)
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError, match="one row per mode"):
@@ -484,8 +494,8 @@ def test_noise_identities_hold_per_state(case, seed):
 @pytest.mark.parametrize("grid", [Grid(3, (1.0, 2.0, 3.0), (3, 4, 5)),
                                   Grid(2, (2.0, 1.2), (4, 3))], ids=["d3", "d2"])
 def test_operator_plan_excites_only_nonzero_axes(grid):
-    """Each group of ``_groups`` holds one ``(axis, P^T, (P^2)^T)`` per
-    k_i != 0 and none for k = 0, c = prod_{k_i = 0} L_i^{-1/2}, cK = c K_j
+    """Each group of ``_groups`` holds one ``(axis, P, P @ P)``, P bitwise
+    symmetric, per k_i != 0 and none for k = 0, c = prod_{k_i = 0} L_i^{-1/2}, cK = c K_j
     and cQ = c^2 Q_k; every array in the plan is read-only. P_0, which the
     plan replaces by its scalar, is L_i^{-1/2} I to rounding."""
     zero = (0,) * grid.dim
@@ -500,10 +510,11 @@ def test_operator_plan_excites_only_nonzero_axes(grid):
         assert list(js) == [j for j, kj in enumerate(indices) if kj == k]
         assert c == pytest.approx(
             math.prod(L ** -0.5 for L, ki in zip(grid.lengths, k) if ki == 0), rel=1e-15)
-        for ax, Pt, P2t in axes:
+        for ax, P, P2 in axes:
             ref = analysis[ax] @ (synthesis[ax][:, [k[ax]]] * synthesis[ax])
-            assert np.allclose(Pt, ref.T, atol=1e-15)
-            assert np.allclose(P2t, (ref @ ref).T, atol=1e-15)
+            assert np.array_equal(P, P.T)
+            assert np.allclose(P, ref, atol=1e-15)
+            assert np.allclose(P2, ref @ ref, atol=1e-15)
         K = np.stack([np.cross(a, np.eye(3)).T for a in noise.amplitude[js]])
         assert np.allclose(cK, c * K, rtol=1e-15, atol=0)
         assert np.allclose(cQ, c * c * sum(Kj @ Kj for Kj in K), atol=1e-15)

@@ -29,6 +29,7 @@ from .grid import (
     l4_norm,
     quad_weight,
     sobolev_norm,
+    sobolev_norms,
     synthesize,
 )
 from .ensemble import run_trajectories
@@ -117,23 +118,17 @@ def energy_balance_l2(traj: TrajectoryRecord,
     trunc, ws = traj.config.truncation, Workspace(traj.grid)
 
     residuals = np.zeros(len(states) - 1)
-    half_l2_sq = [0.5 * sobolev_norm(grid, u, 0) ** 2 for u in states]
-    sup_l2 = max(sobolev_norm(grid, u, 0) for u in states)
-    for m in range(len(states) - 1):
-        u = states[m]
+    norms = [sobolev_norms(grid, u, ((0, False), (1, True), (2, True)))
+             for u in states]  # each snapshot's L^2 norm and H^1, H^2 seminorms
+    for m, (u, (l2, h1, h2)) in enumerate(zip(states[:-1], norms)):
         l4 = l4_norm(grid, u, ws)  # leaves u's values in ws.vals, read by P
         p = _gradient_quadratics(grid, ws.vals, gradient_values(grid, u))
-        theta = truncation_scale(grid, u, trunc)
-        ddt = (half_l2_sq[m + 1] - half_l2_sq[m]) / spacing
-        residuals[m] = (
-            ddt
-            + params.beta1 * sobolev_norm(grid, u, 1, seminorm=True) ** 2
-            + params.beta2 * sobolev_norm(grid, u, 2, seminorm=True) ** 2
-            + params.beta3 * l4 ** 4
-            - params.beta3 * sobolev_norm(grid, u, 0) ** 2
-            + params.beta5 * theta * p
-        )
-    normalization = max(1.0, sup_l2**2)
+        theta = truncation_scale(grid, u, trunc, grad_l2=h1)
+        ddt = (0.5 * norms[m + 1][0] ** 2 - 0.5 * l2 ** 2) / spacing
+        residuals[m] = (ddt + params.beta1 * h1 ** 2 + params.beta2 * h2 ** 2
+                        + params.beta3 * l4 ** 4 - params.beta3 * l2 ** 2
+                        + params.beta5 * theta * p)
+    normalization = max(1.0, max(l2 for l2, _, _ in norms) ** 2)
     return ResidualSeries(ts[:-1], residuals / normalization, normalization)
 
 

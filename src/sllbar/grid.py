@@ -20,8 +20,11 @@ Conventions
 * coefficients are stored as real ``(3, N_1, ..., N_d)`` arrays, row-major
   with axis 0 (the vector component) slowest
 * collocation nodes are the midpoints ``x_j = (j + 1/2) L_i / M_i`` of the
-  padded grid ``M_i = ceil(pad_factor * N_i)``; with ``pad_factor = 2``
-  pointwise cubic products are alias-free on all retained modes
+  padded grid ``M_i = ceil(pad_factor * N_i)``. The midpoint rule on M nodes
+  is exact for ``cos(pi m x / L)``, ``0 < m < 2M``, and the projection of a
+  product of p retained fields reads m up to ``(p + 1)(N - 1)``: the cubic
+  |u|^2 u is alias-free at ``pad_factor = 2``, and the quadratic u x Lap u
+  already on the ``ceil(1.5 N)`` nodes of ``Grid.quadratic_grid``
 
 Transforms
 ----------
@@ -47,16 +50,17 @@ A time step writes padded-grid values, products and |u|^2 into the
 live exactly as long as the run; :func:`l4_norm` writes into a given
 workspace or a fresh one. This module keeps no per-thread state. Every
 transform pass but the last writes into a fresh array that the next pass
-reads and drops. :func:`cross3` of two cyclic ``(5, ...)`` operands (at d = 1:
-u, Lap u and each G_j in the workspace's spare rows, and ``h_phys``) takes one
-``(3, ...)`` temporary; of other operands, as at d >= 2, whose steps leave the
-spare rows untouched, it uses ``out``'s rows as scratch and one component-sized
-temporary. At d >= 2 the noise touches no
+reads and drops. At d >= 2 the precession's 3/2-grid arrays are the heads of
+the cubic's spent buffers, so they take no memory of their own.
+:func:`cross3` of two cyclic ``(5, ...)`` operands (at d = 1: u, Lap u and
+each G_j in the workspace's spare rows, and ``h_phys``) takes one ``(3, ...)``
+temporary; of other operands, as at d >= 2, it uses ``out``'s rows as
+scratch and one component-sized temporary. At d >= 2 the noise touches no
 padded-grid array: it applies N x N matrices to coefficient arrays only along
-the axes a mode excites (a zero axis is a scalar), its correction P_k^2 to u
-directly, and the noise model stores per-mode vectors. :func:`synthesize` and
-:func:`cross3` write into ``out`` when given; without it they return fresh
-arrays, as do :func:`analyze` and :func:`gradient_values` always.
+the axes a mode excites (a zero axis is a scalar), and its correction P_k^2
+to u directly. :func:`synthesize` and :func:`cross3` write into ``out`` when
+given; without it they return fresh arrays, as do :func:`analyze` and
+:func:`gradient_values` always.
 """
 
 from __future__ import annotations
@@ -120,6 +124,12 @@ class Grid:
 
     def with_modes(self, modes: tuple[int, ...]) -> "Grid":
         return Grid(self.dim, self.lengths, tuple(modes), self.pad_factor)
+
+    @cached_property
+    def quadratic_grid(self) -> "Grid":
+        """This box and these modes at pad factor 1.5, where a d >= 2 step forms
+        its quadratic product u x Lap u (Orszag's 3/2 rule; see Conventions)."""
+        return Grid(self.dim, self.lengths, self.modes, 1.5)
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
@@ -269,14 +279,16 @@ class Workspace:
 
     A run's ``integrator.StepKernel`` owns one, and it is freed with the
     kernel; two workspaces never share a buffer, so each thread or run that
-    steps needs its own. ``vals`` holds u's values for the whole step;
-    ``lap[0]`` holds |u|^2 until ``lap`` takes Lap u's values and then, at
-    d = 1, each G_j's values in the Ito correction; ``prod`` holds u.u, the
-    pointwise product u |u|^2 and then every cross product. The padded-grid
-    noise helpers (``noise._diffusion_coeffs``, ``noise._correction_coeffs``)
-    write into the workspace they are given, so the u values handed to them
-    must not be its ``lap`` or ``prod``. ``vals`` and ``lap`` are the leading
-    ``(3, *padded)`` rows of ``(5, *padded)`` storage, whose spare rows
+    steps needs its own. ``vals`` holds u's values, ``lap[0]`` |u|^2 and
+    ``prod`` u.u and then u |u|^2. At d = 1 ``lap`` then takes Lap u's values
+    and each G_j's in the Ito correction, and ``prod`` every cross product; the
+    padded-grid noise helpers write into the workspace they are given, so the
+    u values handed to them must not be its ``lap`` or ``prod``. At d >= 2
+    those arrays are spent once the cubic is analyzed: ``quadratic``, u's and
+    Lap u's values and their cross product on ``grid.quadratic_grid``, are
+    views of the heads of ``vals``, ``lap`` and ``prod`` (fresh arrays below
+    pad factor 1.5, where they do not fit). ``vals`` and ``lap`` are the
+    leading ``(3, *padded)`` rows of ``(5, *padded)`` storage, whose spare rows
     :func:`cyclic` fills; a step that never does so never touches their pages.
     """
 
@@ -284,6 +296,12 @@ class Workspace:
         self.vals = np.empty((5, *grid.padded))[:3]
         self.lap = np.empty((5, *grid.padded))[:3]
         self.prod = np.empty(grid.values_shape)
+        if grid.dim > 1:
+            shape = grid.quadratic_grid.values_shape
+            size = math.prod(shape)
+            self.quadratic = tuple(
+                buf.reshape(-1)[:size].reshape(shape) if size <= buf.size
+                else np.empty(shape) for buf in (self.vals, self.lap, self.prod))
 
 
 def cyclic(rows: np.ndarray) -> np.ndarray:

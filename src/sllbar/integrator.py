@@ -20,7 +20,11 @@ calls once; :func:`sllbar.model.drift_terms` is a view of the same drift
 arrays. The increment and the Ito correction come from the
 coefficient-space operators of :mod:`sllbar.noise` at d >= 2, and from the
 padded-grid route at d = 1, whose per-step counts the benchmark pins. The
-steps sum in place, in the order (and so with the bits) of the plain sums.
+cubic |u|^2 u is formed on the run grid, exact at pad 2; the quadratic u x
+Lap u on ``Grid.quadratic_grid`` at d >= 2, exact on its ceil(1.5 N) nodes
+(:mod:`sllbar.grid`, Conventions), and on the run grid with the noise's
+products at d = 1. The steps sum in place, in the order (and so with the
+bits) of the plain sums.
 
 :func:`run_trajectory` decides the discrete stopping time tau in one loop.
 The H^1 norm is checked against ``blowup_K`` at every step from t = 0, the
@@ -209,21 +213,26 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     ``include_correction`` is set and J > 0, ``ito_correction`` to coefficient
     arrays; ``increment`` is ``sum_j G_j(u) dW_j``, None without ``dW`` or if
     J = 0. The linear part is not included. Padded-grid values, products and
-    |u|^2 (in ``lap[0]``) go into the workspace ``ws``, at d = 1 with the
-    values of u and Lap u in :func:`~sllbar.grid.cyclic` form; every returned
-    array is freshly allocated.
+    |u|^2 (in ``lap[0]``) go into the workspace ``ws``: at d = 1 the values of
+    u and Lap u in :func:`~sllbar.grid.cyclic` form on the run grid, at d >= 2
+    the precession's on ``grid.quadratic_grid``, in ``ws.quadratic``, after the
+    cubic's on the run grid. Every returned array is freshly allocated.
     """
     neg_lam = grid._neg_eigenvalues
     vals = synthesize(grid, coeffs, out=ws.vals)
     cubic = analyze(grid, np.multiply(vals, _mag2(vals, ws), out=ws.prod))
-    lap_vals = synthesize(grid, neg_lam * coeffs, out=ws.lap)
-    theta = truncation_scale(grid, coeffs, trunc)
     if grid.dim == 1:  # every product of the d = 1 route runs cyclic
-        vals, lap_vals = cyclic(vals), cyclic(lap_vals)
+        qgrid, prod = grid, ws.prod
+        vals = cyclic(vals)
+        lap_vals = cyclic(synthesize(grid, neg_lam * coeffs, out=ws.lap))
+    else:
+        qgrid, (vals, lap_vals, prod) = grid.quadratic_grid, ws.quadratic
+        vals = synthesize(qgrid, coeffs, out=vals)
+        lap_vals = synthesize(qgrid, neg_lam * coeffs, out=lap_vals)
+    theta = truncation_scale(grid, coeffs, trunc)
     terms = {
         "penalty": params.beta3 * (coeffs - cubic),
-        "precession": -params.beta4 * analyze(grid, cross3(vals, lap_vals,
-                                                           out=ws.prod)),
+        "precession": -params.beta4 * analyze(qgrid, cross3(vals, lap_vals, out=prod)),
         "nonlocal": (params.beta5 * theta) * neg_lam * cubic,
     }
     if grid.dim == 1:

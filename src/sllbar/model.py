@@ -106,12 +106,14 @@ def theta_R(x: float, R: float) -> float:
     return hi / (hi + lo)
 
 
-def truncation_scale(grid: Grid, coeffs: np.ndarray,
-                     trunc: TruncationConfig) -> float:
-    """theta_R evaluated at |grad u|_L2, or exactly 1.0 when truncation is off."""
+def truncation_scale(grid: Grid, coeffs: np.ndarray, trunc: TruncationConfig,
+                     grad_l2: float | None = None) -> float:
+    """theta_R evaluated at |grad u|_L2 (``grad_l2`` when the caller has taken
+    it), or exactly 1.0 when truncation is off."""
     if trunc.mode == "off":
         return 1.0
-    return theta_R(sobolev_norm(grid, coeffs, 1, seminorm=True), trunc.radius)
+    return theta_R(sobolev_norm(grid, coeffs, 1, seminorm=True) if grad_l2 is None
+                   else grad_l2, trunc.radius)
 
 
 def cubic_field(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -122,7 +124,8 @@ def cubic_field(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def precession(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Projected precession term ``Pi(u x Lap u)``."""
+    """Projected precession term ``Pi(u x Lap u)`` on ``grid``'s own padded
+    grid: the pad-2 oracle of the step's, which is on the 3/2 grid at d >= 2."""
     vals = synthesize(grid, coeffs)
     lap_vals = synthesize(grid, -eigenvalue_array(grid) * coeffs)
     return analyze(grid, cross3(vals, lap_vals))

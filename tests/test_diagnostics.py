@@ -109,10 +109,11 @@ class TestCubicIdentities:
         assert abs(res) < 1e-8 and (-1) ** form * rhs > 0
 
 
-def count_transforms(monkeypatch) -> dict[str, int]:
-    """Calls of ``synthesize``, ``analyze`` and ``gradient_values`` from now
-    on, counted at the grid, model and diagnostics bindings."""
-    counts = dict.fromkeys(("synthesize", "analyze", "gradient_values"), 0)
+def count_transforms(monkeypatch, names=("synthesize", "analyze", "gradient_values")
+                     ) -> dict[str, int]:
+    """Calls of the grid functions ``names`` (by default the transforms) from
+    now on, counted at the grid, model and diagnostics bindings."""
+    counts = dict.fromkeys(names, 0)
     for mod in (sllbar.grid, sllbar.model, sllbar.diagnostics):
         for name in counts:
             if hasattr(mod, name):
@@ -214,6 +215,17 @@ class TestEnergyBalance:
         balanced = len(energy_balance_l2(traj, p).values)
         assert counts == {"synthesize": balanced, "analyze": 0,
                           "gradient_values": balanced}
+
+    @pytest.mark.parametrize("trunc", [TruncationConfig.off(), TruncationConfig.on(0.5)],
+                             ids=["off", "on"])
+    def test_one_norm_pass_per_snapshot(self, monkeypatch, trunc):
+        """The L^2 norm and the H^1 and H^2 seminorms of each snapshot come
+        from one ``sobolev_norms`` pass, and theta_R reads that H^1 seminorm."""
+        p = self.params()
+        traj = self.run(0.3 * random_field(G8, RNG), p, 0.01, 0.1, trunc=trunc)
+        counts = count_transforms(monkeypatch, ("sobolev_norm", "sobolev_norms"))
+        energy_balance_l2(traj, p)
+        assert counts == {"sobolev_norm": 0, "sobolev_norms": len(traj.snapshots)}
 
     def test_truncation_read_from_record(self):
         """A truncation-on run is balanced with theta_R of that run; the

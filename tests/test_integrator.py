@@ -174,21 +174,25 @@ COUNTED = ("synthesize", "analyze", "cross3", "_diffusion_coeffs",
            "_correction_coeffs")
 
 
-def count_calls(monkeypatch) -> dict[str, int]:
-    """Count calls of the COUNTED functions through every module binding."""
-    counts = dict.fromkeys(COUNTED, 0)
+def record_calls(monkeypatch) -> list[tuple[str, tuple[int, ...] | None]]:
+    """Record each call of the COUNTED functions through every module binding,
+    in order, with the padded shape it works on: the grid's for a transform,
+    the operands' for ``cross3``, None for a noise helper."""
+    calls = []
     for mod in (sllbar.grid, sllbar.model, sllbar.noise, sllbar.integrator):
         for name in COUNTED:
             fn = getattr(mod, name, None)
             if fn is None:
                 continue
 
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                counts[_name] += 1
+            def recorded(*args, _fn=fn, _name=name, **kwargs):
+                shape = (args[0].shape[1:] if _name == "cross3" else
+                         args[0].padded if _name in ("synthesize", "analyze") else None)
+                calls.append((_name, shape))
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(mod, name, counted)
-    return counts
+            monkeypatch.setattr(mod, name, recorded)
+    return calls
 
 
 class TestStepPlan:
@@ -198,8 +202,14 @@ class TestStepPlan:
                              ids=["d2", "d3"])
     def test_imex_step_at_d2_and_d3_applies_noise_in_coefficient_space(
             self, monkeypatch, grid, J):
-        """2 synthesize (u, Lap u), 2 analyze (cubic, precession) and 1 cross3
-        per step at any J: G_j and the correction take no padded-grid route."""
+        """The d >= 2 IMEX step, by hand, at any J. The cubic |u|^2 u has
+        frequencies up to 3(N - 1) and its projection reads up to 4(N - 1),
+        so it takes the run grid (pad 2): 1 synthesize of u, then 1 analyze.
+        The quadratic u x Lap u reads up to 3(N - 1) < 2M, so it takes the
+        3/2 grid, M = ceil(1.5 N) nodes per axis: 2 synthesize (u, Lap u),
+        1 cross3 and 1 analyze. G_j and the correction act on coefficients
+        and take no padded-grid route. Total: 3 synthesize (2 before the
+        precession left the run grid), 2 analyze (one per grid), 1 cross3."""
         noise = build_noise_modes({"family": "eigenmode", "modes": [
             {"sigma": 0.1, "index": (j % 2, j // 2) + (1,) * (grid.dim - 2),
              "direction": (1.0, j, 0.0)} for j in range(J)]}, grid)
@@ -207,11 +217,14 @@ class TestStepPlan:
         dW = RNG.standard_normal(J) * math.sqrt(1e-3)
         params = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
         kernel = StepKernel(params, noise, TruncationConfig.on(0.5), 1e-3)
-        counts = count_calls(monkeypatch)
+        calls = record_calls(monkeypatch)
         out = imex_em_step(kernel, u, dW)
         assert np.isfinite(out).all()
-        assert counts == {"synthesize": 2, "analyze": 2, "cross3": 1,
-                          "_diffusion_coeffs": 0, "_correction_coeffs": 0}
+        run, quad = grid.padded, tuple(math.ceil(1.5 * N) for N in grid.modes)
+        assert quad != run
+        assert calls == [("synthesize", run), ("analyze", run),
+                         ("synthesize", quad), ("synthesize", quad),
+                         ("cross3", quad), ("analyze", quad)]
 
     @pytest.mark.parametrize("J", [1, 2, 3])
     @pytest.mark.parametrize("scheme", ["imex_em_ito", "heun_strat"])

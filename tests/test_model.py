@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sllbar.grid import (
     Grid,
@@ -314,3 +316,31 @@ class TestDriftParity:
             eigenvalue_array(grid), dt, p)
         step = imex_em_step(StepKernel(p, noise, trunc, dt), u, np.zeros(noise.J))
         assert rel_gap(step, expected) < 1e-13
+
+
+@st.composite
+def precession_cases(draw):
+    """A d = 2 or 3 grid with 1..9 modes on each axis, its own box lengths and
+    a pad factor of 2, 2.5 or 3, and a seed for a flat-spectrum field."""
+    dim = draw(st.sampled_from((2, 3)))
+    modes = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    lengths = tuple(draw(st.lists(st.floats(0.5, 7.0), min_size=dim, max_size=dim)))
+    pad = draw(st.sampled_from((2.0, 2.5, 3.0)))
+    return Grid(dim, lengths, modes, pad), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(precession_cases())
+def test_step_precession_on_the_3_2_grid_is_exact(case):
+    """The step forms u x Lap u on ceil(1.5 N) nodes per axis, where the
+    midpoint rule is exact for the 3(N - 1) frequencies the projection reads;
+    ``model.precession`` forms it on the run grid. A flat spectrum puts as
+    much energy in the top modes as in any other."""
+    grid, seed = case
+    p = TestDriftParity.P
+    u = random_field(grid, np.random.default_rng(seed), decay=0.0)
+    kernel = StepKernel(p, NoiseModel.empty(grid), TruncationConfig.off(), 1e-3)
+    terms, _ = kernel.parts(u, False, None)
+    ref = -p.beta4 * precession(grid, u)
+    scale = max(np.abs(ref).max(), 1e-300)
+    assert np.abs(terms["precession"] - ref).max() <= 1e-13 * scale

@@ -11,6 +11,11 @@ one of two checks that the real plan passes at 1e-12.
 
 The d >= 2 mutants rewrite the entries of ``NoiseModel._groups``; the d = 1
 one scales the step's ``_correction_coeffs``. Each must fail by at least 0.1.
+
+One more mutant moves the d >= 2 precession from its 3/2 grid to ceil(1.25 N)
+nodes per axis, where the midpoint rule no longer integrates the 3(N - 1)
+frequencies that the projection of u x Lap u reads; checked against the
+pad-2 oracle ``model.precession``, it must fail by at least 0.1 as well.
 """
 
 import numpy as np
@@ -19,8 +24,9 @@ import pytest
 import sllbar.integrator
 from sllbar.grid import Grid, Workspace, cyclic, random_field, synthesize
 from sllbar.integrator import _explicit_parts
-from sllbar.model import ModelParams, TruncationConfig
+from sllbar.model import ModelParams, TruncationConfig, precession
 from sllbar.noise import (
+    NoiseModel,
     _correction_coeffs,
     _diffusion_coeffs,
     _operator_parts,
@@ -108,3 +114,26 @@ def test_d1_correction_mutant_fails(monkeypatch):
                         lambda *args: 0.5 * plain(*args))
     identity, route = residuals(noise_for("d1"))
     assert identity >= 0.1 and route >= 0.1
+
+
+@pytest.mark.parametrize("grid", [Grid(2, (2.0, 3.0), (8, 7)),
+                                  Grid(3, (2.0, 1.5, 3.0), (7, 6, 8))],
+                         ids=["d2", "d3"])
+def test_aliased_quadratic_grid_mutant_fails(monkeypatch, grid):
+    """ceil(1.25 N) <= 1.5 (N - 1) from N = 7, so these grids alias at 1.25
+    (at N <= 6 the 1.25 grid happens to be exact too). The field holds only
+    the upper half of each axis's modes."""
+    top = np.zeros(grid.modes)
+    top[tuple(slice(N // 2, None) for N in grid.modes)] = 1.0
+    u = random_field(grid, np.random.default_rng(3), decay=0.0) * top
+    ref = -PARAMS.beta4 * precession(grid, u)
+
+    def gap():
+        terms, _ = _explicit_parts(u, grid, PARAMS, NoiseModel.empty(grid),
+                                   TruncationConfig.off(), Workspace(grid), False)
+        return np.abs(terms["precession"] - ref).max() / np.abs(ref).max()
+
+    assert gap() <= 1e-13
+    monkeypatch.setattr(Grid, "quadratic_grid", property(
+        lambda g: Grid(g.dim, g.lengths, g.modes, 1.25)))
+    assert gap() >= 0.1

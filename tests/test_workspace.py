@@ -18,8 +18,8 @@ from sllbar.grid import (
     synthesize,
 )
 from sllbar.integrator import StepKernel, _explicit_parts, _sample_norms
-from sllbar.model import ModelParams, TruncationConfig
-from sllbar.noise import build_noise_modes
+from sllbar.model import ModelParams, TruncationConfig, drift_terms, precession
+from sllbar.noise import NoiseModel, build_noise_modes
 
 PARAMS = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
 TRUNC = TruncationConfig.on(0.5)
@@ -200,6 +200,33 @@ def test_kernels_on_equal_grids_share_no_buffer():
     for i, a in enumerate(buffers):
         for b in buffers[i + 1:]:
             assert not np.may_share_memory(a, b)
+    # the 3/2-grid arrays: distinct from each other and from every other
+    # kernel's buffers, each the head of one of its own kernel's three
+    for i, k in enumerate(kernels):
+        assert [q.shape for q in k.ws.quadratic] == [(3, 12, 9)] * 3
+        own = (k.ws.vals, k.ws.lap, k.ws.prod)
+        for q, base in zip(k.ws.quadratic, own):
+            assert np.may_share_memory(q, base)
+            assert q.__array_interface__["data"] == base.__array_interface__["data"]
+        others = [b for j, o in enumerate(kernels) if j != i
+                  for b in (o.ws.vals, o.ws.lap, o.ws.prod, *o.ws.quadratic)]
+        for q in k.ws.quadratic:
+            assert not any(np.may_share_memory(q, b) for b in others)
+            assert sum(np.may_share_memory(q, b) for b in k.ws.quadratic) == 1
+
+
+def test_workspace_below_pad_1_5_allocates_its_3_2_grid_arrays():
+    """At pad factor 1 (a library grid; a run rejects it) the 3/2-grid arrays
+    do not fit in the run grid's buffers, so they are fresh, and the drift's
+    precession is still the exact one of the pad-2 grid on the same modes."""
+    grid = Grid(2, (np.pi, 2.0), (6, 5), pad_factor=1)
+    ws = Workspace(grid)
+    assert [q.shape for q in ws.quadratic] == [(3, 9, 8)] * 3
+    assert all(q.flags.owndata for q in ws.quadratic)
+    u = state(grid, 14)
+    terms = drift_terms(grid, u, PARAMS, NoiseModel.empty(grid), TRUNC)
+    ref = -PARAMS.beta4 * precession(Grid(2, grid.lengths, grid.modes), u)
+    assert np.abs(terms["precession"] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_grid_hash_is_stable_and_matches_equality():

@@ -237,8 +237,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         raise BlowupAbort("the energy-balance run stopped at t=0 (H^1 norm of u0 "
                           "above blowup_k); its residual needs two snapshots")
     series = energy_balance_l2(traj, cfg.params)
-    write_residual_csv(series, out / "energy_residuals.csv",
-                       name="energy_balance_residual")
+    write_residual_csv(series, out / "energy_residuals.csv")
 
     c_h = check_noise_condition(noise)
     body = {

@@ -45,6 +45,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.ensemble_m < 1:
             raise ValueError("ensemble_m: must be >= 1")
+        if not self.burn_in >= 0:  # NaN fails too
+            raise ValueError("burn_in: must be >= 0")
         if self.workers < 1:
             raise ValueError("workers: must be >= 1")
         if any(p < 1 for p in self.moment_powers):
@@ -65,10 +67,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed run. ``noise`` and ``initial`` hold the noise model and the
-    (read-only) initial field :func:`parse_config` built on ``grid``: every
-    ``build_noise`` / ``build_initial`` call that asks for no other grid
-    returns them, and a call for another grid, or on a config made without
-    them, builds anew. They are not part of the echo."""
+    (read-only) initial field :func:`parse_config` built on ``grid``, which
+    ``build_noise`` / ``build_initial`` return unless asked for another grid.
+    They are not part of the echo."""
 
     grid: Grid
     params: ModelParams
@@ -76,21 +77,21 @@ class RunConfig:
     noise_spec: dict
     initial_spec: dict
     experiment: ExperimentConfig
-    noise: NoiseModel | None = field(default=None, compare=False, repr=False)
-    initial: np.ndarray | None = field(default=None, compare=False, repr=False)
+    noise: NoiseModel = field(compare=False, repr=False)
+    initial: np.ndarray = field(compare=False, repr=False)
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, solver=replace(self.solver, seed=int(seed)))
 
     def build_noise(self, grid: Grid | None = None) -> NoiseModel:
-        if self.noise is not None and grid in (None, self.grid):
+        if grid in (None, self.grid):
             return self.noise
-        return build_noise_modes(self.noise_spec, grid or self.grid)
+        return build_noise_modes(self.noise_spec, grid)
 
     def build_initial(self, grid: Grid | None = None) -> np.ndarray:
-        if self.initial is not None and grid in (None, self.grid):
+        if grid in (None, self.grid):
             return self.initial
-        return build_initial(self.initial_spec, grid or self.grid)
+        return build_initial(self.initial_spec, grid)
 
     def echo(self) -> dict:
         """Every field of the resolved config but the two built objects, whose
@@ -126,7 +127,7 @@ def build_initial(spec: dict, grid: Grid) -> np.ndarray:
         from .io import SnapshotFormatError, read_snapshot
 
         try:
-            snap_grid, u = read_snapshot(spec["path"], pad_factor=grid.pad_factor)
+            snap_grid, u = read_snapshot(spec["path"])
         except SnapshotFormatError as exc:
             raise ConfigError(f"initial.path: {exc}") from exc
         if snap_grid.lengths != grid.lengths or snap_grid.dim != grid.dim:

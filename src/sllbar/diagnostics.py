@@ -23,6 +23,8 @@ from .grid import (
     analyze,
     check_mode_index,
     cross3,
+    cyclic,
+    eigenmode_field,
     eigenvalue_array,
     embed,
     gradient_values,
@@ -164,10 +166,8 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
     pick = (component,) + phi_index
     lam_phi = float(eigenvalue_array(grid)[phi_index])
 
-    # gradient of the test mode on the padded grid, for the quadrature pairings
-    phi_coeffs = np.zeros((3, *grid.modes))
-    phi_coeffs[pick] = 1.0
-    grad_phi = gradient_values(grid, phi_coeffs)
+    phi = eigenmode_field(grid, phi_index, np.eye(3)[component])  # the test mode
+    grad_phi = gradient_values(grid, phi)  # padded-grid values, for the pairings
     w = quad_weight(grid)
     ws = Workspace(grid)
 
@@ -177,7 +177,7 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
     for m in range(n_steps):
         u = traj.snapshots[m]
         sup_l2 = max(sup_l2, sobolev_norm(grid, u, 0))
-        vals = synthesize(grid, u)
+        vals = synthesize(grid, u, out=ws.vals)
         mag2 = (vals * vals).sum(axis=0)
         cubic_vals = vals * mag2
         theta = truncation_scale(grid, u, cfg.truncation)
@@ -208,11 +208,12 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
             pair += params.beta5 * theta * (-lam_phi) * float(cubic_coeffs[pick])
 
         if noise.J > 0:
-            pair += float(_correction_coeffs(grid, vals, noise, ws)[pick])
+            cyc = cyclic(vals)  # the noise pairings take u's values cyclic
+            pair += float(_correction_coeffs(grid, cyc, noise, ws)[pick])
             inc = coupled_increments(cfg.seed, traj.path, m, noise.J, dt,
                                      cfg.substeps)
             for j in range(noise.J):
-                Gj = _diffusion_coeffs(grid, vals, noise, j, ws)
+                Gj = _diffusion_coeffs(grid, cyc, noise, j, ws)
                 total += float(Gj[pick]) * inc.values[j]
 
         total += dt * float(pair)
@@ -260,14 +261,14 @@ def strong_convergence_gaps(u0: np.ndarray, params: ModelParams,
 
 def refinement_gap(coarse: tuple[np.ndarray, NoiseModel],
                    fine: tuple[np.ndarray, NoiseModel], params: ModelParams,
-                   config: SolverConfig, path: int = 0) -> float:
+                   config: SolverConfig) -> float:
     """Sup over sampled times of the L^2 gap between two resolutions.
 
     ``coarse`` and ``fine`` are built ``(u0, noise)`` levels, each on its
     noise model's grid; the fine grid is the coarse one's box with more modes
-    on every axis. Both runs consume identical increment keys, in this
-    process; the coarse solution is embedded into the fine mode set for the
-    comparison. Both runs must reach ``t_end`` (:class:`BlowupAbort` otherwise).
+    on every axis. Both runs are path 0, with identical increment keys, in
+    this process; the coarse solution is embedded into the fine mode set for
+    the comparison. Both must reach ``t_end`` (:class:`BlowupAbort` otherwise).
     """
     grids = coarse[1].grid, fine[1].grid
     if grids[0].with_modes(grids[1].modes) != grids[1] or any(
@@ -275,7 +276,7 @@ def refinement_gap(coarse: tuple[np.ndarray, NoiseModel],
         raise ValueError("the fine level must be the coarse level's box with more "
                          "modes on every axis")
     cfg = replace(config, snapshot_every=config.record_every)
-    runs = run_trajectories([(u0, params, noise, cfg, path, ())
+    runs = run_trajectories([(u0, params, noise, cfg, 0, ())
                              for u0, noise in (coarse, fine)])
     for rec in runs:
         if rec.stop_reason != STOP_COMPLETED:

@@ -56,15 +56,15 @@ class Observable:
         if self.kind == "tanh_mode":
             if self.component not in (0, 1, 2):
                 raise ValueError("component must be 0, 1 or 2")
-            if self.scale <= 0:
+            if not self.scale > 0:  # NaN fails too
                 raise ValueError("scale must be positive")
-        if self.kind == "exp_neg_l2" and self.scale <= 0:
+        if self.kind == "exp_neg_l2" and not self.scale > 0:
             raise ValueError("scale must be positive")
         if self.kind == "clip_norm":
             if self.space not in ("L2", "H1"):
                 raise ValueError("space must be 'L2' or 'H1'")
-            if self.cap <= 0:
-                raise ValueError("cap must be positive")
+            if not 0 < self.cap < math.inf:  # NaN fails too
+                raise ValueError("cap must be positive and finite")
         object.__setattr__(self, "mode_index", tuple(int(i) for i in self.mode_index))
 
     @property
@@ -314,9 +314,11 @@ class WindowError(ValueError):
 
 def invariant_windows(times: np.ndarray, burn_in: float, windows=None) -> list[tuple]:
     """The windows of :func:`invariant_average` on [0, T], T = ``times[-1]``
-    (default [T/4, T/2] and [T/2, T]); raises :class:`WindowError` unless 2
-    burn_in <= T and each is in [burn_in, T] and holds a left endpoint of the
-    recorded ``times``."""
+    (default [T/4, T/2] and [T/2, T]); raises ValueError if burn_in < 0, then
+    :class:`WindowError` unless 2 burn_in <= T and each is in [burn_in, T]
+    and holds a left endpoint of the recorded ``times``."""
+    if not burn_in >= 0:  # NaN fails too
+        raise ValueError(f"burn-in {burn_in} must be >= 0")
     T = float(times[-1])
     if T < 2 * burn_in:
         raise WindowError("horizon",
@@ -332,11 +334,10 @@ def invariant_windows(times: np.ndarray, burn_in: float, windows=None) -> list[t
     return windows
 
 
-def invariant_average(stats: EnsembleStats, observable: str | int,
-                      burn_in: float,
+def invariant_average(stats: EnsembleStats, observable: str, burn_in: float,
                       windows: list[tuple[float, float]] | None = None,
                       ) -> WindowReport:
-    """Windowed ergodic averages of one observable.
+    """Windowed ergodic averages of the observable named ``observable``.
 
     Returns time averages over the :func:`invariant_windows` (default:
     dyadic windows [T/4, T/2] and [T/2, T]), each with its standard error
@@ -346,8 +347,6 @@ def invariant_average(stats: EnsembleStats, observable: str | int,
     """
     if not stats.obs:
         raise ValueError("ensemble was run without observables")
-    if isinstance(observable, int):
-        observable = list(stats.obs)[observable]
     if observable not in stats.obs:
         raise KeyError(f"observable {observable!r} not recorded")
     windows = invariant_windows(stats.times, burn_in, windows)

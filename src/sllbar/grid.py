@@ -54,7 +54,7 @@ reads and drops. At d >= 2 the precession's 3/2-grid arrays are the heads of
 the cubic's spent buffers, so they take no memory of their own.
 :func:`cross3` of two cyclic ``(5, ...)`` operands (at d = 1: u, Lap u and
 each G_j in the workspace's spare rows, and ``h_phys``) takes one ``(3, ...)``
-temporary; of other operands, as at d >= 2, it uses ``out``'s rows as
+temporary; of two ``(3, ...)`` ones, as at d >= 2, it uses ``out``'s rows as
 scratch and one component-sized temporary. At d >= 2 the noise touches no
 padded-grid array: it applies N x N matrices to coefficient arrays only along
 the axes a mode excites (a zero axis is a scalar), and its correction P_k^2
@@ -231,20 +231,20 @@ def _transform(arr: np.ndarray, mats: tuple[np.ndarray, ...],
 
 
 def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Cross product along axis 0 of two operands with equal trailing shapes.
+    """Cross product along axis 0 of two operands of one shape.
 
-    Each operand is ``(3, ...)`` or cyclic ``(5, ...)``, rows 3-4 repeating rows
-    0-1 (:func:`cyclic`). Two cyclic operands take three ufunc calls, ``a[1:4]
-    b[2:5] - a[2:5] b[1:4]``; otherwise rows 0-2 go row by row. Both give the
+    Both are ``(3, ...)``, or both cyclic ``(5, ...)``, rows 3-4 repeating rows
+    0-1 (:func:`cyclic`). Cyclic operands take three ufunc calls, ``a[1:4]
+    b[2:5] - a[2:5] b[1:4]``; ``(3, ...)`` ones go row by row. Both give the
     same bits. The ``(3, ...)`` result goes into ``out`` when it is given, which
     must share no memory with ``a`` or ``b``; a fresh array otherwise. Other
     shapes raise ``ValueError`` before any write.
     """
     sa, sb = a.shape, b.shape  # each read of .shape builds a new tuple
-    if sa != sb and sa[1:] != sb[1:]:  # equal shapes skip b's checks
-        raise ValueError(f"cross3 shapes differ: {sa} vs {sb}")
     if sa[:1] not in ((3,), (5,)) or sa != sb and sb[:1] not in ((3,), (5,)):
         raise ValueError(f"cross3 operands need 3 or 5 rows: {sa} vs {sb}")
+    if sa != sb:
+        raise ValueError(f"cross3 shapes differ: {sa} vs {sb}")
     shape = (3, *sa[1:])
     if out is None:
         out = np.empty(shape)
@@ -257,7 +257,7 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
         if out is a or out is b or not owned and (
                 np.may_share_memory(out, a) or np.may_share_memory(out, b)):
             raise ValueError("cross3 out shares memory with an input")
-    if len(a) == len(b) == 5:
+    if sa[0] == 5:
         np.multiply(a[1:4], b[2:5], out)
         out -= np.multiply(a[2:5], b[1:4])
         return out
@@ -282,8 +282,8 @@ class Workspace:
     steps needs its own. ``vals`` holds u's values, ``lap[0]`` |u|^2 and
     ``prod`` u.u and then u |u|^2. At d = 1 ``lap`` then takes Lap u's values
     and each G_j's in the Ito correction, and ``prod`` every cross product; the
-    padded-grid noise helpers write into the workspace they are given, so the
-    u values handed to them must not be its ``lap`` or ``prod``. At d >= 2
+    padded-grid noise helpers take u's values as ``cyclic(ws.vals)`` and write
+    into the ``lap`` and ``prod`` of the workspace they are given. At d >= 2
     those arrays are spent once the cubic is analyzed: ``quadratic``, u's and
     Lap u's values and their cross product on ``grid.quadratic_grid``, are
     views of the heads of ``vals``, ``lap`` and ``prod`` (fresh arrays below

@@ -86,6 +86,12 @@ def _check_dt(dt: float) -> None:
         raise ConfigurationError("dt must be positive and finite")
 
 
+def _check_pad(grid: Grid) -> None:
+    if grid.pad_factor < MIN_PAD_FACTOR:
+        raise ConfigurationError(f"pad_factor {grid.pad_factor:g} is below "
+                                 f"{MIN_PAD_FACTOR}: the padded products alias")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -181,9 +187,7 @@ class StepKernel:
         _check_dt(dt)
         self.grid, self.params, self.noise, self.trunc, self.dt = (
             noise.grid, params, noise, trunc, dt)
-        if self.grid.pad_factor < MIN_PAD_FACTOR:
-            raise ConfigurationError(f"pad_factor {self.grid.pad_factor:g} is below "
-                                     f"{MIN_PAD_FACTOR}: the padded products alias")
+        _check_pad(self.grid)
         lam = eigenvalue_array(self.grid)
         self.divisor = self.symbol = None
         if scheme == "imex_em_ito":

@@ -63,8 +63,8 @@ def write_observables_csv(stats: EnsembleStats, path) -> None:
     _write_columns(path, stats.times, columns)
 
 
-def write_residual_csv(series: ResidualSeries, path, name: str = "residual") -> None:
-    _write_columns(path, series.times, {name: series.values})
+def write_residual_csv(series: ResidualSeries, path) -> None:
+    _write_columns(path, series.times, {"energy_balance_residual": series.values})
 
 
 def write_identities_csv(rows: list[tuple[float, float, float]], path) -> None:
@@ -121,8 +121,8 @@ def _unpack(fh, fmt: str, path) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def read_snapshot(path, pad_factor: float = 2.0) -> tuple[Grid, np.ndarray]:
-    """The grid and the ``(3, *modes)`` coefficients of a snapshot file.
+def read_snapshot(path) -> tuple[Grid, np.ndarray]:
+    """The grid (at pad factor 2) and ``(3, *modes)`` coefficients of a snapshot.
 
     Raises :class:`SnapshotFormatError` on a corrupt or unsupported file,
     including one whose coefficients are not all finite.
@@ -145,7 +145,7 @@ def read_snapshot(path, pad_factor: float = 2.0) -> tuple[Grid, np.ndarray]:
     if len(block) > size:
         raise SnapshotFormatError(f"{path}: trailing bytes after coefficient block")
     try:
-        grid = Grid(dim, lengths, modes, pad_factor)
+        grid = Grid(dim, lengths, modes)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: invalid grid: {exc}") from exc
     coeffs = np.frombuffer(block, dtype="<f8").astype(np.float64).reshape((3, *modes))

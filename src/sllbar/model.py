@@ -69,9 +69,8 @@ class TruncationConfig:
     def __post_init__(self):
         if self.mode not in ("off", "on"):
             raise ValueError(f"mode: must be 'off' or 'on', got {self.mode!r}")
-        if self.mode == "on":
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("radius: required and positive when mode is 'on'")
+        if self.mode == "on" and not 0 < (self.radius or 0) < math.inf:  # None, NaN too
+            raise ValueError("radius: required, positive and finite when mode is 'on'")
 
     @classmethod
     def off(cls) -> "TruncationConfig":
@@ -139,11 +138,12 @@ def drift_terms(grid: Grid, coeffs: np.ndarray, params: ModelParams, noise,
     (b3 Pi((1 - |u|^2) u), assembled as b3 (Pi u - Pi(|u|^2 u))),
     ``precession`` (-b4 Pi(u x Lap u)), ``nonlocal`` (+b5 theta_R(.) Pi
     Lap(|u|^2 u)) and, when the noise family is nonempty, ``ito_correction``.
-    The nonlinear terms are the arrays the time steppers use. Pass
-    ``NoiseModel.empty(grid)`` for the noise-free (Stratonovich) drift.
+    The nonlinear terms are the arrays the time steppers use, with their pad
+    check. Pass ``NoiseModel.empty(grid)`` for the noise-free (Stratonovich) drift.
     """
-    from .integrator import _explicit_parts
+    from .integrator import _check_pad, _explicit_parts
 
+    _check_pad(grid)
     lam = eigenvalue_array(grid)
     nonlinear, _ = _explicit_parts(coeffs, grid, params, noise, trunc,
                                    Workspace(grid), include_correction=True)

@@ -193,21 +193,17 @@ def check_noise_condition(noise: NoiseModel) -> float:
 
 def _diffusion_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
                       j: int, ws: Workspace) -> np.ndarray:
-    """Coefficients of ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)`` from u's values.
-
-    The cross product is written into ``ws.prod``.
-    """
+    """Coefficients of ``G_j(u) = Pi(-u x h_j + h_j - Lap h_j)`` from u's cyclic
+    values (:func:`~sllbar.grid.cyclic`); the cross product goes into ``ws.prod``."""
     cross = cross3(u_vals, noise.h_phys[j], out=ws.prod)
     return noise.h_minus_lap[j] - analyze(grid, cross)
 
 
 def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
                        ws: Workspace) -> np.ndarray:
-    """Coefficients of the Ito correction ``-1/2 sum_j Pi(G_j(u) x h_j)``.
-
-    Each G_j's values are written into ``ws.lap`` in cyclic form and each
-    cross product into ``ws.prod``.
-    """
+    """Coefficients of the Ito correction ``-1/2 sum_j Pi(G_j(u) x h_j)`` from u's
+    cyclic values. Each G_j's values go into ``ws.lap`` in cyclic form and each
+    cross product into ``ws.prod``."""
     acc = np.zeros((3, *grid.modes))  # not the first term: 0.0 + -0.0 is +0.0
     for j in range(noise.J):
         G_vals = synthesize(grid, _diffusion_coeffs(grid, u_vals, noise, j, ws),
@@ -275,8 +271,8 @@ def sample_increments(seed: int, path: int, step: int, J: int,
     buffered bits) from it, which gives the same values as a freshly built
     ``Generator(Philox(key=seed, counter=[0x5757, path, step, 0]))``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ValueError("dt must be positive and finite")
     if J == 0:
         return WienerIncrement(step, np.zeros(0))
     try:

@@ -421,6 +421,18 @@ class TestInvariant:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_negative_burn_in_exits_2(self, tmp_path, capsys):
+        """A window starting before t = 0 once passed with a negative burn-in."""
+        text = ANNOTATED.read_text()
+        old = "burn_in = 2.5"
+        assert old in text
+        code, out = run_text(tmp_path, "invariant", text.replace(
+            old, "burn_in = -1.0\nwindows = -0.5:0.5"))
+        assert code == 2
+        assert ("configuration error: experiment.burn_in: must be >= 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_simulate_and_ensemble_ignore_the_windows(self, tmp_path):
         cfg = tmp_path / "short.cfg"
         cfg.write_text(BASE.replace("t_end = 0.5", "t_end = 0.2"))

@@ -15,6 +15,7 @@ from sllbar.config import (
     _OBSERVABLE_READS,
     ConfigError,
     ExperimentConfig,
+    RunConfig,
     parse_config,
 )
 from sllbar.ensemble import OBSERVABLE_KINDS, Observable
@@ -148,6 +149,15 @@ class TestBuiltOnce:
                             "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
         assert [grid.modes for _, grid in noise_calls] == grids
         assert [grid.modes for _, grid in initial_calls] == grids
+
+    def test_a_run_config_needs_its_built_objects(self, tmp_path):
+        """The built noise and initial field are required fields: a RunConfig
+        made without them is a TypeError, not a config that builds anew."""
+        cfg = parse_config(write(tmp_path, self.NOISY))
+        specs = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                 if f.name not in ("noise", "initial")}
+        with pytest.raises(TypeError, match="noise.*initial"):
+            RunConfig(**specs)
 
     def test_kept_initial_field_is_read_only(self):
         u0 = parse_config(str(ANNOTATED)).build_initial()

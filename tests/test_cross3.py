@@ -1,6 +1,7 @@
 """``grid.cross3`` against the body it replaced: the same bits from the same
 six multiplies and three subtractions, in the row-wise and the cyclic form,
-and the same checks on its operands and ``out``."""
+and the same checks on its operands and ``out``. Its operands share one
+shape: a ``(3, ...)`` and a cyclic ``(5, ...)`` operand are rejected."""
 
 import threading
 from dataclasses import replace
@@ -91,21 +92,29 @@ def as_cyclic(a, layout):
        st.sampled_from([None, "fresh", "strided"]), SEEDS)
 def test_cyclic_and_mixed_operands_match_the_oracle(shape, layout_a, layout_b, cyclic,
                                                     cyclic_layout, out_kind, seed):
+    """Two cyclic operands give the oracle's bits; one cyclic and one ``(3, ...)``
+    operand raise before any write."""
     rng = np.random.default_rng(seed)
     a3, b3 = operand(rng, shape, layout_a), operand(rng, shape, layout_b)
     a = as_cyclic(a3, cyclic_layout) if cyclic in ("both", "a") else a3
     b = as_cyclic(b3, cyclic_layout) if cyclic in ("both", "b") else b3
     a_kept, b_kept = a.copy(), b.copy()
     expected = cross3_oracle(a3, b3)
-    if out_kind is None:
-        got = cross3(a, b)
-        assert got.flags.owndata and got.shape == a3.shape
+    if cyclic != "both":
+        out = np.full(a3.shape, 7.0)
+        with pytest.raises(ValueError, match="cross3 shapes differ"):
+            cross3(a, b, out=None if out_kind is None else out)
+        assert (out == 7.0).all()
     else:
-        out = (np.empty(a3.shape) if out_kind == "fresh"
-               else np.empty((3, *shape, 2))[..., 0])
-        assert cross3(a, b, out=out) is out
-        got = out
-    assert got.tobytes() == expected.tobytes()
+        if out_kind is None:
+            got = cross3(a, b)
+            assert got.flags.owndata and got.shape == a3.shape
+        else:
+            out = (np.empty(a3.shape) if out_kind == "fresh"
+                   else np.empty((3, *shape, 2))[..., 0])
+            assert cross3(a, b, out=out) is out
+            got = out
+        assert got.tobytes() == expected.tobytes()
     assert a.tobytes() == a_kept.tobytes() and b.tobytes() == b_kept.tobytes()
 
 
@@ -124,12 +133,18 @@ def test_operands_without_3_or_5_rows_raise_before_writing(rows_a, rows_b):
 def test_cyclic_operands_check_trailing_shapes_and_out(rows_a, rows_b):
     a, b = np.ones((rows_a, 8)), np.ones((rows_b, 8))
     out = np.full((5, 8), 7.0)
+    if rows_a != rows_b:  # a (3, ...) and a cyclic operand: rejected, any out
+        for target in (out, out[:3], None):
+            with pytest.raises(ValueError, match="cross3 shapes differ"):
+                cross3(a, b, out=target)
+        assert (out == 7.0).all()
+        return
     with pytest.raises(ValueError, match="cross3 out shape"):
         cross3(a, b, out=out)
     with pytest.raises(ValueError, match="cross3 shapes differ"):
         cross3(a, b[:, :-1], out=out[:3])
     with pytest.raises(ValueError, match="shares memory"):
-        cross3(a, b, out=a[:3] if rows_a == 5 else b[:3])
+        cross3(a, b, out=a[:3])
     assert (out == 7.0).all()
     assert cross3(a, b).shape == (3, 8)
 

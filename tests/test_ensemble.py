@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from sllbar.cli import run_command
+from sllbar.config import ExperimentConfig
 from sllbar.ensemble import (
     EnsembleStats,
     Observable,
     _path_mean_se,
     h2_time_average,
     invariant_average,
+    invariant_windows,
     moment_estimates,
     run_ensemble,
     run_trajectories,
@@ -70,6 +72,20 @@ class TestObservable:
             Observable("clip_norm", space="H7")
         with pytest.raises(ValueError):
             Observable("exp_neg_l2", scale=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_cap_rejected(self, bad):
+        """``min(n, nan)`` is n, so a NaN cap once left the norm unclipped; an
+        infinite cap would make the observable unbounded."""
+        with pytest.raises(ValueError, match="^cap must be positive and finite$"):
+            Observable("clip_norm", cap=bad)
+
+    @pytest.mark.parametrize("kind", ["tanh_mode", "exp_neg_l2"])
+    def test_nan_scale_rejected(self, kind):
+        """A NaN scale once gave NaN observables."""
+        with pytest.raises(ValueError, match="^scale must be positive$"):
+            Observable(kind, mode_index=(0,) if kind == "tanh_mode" else (),
+                       scale=math.nan)
 
     @pytest.mark.parametrize("index", [(-1,), (16,), (0, 1)],
                              ids=["negative", "past_last", "wrong_length"])
@@ -373,7 +389,7 @@ class TestInvariantAverage:
         obs = (Observable("exp_neg_l2"),)
         stats = run_ensemble(np.zeros((3, 8)), full_params(), NoiseModel.empty(G8),
                              cfg, 2, observables=obs)
-        rep = invariant_average(stats, 0, burn_in=0.25)
+        rep = invariant_average(stats, obs[0].name, burn_in=0.25)
         assert rep.window_means == [1.0, 1.0]
         assert np.all(stats.mean_obs[obs[0].name] == 1.0)
         assert np.all(stats.se_obs[obs[0].name] == 0.0)
@@ -394,15 +410,27 @@ class TestInvariantAverage:
         obs = (Observable("exp_neg_l2"),)
         stats = run_ensemble(np.zeros((3, 8)), full_params(), NoiseModel.empty(G8),
                              cfg, 1, observables=obs)
+        name = obs[0].name
         with pytest.raises(ValueError):
-            invariant_average(stats, 0, burn_in=0.6)  # horizon < 2 burn_in
+            invariant_average(stats, name, burn_in=0.6)  # horizon < 2 burn_in
         with pytest.raises(ValueError):
-            invariant_average(stats, 0, burn_in=0.1, windows=[(0.5, 1.5)])
+            invariant_average(stats, name, burn_in=0.1, windows=[(0.5, 1.5)])
         with pytest.raises(ValueError):
-            invariant_average(stats, 0, burn_in=0.2, windows=[(0.1, 0.5)])
+            invariant_average(stats, name, burn_in=0.2, windows=[(0.1, 0.5)])
         with pytest.raises(ValueError, match="contains no samples"):
             # samples every 0.04: none in [0.5, 0.51)
-            invariant_average(stats, 0, burn_in=0.1, windows=[(0.5, 0.51)])
+            invariant_average(stats, name, burn_in=0.1, windows=[(0.5, 0.51)])
+        with pytest.raises(KeyError, match="not recorded"):
+            invariant_average(stats, 0, burn_in=0.25)  # a name, not a position
+
+    @pytest.mark.parametrize("burn_in", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_burn_in_is_rejected(self, burn_in):
+        """A window may then not start before t = 0, as ``invariant`` with
+        ``burn_in = -1`` and ``windows = -0.5:0.5`` once reported one."""
+        with pytest.raises(ValueError, match="must be >= 0"):
+            invariant_windows(np.linspace(0.0, 1.0, 11), burn_in, [(-0.5, 0.5)])
+        with pytest.raises(ValueError, match="^burn_in: must be >= 0$"):
+            ExperimentConfig(burn_in=burn_in)
 
     def test_missing_observable(self):
         cfg = SolverConfig(dt=0.01, t_end=1.0, record_every=4)
@@ -451,7 +479,7 @@ class TestTimeWeights:
         inside = [i for i in range(len(gaps)) if 0.5 <= t[i] < 1.0]
         mean = (sum(psi[i] * gaps[i] for i in inside)
                 / sum(gaps[i] for i in inside))
-        rep = invariant_average(stats, 0, burn_in=0.5, windows=[(0.5, 1.0)])
+        rep = invariant_average(stats, obs[0].name, burn_in=0.5, windows=[(0.5, 1.0)])
         assert rep.window_means[0] == pytest.approx(mean, rel=1e-12)
         assert rep.window_ses == [0.0]
 

@@ -302,7 +302,7 @@ def heun_reference(u, grid, params, noise, trunc, dW, dt):
 
     def drift_and_diffusion(v):
         terms, _ = _explicit_parts(v, grid, params, noise, trunc, ws, False)
-        vals = synthesize(grid, v)
+        vals = cyclic(synthesize(grid, v, out=ws.vals))  # as the noise takes it
         return (sum(terms.values()) + linear * v,
                 [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)])
 

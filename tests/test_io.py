@@ -1,5 +1,6 @@
 """On-disk formats: CSV columns, JSON determinism, snapshot round trip."""
 
+import inspect
 import json
 import struct
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sllbar.diagnostics import ResidualSeries, refinement_gap
 from sllbar.ensemble import EnsembleStats, Observable, run_ensemble
 from sllbar.grid import Grid, constant_field, random_field
 from sllbar.integrator import NORM_KEYS, SolverConfig, run_trajectory
@@ -20,6 +22,7 @@ from sllbar.io import (
     write_identities_csv,
     write_observables_csv,
     write_report_json,
+    write_residual_csv,
     write_snapshot,
     write_trajectory_csv,
 )
@@ -129,6 +132,24 @@ class TestReportJson:
         assert json.loads(f1.read_text()) == report
 
 
+class TestResidualCsv:
+    def test_header_is_the_energy_balance_column(self, tmp_path):
+        series = ResidualSeries(np.array([0.0, 0.1]), np.array([1e-3, -2e-3]), 1.0)
+        write_residual_csv(series, tmp_path / "r.csv")
+        names, data = read_columns(tmp_path / "r.csv")
+        assert names == ["t", "energy_balance_residual"]
+        assert np.array_equal(data, [[0.0, 1e-3], [0.1, -2e-3]])
+
+
+@pytest.mark.parametrize("fn, keyword", [(read_snapshot, "pad_factor"),
+                                         (refinement_gap, "path"),
+                                         (write_residual_csv, "name")])
+def test_one_calling_convention(fn, keyword):
+    """No command set these keywords: a snapshot holds no pad factor, a
+    refinement study runs path 0, and the residual CSV has one header."""
+    assert keyword not in inspect.signature(fn).parameters
+
+
 class TestSnapshot:
     @pytest.mark.parametrize("grid", [
         G8,
@@ -143,6 +164,7 @@ class TestSnapshot:
         assert np.array_equal(v, u)
         assert v_grid.modes == grid.modes
         assert v_grid.lengths == grid.lengths
+        assert v_grid.pad_factor == 2.0  # the file holds none
 
     def test_zero_coefficients_round_trip(self, tmp_path):
         path = tmp_path / "zero.snap"

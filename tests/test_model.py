@@ -18,7 +18,8 @@ from sllbar.grid import (
     sobolev_norm,
     synthesize,
 )
-from sllbar.integrator import StepKernel, imex_em_step, linear_factor
+from sllbar.integrator import (ConfigurationError, StepKernel, imex_em_step,
+                               linear_factor)
 from sllbar.model import (
     ModelParams,
     TruncationConfig,
@@ -183,6 +184,24 @@ class TestNonlocalCubic:
             TruncationConfig("on", -1.0)
         with pytest.raises(ValueError):
             TruncationConfig("sideways", None)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, radius):
+        """theta_R(x, NaN) is 1, so a NaN radius once left the cutoff idle."""
+        with pytest.raises(ValueError, match="^radius: required, positive and finite"):
+            TruncationConfig("on", radius)
+
+    @pytest.mark.parametrize("pad_factor", [1.0, 1.25, 1.5])
+    def test_drift_terms_below_pad_2_raise_as_a_run_does(self, pad_factor):
+        """The terms are the step's arrays, so they take the step's pad check.
+        On this field the penalty once differed from the pad-2 one by 2.0%,
+        0.56% and 4.0e-4 of its largest entry at pads 1, 1.25 and 1.5."""
+        grid = Grid(2, (np.pi, np.pi), (8, 8), pad_factor)
+        u = random_field(grid, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError,
+                           match=f"^pad_factor {pad_factor:g} is below 2: .* alias"):
+            drift_terms(grid, u, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0),
+                        NoiseModel.empty(grid), TruncationConfig.off())
 
 
 def full_drift(u, params, noise):

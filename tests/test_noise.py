@@ -42,15 +42,22 @@ RNG = np.random.default_rng(99)
 G8 = Grid(1, (np.pi,), (8,))
 
 
+def cyclic_values(grid, u, ws):
+    """u's values in ``ws.vals``, in the cyclic form the noise helpers take."""
+    return cyclic(synthesize(grid, u, out=ws.vals))
+
+
 def diffusion(u, noise, j):
     """Coefficients of G_j(u) on G8, from the function the steppers call."""
-    return _diffusion_coeffs(G8, synthesize(G8, u), noise, j, Workspace(G8))
+    ws = Workspace(G8)
+    return _diffusion_coeffs(G8, cyclic_values(G8, u, ws), noise, j, ws)
 
 
 def correction(u, noise):
     """Coefficients of the Ito correction on G8, from the function the steppers
     call."""
-    return _correction_coeffs(G8, synthesize(G8, u), noise, Workspace(G8))
+    ws = Workspace(G8)
+    return _correction_coeffs(G8, cyclic_values(G8, u, ws), noise, ws)
 
 
 def eigenmode_spec(*modes):
@@ -373,7 +380,8 @@ class TestItoCorrection:
         u = 1.8 * h  # parallel pointwise
         got = correction(u, nm)
         additive = h - -eigenvalue_array(G8) * h
-        expected = -0.5 * analyze(G8, cross3(synthesize(G8, additive), nm.h_phys[0]))
+        expected = -0.5 * analyze(G8, cross3(synthesize(G8, additive),
+                                             nm.h_phys[0][:3]))
         assert np.abs(got - expected).max() < 1e-12
 
 
@@ -436,8 +444,8 @@ def test_operator_route_matches_transform_route(case, seed):
     assert noise.J == len(family)
     rng = np.random.default_rng(seed)
     u = random_field(grid, rng)
-    vals = synthesize(grid, u)
     ws = Workspace(grid)
+    vals = cyclic_values(grid, u, ws)
     Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
     for dW in [rng.standard_normal(noise.J), *np.eye(noise.J)]:
         inc, corr = _operator_parts(noise, u, dW, include_correction=True)
@@ -569,6 +577,15 @@ class TestIncrements:
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
             sample_increments(0, 0, 0, 2, 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_nonfinite_dt_rejected(self, dt, substeps):
+        """A NaN or infinite dt once gave NaN or infinite increments."""
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            sample_increments(0, 0, 0, 2, dt)
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            coupled_increments(0, 0, 0, 2, dt, substeps)
 
     def test_moment_statistics(self):
         dt = 0.02

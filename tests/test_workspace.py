@@ -18,7 +18,7 @@ from sllbar.grid import (
     synthesize,
 )
 from sllbar.integrator import StepKernel, _explicit_parts, _sample_norms
-from sllbar.model import ModelParams, TruncationConfig, drift_terms, precession
+from sllbar.model import ModelParams, TruncationConfig, precession
 from sllbar.noise import NoiseModel, build_noise_modes
 
 PARAMS = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
@@ -216,15 +216,17 @@ def test_kernels_on_equal_grids_share_no_buffer():
 
 
 def test_workspace_below_pad_1_5_allocates_its_3_2_grid_arrays():
-    """At pad factor 1 (a library grid; a run rejects it) the 3/2-grid arrays
-    do not fit in the run grid's buffers, so they are fresh, and the drift's
-    precession is still the exact one of the pad-2 grid on the same modes."""
+    """At pad factor 1 (a library grid; a run and ``drift_terms`` reject it) the
+    3/2-grid arrays do not fit in the run grid's buffers, so they are fresh,
+    and the assembled precession is still the exact one of the pad-2 grid on
+    the same modes."""
     grid = Grid(2, (np.pi, 2.0), (6, 5), pad_factor=1)
     ws = Workspace(grid)
     assert [q.shape for q in ws.quadratic] == [(3, 9, 8)] * 3
     assert all(q.flags.owndata for q in ws.quadratic)
     u = state(grid, 14)
-    terms = drift_terms(grid, u, PARAMS, NoiseModel.empty(grid), TRUNC)
+    terms, _ = _explicit_parts(u, grid, PARAMS, NoiseModel.empty(grid), TRUNC, ws,
+                               False)
     ref = -PARAMS.beta4 * precession(Grid(2, grid.lengths, grid.modes), u)
     assert np.abs(terms["precession"] - ref).max() <= 1e-13 * np.abs(ref).max()
 

@@ -49,11 +49,11 @@ class ExperimentConfig:
             raise ValueError("burn_in: must be >= 0")
         if self.workers < 1:
             raise ValueError("workers: must be >= 1")
-        if any(p < 1 for p in self.moment_powers):
+        if any(not p >= 1 for p in self.moment_powers):
             raise ValueError("moment_powers: each must be >= 1")
-        if any(r < 0 for r in self.tightness_r):
+        if any(not r >= 0 for r in self.tightness_r):
             raise ValueError("tightness_r: each must be >= 0")
-        if any(len(w) != 2 or w[0] >= w[1] for w in self.windows or ()):
+        if any(len(w) != 2 or not w[0] < w[1] for w in self.windows or ()):
             raise ValueError("windows: each window must be t0:t1 with t0 < t1")
         if self.dt_halvings < 0:
             raise ValueError("dt_halvings: must be >= 0")

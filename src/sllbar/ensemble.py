@@ -232,7 +232,7 @@ def moment_estimates(stats: EnsembleStats, p: float) -> dict[str, tuple[float, f
       * ``int_l4_p``   : E (int |u|_L4^4 dt)^p
     Time integrals are weighted left-endpoint sums over the recorded samples.
     """
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError("p must be >= 1")
     out = {}
     out["sup_l2_2p"] = _scalar_mean_se(stats.norms["l2"].max(axis=1) ** (2 * p))
@@ -283,7 +283,7 @@ def tightness_statistic(stats: EnsembleStats, R: float, space: str = "H1") -> fl
     values for some R mean time averages stay bounded in probability. Each
     sample counts for its record interval (left endpoint).
     """
-    if R < 0:
+    if not R >= 0:  # NaN fails too
         raise ValueError("R must be >= 0")
     if space not in ("H1", "L2"):
         raise ValueError("space must be 'H1' or 'L2'")

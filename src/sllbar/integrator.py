@@ -219,17 +219,18 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     J = 0. The linear part is not included. Padded-grid values, products and
     |u|^2 (in ``lap[0]``) go into the workspace ``ws``: at d = 1 the values of
     u and Lap u in :func:`~sllbar.grid.cyclic` form on the run grid, at d >= 2
-    the precession's on ``grid.quadratic_grid``, in ``ws.quadratic``, after the
-    cubic's on the run grid. Every returned array is freshly allocated.
+    u |u|^2 over u's run-grid values and then the precession's values on
+    ``grid.quadratic_grid``, in ``ws.quadratic``. Every returned array is fresh.
     """
     neg_lam = grid._neg_eigenvalues
     vals = synthesize(grid, coeffs, out=ws.vals)
-    cubic = analyze(grid, np.multiply(vals, _mag2(vals, ws), out=ws.prod))
     if grid.dim == 1:  # every product of the d = 1 route runs cyclic
+        cubic = analyze(grid, np.multiply(vals, _mag2(vals, ws), out=ws.prod))
         qgrid, prod = grid, ws.prod
         vals = cyclic(vals)
         lap_vals = cyclic(synthesize(grid, neg_lam * coeffs, out=ws.lap))
-    else:
+    else:  # u's run-grid values are spent once the cubic is formed over them
+        cubic = analyze(grid, np.multiply(vals, _mag2(vals, ws), out=vals))
         qgrid, (vals, lap_vals, prod) = grid.quadratic_grid, ws.quadratic
         vals = synthesize(qgrid, coeffs, out=vals)
         lap_vals = synthesize(qgrid, neg_lam * coeffs, out=lap_vals)

@@ -92,7 +92,7 @@ def theta_R(x: float, R: float) -> float:
     ``phi(2 - x/R) / (phi(2 - x/R) + phi(x/R - 1))`` with
     ``phi(t) = exp(-1/t)`` for t > 0 and 0 otherwise.
     """
-    if R <= 0:
+    if not R > 0:  # NaN fails too; a NaN x is left to the stop rule
         raise ValueError("R must be positive")
     if x < 0:
         raise ValueError("x must be >= 0")

@@ -366,6 +366,11 @@ class TestExperimentChecks:
         ({"refine_levels": (-4,)}, "refine_levels"),
         ({"moment_powers": (1.0, 0.5)}, "moment_powers"),
         ({"tightness_r": (1.0, -1.0)}, "tightness_r"),
+        # the parser rejects NaN, so only library callers can send these
+        ({"moment_powers": (math.nan,)}, "moment_powers"),
+        ({"tightness_r": (math.nan,)}, "tightness_r"),
+        ({"windows": ((math.nan, 1.0),)}, "windows"),
+        ({"windows": ((0.0, math.nan),)}, "windows"),
     ])
     def test_library_rejects(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field}: "):

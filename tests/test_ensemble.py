@@ -309,6 +309,11 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment_estimates(self.make_stats(M=2), 0.5)
 
+    def test_nan_power_rejected(self):
+        """``p < 1`` let NaN through, and every estimate came back NaN."""
+        with pytest.raises(ValueError, match="^p must be >= 1$"):
+            moment_estimates(self.make_stats(M=2), math.nan)
+
     def test_doubling_m_moves_less_than_four_se(self):
         """Doubling M under a split seed shifts estimates by < 4 combined SEs."""
         u0 = constant_field(G8, (0.2, 0.0, 0.0))
@@ -381,6 +386,12 @@ class TestTightness:
         assert tightness_statistic(stats, 0.0, "L2") == 1.0
         with pytest.raises(ValueError):
             tightness_statistic(stats, 1.0, "H3")
+
+    @pytest.mark.parametrize("R", [-1.0, math.nan])
+    def test_invalid_radius(self, R):
+        """A NaN radius once read 0.0: no sample exceeds NaN."""
+        with pytest.raises(ValueError, match="^R must be >= 0$"):
+            tightness_statistic(self.make_stats(), R, "H1")
 
 
 class TestInvariantAverage:

@@ -82,6 +82,16 @@ class TestThetaR:
         with pytest.raises(ValueError):
             theta_R(1.0, -1.0)
 
+    def test_nan_radius_rejected(self):
+        """``R <= 0`` let a NaN radius through, and the cutoff read 1.0."""
+        with pytest.raises(ValueError, match="^R must be positive$"):
+            theta_R(1.0, math.nan)
+
+    def test_nan_argument_still_returns(self):
+        """A nonfinite state must end as a ``nonfinite`` stop, not a raise
+        inside the step that reads theta_R of its gradient norm."""
+        assert theta_R(math.nan, 1.0) == 1.0
+
 
 class TestCubicField:
     def test_constant(self):

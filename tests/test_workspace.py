@@ -2,6 +2,7 @@
 no padded-grid array, returns arrays that no later call overwrites, gives the
 same bits in any thread, and its buffers are freed with the kernel."""
 
+import math
 import threading
 import tracemalloc
 import weakref
@@ -14,11 +15,13 @@ from sllbar.grid import (
     Workspace,
     analyze,
     gradient_values,
+    l4_norm,
+    quad_weight,
     random_field,
     synthesize,
 )
 from sllbar.integrator import StepKernel, _explicit_parts, _sample_norms
-from sllbar.model import ModelParams, TruncationConfig, precession
+from sllbar.model import ModelParams, TruncationConfig, precession, truncation_scale
 from sllbar.noise import NoiseModel, build_noise_modes
 
 PARAMS = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
@@ -229,6 +232,64 @@ def test_workspace_below_pad_1_5_allocates_its_3_2_grid_arrays():
                                False)
     ref = -PARAMS.beta4 * precession(Grid(2, grid.lengths, grid.modes), u)
     assert np.abs(terms["precession"] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# unequal modes, so no axis can stand in for another
+D2_D3 = pytest.mark.parametrize("grid", [Grid(2, (np.pi, 2.0), (6, 5)),
+                                         Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))],
+                                ids=["d2", "d3"])
+
+
+def out_of_place_mag2(grid, u):
+    """|u|^2 of u's fresh run-grid values, summed by one ``np.add.reduce``."""
+    vals = synthesize(grid, u)
+    return vals, np.add.reduce(vals * vals, axis=0)
+
+
+@D2_D3
+def test_in_place_cubic_is_bitwise_the_out_of_place_one(grid):
+    """At d >= 2 the cubic is formed over u's own values, with |u|^2 summed
+    row by row; the terms that read it keep the bits of fresh arrays."""
+    kern = kernel(two_mode_noise(grid))
+    u = state(grid, 15)
+    kern.parts(state(grid, 16), True, np.array([0.03, -0.02]))  # dirties ws
+    terms, _ = kern.parts(u, True, np.array([0.03, -0.02]))
+    vals, mag2 = out_of_place_mag2(grid, u)
+    cubic = analyze(grid, vals * mag2)
+    theta = truncation_scale(grid, u, TRUNC)
+    penalty = PARAMS.beta3 * (u - cubic)
+    nonlocal_ = (PARAMS.beta5 * theta) * grid._neg_eigenvalues * cubic
+    assert terms["penalty"].tobytes() == penalty.tobytes()
+    assert terms["nonlocal"].tobytes() == nonlocal_.tobytes()
+
+
+@D2_D3
+def test_l4_norm_sums_rows_and_keeps_the_values(grid):
+    ws = Workspace(grid)
+    u = state(grid, 17)
+    vals, mag2 = out_of_place_mag2(grid, u)
+    ref = float((mag2 * mag2).sum() * quad_weight(grid)) ** 0.25
+    assert l4_norm(grid, u, ws) == ref
+    assert ws.vals.tobytes() == vals.tobytes()  # energy_balance_l2 reads them
+
+
+def test_d3_step_and_sample_write_no_buffer_past_its_3_2_grid_head():
+    """A warm d = 3 step and a recorded sample write ``prod`` and ``lap`` only
+    where the 3/2-grid arrays lie: |u|^2 takes ``lap[0]`` and one row of
+    ``prod`` as scratch, and the cubic overwrites u's values."""
+    grid = Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))
+    kern = kernel(two_mode_noise(grid))
+    u = steps(state(grid, 18), kern, 1)  # warm
+    head = math.prod(grid.quadratic_grid.values_shape)
+    sentinel = -7.25
+    kern.ws.prod.fill(sentinel)
+    kern.ws.lap.fill(sentinel)
+    steps(u, kern, 1)
+    _sample_norms(kern, u, 1.0)
+    for buf in (kern.ws.prod, kern.ws.lap):
+        tail = buf.reshape(-1)[head:]
+        assert tail.size and (tail == sentinel).all()
+    assert (kern.ws.prod.reshape(-1)[:head] != sentinel).any()
 
 
 def test_grid_hash_is_stable_and_matches_equality():

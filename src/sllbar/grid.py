@@ -279,18 +279,17 @@ class Workspace:
 
     A run's ``integrator.StepKernel`` owns one, and it is freed with the
     kernel; two workspaces never share a buffer, so each thread or run that
-    steps needs its own. ``vals`` holds u's values and ``lap[0]`` |u|^2. At
-    d = 1 ``prod`` then holds u.u and u |u|^2, ``lap`` Lap u's values and
-    each G_j's in the Ito correction, and ``prod`` every cross product; the
-    padded-grid noise helpers take u's values as ``cyclic(ws.vals)`` and write
-    into the ``lap`` and ``prod`` of the workspace they are given. At d >= 2
-    u |u|^2 overwrites ``vals``, with ``prod[0]`` as |u|^2's scratch row, and
-    ``quadratic``, u's and Lap u's values and their cross product on
-    ``grid.quadratic_grid``, are views of the heads of ``vals``, ``lap`` and
-    ``prod`` (fresh arrays below pad factor 1.5, where they do not fit).
-    ``vals`` and ``lap`` are the leading ``(3, *padded)`` rows of ``(5,
-    *padded)`` storage, whose spare rows :func:`cyclic` fills; a step that
-    never does so never touches their pages.
+    steps needs its own. ``vals`` holds u's values and ``lap[0]`` |u|^2. At d = 1
+    ``prod`` then holds u.u and u |u|^2, ``lap`` Lap u's values and each G_j's in
+    the Ito correction, and ``prod`` every cross product; the padded-grid noise
+    helpers take u's values as ``cyclic(ws.vals)`` and write into the ``lap`` and
+    ``prod`` of the workspace they are given. At d >= 2 u |u|^2 overwrites ``vals``,
+    with ``prod[0]`` as |u|^2's scratch row, and ``quadratic``, u's and Lap u's
+    values and their cross product on ``grid.quadratic_grid``, are views of the
+    heads of ``vals``, ``lap`` and ``prod`` (fresh arrays below pad factor 1.5,
+    where they do not fit). ``vals`` and ``lap`` are the leading ``(3, *padded)``
+    rows of ``(5, *padded)`` storage, whose spare rows :func:`cyclic` fills; a
+    step that never does so never touches their pages.
     """
 
     def __init__(self, grid: Grid):
@@ -407,9 +406,9 @@ def _weighted_norms(coeffs: np.ndarray, weights) -> list[float]:
 
 def _mag2(vals: np.ndarray, ws: Workspace) -> np.ndarray:
     """|u|^2 of u's padded-grid values ``vals``, into ``ws.lap[0]``: (u0^2 + u1^2)
-    + u2^2, the bits of np.add.reduce over axis 0. u.u goes into ``ws.prod`` at
-    d = 1; at d >= 2 each row's ``np.square`` (x * x from one operand: 9 against
-    19 us at 32^3 nodes on a 2-vCPU Xeon) is added through ``ws.prod[0]``."""
+    + u2^2, the bits of np.add.reduce over axis 0. u.u goes into ``ws.prod`` in one
+    call at d = 1, whose short rows make the step call-bound; at d >= 2 each row's
+    ``np.square`` (one operand, the bits of x * x) is added through ``ws.prod[0]``."""
     if vals.ndim == 2:
         sq = np.multiply(vals, vals, out=ws.prod)
         mag2 = np.add(sq[0], sq[1], out=ws.lap[0])
@@ -422,9 +421,8 @@ def _mag2(vals: np.ndarray, ws: Workspace) -> np.ndarray:
 
 
 def l4_norm(grid: Grid, coeffs: np.ndarray, ws: Workspace | None = None) -> float:
-    """L^4 norm by quadrature (exact for retained-mode fields at pad_factor 2),
-    with the step's :func:`_mag2`, into ``ws`` or a fresh :class:`Workspace`,
-    whose ``vals`` keeps u's values; L^2 is ``sobolev_norm``."""
+    """L^4 norm by quadrature, exact for retained-mode fields at pad 2 (L^2 is
+    ``sobolev_norm``), into ``ws`` or a fresh :class:`Workspace`; ``vals`` keeps u."""
     ws = Workspace(grid) if ws is None else ws
     mag2 = _mag2(synthesize(grid, coeffs, out=ws.vals), ws)
     w = quad_weight(grid)

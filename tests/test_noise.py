@@ -526,15 +526,15 @@ def per_group_reference(noise, u, dW, include_correction):
     return inc, corr
 
 
-# a k = 0 group, two modes on one k, and G <= 2^d groups (the stack fits in
-# the head of ws.vals at pad 2) or G > 2^d (a fresh stack)
+# a k = 0 group, two modes on one k, and G <= 2^d groups (one chunk in the
+# head of ws.vals at pad 2) or G > 2^d (chunks of 2^d groups through that head)
 PLAN_CASES = {
-    "d2_ws": (Grid(2, (2.0, 3.0), (5, 4)), [(1, 0), (0, 0), (1, 0), (2, 3)]),
-    "d2_fresh": (Grid(2, (2.0, 3.0), (5, 4)),
+    "d2_one_chunk": (Grid(2, (2.0, 3.0), (5, 4)), [(1, 0), (0, 0), (1, 0), (2, 3)]),
+    "d2_chunks": (Grid(2, (2.0, 3.0), (5, 4)),
                  [(1, 0), (0, 0), (1, 0), (2, 3), (0, 1), (4, 2)]),
-    "d3_ws": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
+    "d3_one_chunk": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
               [(1, 0, 2), (0, 0, 0), (1, 0, 2), (2, 2, 1), (3, 1, 0)]),
-    "d3_fresh": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
+    "d3_chunks": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
                  [(1, 0, 2), (0, 0, 0), (1, 0, 2), (2, 2, 1), (3, 1, 0), (0, 1, 0),
                   (0, 0, 4), (1, 1, 1), (2, 0, 3), (3, 2, 4)]),
 }
@@ -542,16 +542,16 @@ PLAN_CASES = {
 
 @pytest.mark.parametrize("case", PLAN_CASES)
 def test_stacked_plan_matches_the_per_group_loop(case):
-    """``_operator_parts`` mixes all groups in one GEMM per part, over a stack
-    in the head of ``ws.vals`` when it fits and in a fresh array otherwise or
-    without a workspace; it holds the per-group loop to 1e-13 of max |ref|."""
+    """``_operator_parts`` mixes the groups in one GEMM per part and chunk,
+    over a stack in the head of ``ws.vals`` (of a fresh workspace without
+    one); it holds the per-group loop to 1e-13 of max |ref|."""
     grid, indices = PLAN_CASES[case]
     noise = build_noise_modes(eigenmode_spec(*[
         {"sigma": 0.3 + 0.2 * j, "index": k, "direction": (1.0, -j, 0.5 * j + 0.2)}
         for j, k in enumerate(indices)]), grid)
     G = len(noise._plan[3])
     fits = G * math.prod(grid.modes) <= math.prod(grid.padded)
-    assert fits == case.endswith("_ws") and G == len(set(indices))
+    assert fits == case.endswith("_one_chunk") and G == len(set(indices))
     rng = np.random.default_rng(5)
     u, dW = random_field(grid, rng), rng.standard_normal(noise.J)
     ref_inc, ref_corr = per_group_reference(noise, u, dW, True)
@@ -561,8 +561,7 @@ def test_stacked_plan_matches_the_per_group_loop(case):
         inc, corr = _operator_parts(noise, u, dW, True, workspace)
         for got, ref in ((inc, ref_inc), (corr, ref_corr)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        untouched = (ws.vals == -7.25).all()
-        assert untouched == (workspace is None or not fits)
+        assert (ws.vals == -7.25).all() == (workspace is None)
     assert _operator_parts(noise, u, dW, False, ws)[1] is None
     inc, corr = _operator_parts(noise, u, None, True, ws)
     assert inc is None and np.abs(corr - ref_corr).max() <= 1e-13 * np.abs(ref_corr).max()

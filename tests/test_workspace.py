@@ -96,12 +96,14 @@ def test_returned_arrays_survive_the_next_call(include_correction):
 
 
 def test_warm_step_peak_does_not_grow_with_the_mode_count():
-    # one increment replaces the J per-mode G_j arrays: J = 1 and J = 8 differ
-    # by less than one coefficient array in a warm d = 3 IMEX step
+    # one increment replaces the J per-mode G_j arrays: J = 1, J = 8 (G = 8 =
+    # 2^3 distinct k, a noise stack that fits the head of ws.vals) and J = 12
+    # (G = 12, run through that head in two chunks) differ by less than one
+    # coefficient array in a warm d = 3 IMEX step
     grid = Grid(3, (np.pi, 1.0, 2.5), (8, 8, 8), pad_factor=2)
     coeffs = state(grid, 13)
     peaks = []
-    for J in (1, 8):
+    for J in (1, 8, 12):
         noise = build_noise_modes({"family": "eigenmode", "modes": [
             {"sigma": 0.1, "index": (j % 3, j // 3, 1), "direction": (1.0, j, 0.5)}
             for j in range(J)]}, grid)
@@ -114,7 +116,7 @@ def test_warm_step_peak_does_not_grow_with_the_mode_count():
         finally:
             tracemalloc.stop()
         peaks.append(peak)
-    assert abs(peaks[1] - peaks[0]) < coeffs.nbytes, peaks
+    assert max(peaks) - min(peaks) < coeffs.nbytes, peaks
 
 
 @pytest.mark.parametrize("grid", [Grid(1, (np.pi,), (9,)),
@@ -305,10 +307,10 @@ def test_d3_step_and_sample_write_no_buffer_past_its_3_2_grid_head():
     assert (kern.ws.vals.base[3:] == SENTINEL).all()
 
 
-def test_d3_noise_stack_fits_the_3_used_rows_of_vals_or_is_fresh():
+def test_d3_noise_stack_stays_in_the_3_used_rows_of_vals():
     """G = 10 > 2^3 groups do not fit the 3 rows of ``vals`` that u's values
-    use, though they would fit all 5: the stack is then a fresh array, and
-    the spare rows 3-4 keep the sentinel."""
+    use, though they would fit all 5: they go through those 3 rows in chunks,
+    and the spare rows 3-4 keep the sentinel."""
     grid = D3_SENTINEL_GRID
     noise = build_noise_modes({"family": "eigenmode", "modes": [
         {"sigma": 0.1, "index": k, "direction": (1.0, 0.5, -0.5)}
@@ -321,8 +323,9 @@ def test_d3_noise_stack_fits_the_3_used_rows_of_vals_or_is_fresh():
 
 def test_warm_noise_parts_keep_their_stack_in_the_workspace():
     """At d = 3, N = 16 and G = 8 = 2^3 the ``(G, 3, *modes)`` stack (768 KB) is
-    the head of ``ws.vals``: a warm ``_operator_parts`` call peaks below half
-    of it, where a fresh stack would peak above it."""
+    the head of ``ws.vals`` and the other passes go into ``ws.lap`` and
+    ``ws.prod``: a warm ``_operator_parts`` call allocates only its two results,
+    below half the stack, where a fresh workspace peaks above it."""
     grid = Grid(3, (np.pi,) * 3, (16,) * 3)
     noise = build_noise_modes({"family": "eigenmode", "modes": [
         {"sigma": 0.1, "index": k, "direction": (1.0, 0.5, -0.5)}
@@ -340,6 +343,7 @@ def test_warm_noise_parts_keep_their_stack_in_the_workspace():
         finally:
             tracemalloc.stop()
         peaks.append(peak)
+    assert 2 * u.nbytes <= peaks[0] < 2.5 * u.nbytes, peaks
     assert peaks[0] < stack_bytes / 2 < stack_bytes < peaks[1], peaks
 
 

@@ -19,7 +19,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .ensemble import Observable
-from .grid import Grid, check_mode_index, constant_field, eigenmode_field, embed
+from .grid import (
+    Grid,
+    check_mode_index,
+    constant_field,
+    eigenmode_field,
+    embed,
+    is_integer,
+)
 from .integrator import MIN_PAD_FACTOR, SolverConfig
 from .io import jsonable
 from .model import ModelParams, TruncationConfig
@@ -43,6 +50,13 @@ class ExperimentConfig:
     observables: tuple[Observable, ...] = ()
 
     def __post_init__(self):
+        for name in ("ensemble_m", "workers", "dt_halvings"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
+        if not all(map(is_integer, self.refine_levels)):
+            raise ValueError(
+                f"refine_levels: must be integers, got {self.refine_levels!r}")
         if self.ensemble_m < 1:
             raise ValueError("ensemble_m: must be >= 1")
         if not self.burn_in >= 0:  # NaN fails too

@@ -226,9 +226,8 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
 
 
 def strong_convergence_gaps(u0: np.ndarray, params: ModelParams,
-                            noise: NoiseModel, config: SolverConfig,
-                            halvings: int = 3, paths: int = 8,
-                            workers: int = 1) -> list[float]:
+                            noise: NoiseModel, config: SolverConfig, *,
+                            halvings: int, paths: int, workers: int = 1) -> list[float]:
     """Mean L^2 gap at t_end between successive dt-halved runs.
 
     All levels share one Brownian path per Monte Carlo path via base-step

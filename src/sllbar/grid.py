@@ -45,28 +45,23 @@ scipy.
 
 Memory
 ------
-A time step writes padded-grid values, products and |u|^2 into the
+A time step writes its padded-grid values and products into the
 :class:`Workspace` its run's ``integrator.StepKernel`` owns, so the buffers
 live exactly as long as the run; :func:`l4_norm` writes into a given
-workspace or a fresh one. This module keeps no per-thread state. Every
+workspace or a fresh one. The ``Workspace`` docstring holds the one plan of
+which stage writes which buffer. This module keeps no per-thread state. Every
 transform pass but the last writes into a fresh array that the next pass
-reads and drops. At d >= 2 the cubic writes 5 run-grid rows (:func:`_mag2`), and
-the precession's 3/2-grid arrays are the heads of its spent buffers: no new memory.
-:func:`cross3` of two cyclic ``(5, ...)`` operands (at d = 1: u, Lap u and
-each G_j in the workspace's spare rows, and ``h_phys``) takes one ``(3, ...)``
-temporary; of two ``(3, ...)`` ones, as at d >= 2, it uses ``out``'s rows as
-scratch and one component-sized temporary. At d >= 2 the noise applies N x N
-matrices to u's coefficients along the axes a mode excites, into an ``(n, 3,
-*modes)`` stack over the spent ``vals`` (n = prod M_i / prod N_i: 8 at d = 3,
-4 at d = 2, at pad 2; more groups go in chunks), and allocates only its results.
-:func:`synthesize` and :func:`cross3` write into ``out`` when given; without
-it they return fresh arrays, as do :func:`analyze` and :func:`gradient_values`
-always.
+reads and drops. :func:`cross3` of two cyclic ``(5, ...)`` operands takes one
+``(3, ...)`` temporary; of two ``(3, ...)`` ones it uses ``out``'s rows as
+scratch and one component-sized temporary. :func:`synthesize` and
+:func:`cross3` write into ``out`` when given; without it they return fresh
+arrays, as do :func:`analyze` and :func:`gradient_values` always.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,12 +94,14 @@ class Grid:
     pad_factor: float = 2.0
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
+        if not is_integer(self.dim) or self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.lengths) != self.dim or len(self.modes) != self.dim:
             raise ValueError("lengths and modes must each have dim entries")
         if not all(0 < L < math.inf for L in self.lengths):  # NaN fails too
             raise ValueError("box lengths must be positive and finite")
+        if not all(map(is_integer, self.modes)):
+            raise ValueError(f"mode counts must be integers, got {self.modes!r}")
         if any(N < 1 for N in self.modes):
             raise ValueError("mode counts must be >= 1")
         if not 1 <= self.pad_factor < math.inf:
@@ -181,6 +178,12 @@ class Grid:
     def _axis0_t(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views ``(analysis[0].T, synthesis[0].T)``: d=1 right operands."""
         return self._axis_matrices[0][0].T, self._axis_matrices[1][0].T
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a :class:`numbers.Integral` other than a bool: a
+    fraction in a count would be truncated, or run something else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _cos_phase(phase: np.ndarray, M: int) -> np.ndarray:
@@ -276,35 +279,55 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 class Workspace:
-    """Padded-grid arrays a time step or :func:`l4_norm` writes, reused by the next.
+    """The padded-grid buffers a time step or :func:`l4_norm` writes, and the
+    one plan of how a step reuses them.
 
-    A run's ``integrator.StepKernel`` owns one, and it is freed with the
-    kernel; two workspaces never share a buffer, so each thread or run that
-    steps needs its own. ``vals`` holds u's values and ``lap[0]`` |u|^2. At d = 1
-    ``prod`` then holds u.u and u |u|^2, ``lap`` Lap u's values and each G_j's in
-    the Ito correction, and ``prod`` every cross product; the padded-grid noise
-    helpers take u's values as ``cyclic(ws.vals)`` and write into the ``lap`` and
-    ``prod`` of the workspace they are given. At d >= 2 u |u|^2 overwrites ``vals``,
-    with ``prod[0]`` as |u|^2's scratch row, and ``quadratic``, u's and Lap u's
-    values and their cross product on ``grid.quadratic_grid``, are views of the
-    heads of ``vals``, ``lap`` and ``prod`` (fresh arrays below pad factor 1.5,
-    where they do not fit); the noise's stack is then the head of ``vals``, and
-    its other passes the heads of ``lap`` and ``prod``. ``vals`` and ``lap`` are
-    the leading ``(3, *padded)`` rows of ``(5, *padded)`` storage, whose spare
-    rows :func:`cyclic` fills; a step that never does so never touches their
-    pages.
+    A run's ``integrator.StepKernel`` owns one, freed with the kernel; two
+    workspaces never share a buffer, so each thread or run that steps needs
+    its own. ``vals``, ``lap`` and ``prod`` are ``(3, *padded)``; ``vals`` and
+    ``lap`` are the leading rows of ``(5, *padded)`` storage whose spare rows
+    3-4 only :func:`cyclic` fills, so a step that never calls it never
+    touches their pages. Every other view is the head of one of the three.
+    ``integrator._explicit_parts`` writes them in three stages, each over
+    what the one before has spent:
+
+    1. The cubic: u's values go into ``vals`` and |u|^2 into ``lap[0]``
+       (:func:`_mag2`). At d = 1 u.u and then u |u|^2 go into ``prod``; at
+       d >= 2 |u|^2 is summed row by row through ``prod[0]``, and u |u|^2
+       overwrites ``vals``.
+    2. The precession. At d = 1 Lap u's values go into ``lap`` and u x Lap u
+       into ``prod``. At d >= 2 ``quadratic``, the values of u and Lap u and
+       their cross product on ``grid.quadratic_grid``, are the heads of
+       ``vals``, ``lap`` and ``prod``. A grid below pad factor 1.5, which no
+       run accepts, gets no ``quadratic``.
+    3. The noise. At d = 1 each G_j's values go into ``lap`` and each cross
+       product into ``prod``. At d >= 2 ``stack``, the ``(n, 3, *modes)``
+       head of ``vals`` with n = prod M_i / prod N_i (2, 4 and 8 at d = 1, 2
+       and 3, at pad 2), holds the passes of n mode groups at a time, and
+       ``scratch``, the ``(3, *modes)`` heads of ``lap`` and ``prod``, the
+       passes before a group's last and each later chunk's GEMM.
+
+    The views alias each other, so a value in one is valid only until a later
+    stage of that order writes; no view reaches the spare rows. :func:`l4_norm`
+    writes as stage 1 does and leaves u's values in ``vals``.
     """
 
     def __init__(self, grid: Grid):
         self.vals = np.empty((5, *grid.padded))[:3]
         self.lap = np.empty((5, *grid.padded))[:3]
         self.prod = np.empty(grid.values_shape)
-        if grid.dim > 1:
+        field = grid.field_shape
+        self.stack = _head(self.vals, (self.vals.size // math.prod(field), *field))
+        self.scratch = _head(self.lap, field), _head(self.prod, field)
+        if grid.dim > 1 and grid.pad_factor >= grid.quadratic_grid.pad_factor:
             shape = grid.quadratic_grid.values_shape
-            size = math.prod(shape)
-            self.quadratic = tuple(
-                buf.reshape(-1)[:size].reshape(shape) if size <= buf.size
-                else np.empty(shape) for buf in (self.vals, self.lap, self.prod))
+            self.quadratic = tuple(_head(buf, shape)
+                                   for buf in (self.vals, self.lap, self.prod))
+
+
+def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading ``prod(shape)`` values of the C-contiguous ``buf``, as a view."""
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def cyclic(rows: np.ndarray) -> np.ndarray:

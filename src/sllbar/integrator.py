@@ -51,6 +51,7 @@ from .grid import (
     cross3,
     cyclic,
     eigenvalue_array,
+    is_integer,
     l4_norm,
     sobolev_norms,
     synthesize,
@@ -116,6 +117,10 @@ class SolverConfig:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if not self.blowup_K > 0:  # NaN fails too; inf disables the stop
             raise ConfigurationError("blowup_K must be positive or inf")
+        for name in ("record_every", "seed", "substeps", "snapshot_every"):
+            value = getattr(self, name)
+            if not is_integer(value) and not (name == "snapshot_every" and value is None):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
         if self.substeps < 1:
@@ -216,11 +221,9 @@ def _explicit_parts(coeffs: np.ndarray, grid: Grid, params: ModelParams,
     ``nonlocal`` (b5 theta_R(|grad u|) Lap Pi(|u|^2 u)) and, when
     ``include_correction`` is set and J > 0, ``ito_correction`` to coefficient
     arrays; ``increment`` is ``sum_j G_j(u) dW_j``, None without ``dW`` or if
-    J = 0. The linear part is not included. Padded-grid values, products and
-    |u|^2 (in ``lap[0]``) go into the workspace ``ws``: at d = 1 the values of
-    u and Lap u in :func:`~sllbar.grid.cyclic` form on the run grid, at d >= 2
-    u |u|^2 over u's run-grid values and then the precession's values on
-    ``grid.quadratic_grid``, in ``ws.quadratic``. Every returned array is fresh.
+    J = 0. The linear part is not included. Padded-grid values and products go
+    into the workspace ``ws`` in the stages its plan orders (cubic, precession,
+    noise; :class:`~sllbar.grid.Workspace`). Every returned array is fresh.
     """
     neg_lam = grid._neg_eigenvalues
     vals = synthesize(grid, coeffs, out=ws.vals)

@@ -219,16 +219,16 @@ def _correction_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
 
 
 def _stack_passes(coeffs: np.ndarray, passes: list, which: int, stack: np.ndarray,
-                  ws: Workspace):
+                  scratch: tuple[np.ndarray, np.ndarray]):
     """Each k's P (``which`` = 1) or P^2 (2) passes on ``coeffs``, the last into
-    k's slot of ``stack`` and the first and second others into the heads of
-    ``ws.lap`` and ``ws.prod``, one matmul each (a copy if k = 0)."""
+    k's slot of ``stack`` and each pass i before it into ``scratch[i]``, one
+    matmul each (a copy if k = 0)."""
     for axes, out in zip(passes, stack):
         arr, last = coeffs, len(axes) - 1
         for i, (ax, *mats) in enumerate(axes):
             P, rest = mats[which - 1], math.prod(out.shape[ax + 2:])
             lhs = arr.reshape(-1, len(P)) if rest == 1 else arr.reshape(-1, len(P), rest)
-            dest = out if i == last else (ws.lap, ws.prod)[i].reshape(-1)[:out.size]
+            dest = out if i == last else scratch[i]
             arr = (np.matmul(lhs, P, dest.reshape(lhs.shape)) if rest == 1 else
                    np.matmul(P.T, lhs, dest.reshape(lhs.shape))).reshape(out.shape)
         if last < 0:
@@ -236,39 +236,37 @@ def _stack_passes(coeffs: np.ndarray, passes: list, which: int, stack: np.ndarra
 
 
 def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None,
-                    include_correction: bool, ws: Workspace | None = None):
+                    include_correction: bool, ws: Workspace):
     """``(increment, Ito correction)`` at d >= 2 from :attr:`NoiseModel._plan`.
 
     ``G_j(u) = (h_j - Lap h_j) + K_j M_k u``, so the increment ``sum_j G_j(u)
     dW_j`` is ``sum_k B_k M_k u`` (``B_k = sum dW_j K_j`` over k_j = k) plus
     ``sum dW_j (h_j - Lap h_j)`` at each k, and the correction ``1/2 sum_k Q_k
     M_k^2 u`` (its constant part ``(M_k (h_j - Lap h_j)) x a_j`` is 0). Each
-    M_k u (M_k^2 u) less c fills k's slot of a stack in the spent head of
-    ``ws.vals`` (of a fresh :class:`~sllbar.grid.Workspace` without ``ws``) that
-    one GEMM mixes, n = prod M_i / prod N_i slots at a time; each chunk's GEMM
-    after the first goes into ``ws.lap``, so the call allocates only its
-    results. Without ``dW`` the increment, and unless ``include_correction``
-    the correction, is None at no cost; both if J = 0.
+    M_k u (M_k^2 u) less c fills k's slot of ``ws.stack``, which one GEMM
+    mixes, as many groups at a time as it has slots; each chunk's GEMM after
+    the first goes into ``ws.scratch[0]``, so the call allocates only its
+    results (:class:`~sllbar.grid.Workspace` holds the plan). Without ``dW``
+    the increment, and unless ``include_correction`` the correction, is None
+    at no cost; both if J = 0.
     """
     inc = corr = None
     if not noise.J or dW is None and not include_correction:
         return inc, corr
     at, K, halfQ, passes = noise._plan
-    ws = Workspace(noise.grid) if ws is None else ws
-    G, size = len(passes), coeffs.size
-    n = min(G, ws.vals.size // size)
+    G, n = len(passes), len(ws.stack)
     w = None if dW is None else np.dot(dW, K).reshape(3, -1)
     for g in range(0, G, n):  # groups g to g + n; the first chunk makes the results
         chunk, cols = passes[g:g + n], slice(3 * g, 3 * min(g + n, G))
-        out = ws.lap.reshape(-1)[:size].reshape(3, -1) if g else None
-        stack = ws.vals.reshape(-1)[:len(chunk) * size].reshape(-1, *coeffs.shape)
+        out = ws.scratch[0].reshape(3, -1) if g else None
+        stack = ws.stack[:len(chunk)]
         rows = stack.reshape(3 * len(chunk), -1)
         if w is not None:
-            _stack_passes(coeffs, chunk, 1, stack, ws)
+            _stack_passes(coeffs, chunk, 1, stack, ws.scratch)
             part = np.matmul(w[:, cols], rows, out).reshape(coeffs.shape)
             inc = np.add(inc, part, out=inc) if g else part
         if include_correction:
-            _stack_passes(coeffs, chunk, 2, stack, ws)
+            _stack_passes(coeffs, chunk, 2, stack, ws.scratch)
             part = np.matmul(halfQ[:, cols], rows, out).reshape(coeffs.shape)
             corr = np.add(corr, part, out=corr) if g else part
     if w is not None:

@@ -387,6 +387,57 @@ class TestExperimentChecks:
         assert exp.refine_levels == (1, 2, 64)
 
 
+def solver(**kwargs):
+    return SolverConfig(dt=0.1, t_end=1.0, **kwargs)
+
+
+class TestIntegerFields:
+    """A count or a seed that is not an integer is rejected when its dataclass is
+    built, by a message naming the field. Truncated it ran something else:
+    modes 2.7 built 2 modes, record_every 2.5 recorded at steps 0, 5 and 10,
+    and seed 1.5 ran seed 1's stream. The parser's ``int`` rejects them too."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Grid(2.0, (1.0, 1.0), (4, 4)), "dim must be 1, 2 or 3, got 2.0"),
+        (lambda: Grid(1, (1.0,), (2.7,)), r"mode counts must be integers, got \(2.7,\)"),
+        (lambda: solver(record_every=2.5), "record_every must be an integer, got 2.5"),
+        (lambda: solver(seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: solver(substeps=1.5), "substeps must be an integer, got 1.5"),
+        (lambda: solver(snapshot_every=2.5),
+         "snapshot_every must be an integer, got 2.5"),
+        (lambda: ExperimentConfig(ensemble_m=2.5),
+         "ensemble_m: must be an integer, got 2.5"),
+        (lambda: ExperimentConfig(workers=1.5), "workers: must be an integer, got 1.5"),
+        (lambda: ExperimentConfig(dt_halvings=1.5),
+         "dt_halvings: must be an integer, got 1.5"),
+        (lambda: ExperimentConfig(refine_levels=(2.5, 4)),
+         r"refine_levels: must be integers, got \(2.5, 4\)"),
+    ], ids=["dim", "modes", "record_every", "seed", "substeps", "snapshot_every",
+            "ensemble_m", "workers", "dt_halvings", "refine_levels"])
+    def test_fraction_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: Grid(True, (1.0,), (4,)),
+        lambda: Grid(1, (1.0,), (True,)),
+        lambda: solver(seed=True),
+        lambda: ExperimentConfig(workers=True),
+        lambda: ExperimentConfig(refine_levels=(True, 4)),
+    ], ids=["dim", "modes", "seed", "workers", "refine_levels"])
+    def test_bool_rejected(self, build):
+        with pytest.raises(ValueError, match="must be"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        assert Grid(1, (1.0,), (np.int64(4),)).modes == (4,)
+        cfg = solver(record_every=np.int32(2), seed=np.uint64(2**63),
+                     substeps=np.int64(2), snapshot_every=np.int16(5))
+        assert cfg.seed == 2**63
+        exp = ExperimentConfig(ensemble_m=np.int64(2), refine_levels=(np.int64(2), 4))
+        assert exp.ensemble_m == 2
+
+
 class TestNonFinite:
     """NaN is rejected everywhere; inf everywhere except blowup_k."""
 

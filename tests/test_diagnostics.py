@@ -490,4 +490,5 @@ class TestStrongConvergenceGaps:
         cfg = SolverConfig(dt=0.01, t_end=0.02)
         with pytest.raises(ValueError, match=message):
             strong_convergence_gaps(u0, ModelParams(1.0, 1.0, 1.0, 1.0, 1.0),
-                                    small_noise(G8), cfg, **kwargs)
+                                    small_noise(G8), cfg,
+                                    **{"halvings": 1, "paths": 1, **kwargs})

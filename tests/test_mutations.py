@@ -80,7 +80,7 @@ def residuals(noise) -> tuple[float, float]:
 
     constant = sum(w * hl for w, hl in zip(dW, noise.h_minus_lap))
     if grid.dim == 1:
-        inc_ref, corr_ref = _operator_parts(noise, u, dW, True)
+        inc_ref, corr_ref = _operator_parts(noise, u, dW, True, Workspace(grid))
         inc_ref = inc_ref - constant
     else:
         inc_ref = sum(w * L for w, L in zip(dW, Ls))

@@ -479,11 +479,11 @@ def test_operator_route_matches_transform_route(case, seed):
     assert noise.J == len(family)
     rng = np.random.default_rng(seed)
     u = random_field(grid, rng)
-    ws = Workspace(grid)
+    ws, parts_ws = Workspace(grid), Workspace(grid)  # vals must outlive the parts
     vals = cyclic_values(grid, u, ws)
     Gs = [_diffusion_coeffs(grid, vals, noise, j, ws) for j in range(noise.J)]
     for dW in [rng.standard_normal(noise.J), *np.eye(noise.J)]:
-        inc, corr = _operator_parts(noise, u, dW, include_correction=True)
+        inc, corr = _operator_parts(noise, u, dW, True, parts_ws)
         if noise.J == 0:
             assert inc is None and corr is None
             continue
@@ -492,8 +492,8 @@ def test_operator_route_matches_transform_route(case, seed):
         assert np.abs(inc - ref).max() <= 1e-12 * scale
         ref = _correction_coeffs(grid, vals, noise, ws)
         assert np.abs(corr - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert _operator_parts(noise, u, np.ones(noise.J), include_correction=False)[1] is None
-    assert _operator_parts(noise, u, None, include_correction=True)[0] is None
+    assert _operator_parts(noise, u, np.ones(noise.J), False, parts_ws)[1] is None
+    assert _operator_parts(noise, u, None, True, parts_ws)[0] is None
 
 
 def per_group_reference(noise, u, dW, include_correction):
@@ -543,8 +543,8 @@ PLAN_CASES = {
 @pytest.mark.parametrize("case", PLAN_CASES)
 def test_stacked_plan_matches_the_per_group_loop(case):
     """``_operator_parts`` mixes the groups in one GEMM per part and chunk,
-    over a stack in the head of ``ws.vals`` (of a fresh workspace without
-    one); it holds the per-group loop to 1e-13 of max |ref|."""
+    over ``ws.stack``, the head of ``ws.vals``; it holds the per-group loop to
+    1e-13 of max |ref|."""
     grid, indices = PLAN_CASES[case]
     noise = build_noise_modes(eigenmode_spec(*[
         {"sigma": 0.3 + 0.2 * j, "index": k, "direction": (1.0, -j, 0.5 * j + 0.2)}
@@ -556,12 +556,11 @@ def test_stacked_plan_matches_the_per_group_loop(case):
     u, dW = random_field(grid, rng), rng.standard_normal(noise.J)
     ref_inc, ref_corr = per_group_reference(noise, u, dW, True)
     ws = Workspace(grid)
-    for workspace in (ws, None):
-        ws.vals.fill(-7.25)
-        inc, corr = _operator_parts(noise, u, dW, True, workspace)
-        for got, ref in ((inc, ref_inc), (corr, ref_corr)):
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert (ws.vals == -7.25).all() == (workspace is None)
+    ws.vals.fill(-7.25)
+    inc, corr = _operator_parts(noise, u, dW, True, ws)
+    for got, ref in ((inc, ref_inc), (corr, ref_corr)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert not (ws.vals == -7.25).all()
     assert _operator_parts(noise, u, dW, False, ws)[1] is None
     inc, corr = _operator_parts(noise, u, None, True, ws)
     assert inc is None and np.abs(corr - ref_corr).max() <= 1e-13 * np.abs(ref_corr).max()

@@ -2,10 +2,12 @@
 no padded-grid array, returns arrays that no later call overwrites, gives the
 same bits in any thread, and its buffers are freed with the kernel."""
 
+import ast
 import math
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from sllbar.grid import (
     synthesize,
 )
 from sllbar.integrator import StepKernel, _explicit_parts, _sample_norms
-from sllbar.model import ModelParams, TruncationConfig, precession, truncation_scale
-from sllbar.noise import NoiseModel, _operator_parts, build_noise_modes
+from sllbar.model import ModelParams, TruncationConfig, truncation_scale
+from sllbar.noise import _operator_parts, build_noise_modes
 
 PARAMS = ModelParams(0.5, 1.0, 1.0, 1.0, 1.0)
 TRUNC = TruncationConfig.on(0.5)
@@ -220,20 +222,46 @@ def test_kernels_on_equal_grids_share_no_buffer():
             assert sum(np.may_share_memory(q, b) for b in k.ws.quadratic) == 1
 
 
-def test_workspace_below_pad_1_5_allocates_its_3_2_grid_arrays():
+# unequal modes, so no axis can stand in for another
+@pytest.mark.parametrize("grid", [Grid(1, (np.pi,), (7,)), Grid(2, (np.pi, 2.0), (6, 5)),
+                                  Grid(3, (np.pi, 1.0, 2.5), (5, 3, 4))],
+                         ids=["d1", "d2", "d3"])
+def test_workspace_views_are_the_heads_of_its_buffers(grid):
+    """The plan of the ``Workspace`` docstring: each view has its shape and is
+    the contiguous head of one buffer and of no other; ``stack`` fits in the 3
+    used rows of ``vals``, and no view reaches the spare rows 3-4 of ``vals``
+    or ``lap``."""
+    ws = Workspace(grid)
+    buffers = (ws.vals, ws.lap, ws.prod)
+    heads = [(ws.stack, (2 ** grid.dim, *grid.field_shape), ws.vals),  # at pad 2
+             (ws.scratch[0], grid.field_shape, ws.lap),
+             (ws.scratch[1], grid.field_shape, ws.prod)]
+    if grid.dim > 1:
+        heads += [(q, grid.quadratic_grid.values_shape, buf)
+                  for q, buf in zip(ws.quadratic, buffers)]
+    else:
+        assert not hasattr(ws, "quadratic")
+    assert len(ws.scratch) == 2 and ws.stack.size <= ws.vals.size
+    spare = (ws.vals.base[3:], ws.lap.base[3:])
+    for view, shape, own in heads:
+        assert view.shape == shape and view.flags.c_contiguous
+        assert view.ctypes.data == own.ctypes.data
+        assert [np.shares_memory(view, buf) for buf in buffers] == [
+            buf is own for buf in buffers]
+        assert not any(np.shares_memory(view, rows) for rows in spare)
+
+
+def test_workspace_below_pad_1_5_builds_no_3_2_grid_views():
     """At pad factor 1 (a library grid; a run and ``drift_terms`` reject it) the
-    3/2-grid arrays do not fit in the run grid's buffers, so they are fresh,
-    and the assembled precession is still the exact one of the pad-2 grid on
-    the same modes."""
+    3/2-grid arrays would not fit in the run grid's buffers, so the workspace
+    builds none; ``l4_norm`` still runs on it, as on any grid."""
     grid = Grid(2, (np.pi, 2.0), (6, 5), pad_factor=1)
     ws = Workspace(grid)
-    assert [q.shape for q in ws.quadratic] == [(3, 9, 8)] * 3
-    assert all(q.flags.owndata for q in ws.quadratic)
+    assert not hasattr(ws, "quadratic")
+    assert ws.stack.shape == (1, *grid.field_shape)
     u = state(grid, 14)
-    terms, _ = _explicit_parts(u, grid, PARAMS, NoiseModel.empty(grid), TRUNC, ws,
-                               False)
-    ref = -PARAMS.beta4 * precession(Grid(2, grid.lengths, grid.modes), u)
-    assert np.abs(terms["precession"] - ref).max() <= 1e-13 * np.abs(ref).max()
+    _, mag2 = out_of_place_mag2(grid, u)
+    assert l4_norm(grid, u, ws) == float((mag2 * mag2).sum() * quad_weight(grid)) ** 0.25
 
 
 # unequal modes, so no axis can stand in for another
@@ -323,9 +351,9 @@ def test_d3_noise_stack_stays_in_the_3_used_rows_of_vals():
 
 def test_warm_noise_parts_keep_their_stack_in_the_workspace():
     """At d = 3, N = 16 and G = 8 = 2^3 the ``(G, 3, *modes)`` stack (768 KB) is
-    the head of ``ws.vals`` and the other passes go into ``ws.lap`` and
-    ``ws.prod``: a warm ``_operator_parts`` call allocates only its two results,
-    below half the stack, where a fresh workspace peaks above it."""
+    ``ws.stack``, the head of ``ws.vals``, and the other passes go into
+    ``ws.scratch``: a warm ``_operator_parts`` call allocates only its two
+    results, below half the stack."""
     grid = Grid(3, (np.pi,) * 3, (16,) * 3)
     noise = build_noise_modes({"family": "eigenmode", "modes": [
         {"sigma": 0.1, "index": k, "direction": (1.0, 0.5, -0.5)}
@@ -333,18 +361,36 @@ def test_warm_noise_parts_keep_their_stack_in_the_workspace():
     ws, u, dW = Workspace(grid), state(grid, 19), np.full(noise.J, 0.01)
     stack_bytes = len(noise._plan[3]) * u.nbytes
     assert len(noise._plan[3]) == 8 and stack_bytes == ws.vals.nbytes
-    peaks = []
-    for workspace in (ws, None):
-        _operator_parts(noise, u, dW, True, workspace)  # warm the plan
-        tracemalloc.start()
-        try:
-            _operator_parts(noise, u, dW, True, workspace)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak)
-    assert 2 * u.nbytes <= peaks[0] < 2.5 * u.nbytes, peaks
-    assert peaks[0] < stack_bytes / 2 < stack_bytes < peaks[1], peaks
+    _operator_parts(noise, u, dW, True, ws)  # warm the plan
+    tracemalloc.start()
+    try:
+        _operator_parts(noise, u, dW, True, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * u.nbytes <= peak < 2.5 * u.nbytes, peak
+    assert peak < stack_bytes / 2, peak
+
+
+def flat_slices(source: str) -> list[int]:
+    """Lines of ``source`` that index a flattened array, ``x.reshape(-1)[...]``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Attribute)
+                  and node.value.func.attr == "reshape"
+                  and [ast.unparse(a) for a in node.value.args] in (["-1"], ["(-1,)"]))
+
+
+def test_only_the_grid_module_carves_flattened_buffers():
+    """``Workspace`` owns the step's buffer plan: a view of a buffer's head is
+    built in ``grid.py`` and read by name everywhere else, so no other package
+    module slices a flattened array."""
+    assert flat_slices("a = x.reshape(-1)[:n]\nb = x.reshape(3, -1)[0]\n"
+                       "c = y.reshape((-1,))[2:]\nd = x.reshape(-1)\n") == [1, 3]
+    package = Path(__file__).resolve().parents[1] / "src" / "sllbar"
+    carving = {p.name: flat_slices(p.read_text()) for p in sorted(package.glob("*.py"))
+               if p.name != "grid.py"}
+    assert {name: lines for name, lines in carving.items() if lines} == {}
 
 
 def test_grid_hash_is_stable_and_matches_equality():

@@ -41,7 +41,7 @@ u0 = constant_field(grid, (0.05, 0.0, 0.0))
 observables = (
     Observable("exp_neg_l2", scale=2.0),
     Observable("clip_norm", space="L2", cap=3.0),
-    Observable("tanh_mode", mode_index=(0,), component=0, scale=1.0),
+    Observable("tanh_mode", index=(0,), component=0, scale=1.0),
 )
 
 T = 60.0

@@ -239,19 +239,19 @@ def _cmd_check(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     series = energy_balance_l2(traj, cfg.params)
     write_residual_csv(series, out / "energy_residuals.csv")
 
-    c_h = check_noise_condition(noise)
+    exceeded = check_noise_condition(noise)
     body = {
         "energy_balance_max_residual": float(np.abs(series.values).max()),
         "identity_max": dict(zip(("cross", "cubic_gradient", "cubic_ibp"),
                                  np.abs(rows).max(axis=0).tolist())),
         "noise_condition": {
-            "C_h": c_h,
+            "C_h": noise.C_h,
             "bound": noise.c_h_bound,
             "tail_estimate": noise.tail_estimate,
-            "bound_exceeded": bool(noise.c_h_bound is not None and c_h > noise.c_h_bound),
+            "bound_exceeded": exceeded,
         },
     }
-    return body, f"check: identity maxima {body['identity_max']}, C_h={c_h:g}"
+    return body, f"check: identity maxima {body['identity_max']}, C_h={noise.C_h:g}"
 
 
 _COMMANDS = {

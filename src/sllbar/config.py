@@ -109,8 +109,8 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Every field of the resolved config but the two built objects, whose
-        specs take their keys, one section per config section, with two
-        deliberate exceptions noted below; an infinite blowup_K is null."""
+        specs take their keys, one section per config section, with one
+        deliberate exception noted below; an infinite blowup_K is null."""
         echo = jsonable(asdict(replace(self, noise=None, initial=None)))
         echo["noise"] = echo.pop("noise_spec")
         echo["initial"] = echo.pop("initial_spec")
@@ -119,9 +119,6 @@ class RunConfig:
         # workers is an execution detail: any level gives identical
         # outputs, so it is deliberately not part of the echo
         del experiment["workers"]
-        # an observable's mode is echoed under its config key
-        for obs in experiment["observables"]:
-            obs["index"] = obs.pop("mode_index")
         return echo
 
 
@@ -134,8 +131,7 @@ def build_initial(spec: dict, grid: Grid) -> np.ndarray:
     if kind == "modes":
         u = np.zeros((3, *grid.modes))
         for mode in spec["modes"]:
-            index = tuple(int(i) for i in np.atleast_1d(mode["index"]))
-            u = u + eigenmode_field(grid, index, mode["amplitude"])
+            u = u + eigenmode_field(grid, np.atleast_1d(mode["index"]), mode["amplitude"])
         return u
     if kind == "snapshot":
         from .io import SnapshotFormatError, read_snapshot
@@ -185,9 +181,8 @@ _BAD_VALUE = {
 }
 
 # The whole key schema: each section, or numbered-section prefix, maps its
-# keys to their converters, in the order they are read. Two keys take a
-# dataclass field's other name: solver.blowup_k (SolverConfig.blowup_K) and
-# observable.N.index (Observable.mode_index).
+# keys to their converters, in the order they are read. One key takes a
+# dataclass field's other name: solver.blowup_k (SolverConfig.blowup_K).
 _KEYS = {
     "grid": {"dim": int, "lengths": _floats, "modes": _ints, "pad_factor": _float},
     "params": {"beta1": _float, "beta2": _float, "beta3": _float, "beta4": _float,
@@ -354,11 +349,9 @@ def parse_config(path: str) -> RunConfig:
         for key in parser[name]:  # in file order, as _section names an unknown key
             if key not in (*reads, "kind"):
                 raise ConfigError(f"{name}.{key}: not read by kind {sec['kind']!r}")
-        if "index" in sec:
-            sec["mode_index"] = sec.pop("index")
         obs = _made(f"{name}: ", Observable, **sec)
         if obs.kind == "tanh_mode":
-            _made(f"{name}: ", check_mode_index, grid, obs.mode_index)
+            _made(f"{name}: ", check_mode_index, grid, obs.index)
         observables.append(obs)
     experiment = _made("experiment.", ExperimentConfig, observables=tuple(observables),
                        **_section(parser, "experiment"))

@@ -28,6 +28,7 @@ from .grid import (
     eigenvalue_array,
     embed,
     gradient_values,
+    is_integer,
     l4_norm,
     quad_weight,
     sobolev_norm,
@@ -161,8 +162,8 @@ def weak_form_residual(traj: TrajectoryRecord, params: ModelParams,
     dt = traj.config.dt
     cfg = traj.config
     phi_index = check_mode_index(grid, phi_index)
-    if component not in (0, 1, 2):
-        raise ValueError(f"component must be 0, 1 or 2, got {component}")
+    if not is_integer(component) or component not in (0, 1, 2):
+        raise ValueError(f"component must be 0, 1 or 2, got {component!r}")
     pick = (component,) + phi_index
     lam_phi = float(eigenvalue_array(grid)[phi_index])
 

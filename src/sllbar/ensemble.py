@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Grid, check_mode_index, sobolev_norm
+from .grid import Grid, check_mode_index, is_integer, sobolev_norm
 from .integrator import (
     STOP_COMPLETED,
     BlowupAbort,
@@ -44,7 +44,7 @@ class Observable:
     """
 
     kind: str
-    mode_index: tuple[int, ...] = ()
+    index: tuple[int, ...] = ()
     component: int = 0
     scale: float = 1.0
     space: str = "L2"
@@ -54,8 +54,8 @@ class Observable:
         if self.kind not in OBSERVABLE_KINDS:
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.kind == "tanh_mode":
-            if self.component not in (0, 1, 2):
-                raise ValueError("component must be 0, 1 or 2")
+            if not is_integer(self.component) or self.component not in (0, 1, 2):
+                raise ValueError(f"component must be 0, 1 or 2, got {self.component!r}")
             if not self.scale > 0:  # NaN fails too
                 raise ValueError("scale must be positive")
         if self.kind == "exp_neg_l2" and not self.scale > 0:
@@ -65,12 +65,14 @@ class Observable:
                 raise ValueError("space must be 'L2' or 'H1'")
             if not 0 < self.cap < math.inf:  # NaN fails too
                 raise ValueError("cap must be positive and finite")
-        object.__setattr__(self, "mode_index", tuple(int(i) for i in self.mode_index))
+        if not all(map(is_integer, self.index)):
+            raise ValueError(f"index entries must be integers, got {self.index!r}")
+        object.__setattr__(self, "index", tuple(map(int, self.index)))
 
     @property
     def name(self) -> str:
         if self.kind == "tanh_mode":
-            idx = ",".join(str(i) for i in self.mode_index)
+            idx = ",".join(str(i) for i in self.index)
             return f"tanh_mode[{idx};c{self.component};s={self.scale:g}]"
         if self.kind == "exp_neg_l2":
             return f"exp_neg_l2[s={self.scale:g}]"
@@ -80,7 +82,7 @@ class Observable:
         if coeffs.shape != grid.field_shape:
             raise ValueError(f"coeffs shape {coeffs.shape}, expected {grid.field_shape}")
         if self.kind == "tanh_mode":
-            index = check_mode_index(grid, self.mode_index)
+            index = check_mode_index(grid, self.index)
             c = float(coeffs[(self.component,) + index])
             return math.tanh(c / self.scale)
         if self.kind == "exp_neg_l2":

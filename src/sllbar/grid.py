@@ -301,11 +301,12 @@ class Workspace:
        ``vals``, ``lap`` and ``prod``. A grid below pad factor 1.5, which no
        run accepts, gets no ``quadratic``.
     3. The noise. At d = 1 each G_j's values go into ``lap`` and each cross
-       product into ``prod``. At d >= 2 ``stack``, the ``(n, 3, *modes)``
-       head of ``vals`` with n = prod M_i / prod N_i (2, 4 and 8 at d = 1, 2
-       and 3, at pad 2), holds the passes of n mode groups at a time, and
-       ``scratch``, the ``(3, *modes)`` heads of ``lap`` and ``prod``, the
-       passes before a group's last and each later chunk's GEMM.
+       product into ``prod``. At d >= 2 the family's G mode groups take
+       :meth:`stack_for` ``(G)``: ``stack``, the ``(n, 3, *modes)`` head of
+       ``vals`` with n = prod M_i / prod N_i (2, 4 and 8 at d = 1, 2 and 3,
+       at pad 2), when G <= n, else a stack of its own, made once and kept.
+       ``scratch``, the ``(3, *modes)`` heads of ``lap`` and ``prod``, holds
+       the passes before a group's last.
 
     The views alias each other, so a value in one is valid only until a later
     stage of that order writes; no view reaches the spare rows. :func:`l4_norm`
@@ -319,10 +320,19 @@ class Workspace:
         field = grid.field_shape
         self.stack = _head(self.vals, (self.vals.size // math.prod(field), *field))
         self.scratch = _head(self.lap, field), _head(self.prod, field)
+        self._noise_stack = self.stack
         if grid.dim > 1 and grid.pad_factor >= grid.quadratic_grid.pad_factor:
             shape = grid.quadratic_grid.values_shape
             self.quadratic = tuple(_head(buf, shape)
                                    for buf in (self.vals, self.lap, self.prod))
+
+    def stack_for(self, G: int) -> np.ndarray:
+        """The ``(G, 3, *modes)`` noise stack: the head of ``stack`` until a G
+        that it cannot hold, then of an array made for that G and kept, so
+        a warm step allocates no stack."""
+        if G > len(self._noise_stack):
+            self._noise_stack = np.empty((G, *self.stack.shape[1:]))
+        return self._noise_stack[:G]
 
 
 def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -462,8 +472,13 @@ def constant_field(grid: Grid, vector) -> np.ndarray:
 
 
 def check_mode_index(grid: Grid, index) -> tuple[int, ...]:
-    """``index`` as a tuple of ints; raises unless it is a retained multi-index."""
-    index = tuple(int(i) for i in index)
+    """``index`` as a tuple of ints; raises unless it is a retained multi-index
+    whose entries are integers (:func:`is_integer`)."""
+    index = tuple(index)
+    if not all(map(is_integer, index)):
+        raise ValueError(f"mode index entries must be integers, got "
+                         f"{', '.join(map(str, index))}")
+    index = tuple(map(int, index))
     if len(index) != grid.dim:
         raise ValueError(f"mode index {index} must have {grid.dim} entries")
     for ax, (k, N) in enumerate(zip(index, grid.modes)):

@@ -70,7 +70,10 @@ class NoiseModel:
     C_h: float = field(init=False)
 
     def __post_init__(self):
-        self.index = np.array(self.index, dtype=int).reshape(-1, self.grid.dim)
+        index = np.asarray(self.index)
+        if index.size and index.dtype.kind not in "iu":  # a bool or a fraction
+            raise ValueError(f"noise mode indices must be integers, got {index.dtype}")
+        self.index = np.array(index, dtype=int).reshape(-1, self.grid.dim)
         self.amplitude = np.array(self.amplitude, dtype=float).reshape(-1, 3)
         if len(self.index) != len(self.amplitude):
             raise ValueError("index and amplitude must hold one row per mode")
@@ -187,13 +190,14 @@ def build_noise_modes(spec: dict, grid: Grid) -> NoiseModel:
                       tail_estimate=float(spec.get("tail_estimate", 0.0)))
 
 
-def check_noise_condition(noise: NoiseModel) -> float:
-    """The build-time ``C_h = sum_j |h_j|_{H^3}^2``; warn if it exceeds a
-    configured bound."""
-    if noise.c_h_bound is not None and noise.C_h > noise.c_h_bound:
+def check_noise_condition(noise: NoiseModel) -> bool:
+    """Whether the build-time ``C_h = sum_j |h_j|_{H^3}^2`` exceeds a configured
+    bound, with a :class:`NoiseTailWarning` if it does."""
+    exceeded = bool(noise.c_h_bound is not None and noise.C_h > noise.c_h_bound)
+    if exceeded:
         warnings.warn(f"noise condition sum {noise.C_h:.6g} exceeds configured bound "
                       f"{noise.c_h_bound:.6g}", NoiseTailWarning, stacklevel=2)
-    return noise.C_h
+    return exceeded
 
 
 def _diffusion_coeffs(grid: Grid, u_vals: np.ndarray, noise: NoiseModel,
@@ -243,34 +247,27 @@ def _operator_parts(noise: NoiseModel, coeffs: np.ndarray, dW: np.ndarray | None
     dW_j`` is ``sum_k B_k M_k u`` (``B_k = sum dW_j K_j`` over k_j = k) plus
     ``sum dW_j (h_j - Lap h_j)`` at each k, and the correction ``1/2 sum_k Q_k
     M_k^2 u`` (its constant part ``(M_k (h_j - Lap h_j)) x a_j`` is 0). Each
-    M_k u (M_k^2 u) less c fills k's slot of ``ws.stack``, which one GEMM
-    mixes, as many groups at a time as it has slots; each chunk's GEMM after
-    the first goes into ``ws.scratch[0]``, so the call allocates only its
-    results (:class:`~sllbar.grid.Workspace` holds the plan). Without ``dW``
-    the increment, and unless ``include_correction`` the correction, is None
-    at no cost; both if J = 0.
+    M_k u (M_k^2 u) less c fills k's slot of the workspace's stack for the G
+    groups (:meth:`~sllbar.grid.Workspace.stack_for`), which one GEMM per part
+    mixes, so a warm call allocates only its results. Without ``dW`` the
+    increment, and unless ``include_correction`` the correction, is None at
+    no cost; both if J = 0.
     """
     inc = corr = None
     if not noise.J or dW is None and not include_correction:
         return inc, corr
     at, K, halfQ, passes = noise._plan
-    G, n = len(passes), len(ws.stack)
-    w = None if dW is None else np.dot(dW, K).reshape(3, -1)
-    for g in range(0, G, n):  # groups g to g + n; the first chunk makes the results
-        chunk, cols = passes[g:g + n], slice(3 * g, 3 * min(g + n, G))
-        out = ws.scratch[0].reshape(3, -1) if g else None
-        stack = ws.stack[:len(chunk)]
-        rows = stack.reshape(3 * len(chunk), -1)
-        if w is not None:
-            _stack_passes(coeffs, chunk, 1, stack, ws.scratch)
-            part = np.matmul(w[:, cols], rows, out).reshape(coeffs.shape)
-            inc = np.add(inc, part, out=inc) if g else part
-        if include_correction:
-            _stack_passes(coeffs, chunk, 2, stack, ws.scratch)
-            part = np.matmul(halfQ[:, cols], rows, out).reshape(coeffs.shape)
-            corr = np.add(corr, part, out=corr) if g else part
-    if w is not None:
+    G = len(passes)
+    stack = ws.stack_for(G)
+    rows = stack.reshape(3 * G, -1)
+    if dW is not None:
+        w = np.dot(dW, K).reshape(3, -1)
+        _stack_passes(coeffs, passes, 1, stack, ws.scratch)
+        inc = np.matmul(w[:, :3 * G], rows).reshape(coeffs.shape)
         inc[at] += w[:, 3 * G:]
+    if include_correction:
+        _stack_passes(coeffs, passes, 2, stack, ws.scratch)
+        corr = np.matmul(halfQ, rows).reshape(coeffs.shape)
     return inc, corr
 
 

@@ -345,7 +345,7 @@ OBSERVABLE_CATALOG = (
     Observable("exp_neg_l2", scale=2.0),
     Observable("clip_norm", space="L2", cap=3.0),
     Observable("clip_norm", space="H1", cap=4.0),
-    Observable("tanh_mode", mode_index=(0,), component=0, scale=1.0),
+    Observable("tanh_mode", index=(0,), component=0, scale=1.0),
 )
 
 

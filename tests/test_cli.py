@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from sllbar.cli import run_command
 from sllbar.config import parse_config
 from sllbar.grid import Grid, eigenmode_field
 from sllbar.io import write_snapshot
+from sllbar.noise import NoiseTailWarning
 
 BASE = """
 [grid]
@@ -278,6 +280,21 @@ class TestCheck:
         # two modes with lambda 1 and 4, sigma 0.1
         expected = 0.01 * 8 + 0.01 * 125
         assert report["noise_condition"]["C_h"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bound, exceeded", [(1.0, True), (2.0, False)])
+    def test_noise_bound_exceeded(self, tmp_path, bound, exceeded):
+        """C_h = 1.33 for the two modes: ``check`` reports whether it exceeds
+        ``c_h_bound``, and warns only when it does."""
+        text = BASE.replace("family = eigenmode", f"family = eigenmode\nc_h_bound = {bound}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_text(tmp_path, "check", text)
+        assert code == 0
+        condition = strict_json(out / "report.json")["noise_condition"]
+        assert condition["bound"] == bound and condition["bound_exceeded"] is exceeded
+        assert condition["C_h"] == pytest.approx(1.33, rel=1e-12)
+        tails = [w for w in caught if issubclass(w.category, NoiseTailWarning)]
+        assert len(tails) == exceeded
 
     def test_report_echo_round_trip(self, cfg_file, tmp_path):
         from sllbar.config import parse_config

@@ -16,6 +16,7 @@ from sllbar.config import (
     ConfigError,
     ExperimentConfig,
     RunConfig,
+    build_initial,
     parse_config,
 )
 from sllbar.ensemble import OBSERVABLE_KINDS, Observable
@@ -437,6 +438,12 @@ class TestIntegerFields:
         exp = ExperimentConfig(ensemble_m=np.int64(2), refine_levels=(np.int64(2), 4))
         assert exp.ensemble_m == 2
 
+    def test_initial_mode_index_fraction_rejected(self):
+        """An initial mode at index 3.5 was put on mode 3."""
+        spec = {"type": "modes", "modes": [{"index": (3.5,), "amplitude": (1, 0, 0)}]}
+        with pytest.raises(ValueError, match="^mode index entries must be integers, got 3.5$"):
+            build_initial(spec, Grid(1, (1.0,), (4,)))
+
 
 class TestNonFinite:
     """NaN is rejected everywhere; inf everywhere except blowup_k."""
@@ -595,7 +602,7 @@ class TestSchema:
         ("solver", SolverConfig, {"blowup_k": "blowup_K"},
          ("truncation", "snapshot_every")),
         ("experiment", ExperimentConfig, {}, ("observables",)),
-        ("observable.", Observable, {"index": "mode_index"}, ()),
+        ("observable.", Observable, {}, ()),
     ], ids=["grid", "params", "truncation", "solver", "experiment", "observable"])
     def test_keys_are_dataclass_fields(self, section, cls, renamed, not_keys):
         """Up to the renames, a section's keys are its dataclass's init fields,

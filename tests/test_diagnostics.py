@@ -345,8 +345,11 @@ class TestWeakForm:
         ((1, 0), 0, "must have 1 entries"),
         ((1,), -1, "component must be 0, 1 or 2"),
         ((1,), 3, "component must be 0, 1 or 2"),
+        ((1.5,), 0, "mode index entries must be integers"),
+        ((1,), 1.0, "component must be 0, 1 or 2, got 1.0"),
+        ((1,), True, "component must be 0, 1 or 2, got True"),
     ], ids=["negative_mode", "mode_past_n", "two_axes", "component_-1",
-            "component_3"])
+            "component_3", "fractional_mode", "component_fraction", "component_bool"])
     def test_rejects_bad_test_function(self, phi_index, component, message):
         """An index that numpy would wrap or a component outside the three
         is an error, not a pairing against another mode or component."""

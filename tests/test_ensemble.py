@@ -46,7 +46,7 @@ def full_params():
 
 class TestObservable:
     def test_tanh_mode_bounded_and_reads_coefficient(self):
-        psi = Observable("tanh_mode", mode_index=(0,), component=0, scale=2.0)
+        psi = Observable("tanh_mode", index=(0,), component=0, scale=2.0)
         u = constant_field(G8, (1.0, 0.0, 0.0))
         expected = math.tanh(math.sqrt(np.pi) / 2.0)
         assert psi(G8, u) == pytest.approx(expected, rel=1e-14)
@@ -73,6 +73,19 @@ class TestObservable:
         with pytest.raises(ValueError):
             Observable("exp_neg_l2", scale=0.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"index": (1.7,)}, r"^index entries must be integers, got \(1.7,\)$"),
+        ({"index": (0,), "component": 1.0}, "^component must be 0, 1 or 2, got 1.0$"),
+        ({"index": (0,), "component": True}, "^component must be 0, 1 or 2, got True$"),
+    ], ids=["index", "component_fraction", "component_bool"])
+    def test_fractional_index_and_component_rejected(self, kwargs, message):
+        """Index 1.7 once read mode 1, and component 1.0 raised ``IndexError``
+        at a run's first sample; numpy integers are integers."""
+        with pytest.raises(ValueError, match=message):
+            Observable("tanh_mode", **kwargs)
+        psi = Observable("tanh_mode", index=(np.int64(1),), component=np.int8(2))
+        assert psi.index == (1,) and psi.name == "tanh_mode[1;c2;s=1]"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_cap_rejected(self, bad):
         """``min(n, nan)`` is n, so a NaN cap once left the norm unclipped; an
@@ -84,7 +97,7 @@ class TestObservable:
     def test_nan_scale_rejected(self, kind):
         """A NaN scale once gave NaN observables."""
         with pytest.raises(ValueError, match="^scale must be positive$"):
-            Observable(kind, mode_index=(0,) if kind == "tanh_mode" else (),
+            Observable(kind, index=(0,) if kind == "tanh_mode" else (),
                        scale=math.nan)
 
     @pytest.mark.parametrize("index", [(-1,), (16,), (0, 1)],
@@ -95,10 +108,10 @@ class TestObservable:
         grid = Grid(1, (np.pi,), (16,))
         u = eigenmode_field(grid, (15,), (1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="mode index"):
-            Observable("tanh_mode", mode_index=index)(grid, u)
+            Observable("tanh_mode", index=index)(grid, u)
 
     @pytest.mark.parametrize("psi", [
-        Observable("tanh_mode", mode_index=(0,)), Observable("exp_neg_l2"),
+        Observable("tanh_mode", index=(0,)), Observable("exp_neg_l2"),
         Observable("clip_norm", space="H1")], ids=lambda psi: psi.kind)
     @pytest.mark.parametrize("shape", [(3, 1), (2, 8)], ids=["one_mode", "two_rows"])
     def test_wrong_shape_rejected(self, psi, shape):
@@ -107,8 +120,8 @@ class TestObservable:
             psi(G8, np.ones(shape))
 
     def test_names_unique(self):
-        a = Observable("tanh_mode", mode_index=(0,), component=1)
-        b = Observable("tanh_mode", mode_index=(1,), component=1)
+        a = Observable("tanh_mode", index=(0,), component=1)
+        b = Observable("tanh_mode", index=(1,), component=1)
         assert a.name != b.name
 
 

@@ -86,7 +86,7 @@ class TestBuild:
         nm = NoiseModel.empty(G8)
         assert nm.J == 0
         assert nm.C_h == 0.0
-        assert check_noise_condition(nm) == 0.0
+        assert check_noise_condition(nm) is False
 
     def test_two_mode_c_h(self):
         nm = build_noise_modes(
@@ -125,7 +125,7 @@ class TestBuild:
                 G8,
             )
 
-    @pytest.mark.parametrize("index", [(8,), (-1,), (1, 2)])
+    @pytest.mark.parametrize("index", [(8,), (-1,), (1, 2), (2.9,), (True,)])
     def test_index_error_names_mode(self, index):
         with pytest.raises(ValueError, match="^noise mode 0: mode index"):
             build_noise_modes(
@@ -220,6 +220,14 @@ class TestStorage:
         with pytest.raises(ValueError):
             NoiseModel(G8, np.array([[1]]), np.array([[0.0, 1.0]]))
 
+    @pytest.mark.parametrize("index", [[[1.5]], [[True]]], ids=["fraction", "bool"])
+    def test_fractional_index_rejected(self, index):
+        """Index 1.5 once built mode 1."""
+        with pytest.raises(ValueError, match="^noise mode indices must be integers"):
+            NoiseModel(G8, index, [[1.0, 0.0, 0.0]])
+        assert NoiseModel(G8, np.array([[1]], np.uint8), [[1.0, 0.0, 0.0]]).J == 1
+        assert NoiseModel.empty(G8).J == 0
+
     def test_h_phys_built_on_first_read(self):
         nm = build_noise_modes(eigenmode_spec(
             {"sigma": 0.5, "index": (2,), "direction": (0, 1, 0)}), G8)
@@ -269,7 +277,8 @@ class TestNoiseCondition:
             ),
             G8,
         )
-        assert check_noise_condition(nm) == nm.C_h
+        assert nm.C_h == pytest.approx(0.81 * 2 ** 3 + 0.01 * 17 ** 3, rel=1e-14)
+        assert check_noise_condition(nm) is False  # no bound to exceed
 
     def test_quadrature_oracle(self):
         """H^3 sum matches |h|^2 + 3 |grad h|^2 + 3 |Lap h|^2 + |grad Lap h|^2
@@ -294,19 +303,19 @@ class TestNoiseCondition:
             total += 3 * sum(float((a * a).sum()) * w for a in g)
             total += 3 * float((lap_vals * lap_vals).sum()) * w
             total += sum(float((a * a).sum()) * w for a in gl)
-        assert check_noise_condition(nm) == pytest.approx(total, rel=1e-10)
+        assert nm.C_h == pytest.approx(total, rel=1e-10)
 
     def test_bound_warning(self):
         spec = eigenmode_spec({"sigma": 1.0, "index": (1,), "direction": (0, 0, 1)})
         spec["c_h_bound"] = 1.0  # C_h = 8 exceeds it
         nm = build_noise_modes(spec, G8)
         with pytest.warns(NoiseTailWarning):
-            check_noise_condition(nm)
+            assert check_noise_condition(nm) is True
         spec["c_h_bound"] = 100.0
         nm = build_noise_modes(spec, G8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            check_noise_condition(nm)
+            assert check_noise_condition(nm) is False
 
 
 class TestDiffusionApply:
@@ -526,25 +535,27 @@ def per_group_reference(noise, u, dW, include_correction):
     return inc, corr
 
 
-# a k = 0 group, two modes on one k, and G <= 2^d groups (one chunk in the
-# head of ws.vals at pad 2) or G > 2^d (chunks of 2^d groups through that head)
+# a k = 0 group, two modes on one k, and G <= 2^d groups (a stack in the head
+# of ws.vals at pad 2) or G > 2^d (a stack the workspace makes and keeps)
 PLAN_CASES = {
     "d2_one_chunk": (Grid(2, (2.0, 3.0), (5, 4)), [(1, 0), (0, 0), (1, 0), (2, 3)]),
-    "d2_chunks": (Grid(2, (2.0, 3.0), (5, 4)),
-                 [(1, 0), (0, 0), (1, 0), (2, 3), (0, 1), (4, 2)]),
+    "d2_own_stack": (Grid(2, (2.0, 3.0), (5, 4)),
+                     [(1, 0), (0, 0), (1, 0), (2, 3), (0, 1), (4, 2)]),
     "d3_one_chunk": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
               [(1, 0, 2), (0, 0, 0), (1, 0, 2), (2, 2, 1), (3, 1, 0)]),
-    "d3_chunks": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
-                 [(1, 0, 2), (0, 0, 0), (1, 0, 2), (2, 2, 1), (3, 1, 0), (0, 1, 0),
-                  (0, 0, 4), (1, 1, 1), (2, 0, 3), (3, 2, 4)]),
+    "d3_own_stack": (Grid(3, (2.0, 1.5, 3.0), (4, 3, 5)),
+                     [(1, 0, 2), (0, 0, 0), (1, 0, 2), (2, 2, 1), (3, 1, 0), (0, 1, 0),
+                      (0, 0, 4), (1, 1, 1), (2, 0, 3), (3, 2, 4)]),
 }
 
 
 @pytest.mark.parametrize("case", PLAN_CASES)
 def test_stacked_plan_matches_the_per_group_loop(case):
-    """``_operator_parts`` mixes the groups in one GEMM per part and chunk,
-    over ``ws.stack``, the head of ``ws.vals``; it holds the per-group loop to
-    1e-13 of max |ref|."""
+    """``_operator_parts`` mixes all groups in one GEMM per part, over the
+    workspace's stack for them: the head of ``ws.vals`` when the G groups fit
+    it, else an array of the workspace's own, the same on every call, that
+    leaves ``ws.vals`` untouched. It holds the per-group loop to 1e-13 of
+    max |ref|."""
     grid, indices = PLAN_CASES[case]
     noise = build_noise_modes(eigenmode_spec(*[
         {"sigma": 0.3 + 0.2 * j, "index": k, "direction": (1.0, -j, 0.5 * j + 0.2)}
@@ -557,16 +568,19 @@ def test_stacked_plan_matches_the_per_group_loop(case):
     ref_inc, ref_corr = per_group_reference(noise, u, dW, True)
     ws = Workspace(grid)
     ws.vals.fill(-7.25)
+    stack = ws.stack_for(G)
+    assert np.shares_memory(stack, ws.vals) == fits
     inc, corr = _operator_parts(noise, u, dW, True, ws)
     for got, ref in ((inc, ref_inc), (corr, ref_corr)):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert not (ws.vals == -7.25).all()
+    assert (ws.vals == -7.25).all() != fits
     assert _operator_parts(noise, u, dW, False, ws)[1] is None
     inc, corr = _operator_parts(noise, u, None, True, ws)
     assert inc is None and np.abs(corr - ref_corr).max() <= 1e-13 * np.abs(ref_corr).max()
     assert _operator_parts(noise, u, None, False, ws) == (None, None)
     empty = NoiseModel.empty(grid)
     assert _operator_parts(empty, u, np.zeros(0), True, ws) == (None, None)
+    assert ws.stack_for(G).ctypes.data == stack.ctypes.data
 
 
 @st.composite

@@ -483,7 +483,8 @@ class TestFieldHelpers:
         with pytest.raises(ValueError, match="expected"):
             embed(coarse, u[:, :1], fine)  # would broadcast into the first 5 modes
 
-    @pytest.mark.parametrize("index", [(4,), (-1,), (1, 0), ()])
+    @pytest.mark.parametrize("index", [(4,), (-1,), (1, 0), (), (2.9,), (True,),
+                                       np.array([2.0])])
     def test_eigenmode_index_checked(self, index):
         with pytest.raises(ValueError, match="mode index"):
             eigenmode_field(Grid(1, (1.0,), (4,)), index, (1.0, 0.0, 0.0))

@@ -100,8 +100,8 @@ def test_returned_arrays_survive_the_next_call(include_correction):
 def test_warm_step_peak_does_not_grow_with_the_mode_count():
     # one increment replaces the J per-mode G_j arrays: J = 1, J = 8 (G = 8 =
     # 2^3 distinct k, a noise stack that fits the head of ws.vals) and J = 12
-    # (G = 12, run through that head in two chunks) differ by less than one
-    # coefficient array in a warm d = 3 IMEX step
+    # (G = 12, a stack the workspace makes on the first step and keeps) differ
+    # by less than one coefficient array in a warm d = 3 IMEX step
     grid = Grid(3, (np.pi, 1.0, 2.5), (8, 8, 8), pad_factor=2)
     coeffs = state(grid, 13)
     peaks = []
@@ -337,8 +337,8 @@ def test_d3_step_and_sample_write_no_buffer_past_its_3_2_grid_head():
 
 def test_d3_noise_stack_stays_in_the_3_used_rows_of_vals():
     """G = 10 > 2^3 groups do not fit the 3 rows of ``vals`` that u's values
-    use, though they would fit all 5: they go through those 3 rows in chunks,
-    and the spare rows 3-4 keep the sentinel."""
+    use, though they would fit all 5: their stack is the workspace's own
+    array, and the spare rows 3-4 keep the sentinel."""
     grid = D3_SENTINEL_GRID
     noise = build_noise_modes({"family": "eigenmode", "modes": [
         {"sigma": 0.1, "index": k, "direction": (1.0, 0.5, -0.5)}
@@ -350,26 +350,32 @@ def test_d3_noise_stack_stays_in_the_3_used_rows_of_vals():
 
 
 def test_warm_noise_parts_keep_their_stack_in_the_workspace():
-    """At d = 3, N = 16 and G = 8 = 2^3 the ``(G, 3, *modes)`` stack (768 KB) is
-    ``ws.stack``, the head of ``ws.vals``, and the other passes go into
-    ``ws.scratch``: a warm ``_operator_parts`` call allocates only its two
-    results, below half the stack."""
+    """At d = 3, N = 16 the ``(G, 3, *modes)`` stack (768 KB at G = 8) is
+    ``ws.stack_for(G)``: at G = 8 = 2^3 the head of ``ws.vals``, at G = 12 an
+    array the workspace makes on the first call and keeps. The other passes
+    go into ``ws.scratch``: a warm ``_operator_parts`` call allocates only its
+    two results, below half the stack."""
     grid = Grid(3, (np.pi,) * 3, (16,) * 3)
-    noise = build_noise_modes({"family": "eigenmode", "modes": [
-        {"sigma": 0.1, "index": k, "direction": (1.0, 0.5, -0.5)}
-        for k in np.ndindex(2, 2, 2)]}, grid)
-    ws, u, dW = Workspace(grid), state(grid, 19), np.full(noise.J, 0.01)
-    stack_bytes = len(noise._plan[3]) * u.nbytes
-    assert len(noise._plan[3]) == 8 and stack_bytes == ws.vals.nbytes
-    _operator_parts(noise, u, dW, True, ws)  # warm the plan
-    tracemalloc.start()
-    try:
-        _operator_parts(noise, u, dW, True, ws)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert 2 * u.nbytes <= peak < 2.5 * u.nbytes, peak
-    assert peak < stack_bytes / 2, peak
+    for shape in ((2, 2, 2), (2, 2, 3)):
+        noise = build_noise_modes({"family": "eigenmode", "modes": [
+            {"sigma": 0.1, "index": k, "direction": (1.0, 0.5, -0.5)}
+            for k in np.ndindex(shape)]}, grid)
+        ws, u, dW = Workspace(grid), state(grid, 19), np.full(noise.J, 0.01)
+        G = len(noise._plan[3])
+        stack_bytes = G * u.nbytes
+        assert G == math.prod(shape) and (stack_bytes == ws.vals.nbytes) == (G == 8)
+        _operator_parts(noise, u, dW, True, ws)  # warm the plan and the stack
+        stack = ws.stack_for(G)
+        tracemalloc.start()
+        try:
+            _operator_parts(noise, u, dW, True, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * u.nbytes <= peak < 2.5 * u.nbytes, (G, peak)
+        assert peak < stack_bytes / 2, (G, peak)
+        assert ws.stack_for(G).ctypes.data == stack.ctypes.data
+        assert np.shares_memory(stack, ws.vals) == (G == 8)
 
 
 def flat_slices(source: str) -> list[int]:
@@ -391,6 +397,52 @@ def test_only_the_grid_module_carves_flattened_buffers():
     carving = {p.name: flat_slices(p.read_text()) for p in sorted(package.glob("*.py"))
                if p.name != "grid.py"}
     assert {name: lines for name, lines in carving.items() if lines} == {}
+
+
+# the views of the Workspace docstring's plan and the noise stack it keeps
+BUFFER_NAMES = set(vars(Workspace(Grid(2, (1.0, 1.0), (2, 2)))))
+
+
+def buffer_rebinds(source: str) -> list[int]:
+    """Lines of ``source`` that assign or delete an attribute named as a
+    ``Workspace`` buffer, directly or through ``setattr``; a write into a
+    buffer's values (``ws.vals[0] = x``) is not one."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Call) and len(node.args) > 1 \
+                and ast.unparse(node.func).split(".")[-1] in ("setattr", "__setattr__") \
+                and isinstance(node.args[1], ast.Constant):
+            name = node.args[1].value
+        else:
+            continue
+        if name in BUFFER_NAMES:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_grid_module_assigns_workspace_buffers():
+    """``Workspace`` is the one owner of the step's buffers: no package module
+    but ``grid.py`` binds ``vals``, ``lap``, ``prod``, ``stack``, ``scratch``,
+    ``quadratic`` or the kept noise stack, so every other module reads the
+    views the workspace built. The check would catch ``_operator_parts``
+    setting ``ws.stack`` itself."""
+    assert {"vals", "lap", "prod", "stack", "scratch", "quadratic"} < BUFFER_NAMES
+    assert buffer_rebinds("ws.stack = x\nws.vals[0] = 1\na.lap, b = 1, 2\nws.prod += 1\n"
+                          "setattr(ws, 'scratch', s)\ny = ws.quadratic\nws.other = 1\n"
+                          "del ws.vals\nobject.__setattr__(ws, 'stack', s)\n") == [
+        1, 3, 4, 5, 8, 9]
+    package = Path(__file__).resolve().parents[1] / "src" / "sllbar"
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert buffer_rebinds(sources["grid.py"])  # the owner is seen
+    rebinds = {name: buffer_rebinds(src) for name, src in sources.items()
+               if name != "grid.py"}
+    assert {name: lines for name, lines in rebinds.items() if lines} == {}
+    line = "    stack = ws.stack_for(G)\n"
+    assert sources["noise.py"].count(line) == 1
+    mutant = sources["noise.py"].replace(line, "    stack = ws.stack = ws.stack_for(G)\n")
+    assert len(buffer_rebinds(mutant)) == 1
 
 
 def test_grid_hash_is_stable_and_matches_equality():
